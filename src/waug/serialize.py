@@ -5,6 +5,14 @@ as {"lo","hi"} (or {"exact"}), no floats anywhere.  CSV: fixed column sets
 per producer, '\n' line endings.  Identical inputs and tool version must
 yield byte-identical bytes, so nothing time- or locale-dependent belongs
 here.
+
+canonical_json(x) converts x once with to_jsonable and writes the result
+with its own writer over plain JSON values (dict with str keys, list, str,
+int, bool, None; any other type raises TypeError).  Its bytes are those of
+    json.dumps(to_jsonable(x), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
+which tests/test_serialize.py checks as a property.  json.dumps with an
+indent runs the pure-Python encoder; the writer instead writes a list of
+ints with one join and strings with the C function encode_basestring_ascii.
 """
 
 from __future__ import annotations
@@ -15,15 +23,21 @@ import hashlib
 import io
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .certify import Enclosure, format_rational, parse_rational
 from .structures import UNIVERSE, InvalidInput
+
+_INT = {int}
+_PLAIN_SEQ = (list, tuple)  # exact types: no to_json hook to honour
 
 
 def to_jsonable(x):
     """Recursively convert report values to JSON-ready structures."""
     if x is None or isinstance(x, (bool, int, str)):
         return x
+    if type(x) in _PLAIN_SEQ and set(map(type, x)) <= _INT:
+        return list(x)
     if isinstance(x, float):
         raise TypeError("floats are banned from reports; use Fraction/Enclosure")
     if isinstance(x, Fraction):
@@ -48,9 +62,56 @@ def to_jsonable(x):
     raise TypeError(f"cannot serialize {type(x).__name__}: {x!r}")
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+
+
+def _write(x, parts, nl):
+    """Append the indented JSON text of the plain value x; nl is the
+    newline plus indentation of the line x starts on."""
+    t = type(x)
+    if t is int:
+        parts.append(int.__repr__(x))
+    elif t is str:
+        parts.append(encode_basestring_ascii(x))
+    elif t is list:
+        if not x:
+            parts.append("[]")
+            return
+        inner = nl + "  "
+        if set(map(type, x)) == _INT:
+            parts.append("[" + inner + ("," + inner).join(map(int.__repr__, x))
+                         + nl + "]")
+            return
+        sep = "[" + inner
+        for v in x:
+            parts.append(sep)
+            _write(v, parts, inner)
+            sep = "," + inner
+        parts.append(nl + "]")
+    elif t is dict:
+        if not x:
+            parts.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for k in sorted(x):
+            if type(k) is not str:
+                raise TypeError(f"report keys must be str, got {k!r}")
+            parts.append(sep + encode_basestring_ascii(k) + ": ")
+            _write(x[k], parts, inner)
+            sep = "," + inner
+        parts.append(nl + "}")
+    elif t is bool or x is None:
+        parts.append(_LITERALS[x])
+    else:
+        raise TypeError(f"not a plain JSON value: {type(x).__name__}")
+
+
 def canonical_json(obj) -> str:
-    return json.dumps(to_jsonable(obj), sort_keys=True, indent=2,
-                      ensure_ascii=True) + "\n"
+    parts = []
+    _write(to_jsonable(obj), parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def sha256_hex(data: bytes) -> str:

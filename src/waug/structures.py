@@ -21,14 +21,23 @@ genuinely differ here, as they must.
 
 Balls use the division-closure recursion
     B_0 = {e},   B_n = B_(n-1)  u  U_x B_(n-1).x  u  U_x B_(n-1).x^-1
-and spheres are S_n = B_n \\ B_(n-1).  Every deterministic choice ("least"
-element, term order) is made against elem_key, a canonical total order.
+and spheres are S_n = B_n \\ B_(n-1).  It is computed in frontier form,
+    B_n = B_(n-1)  u  U_x S_(n-1).x  u  U_x S_(n-1).x^-1,
+which is the same set: B_(n-1) = B_(n-2) u S_(n-1), multiplication and
+division by x distribute over unions, and B_(n-2).x and B_(n-2).x^-1 already
+lie in B_(n-1) by the recursion one level down.  The same holds for UNIVERSE:
+were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
+comes from an element of the last sphere (theta, on the zero-adjoined
+monoid).  Each level thus costs in proportion to its frontier, not to the
+whole ball.  Every deterministic choice ("least" element, term order) is
+made against elem_key, a canonical total order.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from operator import add, neg, sub
 from typing import Optional
 
 from .certify import InvalidInput, ResourceLimit  # noqa: F401  (re-exported)
@@ -113,6 +122,9 @@ class Structure:
         if E is UNIVERSE:
             raise ResourceLimit(
                 f"{self.family}: cannot divide the universal set by an element")
+        if self.is_group:
+            # v x = u has the one solution v = u x^-1
+            return self.mult_set(E, self.invert(x))
         out = set()
         for u in E:
             part = self.right_divide_point(u, x)
@@ -196,10 +208,10 @@ class IntegerLattice(Structure):
         return (0,) * self.d
 
     def multiply(self, u, v):
-        return tuple(a + b for a, b in zip(u, v))
+        return tuple(map(add, u, v))
 
     def invert(self, u):
-        return tuple(-a for a in u)
+        return tuple(map(neg, u))
 
     def default_generators(self):
         gens = []
@@ -221,13 +233,13 @@ class IntegerLattice(Structure):
         for i, c in enumerate(u):
             rank = 2 * i + 1 if c >= 0 else 2 * i + 2
             letters.extend([rank] * abs(c))
-        return (self.word_length(u), tuple(letters))
+        return (len(letters), tuple(letters))
 
     def word_length(self, u):
         return sum(abs(a) for a in u)
 
     def right_divide_point(self, u, x):
-        return frozenset([tuple(a - b for a, b in zip(u, x))])
+        return frozenset([tuple(map(sub, u, x))])
 
     def elem_to_json(self, u):
         return list(u)
@@ -259,6 +271,9 @@ class FreeStructure(Structure):
         self.is_group = inverses
         self.family = "free"
         self.names = _letter_names(rank)
+        # elem_key's letter order: a, a^-1, b, b^-1, ... (a, b, ... in a monoid)
+        self._rank_of = {g: (2 * g - 1 if g > 0 else -2 * g) if inverses else g
+                         for g in range(-rank, rank + 1) if g}
 
     def identity(self):
         return ()
@@ -297,11 +312,8 @@ class FreeStructure(Structure):
     def is_standard_generators(self, gens):
         return set(gens) == set(self.default_generators())
 
-    def _letter_rank(self, g):
-        return g if not self.inverses else (2 * g - 1 if g > 0 else 2 * (-g))
-
     def elem_key(self, u):
-        return (len(u), tuple(self._letter_rank(g) for g in u))
+        return (len(u), tuple(map(self._rank_of.__getitem__, u)))
 
     def word_length(self, u):
         return len(u)
@@ -377,12 +389,12 @@ class TableMonoid(Structure):
         for i in range(n):
             ti = t[i]
             for j in range(n):
-                tij = ti[j]
-                tj = t[j]
-                for k in range(n):
-                    if t[tij][k] != ti[tj[k]]:
-                        raise InvalidInput(
-                            f"table is not associative at ({i},{j},{k})")
+                # row (i j) k against i (j k), for all k at once
+                left, tj = t[ti[j]], t[j]
+                if left != list(map(ti.__getitem__, tj)):
+                    k = next(k for k in range(n) if left[k] != ti[tj[k]])
+                    raise InvalidInput(
+                        f"table is not associative at ({i},{j},{k})")
 
     def identity(self):
         return 0
@@ -575,37 +587,45 @@ class BallTable:
         return None
 
     def stable_at(self) -> Optional[int]:
-        """First n >= 1 with B_n == B_(n-1) (fixpoint of the recursion)."""
+        """First n >= 1 with B_n == B_(n-1) (fixpoint of the recursion):
+        the first empty level, which after a universal ball is the next one."""
         for n in range(1, self.depth + 1):
-            a, b = self.balls[n], self.balls[n - 1]
-            if a is UNIVERSE and b is UNIVERSE:
-                return n
-            if a is not UNIVERSE and b is not UNIVERSE and a == b:
+            lev = self.levels[n]
+            if lev is not UNIVERSE and not lev:
                 return n
         return None
 
 
+def _check_depth(depth: int):
+    if depth < 0:
+        raise InvalidInput(f"ball depth must be >= 0, got {depth}")
+
+
 def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) -> BallTable:
+    """Balls B_0..B_depth by the frontier form of the recursion (module
+    docstring): only the last sphere is multiplied and divided."""
+    _check_depth(depth)
     cap = ball_cap() if cap is None else cap
     e = s.identity()
     balls = [frozenset([e])]
     levels = [[e]]
     level_of = {e: 0}
+    frontier = levels[0]
     for n in range(1, depth + 1):
         prev = balls[-1]
         if prev is UNIVERSE:
             balls.append(UNIVERSE)
             levels.append([])
             continue
-        acc = set(prev)
+        acc = set()
         universal = False
         for x in gens:
-            m = s.mult_set(prev, x)
+            m = s.mult_set(frontier, x)
             if m is UNIVERSE:
                 universal = True
                 break
             acc |= m
-            d = s.divide_set(prev, x)
+            d = s.divide_set(frontier, x)
             if d is UNIVERSE:
                 universal = True
                 break
@@ -614,15 +634,15 @@ def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) ->
             balls.append(UNIVERSE)
             levels.append(UNIVERSE)
             continue
-        if len(acc) > cap:
+        acc -= prev
+        if len(prev) + len(acc) > cap:
             raise ResourceLimit(
-                f"ball B_{n} has {len(acc)} elements, over the cap {cap} "
+                f"ball B_{n} has {len(prev) + len(acc)} elements, over the cap {cap} "
                 f"(set {BALL_CAP_ENV} to raise it)")
-        new = sorted(acc - prev, key=s.elem_key)
-        for u in new:
-            level_of[u] = n
-        balls.append(frozenset(acc))
-        levels.append(new)
+        frontier = sorted(acc, key=s.elem_key)
+        level_of.update(dict.fromkeys(frontier, n))
+        balls.append(prev.union(frontier))
+        levels.append(frontier)
     return BallTable(s, list(gens), depth, balls, levels, level_of)
 
 
@@ -663,6 +683,7 @@ class PseudoFiniteReport:
 def pseudo_finite_within(s: Structure, gens, depth: int,
                          cap: Optional[int] = None) -> PseudoFiniteReport:
     """Is M = B_n for some n <= depth?  (M^0-style universal balls count.)"""
+    _check_depth(depth)
     if s.size is not None:
         bt = division_balls(s, gens, depth, cap)
         sizes = bt.sizes()

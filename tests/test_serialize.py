@@ -5,6 +5,8 @@ import json
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waug.algebra import QC, Element
 from waug.certify import Enclosure, parse_rational
@@ -148,3 +150,52 @@ def test_rational_text_parsing():
         parse_rational_text("1/0")
     with pytest.raises(InvalidInput):
         parse_rational_text("two")
+
+
+@dataclasses.dataclass
+class _Record:
+    left: object
+    right: object
+
+
+_enclosures = st.tuples(st.fractions(), st.fractions()).map(
+    lambda pair: Enclosure(min(pair), max(pair)))
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.text(),                      # non-ASCII and control characters
+    st.fractions(), _enclosures, st.just(UNIVERSE))
+_hashables = st.one_of(st.integers(), st.text(max_size=4), st.fractions(),
+                       st.tuples(st.integers(), st.integers()))
+_values = st.recursive(_scalars, lambda kids: st.one_of(
+    st.lists(kids, max_size=5),
+    st.tuples(kids, kids),
+    st.lists(st.integers(), max_size=6),
+    st.lists(st.integers(), max_size=6).map(tuple),
+    st.dictionaries(st.one_of(st.text(max_size=6), st.integers()), kids,
+                    max_size=5),
+    st.frozensets(_hashables, max_size=5),
+    st.builds(_Record, kids, kids)), max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_values)
+def test_canonical_json_equals_json_dumps(x):
+    expect = json.dumps(to_jsonable(x), sort_keys=True, indent=2,
+                        ensure_ascii=True) + "\n"
+    assert canonical_json(x) == expect
+
+
+def test_canonical_json_refuses_non_plain_values():
+    with pytest.raises(TypeError):
+        canonical_json({"x": [1, 0.5]})
+    with pytest.raises(TypeError):
+        canonical_json(object())
+
+
+def test_int_string_digit_limit_still_raises():
+    # CPython's int -> str limit (4300 digits) is not lifted by the writer
+    with pytest.raises(ValueError):
+        canonical_json({"norm": F(10 ** 4400 + 1, 3)})
+    with pytest.raises(ValueError):
+        canonical_json([10 ** 4400])

@@ -15,17 +15,19 @@ from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
 
 
 def brute_division_balls(s, gens, depth):
-    """Independent oracle: the level-closure recursion done naively."""
+    """Independent oracle: the level-closure recursion done naively, over
+    the whole previous ball, with division found by scanning candidates.
+    Stops before a universal ball (the zero-adjoined theta quotient)."""
     e = s.identity()
     balls = [frozenset([e])]
     for _ in range(depth):
         prev = balls[-1]
+        if any(x == u == "theta" for x in gens for u in prev):
+            break  # prev . theta^-1 is the whole monoid
         acc = set(prev)
         for x in gens:
             for u in prev:
                 acc.add(s.multiply(u, x))
-            # division: all v with v*x in prev, found by scanning candidates
-            # built from everything seen plus one more multiplication layer
             for v in _candidates(s, gens, prev):
                 if s.multiply(v, x) in prev:
                     acc.add(v)
@@ -34,18 +36,40 @@ def brute_division_balls(s, gens, depth):
 
 
 def _candidates(s, gens, prev):
+    """A finite set holding every v with v x in prev for a generator x."""
+    if s.size is not None:
+        return range(s.size)
     out = set(prev)
     for u in prev:
+        if isinstance(u, tuple) and not s.is_group:
+            out.update(u[:i] for i in range(len(u)))  # monoid word prefixes
         for x in gens:
             out.add(s.multiply(u, x))
-            inv = None
-            try:
-                inv = s.invert(x)
-            except Exception:
-                inv = None
-            if inv is not None:
-                out.add(s.multiply(u, inv))
+            if s.is_group:
+                out.add(s.multiply(u, s.invert(x)))
     return out
+
+
+def _old_stable_at(balls):
+    """First n >= 1 with B_n == B_(n-1), comparing the balls themselves."""
+    for n in range(1, len(balls)):
+        a, b = balls[n], balls[n - 1]
+        if (a is UNIVERSE and b is UNIVERSE) or (
+                a is not UNIVERSE and b is not UNIVERSE and a == b):
+            return n
+    return None
+
+
+def _transformation_monoid():
+    """T_3: all maps {0,1,2} -> {0,1,2}, u.v = first u then v; not a group,
+    and right division by a map of rank < 3 has several solutions."""
+    from itertools import product
+    maps = sorted(product(range(3), repeat=3),
+                  key=lambda f: (f != (0, 1, 2), f))  # identity first
+    index = {f: i for i, f in enumerate(maps)}
+    table = [[index[tuple(g[f[i]] for i in range(3))] for g in maps]
+             for f in maps]
+    return table, index[(1, 2, 0)], index[(0, 0, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -85,18 +109,48 @@ def test_free_monoid_balls_include_divisions():
     assert (1, 2) in bt.ball(2)
 
 
-@pytest.mark.parametrize("family,params,depth", [
-    ("Z", {}, 3),
-    ("Zd", {"d": 2}, 2),
-    ("free", {"rank": 2, "inverses": True}, 3),
-    ("free", {"rank": 2, "inverses": False}, 3),
+_T3, _T3_CYCLE, _T3_FOLD = _transformation_monoid()
+
+
+# the first four ids are the names these cases have always been run under
+@pytest.mark.parametrize("spec,depth", [
+    pytest.param({"family": "Z"}, 3, id="Z-params0-3"),
+    pytest.param({"family": "Zd", "params": {"d": 2}}, 2, id="Zd-params1-2"),
+    pytest.param({"family": "free", "params": {"rank": 2, "inverses": True}},
+                 3, id="free-params2-3"),
+    pytest.param({"family": "free", "params": {"rank": 2, "inverses": False}},
+                 3, id="free-params3-3"),
+    pytest.param({"family": "Zd", "params": {"d": 3}}, 4, id="Z3"),
+    pytest.param({"family": "free", "params": {"rank": 2, "inverses": True},
+                  "generators": [[1], [-1], [2], [-2], [1, 2]]}, 3, id="F2-ab"),
+    pytest.param({"family": "table", "params": {"table": _T3},
+                  "generators": [_T3_CYCLE, _T3_FOLD]}, 5, id="T3"),
+    pytest.param({"family": "table", "params": {"table": _T3},
+                  "generators": [_T3_FOLD]}, 4, id="T3-fold"),
+    pytest.param({"family": "zero_adjoined", "params": {"rank": 2},
+                  "generators": [[1], "theta"]}, 4, id="a-theta"),
+    pytest.param({"family": "zero_adjoined", "params": {"rank": 2},
+                  "generators": ["theta", [2]]}, 4, id="theta-b"),
 ])
-def test_balls_match_brute_force(family, params, depth):
-    s, gens = structure_from_spec({"family": family, "params": params})
+def test_balls_match_brute_force(spec, depth):
+    s, gens = structure_from_spec(spec)
     bt = division_balls(s, gens, depth)
     brute = brute_division_balls(s, gens, depth)
-    for n in range(depth + 1):
+    finite = len(brute)  # levels below any universal ball
+    for n in range(finite):
         assert bt.ball(n) == brute[n]
+        expect = brute[0] if n == 0 else brute[n] - brute[n - 1]
+        assert bt.levels[n] == sorted(expect, key=s.elem_key)
+    assert bt.level_of == {u: n for n in range(finite) for u in bt.levels[n]}
+    if finite <= depth:
+        # theta entered at level finite - 1; dividing by it gives everything
+        assert "theta" in bt.levels[finite - 1]
+        assert bt.universal_at() == finite
+        assert all(bt.ball(n) is UNIVERSE for n in range(finite, depth + 1))
+    else:
+        assert bt.universal_at() is None
+    assert bt.stable_at() == _old_stable_at(bt.balls)
+    assert bt.stable_at() == _old_stable_at(brute + [UNIVERSE] * (depth + 1 - finite))
 
 
 def test_zero_adjoined_universal_ball():
