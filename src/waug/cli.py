@@ -21,7 +21,6 @@ into the report.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 import time
@@ -54,10 +53,7 @@ def _add_io_flags(p):
                    help="enclosure precision in bits (default 128)")
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared: parse_args
-    leaves it unchanged, so callers must not modify it either."""
     ap = argparse.ArgumentParser(
         prog="waug",
         description="workbench for weighted l1 algebras on finitely "

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from operator import add, neg, sub
 from typing import Optional
 
 from .certify import InvalidInput, ResourceLimit  # noqa: F401  (re-exported)
@@ -208,10 +207,10 @@ class IntegerLattice(Structure):
         return (0,) * self.d
 
     def multiply(self, u, v):
-        return tuple(map(add, u, v))
+        return tuple(a + b for a, b in zip(u, v))
 
     def invert(self, u):
-        return tuple(map(neg, u))
+        return tuple(-a for a in u)
 
     def default_generators(self):
         gens = []
@@ -233,13 +232,13 @@ class IntegerLattice(Structure):
         for i, c in enumerate(u):
             rank = 2 * i + 1 if c >= 0 else 2 * i + 2
             letters.extend([rank] * abs(c))
-        return (len(letters), tuple(letters))
+        return (self.word_length(u), tuple(letters))
 
     def word_length(self, u):
         return sum(abs(a) for a in u)
 
     def right_divide_point(self, u, x):
-        return frozenset([tuple(map(sub, u, x))])
+        return frozenset([tuple(a - b for a, b in zip(u, x))])
 
     def elem_to_json(self, u):
         return list(u)
@@ -389,12 +388,12 @@ class TableMonoid(Structure):
         for i in range(n):
             ti = t[i]
             for j in range(n):
-                # row (i j) k against i (j k), for all k at once
-                left, tj = t[ti[j]], t[j]
-                if left != list(map(ti.__getitem__, tj)):
-                    k = next(k for k in range(n) if left[k] != ti[tj[k]])
-                    raise InvalidInput(
-                        f"table is not associative at ({i},{j},{k})")
+                tij = ti[j]
+                tj = t[j]
+                for k in range(n):
+                    if t[tij][k] != ti[tj[k]]:
+                        raise InvalidInput(
+                            f"table is not associative at ({i},{j},{k})")
 
     def identity(self):
         return 0

@@ -281,6 +281,8 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
     for the lemma74/lemma76 constructions, whose interesting indices are far
     beyond anything enumerable.
     """
+    if radius < 0:
+        raise InvalidInput(f"radius must be >= 0, got {radius}")
     report = {"ok": True, "method": None, "radius": radius,
               "pairs_checked": 0, "failures": [], "notes": []}
 
@@ -461,6 +463,8 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
     """tau_n = min over the sphere S_n of omega, for n = 1..N, plus
     C = max over the generators of omega.  Exact Fractions required (use
     integer alpha / beta = 1 radial weights, or table weights)."""
+    if N < 0:
+        raise InvalidInput(f"depth N must be >= 0, got {N}")
     radial_fast = (weight.is_radial and s.is_standard_generators(gens)
                    and s.size is None
                    and closed_form_ball_size(s, gens, 1) is not None)

@@ -1,9 +1,6 @@
 """Command-line interface: exit codes, report envelopes, byte stability."""
 
 import json
-import os
-import subprocess
-import sys
 
 import pytest
 
@@ -215,67 +212,41 @@ def test_version_field_matches_package(capsys, zline):
     assert json.loads(out)["version"] == waug.__version__
 
 
-def _z_elements(tmp_path, n):
-    """n elements delta_0 - delta_k on Z, k = 1..n, as files."""
-    return [write_json(tmp_path / f"z{k}.json",
-                       {"terms": [{"elem": 0, "re": "1", "im": "0"},
-                                  {"elem": k, "re": "-1", "im": "0"}]})
-            for k in range(1, n + 1)]
-
-
-def _fresh_run(argv, cwd):
-    """The same command in a new interpreter: its stdout report."""
-    import waug
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(waug.__file__))
-    done = subprocess.run([sys.executable, "-m", "waug", *argv], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=60)
-    return done.returncode, done.stdout
-
-
-def test_repeated_main_calls_do_not_carry_options(capsys, tmp_path, zline):
-    e1, e2, e3 = _z_elements(tmp_path, 3)
-    first = ["element", "convolve", "--spec", zline,
-             "--element", e1, "--element", e2, "--element", e3]
-    second = ["element", "convolve", "--spec", zline,
-              "--element", e2, "--element", e3]
-    ball = ["structure", "ball", "--spec", zline, "--depth", "2"]
-    code, out, _ = run(capsys, *first)
-    assert code == 0 and json.loads(out)["result"]["factors"] == 3
-    for argv in (second, ball, first):
-        code, out, _ = run(capsys, *argv)
-        assert (code, out) == _fresh_run(argv, str(tmp_path))
-    code, out, _ = run(capsys, *second)
-    rep = json.loads(out)
-    assert rep["result"]["factors"] == 2
-    assert sorted(rep["inputs"]) == ["element", "element_1", "spec"]
-
-
 _NEGATIVE_DEPTH_COMMANDS = {
-    "ball": ["structure", "ball"],
-    "ancestry": ["structure", "ancestry", "--target", "POINT"],
-    "pseudofinite": ["structure", "pseudofinite"],
-    "sigma": ["element", "sigma", "--element", "ELEMENT"],
-    "necessity": ["ideal", "necessity", "--element", "ELEMENT"],
+    # argv, and the flag that takes the negative value
+    "ball": (["structure", "ball"], "--depth"),
+    "ancestry": (["structure", "ancestry", "--target", "POINT"], "--depth"),
+    "pseudofinite": (["structure", "pseudofinite"], "--depth"),
+    "sigma": (["element", "sigma", "--element", "ELEMENT"], "--depth"),
+    "necessity": (["ideal", "necessity", "--element", "ELEMENT"], "--depth"),
+    "weight-verify": (["weight", "verify", "--weight", "WEIGHT"], "--radius"),
+    "weight-tau": (["weight", "tau", "--weight", "WEIGHT"], "--depth"),
 }
 _NEGATIVE_DEPTH_SPECS = {
-    # spec, a point, an augmentation-zero element
-    "Z": ({"family": "Z"}, "1", [0, 1]),
+    # spec, a point, an augmentation-zero element, a weight: radial on Z,
+    # explicit on theta, so the weight commands take both their radial and
+    # their enumerating paths
+    "Z": ({"family": "Z"}, "1", [0, 1],
+          {"family": "radial_poly", "params": {"alpha": "2"}}),
     "theta": ({"family": "zero_adjoined", "params": {"rank": 2},
-               "generators": ["theta"]}, "theta", [[], "theta"]),
+               "generators": ["theta"]}, "theta", [[], "theta"],
+              {"family": "explicit",
+               "params": {"values": {"e": "1", "theta": "1"}}}),
 }
 
 
 @pytest.mark.parametrize("command", sorted(_NEGATIVE_DEPTH_COMMANDS))
 @pytest.mark.parametrize("family", sorted(_NEGATIVE_DEPTH_SPECS))
 def test_negative_depth_is_an_input_error(capsys, tmp_path, command, family):
-    spec, point, (a, b) = _NEGATIVE_DEPTH_SPECS[family]
+    spec, point, (a, b), weight = _NEGATIVE_DEPTH_SPECS[family]
     sfile = write_json(tmp_path / "s.json", spec)
     efile = write_json(tmp_path / "e.json",
                        {"terms": [{"elem": a, "re": "1", "im": "0"},
                                   {"elem": b, "re": "-1", "im": "0"}]})
-    argv = [{"POINT": point, "ELEMENT": efile}.get(arg, arg)
-            for arg in _NEGATIVE_DEPTH_COMMANDS[command]]
-    code, out, err = run(capsys, *argv, "--spec", sfile, "--depth", "-3")
+    wfile = write_json(tmp_path / "w.json", weight)
+    argv, flag = _NEGATIVE_DEPTH_COMMANDS[command]
+    argv = [{"POINT": point, "ELEMENT": efile, "WEIGHT": wfile}.get(arg, arg)
+            for arg in argv]
+    code, out, err = run(capsys, *argv, "--spec", sfile, flag, "-3")
     assert code == 2
-    assert out == "" and "depth" in err and "Traceback" not in err
+    assert out == "" and flag[2:] in err and "Traceback" not in err
