@@ -20,7 +20,7 @@ from .certify import (DEFAULT_BITS, Enclosure, basel_partial, format_rational,
 from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
                          geodesic_word, pseudo_finite_within, IntegerGroup,
                          IntegerLattice, FreeStructure, Structure)
-from .weights import tau_and_C
+from .weights import build_lemma74, tau_and_C
 
 
 class CertificateError(RuntimeError):
@@ -835,8 +835,10 @@ def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS,
     while the forced divisor's lower-bound partial sums are exactly
     sum_(k<=K) (1/(k omega_(n_k))) omega_(n_k) = H_K - the weight factors
     cancel, so the divergence scale is the harmonic series.
+
+    The norm enclosure's sums stay exact until their denominators outgrow
+    `bits`, and are then rounded outward to dyadics, so they stay small.
     """
-    from .weights import build_lemma74
     rho = parse_rational(rho)
     if K < 1:
         raise InvalidInput("witness needs K >= 1")
@@ -845,20 +847,19 @@ def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS,
     else:
         weight, brep = builder
     markers = brep["markers"]
-    lo = Fraction(0)
-    hi = Fraction(0)
+    norm_enc = Enclosure.exact(0)
     sites = []
     alpha_symbolic = []
     for k in range(1, K + 1):
         ratio = _as_enclosure(weight.step_ratio(k, bits))
-        lo += ratio.lo / k
-        hi += ratio.hi / k
+        norm_enc = Enclosure(norm_enc.lo + ratio.lo / k, norm_enc.hi + ratio.hi / k)
+        if max(norm_enc.lo.denominator, norm_enc.hi.denominator).bit_length() > bits:
+            norm_enc = norm_enc.rounded(bits)
         nk = markers[k - 1]
         sites.append(nk + 1)
         alpha_symbolic.append({
             "k": k, "site": nk + 1, "inv_scale": k,
             "omega_base": weight.rho + weight.eps[k - 1], "omega_exponent": nk})
-    norm_enc = Enclosure(lo, hi)
     steps_ok = brep["step_bounds_all_ok"]
     basel = basel_partial(K)
     norm_bound = (rho + 1) * basel if steps_ok else None

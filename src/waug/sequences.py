@@ -14,10 +14,14 @@ here is a labeled heuristic, while D_hat, T and the witnesses are exact.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import log10
 
 from .certify import format_rational, parse_rational
-from .structures import InvalidInput
+from .structures import InvalidInput, ResourceLimit
+
+BLOCKSEQ_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
 
 
 class PrefixSequence:
@@ -139,8 +143,10 @@ def failure_witness(seq: PrefixSequence, target) -> dict:
     """Search canonical candidates for ||x||_tau <= 1 with T(x) >= target.
 
     Candidates, in order: single coordinates x = e^(j)/tau_j (j ascending;
-    T = sum_{i<j} tau_i / tau_j), then uniform blocks on [a..b] normalized to
-    norm 1 (b ascending, a descending).  Returns the first hit; not-found is
+    T = sum_{i<j} tau_i / tau_j).  No other non-negative x does better, the
+    uniform unit-norm blocks on [a..b] included: for x >= 0,
+    T(x) = sum_j x_j P_(j-1) = sum_j (tau_j x_j) (P_(j-1)/tau_j) is at most
+    ||x||_tau max_j P_(j-1)/tau_j.  Returns the first hit; not-found is
     not a proof of tail-preservation (the prefix may just be short).
     """
     target = parse_rational(target)
@@ -154,14 +160,6 @@ def failure_witness(seq: PrefixSequence, target) -> dict:
             return {"found": True, "kind": "single", "x": x,
                     "norm": norm_tau(seq, x), "T": tail_functional(seq, x),
                     "target": target}
-    for b in range(2, seq.N + 1):
-        for a in range(b - 1, 0, -1):
-            c = Fraction(1) / (P[b] - P[a - 1])
-            x = {j: c for j in range(a, b + 1)}
-            tval = tail_functional(seq, x)
-            if tval >= target:
-                return {"found": True, "kind": "block", "x": x,
-                        "norm": norm_tau(seq, x), "T": tval, "target": target}
     return {"found": False, "target": target,
             "note": "no witness within this prefix; not a proof of tail-preservation"}
 
@@ -203,13 +201,23 @@ def build_block_sequence(rho, K: int) -> dict:
     Every tau_j >= rho^j, and the boundary ratios
     tau_(n_k+1) / sum_{j<=n_k} tau_j are exactly <= 1/k: above the boundary
     sit k copies of rho^(n_k+1) from the same block.  Both facts are verified
-    exactly and returned with the sequence.
+    exactly and returned with the sequence.  A K is refused up front when
+    the numbers, at most max(p, q)^(n_K+1) (n_K+1) for rho = p/q with
+    n_K = K(K+1)/2 + K - 1, would pass the int->str digit limit.
     """
     rho = parse_rational(rho)
     if rho <= 1:
         raise InvalidInput("build_block_sequence needs rho > 1")
     if K < 2:
         raise InvalidInput("build_block_sequence needs K >= 2")
+    top = K * (K + 1) // 2 + K
+    digits = top * log10(max(rho.numerator, rho.denominator)) + log10(top)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or BLOCKSEQ_DIGIT_CAP
+    if digits >= limit:
+        raise ResourceLimit(
+            f"--blocks {K} is too large for rho = {format_rational(rho)}: the "
+            f"sequence reaches rho^{top}, and its numbers would have up to "
+            f"{int(digits) + 1} digits, above the {limit}-digit limit")
     markers = [1]
     for k in range(2, K + 1):
         markers.append(markers[-1] + k + 1)

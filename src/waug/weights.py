@@ -559,25 +559,39 @@ def _lemma74_predicate(A: Fraction, B: Fraction, n: int, bits: int) -> bool:
     return ratio_pow_less(B / A, n, Fraction(1, n), strict=True, bits=bits)
 
 
-def _float_block_estimate(A: Fraction, B: Fraction, lo: int) -> int:
-    """Float guess for the least n with (A/B)^n > n (accelerator only).
+def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int) -> int:
+    """Least n > lo with A^n > n B^n (1 < A/B <= 9/8), certified by its bracket.
 
-    log(A/B) is computed as log1p((A-B)/B); the naive difference of two
-    logs near log(rho) cancels catastrophically once A/B - 1 ~ 1/k^2,
-    and a relative error in the rate becomes an absolute error of the
-    same relative size in n (hundreds at n ~ 1e9).
+    n log(A/B) - log n is convex, positive at n = 1 and negative at n = 2, so
+    past n = 1 the predicate turns true once, at the larger real root: "true
+    at n, false at n-1 (or n-1 == lo)" means "least n".  Newton guesses the
+    root in floats on the rate log1p((A-B)/B) (two logs near log(rho) would
+    cancel); only the certified predicate decides, and a wrong guess costs
+    O(log error) calls: the stride doubles away from it, then halves.
     """
     lr = math.log1p(float((A - B) / B))
-    if lr <= 0:
-        return lo + 1
-    x = max(lo + 1.0, 2.0)
-    for _ in range(64):
-        nxt = max(lo + 1.0, math.log(x) / lr)
-        if abs(nxt - x) < 0.5:
-            x = nxt
-            break
-        x = nxt
-    return max(lo + 1, int(x) - 8)
+    if lr < 1e-300:  # the root, about log(1/lr)/lr, overflows a float
+        raise ResourceLimit("lemma74 block search diverged")
+    x = 2 / lr * math.log(2 / lr)  # above the root, where Newton is monotone
+    for _ in range(8):  # 5 steps reach a relative error of 1e-12 at any float rate
+        x -= (x * lr - math.log(x)) / (lr - 1 / x)
+    n = max(lo + 1, math.floor(x) + 1)
+    false_at, true_at, stride = lo, None, 1
+    while true_at is None or true_at - false_at > 1:
+        if _lemma74_predicate(A, B, n, bits):
+            true_at = n
+        else:
+            false_at = n
+        if true_at is None:  # gallop up from the guess
+            if stride > (1 << 40):
+                raise ResourceLimit("lemma74 block search diverged")
+            n = false_at + stride
+        elif false_at == lo and true_at - stride > lo:  # gallop down from it
+            n = true_at - stride
+        else:  # halve the certified bracket
+            n = (false_at + true_at) // 2
+        stride *= 2
+    return true_at
 
 
 def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
@@ -604,33 +618,7 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     for k in range(2, K + 1):
         A = rho + eps[k - 1]
         B = rho + eps[k]
-        lo = markers[-1]
-        n = _float_block_estimate(A, B, lo)
-        # bracket [lo_search, hi] with the predicate false at lo_search (or
-        # lo_search == lo) and true at hi, by galloping from the float guess;
-        # the predicate is monotone in n past n = 1 because A/B <= 9/8 <
-        # sqrt(2) for rho >= 1, k >= 2, so bisection finds the least true n
-        if _lemma74_predicate(A, B, n, bits):
-            hi, step = n, 1
-            while hi - step > lo and _lemma74_predicate(A, B, hi - step, bits):
-                hi -= step
-                step *= 2
-            lo_search = max(lo, hi - step)
-        else:
-            step = 1
-            while not _lemma74_predicate(A, B, n + step, bits):
-                step *= 2
-                if step > (1 << 40):
-                    raise ResourceLimit("lemma74 block search diverged")
-            hi = n + step
-            lo_search = n + step // 2 if step > 1 else n
-        while hi - lo_search > 1:
-            mid = (hi + lo_search) // 2
-            if _lemma74_predicate(A, B, mid, bits):
-                hi = mid
-            else:
-                lo_search = mid
-        markers.append(hi)
+        markers.append(_lemma74_marker(A, B, markers[-1], bits))
     weight = Lemma74Weight(rho, K, markers, eps)
     # per-block step-ratio certificates:  k omega_(n_k+1) <= (rho+1) omega_(n_k)
     step_bounds = []
@@ -679,7 +667,8 @@ def build_lemma76(rho, N: int):
       (star)    gamma_(n_k - i) = (rho+1)^(i+1) for 0 <= i <= k-1, k >= 2
       (dagger)  gamma_j <= (rho+1) gamma_(j+1)
       submult   gamma_(i+j) <= gamma_i gamma_j  for all i + j <= N
-      ratio     omega_(n_k) / sum_(j<n_k) omega_j <= (rho/(rho+1))^(k-1), k >= 2
+      ratio     omega_(n_k) / sum_(j=1..n_k-1) omega_j <= (rho/(rho+1))^(k-1), k >= 2
+                (omega_0 = 1 is left out of the sum)
 
     Returns (Lemma76Weight, report).
     """

@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report envelopes, byte stability."""
 
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
+from waug.certify import basel_partial
 from waug.cli import main
 
 
@@ -180,6 +183,30 @@ def test_blockseq_csv_feeds_tau_check(capsys, tmp_path):
     assert code in (0, 1)  # verdict depends on the data, not a crash
     rep = json.loads(out)
     assert rep["operation"] == "tau check"
+
+
+@pytest.mark.parametrize("rho,blocks", [("2", 3000), ("3/2", 1500)])
+def test_witness_75_report_at_scale(capsys, tmp_path, rho, blocks):
+    # the exact norm sums would pass the interpreter's 4300-digit int->str
+    # limit here; the report carries an outward-rounded dyadic enclosure
+    out = tmp_path / "w75.json"
+    code, _, err = run(capsys, "ideal", "witness-75", "--rho", rho,
+                       "--blocks", str(blocks), "--out", str(out))
+    assert code == 0 and "Traceback" not in err
+    enc = json.loads(out.read_text())["result"]["norm_enclosure"]
+    lo, hi = Fraction(enc["lo"]), Fraction(enc["hi"])
+    assert 0 < lo <= hi <= (Fraction(rho) + 1) * basel_partial(blocks)
+    assert hi - lo < Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("rho,blocks", [("7/2", "120"), ("2", "100000000000")])
+def test_blockseq_too_many_blocks_is_refused_up_front(capsys, rho, blocks):
+    started = time.monotonic()
+    code, out, err = run(capsys, "tau", "blockseq", "--rho", rho,
+                         "--blocks", blocks)
+    assert time.monotonic() - started < 5
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "--blocks" in err and "Traceback" not in err
 
 
 def test_unsupported_csv_format_refused(capsys, tmp_path, zline):

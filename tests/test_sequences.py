@@ -4,12 +4,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waug.sequences import (PrefixSequence, build_block_sequence,
                             check_prefix_tp, failure_witness, growth_check,
                             norm_tau, tail_functional, vector_from_json,
                             vector_to_json)
-from waug.structures import InvalidInput
+from waug.structures import InvalidInput, ResourceLimit
 
 
 def geometric(N, base=2):
@@ -101,10 +103,92 @@ def test_failure_witness_flat():
     assert norm_tau(seq, x) == rep["norm"]
 
 
-def test_failure_witness_not_found_for_geometric():
+def test_failure_witness_not_found_for_geometric(monkeypatch):
+    # a miss scores no candidate with the tail functional
+    import waug.sequences
+    monkeypatch.setattr(waug.sequences, "tail_functional", None)
     rep = failure_witness(geometric(30), F(10))
     assert not rep["found"]
     assert rep["note"]
+
+
+# tau_n >= 1 with small numerators and denominators, N = 2..8
+short_sequences = st.lists(
+    st.fractions(min_value=1, max_value=40, max_denominator=7),
+    min_size=2, max_size=8).map(PrefixSequence)
+
+
+def reference_failure_witness(seq, target):
+    """The earlier search: singles, then uniform blocks (b ascending, a
+    descending), each scored by tail_functional."""
+    target = F(target)
+    P = seq.prefix_sums()
+    for j in range(1, seq.N + 1):
+        if P[j - 1] / seq.values[j - 1] >= target:
+            x = {j: 1 / seq.values[j - 1]}
+            return {"found": True, "kind": "single", "x": x,
+                    "norm": norm_tau(seq, x), "T": tail_functional(seq, x),
+                    "target": target}
+    for b in range(2, seq.N + 1):
+        for a in range(b - 1, 0, -1):
+            c = 1 / (P[b] - P[a - 1])
+            x = {j: c for j in range(a, b + 1)}
+            tval = tail_functional(seq, x)
+            if tval >= target:
+                return {"found": True, "kind": "block", "x": x,
+                        "norm": norm_tau(seq, x), "T": tval, "target": target}
+    return {"found": False, "target": target,
+            "note": "no witness within this prefix; not a proof of tail-preservation"}
+
+
+@settings(max_examples=100)
+@given(short_sequences, st.fractions(min_value=F(1, 9), max_value=6,
+                                     max_denominator=9))
+def test_failure_witness_matches_reference_search(seq, target):
+    assert failure_witness(seq, target) == reference_failure_witness(seq, target)
+
+
+def test_failure_witness_reference_covers_hits_and_misses():
+    # seeded so that hits and misses both occur, and some hits land on the
+    # target exactly (the >= test accepts equality)
+    rng = random.Random(503)
+    kinds = set()
+    exact = 0
+    for _ in range(300):
+        N = rng.randint(2, 14)
+        shape = rng.choice(["flat", "geometric", "random"])
+        if shape == "flat":
+            vals = [F(rng.randint(1, 3))] * N
+        elif shape == "geometric":
+            vals = [F(rng.randint(3, 7), 2) ** n for n in range(1, N + 1)]
+        else:
+            vals = [F(rng.randint(2, 30), rng.randint(1, 2)) for _ in range(N)]
+        seq = PrefixSequence(vals)
+        target = F(rng.randint(1, 40), rng.randint(1, 8))
+        want = reference_failure_witness(seq, target)
+        assert failure_witness(seq, target) == want
+        kinds.add(want.get("kind", "miss"))
+        if want["found"]:
+            hit = failure_witness(seq, want["T"])
+            assert hit == reference_failure_witness(seq, want["T"])
+            exact += hit["T"] == want["T"]
+    assert kinds == {"single", "miss"}
+    assert exact > 0
+
+
+@settings(max_examples=100)
+@given(short_sequences)
+def test_no_block_beats_its_best_single(seq):
+    # the unit-norm block on [a..b] is the convex combination
+    # sum_j (tau_j / (P_b - P_(a-1))) e^(j)/tau_j of unit-norm singles and T
+    # is convex, so a block never hits after every single has missed
+    P = seq.prefix_sums()
+    singles = [P[j - 1] / seq.values[j - 1] for j in range(1, seq.N + 1)]
+    for b in range(2, seq.N + 1):
+        for a in range(1, b):
+            c = 1 / (P[b] - P[a - 1])
+            T = tail_functional(seq, {j: c for j in range(a, b + 1)})
+            assert T <= max(singles[a - 1:b])
 
 
 def test_growth_check_geometric():
@@ -157,6 +241,15 @@ def test_block_sequence_rejects_bad_input():
         build_block_sequence(F(1), 5)
     with pytest.raises(InvalidInput):
         build_block_sequence(F(2), 1)
+
+
+def test_block_sequence_refuses_numbers_past_the_digit_limit():
+    # n_K = K(K+1)/2 + K - 1; rho^(n_K+1) = 2^14364 has 4325 digits at K = 168
+    rep = build_block_sequence(F(2), 167)
+    assert rep["markers"][-1] == 167 * 168 // 2 + 166
+    for rho, K in ((F(2), 168), (F(7, 2), 120), (F(2), 10 ** 11)):
+        with pytest.raises(ResourceLimit, match="--blocks"):
+            build_block_sequence(rho, K)
 
 
 def test_vector_json_round_trip():

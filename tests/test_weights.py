@@ -1,10 +1,12 @@
 """Weights: axioms, sphere minima, and the two staircase constructions."""
 
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+import waug.weights as weights_mod
 from waug.certify import Enclosure, pow_bounds
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
                              structure_from_spec)
@@ -171,6 +173,49 @@ def test_lemma74_markers_match_exact_scan():
     assert rep3["markers"] == brute_lemma74_markers(F(3, 2), 5)
 
 
+def _count_predicate_calls(monkeypatch):
+    calls = []
+    real = weights_mod._lemma74_predicate
+
+    def counted(A, B, n, bits):
+        calls.append(n)
+        return real(A, B, n, bits)
+
+    monkeypatch.setattr(weights_mod, "_lemma74_predicate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho", [F(3, 2), F(2), F(3), F(5)])
+def test_lemma74_markers_are_certified_brackets(rho, monkeypatch):
+    calls = _count_predicate_calls(monkeypatch)
+    K = 300
+    _, rep = build_lemma74(rho, K)
+    markers = rep["markers"]
+    # the search certifies exactly the bracket: 2 calls a block, 1 when the
+    # marker sits right after the previous one
+    assert len(calls) <= 2.1 * (K - 1)
+    monkeypatch.undo()
+    pred = weights_mod._lemma74_predicate
+    for k in range(2, K + 1):
+        A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
+        nk = markers[k - 1]
+        assert nk > markers[k - 2]
+        assert pred(A, B, nk, 128)
+        assert nk - 1 == markers[k - 2] or not pred(A, B, nk - 1, 128)
+
+
+@pytest.mark.parametrize("bias", [0.9, 0.999, 1.001, 1.2])
+def test_lemma74_bad_float_guess_costs_calls_not_markers(bias, monkeypatch):
+    # a skewed rate moves the float guess off the marker; the gallop from the
+    # guess still lands on the same certified markers, at O(log error) calls
+    want = build_lemma74(F(2), 60)[1]["markers"]
+    real = math.log1p
+    monkeypatch.setattr(weights_mod.math, "log1p", lambda v: real(v) * bias)
+    calls = _count_predicate_calls(monkeypatch)
+    assert build_lemma74(F(2), 60)[1]["markers"] == want
+    assert 2 * 59 < len(calls) <= 59 * (2 * want[-1].bit_length() + 2)
+
+
 def test_lemma74_values_and_ratios():
     w, rep = build_lemma74(F(2), 4)
     eps, markers = rep["eps"], rep["markers"]
@@ -220,6 +265,15 @@ def test_lemma74_rejects_bad_rho():
 # ---------------------------------------------------------------------------
 # self-similar gamma construction
 # ---------------------------------------------------------------------------
+
+def test_lemma76_ratio_sums_from_j_equal_1():
+    # omega_n = 2^n gamma_n = 1, 6, 36, 24 for n = 0..3; the k = 2 ratio is
+    # omega_3 / (omega_1 + omega_2) = 24/42, without omega_0 (24/43)
+    _, rep = build_lemma76(F(2), 3)
+    (check,) = rep["ratio_checks"]
+    assert (check["k"], check["n_k"]) == (2, 3)
+    assert check["ratio"] == F(4, 7)
+
 
 def test_lemma76_gamma_prefix():
     w, rep = build_lemma76(F(2), 63)
