@@ -70,10 +70,6 @@ class QC:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
 
-    @property
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def abs_value(self, bits: int = 128):
         """|z|: a Fraction when exact (real/imaginary axis or a perfect
         square modulus), otherwise a certified Enclosure."""

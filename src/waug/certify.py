@@ -15,7 +15,6 @@ from math import isqrt
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
-MAX_BITS = 4096
 
 
 class InvalidInput(ValueError):
@@ -37,6 +36,14 @@ def parse_rational(text: str) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational: {text!r}") from exc
+
+
+def parse_int(value, name: str) -> int:
+    """An integer spec parameter; a value int() refuses is an input error."""
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{name} must be an integer, got {value!r}") from exc
 
 
 def format_rational(q: Fraction) -> str:
@@ -95,10 +102,6 @@ class Enclosure(NamedTuple):
     def is_exact(self) -> bool:
         return self.lo == self.hi
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
     def __add__(self, other):
         other = _as_enclosure(other)
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
@@ -119,22 +122,6 @@ class Enclosure(NamedTuple):
 
     def rounded(self, bits: int) -> "Enclosure":
         return Enclosure(round_down(self.lo, bits), round_up(self.hi, bits))
-
-    def certainly_le(self, other) -> bool:
-        other = _as_enclosure(other)
-        return self.hi <= other.lo
-
-    def certainly_lt(self, other) -> bool:
-        other = _as_enclosure(other)
-        return self.hi < other.lo
-
-    def certainly_ge(self, other) -> bool:
-        other = _as_enclosure(other)
-        return self.lo >= other.hi
-
-    def certainly_gt(self, other) -> bool:
-        other = _as_enclosure(other)
-        return self.lo > other.hi
 
     def to_json(self) -> dict:
         if self.is_exact:
@@ -236,61 +223,9 @@ def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
         f"comparison r^{n} vs {c} indeterminate at {max_bits} bits")
 
 
-def pow_enclosure(base: Enclosure, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Enclosure of base**n when the base itself is an enclosure (base.lo >= 0)."""
-    if base.lo < 0:
-        raise ValueError("pow_enclosure needs a nonnegative base")
-    return Enclosure(pow_bounds(base.lo, n, bits).lo, pow_bounds(base.hi, n, bits).hi)
-
-
 def _exact_pow_feasible(a: Fraction, n: int, limit_bits: int = 1 << 21) -> bool:
     size = max(a.numerator.bit_length(), a.denominator.bit_length())
     return n * size <= limit_bits
-
-
-def compare_pow(a: Fraction, n: int, c: Fraction,
-                bits: int = DEFAULT_BITS, max_bits: int = MAX_BITS) -> bool:
-    """Certified decision of the strict inequality  a**n > c  (a >= 0, n >= 0).
-
-    Tries directed-rounding dyadics with doubling precision; falls back to the
-    exact integer comparison when that stays indeterminate or when the exact
-    comparison is cheap.  Total and deterministic.
-    """
-    a = Fraction(a)
-    c = Fraction(c)
-    if _exact_pow_feasible(a, n, 1 << 14):
-        return a ** n > c
-    b = bits
-    while b <= max_bits:
-        enc = pow_bounds(a, n, b)
-        if enc.lo > c:
-            return True
-        if enc.hi <= c:
-            return False
-        b *= 2
-    return a ** n > c
-
-
-def compare_pow_pow(a: Fraction, na: int, b: Fraction, nb: int, factor: Fraction,
-                    bits: int = DEFAULT_BITS, max_bits: int = MAX_BITS) -> bool:
-    """Certified decision of  a**na > factor * b**nb  (all quantities >= 0).
-
-    Same escalation scheme as compare_pow; the exact fallback clears
-    denominators and compares integers.
-    """
-    a, b, factor = Fraction(a), Fraction(b), Fraction(factor)
-    if _exact_pow_feasible(a, na, 1 << 14) and _exact_pow_feasible(b, nb, 1 << 14):
-        return a ** na > factor * b ** nb
-    pb = bits
-    while pb <= max_bits:
-        ea = pow_bounds(a, na, pb)
-        eb = pow_bounds(b, nb, pb)
-        if ea.lo > factor * eb.hi:
-            return True
-        if ea.hi <= factor * eb.lo:
-            return False
-        pb *= 2
-    return a ** na > factor * b ** nb
 
 
 def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:

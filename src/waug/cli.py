@@ -9,9 +9,18 @@ Subcommands (one per core procedure):
   ideal      telescope | decompose-point | decompose-full | divide-shift |
              rewrite-pf | necessity | witness-45 | witness-65 | witness-75
 
+Every leaf is one row of the table COMMANDS: (group, command) -> help text,
+handler and flags (after the shared --out/--format/--precision).  The
+handler returns (report, ok, csv) and `main` writes the report envelope.
+`build_parser(argv)` always registers the five groups but, when argv[:2]
+names a leaf, only that leaf with its flags: a command run pays for one
+leaf parser, not 25.  Help, --version and unknown names get the full tree,
+so every text argparse prints is that of the full parser.
+
 Exit codes: 0 = run completed and every certified check passed; 1 = a
 property or certificate failed (the report carries the witness), or a
-search came back empty; 2 = input, parse, or resource error.
+search came back empty; 2 = input, parse, or resource error, and any other
+exception, reported on one stderr line without a traceback.
 
 Reports are byte-stable: identical inputs and tool version produce
 byte-identical bytes.  Wall-clock duration therefore goes to stderr, never
@@ -24,7 +33,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
 from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
@@ -36,142 +44,13 @@ from .idealkit import (CertificateError, decompose_full, decompose_point,
 from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
                         failure_witness, growth_check, vector_to_json)
 from .serialize import (canonical_json, load_json_file, load_sequence_csv,
-                        load_vector_csv, sequence_csv_text, sha256_file,
-                        write_csv)
+                        load_vector_csv, sha256_file, write_csv)
 from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
                          find_ancestry, pseudo_finite_within,
                          structure_from_spec)
 from .weights import (build_lemma74, build_lemma76, estimate_radii,
                       tau_step_check, tau_and_C, verify_weight_axioms,
                       weight_from_spec)
-
-
-def _add_io_flags(p):
-    p.add_argument("--out", help="write the report here (default: stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--precision", type=int, default=DEFAULT_BITS,
-                   help="enclosure precision in bits (default 128)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="waug",
-        description="workbench for weighted l1 algebras on finitely "
-                    "generated groups and monoids")
-    ap.add_argument("--version", action="version", version=f"waug {__version__}")
-    groups = ap.add_subparsers(dest="group", required=True)
-
-    def leaf(group, name, **kw):
-        p = group.add_parser(name, **kw)
-        _add_io_flags(p)
-        return p
-
-    g = groups.add_parser("structure", help="division balls and ancestries")
-    sub = g.add_subparsers(dest="command", required=True)
-    p = leaf(sub, "ball", help="division-closure balls B_0..B_depth")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(sub, "ancestry", help="multiplication/division chain down to e")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--target", required=True, help="element (JSON literal)")
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(sub, "pseudofinite", help="is M = B_n for some n <= depth?")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--depth", type=int, required=True)
-
-    g = groups.add_parser("weight", help="weights: axioms, sphere minima, builders")
-    sub = g.add_subparsers(dest="command", required=True)
-    p = leaf(sub, "verify", help="weight axioms on a ball")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p = leaf(sub, "tau", help="sphere minima tau_n and generator max C")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(sub, "build-l74", help="stepped-exponent weight, K blocks")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    p = leaf(sub, "build-l76", help="self-similar gamma weight on Z up to N")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--depth", type=int, required=True, help="table size N")
-    p = leaf(sub, "radii", help="growth-radius enclosures from weight values")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--depth", type=int, required=True)
-
-    g = groups.add_parser("tau", help="tail-preservation analysis of sequences")
-    sub = g.add_subparsers(dest="command", required=True)
-    p = leaf(sub, "check", help="exact prefix ratios and D-hat")
-    p.add_argument("--csv", required=True, help="sequence CSV (index,num,den)")
-    p.add_argument("--depth", type=int, help="truncate to the first N entries")
-    p = leaf(sub, "witness", help="search for ||x|| <= 1 with T(x) >= target")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--target", required=True, help="rational target")
-    p = leaf(sub, "blockseq", help="staircase sequence with 1/k boundary ratios")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    p = leaf(sub, "growth", help="check tau_(n+1) >= D sum_(j<=n) tau_j and its bound")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--target", required=True, help="the constant D")
-
-    g = groups.add_parser("element", help="finitely supported elements")
-    sub = g.add_subparsers(dest="command", required=True)
-    p = leaf(sub, "convolve", help="convolution product (give --element twice)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", action="append", required=True)
-    p = leaf(sub, "norm", help="weighted l1 norm")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--element", required=True)
-    p = leaf(sub, "sigma", help="ball sums sigma_n(f) for n = 0..depth")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(sub, "augment", help="sum of coefficients")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True)
-
-    g = groups.add_parser("ideal", help="augmentation-ideal decompositions and witnesses")
-    sub = g.add_subparsers(dest="command", required=True)
-    p = leaf(sub, "telescope", help="f = sum beta_u (delta_e - delta_u)")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True)
-    p = leaf(sub, "decompose-point", help="delta_e - delta_u over the generators")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--target", required=True, help="the point u (JSON literal)")
-    p.add_argument("--d", required=True, help="prefix growth constant D")
-    p.add_argument("--depth", type=int, default=64,
-                   help="geodesic search depth for non-standard generators")
-    p = leaf(sub, "decompose-full", help="zero-augmentation f over the generators")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--d", required=True)
-    p.add_argument("--depth", type=int, default=64)
-    p = leaf(sub, "divide-shift", help="divide by delta_1 - delta_0 on Z")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True)
-    p = leaf(sub, "rewrite-pf", help="rewrite over a pseudo-finite monoid")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", required=True)
-    p.add_argument("--depth", type=int, default=16)
-    p = leaf(sub, "necessity", help="do the supports pseudo-generate?")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--element", action="append", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p = leaf(sub, "witness-45", help="ball-sum obstruction witness, K levels")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--depth", type=int, required=True, help="K")
-    p = leaf(sub, "witness-65", help="weighted ball-sum witness from alpha data")
-    p.add_argument("--spec", required=True)
-    p.add_argument("--weight", required=True)
-    p.add_argument("--csv", required=True, help="alpha vector CSV (index,num,den)")
-    p = leaf(sub, "witness-75", help="bounded element with divergent divisor")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--blocks", type=int, required=True)
-    return ap
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +320,150 @@ def _h_ideal_witness_75(args, inputs, bits):
     return rep, rep["ok"], None
 
 
-HANDLERS = {
-    ("structure", "ball"): _h_structure_ball,
-    ("structure", "ancestry"): _h_structure_ancestry,
-    ("structure", "pseudofinite"): _h_structure_pseudofinite,
-    ("weight", "verify"): _h_weight_verify,
-    ("weight", "tau"): _h_weight_tau,
-    ("weight", "build-l74"): _h_weight_build_l74,
-    ("weight", "build-l76"): _h_weight_build_l76,
-    ("weight", "radii"): _h_weight_radii,
-    ("tau", "check"): _h_tau_check,
-    ("tau", "witness"): _h_tau_witness,
-    ("tau", "blockseq"): _h_tau_blockseq,
-    ("tau", "growth"): _h_tau_growth,
-    ("element", "convolve"): _h_element_convolve,
-    ("element", "norm"): _h_element_norm,
-    ("element", "sigma"): _h_element_sigma,
-    ("element", "augment"): _h_element_augment,
-    ("ideal", "telescope"): _h_ideal_telescope,
-    ("ideal", "decompose-point"): _h_ideal_decompose_point,
-    ("ideal", "decompose-full"): _h_ideal_decompose_full,
-    ("ideal", "divide-shift"): _h_ideal_divide_shift,
-    ("ideal", "rewrite-pf"): _h_ideal_rewrite_pf,
-    ("ideal", "necessity"): _h_ideal_necessity,
-    ("ideal", "witness-45"): _h_ideal_witness_45,
-    ("ideal", "witness-65"): _h_ideal_witness_65,
-    ("ideal", "witness-75"): _h_ideal_witness_75,
+# ---------------------------------------------------------------------------
+# the command table
+# ---------------------------------------------------------------------------
+
+def _flag(name, **kw):
+    return name, kw
+
+
+SPEC = _flag("--spec", required=True)
+WEIGHT = _flag("--weight", required=True)
+ELEMENT = _flag("--element", required=True)
+ELEMENTS = _flag("--element", action="append", required=True)
+DEPTH = _flag("--depth", type=int, required=True)
+RHO = _flag("--rho", required=True)
+BLOCKS = _flag("--blocks", type=int, required=True)
+CSV = _flag("--csv", required=True)
+IO_FLAGS = [
+    _flag("--out", help="write the report here (default: stdout)"),
+    _flag("--format", choices=["json", "csv"], default="json"),
+    _flag("--precision", type=int, default=DEFAULT_BITS,
+          help="enclosure precision in bits (default 128)"),
+]
+
+GROUPS = {
+    "structure": "division balls and ancestries",
+    "weight": "weights: axioms, sphere minima, builders",
+    "tau": "tail-preservation analysis of sequences",
+    "element": "finitely supported elements",
+    "ideal": "augmentation-ideal decompositions and witnesses",
 }
+
+# (group, command) -> (help, handler, flags after IO_FLAGS), in --help order
+COMMANDS = {
+    ("structure", "ball"): (
+        "division-closure balls B_0..B_depth", _h_structure_ball,
+        [SPEC, DEPTH]),
+    ("structure", "ancestry"): (
+        "multiplication/division chain down to e", _h_structure_ancestry,
+        [SPEC, _flag("--target", required=True, help="element (JSON literal)"),
+         DEPTH]),
+    ("structure", "pseudofinite"): (
+        "is M = B_n for some n <= depth?", _h_structure_pseudofinite,
+        [SPEC, DEPTH]),
+    ("weight", "verify"): (
+        "weight axioms on a ball", _h_weight_verify,
+        [SPEC, WEIGHT, _flag("--radius", type=int, required=True)]),
+    ("weight", "tau"): (
+        "sphere minima tau_n and generator max C", _h_weight_tau,
+        [SPEC, WEIGHT, DEPTH]),
+    ("weight", "build-l74"): (
+        "stepped-exponent weight, K blocks", _h_weight_build_l74,
+        [RHO, BLOCKS]),
+    ("weight", "build-l76"): (
+        "self-similar gamma weight on Z up to N", _h_weight_build_l76,
+        [RHO, _flag("--depth", type=int, required=True, help="table size N")]),
+    ("weight", "radii"): (
+        "growth-radius enclosures from weight values", _h_weight_radii,
+        [SPEC, WEIGHT, DEPTH]),
+    ("tau", "check"): (
+        "exact prefix ratios and D-hat", _h_tau_check,
+        [_flag("--csv", required=True, help="sequence CSV (index,num,den)"),
+         _flag("--depth", type=int, help="truncate to the first N entries")]),
+    ("tau", "witness"): (
+        "search for ||x|| <= 1 with T(x) >= target", _h_tau_witness,
+        [CSV, _flag("--target", required=True, help="rational target")]),
+    ("tau", "blockseq"): (
+        "staircase sequence with 1/k boundary ratios", _h_tau_blockseq,
+        [RHO, BLOCKS]),
+    ("tau", "growth"): (
+        "check tau_(n+1) >= D sum_(j<=n) tau_j and its bound", _h_tau_growth,
+        [CSV, _flag("--target", required=True, help="the constant D")]),
+    ("element", "convolve"): (
+        "convolution product (give --element twice)", _h_element_convolve,
+        [SPEC, ELEMENTS]),
+    ("element", "norm"): (
+        "weighted l1 norm", _h_element_norm,
+        [SPEC, WEIGHT, ELEMENT]),
+    ("element", "sigma"): (
+        "ball sums sigma_n(f) for n = 0..depth", _h_element_sigma,
+        [SPEC, ELEMENT, DEPTH]),
+    ("element", "augment"): (
+        "sum of coefficients", _h_element_augment,
+        [SPEC, ELEMENT]),
+    ("ideal", "telescope"): (
+        "f = sum beta_u (delta_e - delta_u)", _h_ideal_telescope,
+        [SPEC, ELEMENT]),
+    ("ideal", "decompose-point"): (
+        "delta_e - delta_u over the generators", _h_ideal_decompose_point,
+        [SPEC, WEIGHT,
+         _flag("--target", required=True, help="the point u (JSON literal)"),
+         _flag("--d", required=True, help="prefix growth constant D"),
+         _flag("--depth", type=int, default=64,
+               help="geodesic search depth for non-standard generators")]),
+    ("ideal", "decompose-full"): (
+        "zero-augmentation f over the generators", _h_ideal_decompose_full,
+        [SPEC, WEIGHT, ELEMENT, _flag("--d", required=True),
+         _flag("--depth", type=int, default=64)]),
+    ("ideal", "divide-shift"): (
+        "divide by delta_1 - delta_0 on Z", _h_ideal_divide_shift,
+        [SPEC, ELEMENT]),
+    ("ideal", "rewrite-pf"): (
+        "rewrite over a pseudo-finite monoid", _h_ideal_rewrite_pf,
+        [SPEC, ELEMENT, _flag("--depth", type=int, default=16)]),
+    ("ideal", "necessity"): (
+        "do the supports pseudo-generate?", _h_ideal_necessity,
+        [SPEC, ELEMENTS, DEPTH]),
+    ("ideal", "witness-45"): (
+        "ball-sum obstruction witness, K levels", _h_ideal_witness_45,
+        [SPEC, _flag("--depth", type=int, required=True, help="K")]),
+    ("ideal", "witness-65"): (
+        "weighted ball-sum witness from alpha data", _h_ideal_witness_65,
+        [SPEC, WEIGHT,
+         _flag("--csv", required=True, help="alpha vector CSV (index,num,den)")]),
+    ("ideal", "witness-75"): (
+        "bounded element with divergent divisor", _h_ideal_witness_75,
+        [RHO, BLOCKS]),
+}
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The argument parser for argv (default sys.argv[1:]).  Every group is
+    registered; when argv[:2] names a leaf, that leaf is the only one, and
+    otherwise (help, --version, unknown names) every leaf is."""
+    if argv is None:
+        argv = sys.argv[1:]
+    only = tuple(argv[:2])
+    if only not in COMMANDS:
+        only = None
+    ap = argparse.ArgumentParser(
+        prog="waug",
+        description="workbench for weighted l1 algebras on finitely "
+                    "generated groups and monoids")
+    ap.add_argument("--version", action="version", version=f"waug {__version__}")
+    groups = ap.add_subparsers(dest="group", required=True)
+    commands = {name: groups.add_parser(name, help=text).add_subparsers(
+                    dest="command", required=True)
+                for name, text in GROUPS.items()}
+    for key, (text, _, flags) in COMMANDS.items():
+        if only is not None and key != only:
+            continue
+        p = commands[key[0]].add_parser(key[1], help=text)
+        for name, kw in IO_FLAGS + flags:
+            p.add_argument(name, **kw)
+    return ap
 
 
 def _parameters_of(args) -> dict:
@@ -488,29 +484,32 @@ def _emit(text: str, out_path):
         sys.stdout.write(text)
 
 
+def _error_line(exc: Exception) -> str:
+    """The one stderr line of a run that failed with exc: the message of an
+    input, resource or file error, the type and message of anything else."""
+    text = str(exc)
+    if not isinstance(exc, (InvalidInput, ResourceLimit, OSError)):
+        text = f"{type(exc).__name__}: {text}"
+    return " ".join(text.splitlines())
+
+
 def main(argv=None) -> int:
     started = time.monotonic()
-    args = build_parser().parse_args(argv)
+    args = build_parser(argv).parse_args(argv)
     bits = args.precision
     if bits < 8:
         print("waug: --precision must be at least 8 bits", file=sys.stderr)
         return 2
-    handler = HANDLERS[(args.group, args.command)]
+    handler = COMMANDS[(args.group, args.command)][1]
     inputs = {}
-    exit_code = 0
     try:
-        report, ok, csv_data = handler(args, inputs, bits)
-        if not ok:
-            exit_code = 1
-    except CertificateError as exc:
-        report = dict(exc.report)
-        report["error"] = "certificate"
-        report["reason"] = str(exc)
-        ok, csv_data, exit_code = False, None, 1
-    except (InvalidInput, ResourceLimit, OSError) as exc:
-        print(f"waug: error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        try:
+            report, ok, csv_data = handler(args, inputs, bits)
+        except CertificateError as exc:
+            report = dict(exc.report)
+            report["error"] = "certificate"
+            report["reason"] = str(exc)
+            ok, csv_data = False, None
         if args.format == "csv":
             if csv_data is None:
                 print(f"waug: no CSV form for '{args.group} {args.command}'",
@@ -529,13 +528,13 @@ def main(argv=None) -> int:
             }
             text = canonical_json(envelope)
         _emit(text, args.out)
-    except OSError as exc:
-        print(f"waug: error: {exc}", file=sys.stderr)
+    except Exception as exc:  # exit 1 means a failed property, never a crash
+        print(f"waug: error: {_error_line(exc)}", file=sys.stderr)
         return 2
     ms = int((time.monotonic() - started) * 1000)
     print(f"waug: duration_ms={ms} (stderr only; reports are byte-stable)",
           file=sys.stderr)
-    return exit_code
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

@@ -18,8 +18,8 @@ from .algebra import Element, QC, ZERO, convolve, sigma_sequence, weighted_norm
 from .certify import (DEFAULT_BITS, Enclosure, basel_partial, format_rational,
                       harmonic_number, parse_rational)
 from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
-                         geodesic_word, pseudo_finite_within, IntegerGroup,
-                         IntegerLattice, FreeStructure, Structure)
+                         geodesic_word, geodesic_words, pseudo_finite_within,
+                         IntegerGroup, IntegerLattice, FreeStructure, Structure)
 from .weights import build_lemma74, tau_and_C
 
 
@@ -125,21 +125,17 @@ def telescope(f: Element, order=None) -> dict:
 # geodesic point decomposition: delta_e - delta_u over {delta_e - delta_x}
 # ---------------------------------------------------------------------------
 
-def _point_prefix_maps(s: Structure, gens, u, max_depth: int, cap=None):
-    """Geodesic word u = y_1...y_n over the generator alphabet, plus the map
+def _point_prefix_maps(s: Structure, gens, u, word):
+    """For a geodesic word u = y_1...y_n over the generator alphabet, the map
     x -> sum of prefix deltas delta_(y_1...y_(j-1)) over positions j with
     y_j = x.  Peeling the first letter of the word gives
         delta_e - delta_u = sum_j delta_(prefix_j) * (delta_e - delta_(y_j)).
     """
-    word = geodesic_word(s, gens, u, max_depth, cap)
     fs = {}
     prefix = s.identity()
-    prefixes = []
     for i in word:
-        x = gens[i]
         fs.setdefault(i, []).append(prefix)
-        prefixes.append(prefix)
-        prefix = s.multiply(prefix, x)
+        prefix = s.multiply(prefix, gens[i])
     if prefix != u:
         raise RuntimeError("geodesic word does not multiply back to its element")
     maps = {}
@@ -148,7 +144,7 @@ def _point_prefix_maps(s: Structure, gens, u, max_depth: int, cap=None):
         for p in pts:
             acc = acc + Element.delta(s, p)
         maps[i] = acc
-    return word, maps, prefixes
+    return maps
 
 
 def _check_growth_premise(taus, D: Fraction):
@@ -184,7 +180,8 @@ def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
     if D <= 0:
         raise InvalidInput("decompose_point needs D > 0")
     e = s.identity()
-    word, maps, _ = _point_prefix_maps(s, gens, u, max_depth, cap)
+    word = geodesic_word(s, gens, u, max_depth, cap)
+    maps = _point_prefix_maps(s, gens, u, word)
     n = len(word)
 
     taus = []
@@ -250,10 +247,12 @@ def decompose_full(s: Structure, gens, weight, f: Element, D,
         raise InvalidInput("decompose_full needs augmentation 0")
     e = s.identity()
     points = [u for u in f.support() if u != e]
+    words = geodesic_words(s, gens, points, max_depth, cap)
     worded = []
     for u in points:
-        word, maps, _ = _point_prefix_maps(s, gens, u, max_depth, cap)
-        worded.append((len(word), s.elem_key(u), u, maps))
+        word = words[u]
+        worded.append((len(word), s.elem_key(u), u,
+                       _point_prefix_maps(s, gens, u, word)))
     worded.sort(key=lambda t: (t[0], t[1]))
     n_max = max((t[0] for t in worded), default=0)
 

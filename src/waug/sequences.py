@@ -255,9 +255,3 @@ def vector_to_json(x: dict) -> list:
     return [{"n": j, "value": format_rational(Fraction(v))}
             for j, v in sorted(x.items())]
 
-
-def vector_from_json(obj) -> dict:
-    out = {}
-    for item in obj:
-        out[int(item["n"])] = parse_rational(item["value"])
-    return out

@@ -25,7 +25,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .certify import Enclosure, format_rational, parse_rational
+from .certify import Enclosure, format_rational
 from .structures import UNIVERSE, InvalidInput
 
 _INT = {int}
@@ -114,10 +114,6 @@ def canonical_json(obj) -> str:
     return "".join(parts)
 
 
-def sha256_hex(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def sha256_file(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -179,41 +175,3 @@ def load_json_file(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}: JSON parse error at line {exc.lineno}, "
                            f"column {exc.colno}: {exc.msg}") from exc
-
-
-def load_spec(path: str, kind: str = "auto", structure=None):
-    """Load a structure / weight / element / sequence file.
-
-    kind: "structure" | "weight" | "element" | "sequence" | "vector" | "auto".
-    Elements need the owning structure.  With kind="auto" the file content
-    decides: CSV -> sequence, {"terms": ...} -> element, a weight family ->
-    weight, otherwise structure.
-    """
-    from .structures import structure_from_spec
-    from .weights import WEIGHT_FAMILIES, weight_from_spec
-    if kind == "sequence" or (kind == "auto" and path.endswith(".csv")):
-        return load_sequence_csv(path)
-    if kind == "vector":
-        return load_vector_csv(path)
-    obj = load_json_file(path)
-    if kind == "auto":
-        if isinstance(obj, dict) and "terms" in obj:
-            kind = "element"
-        elif isinstance(obj, dict) and obj.get("family") in WEIGHT_FAMILIES:
-            kind = "weight"
-        else:
-            kind = "structure"
-    if kind == "structure":
-        return structure_from_spec(obj)
-    if kind == "weight":
-        return weight_from_spec(obj)
-    if kind == "element":
-        if structure is None:
-            raise InvalidInput("an element file needs its structure")
-        from .algebra import Element
-        return Element.from_json(structure, obj)
-    raise InvalidInput(f"unknown spec kind {kind!r}")
-
-
-def parse_rational_text(text: str) -> Fraction:
-    return parse_rational(text)

@@ -39,7 +39,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .certify import InvalidInput, ResourceLimit  # noqa: F401  (re-exported)
+from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-exported)
 
 BALL_CAP_ENV = "WAUG_BALL_CAP"
 BALL_CAP_DEFAULT = 10 ** 6
@@ -68,10 +68,6 @@ class _Universe:
 
 
 UNIVERSE = _Universe()
-
-
-def set_contains(E, u) -> bool:
-    return True if E is UNIVERSE else (u in E)
 
 
 # ---------------------------------------------------------------------------
@@ -131,12 +127,6 @@ class Structure:
                 return UNIVERSE
             out |= part
         return frozenset(out)
-
-    def power(self, u, n: int):
-        acc = self.identity()
-        for _ in range(n):
-            acc = self.multiply(acc, u)
-        return acc
 
     # --- encoding -----------------------------------------------------
 
@@ -525,17 +515,18 @@ def structure_from_spec(spec: dict):
     elif family == "Zd":
         if "d" not in params:
             raise InvalidInput("Zd needs params.d")
-        s = IntegerLattice(int(params["d"]))
+        s = IntegerLattice(parse_int(params["d"], "params.d"))
     elif family == "free":
         if "rank" not in params:
             raise InvalidInput("free needs params.rank")
-        s = FreeStructure(int(params["rank"]), bool(params.get("inverses", True)))
+        s = FreeStructure(parse_int(params["rank"], "params.rank"),
+                          bool(params.get("inverses", True)))
     elif family == "table":
         if "table" not in params:
             raise InvalidInput("table needs params.table")
         s = TableMonoid(params["table"], params.get("names"))
     elif family == "zero_adjoined":
-        s = ZeroAdjoinedMonoid(int(params.get("rank", 1)))
+        s = ZeroAdjoinedMonoid(parse_int(params.get("rank", 1), "params.rank"))
     else:
         raise InvalidInput(f"unknown structure family {family!r}")
     raw_gens = spec.get("generators")
@@ -811,24 +802,37 @@ def bfs_words(s: Structure, gens, depth: int, cap: Optional[int] = None,
     return levels, words
 
 
-def geodesic_word(s: Structure, gens, u, max_depth: int, cap: Optional[int] = None):
-    """Least shortest word for u over gens, as a tuple of generator indices."""
-    # closed forms for the standard generating sets
+def _standard_word(s: Structure, idx, u):
+    """Closed-form least shortest word over a standard generating set, whose
+    generator -> index map is idx."""
+    if isinstance(s, IntegerGroup):
+        step = 1 if u >= 0 else -1
+        return tuple(idx[step] for _ in range(abs(u)))
+    if isinstance(s, IntegerLattice):
+        out = []
+        for i, c in enumerate(u):
+            e = [0] * s.d
+            e[i] = 1 if c >= 0 else -1
+            out.extend([idx[tuple(e)]] * abs(c))
+        return tuple(out)
+    return tuple(idx[(g,)] for g in u)  # FreeStructure
+
+
+def geodesic_words(s: Structure, gens, points, max_depth: int,
+                   cap: Optional[int] = None) -> dict:
+    """Least shortest word over gens for each of `points`, as a dict
+    point -> tuple of generator indices.  Off the standard generating sets
+    one BFS serves every point: it stops once the farthest point is reached,
+    so it raises the cap error exactly when that point's own BFS would."""
     if s.is_standard_generators(gens):
         idx = {g: i for i, g in enumerate(gens)}
-        if isinstance(s, IntegerGroup):
-            step = 1 if u >= 0 else -1
-            return tuple(idx[step] for _ in range(abs(u)))
-        if isinstance(s, IntegerLattice):
-            out = []
-            for i, c in enumerate(u):
-                e = [0] * s.d
-                e[i] = 1 if c >= 0 else -1
-                out.extend([idx[tuple(e)]] * abs(c))
-            return tuple(out)
-        if isinstance(s, FreeStructure):
-            return tuple(idx[(g,)] for g in u)
-    _, words = bfs_words(s, gens, max_depth, cap, targets=[u])
-    if u not in words:
+        return {u: _standard_word(s, idx, u) for u in points}
+    _, words = bfs_words(s, gens, max_depth, cap, targets=points)
+    if any(u not in words for u in points):
         raise ResourceLimit(f"element not reached within depth {max_depth}")
-    return words[u]
+    return {u: words[u] for u in points}
+
+
+def geodesic_word(s: Structure, gens, u, max_depth: int, cap: Optional[int] = None):
+    """Least shortest word for u over gens, as a tuple of generator indices."""
+    return geodesic_words(s, gens, [u], max_depth, cap)[u]

@@ -26,7 +26,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .certify import (DEFAULT_BITS, Enclosure, format_rational, nth_root,
-                      parse_rational, pow_bounds, rat_pow, ratio_pow_less)
+                      parse_int, parse_rational, pow_bounds, rat_pow,
+                      ratio_pow_less)
 from .structures import (InvalidInput, ResourceLimit, Structure, UNIVERSE,
                          closed_form_ball_size, division_balls)
 
@@ -43,8 +44,29 @@ class Weight:
     def radial_value(self, n: int, bits: int = DEFAULT_BITS):
         raise InvalidInput(f"{self.family}: not a radial weight")
 
-    def to_spec(self) -> dict:
-        raise NotImplementedError
+    def sphere_values(self, s: Structure, points, bits: int = DEFAULT_BITS):
+        """The values omega takes on `points`, each at least once."""
+        return [self.eval(s, u, bits) for u in points]
+
+
+class WordLengthWeight(Weight):
+    """A radial weight read off the standard word length,
+    omega(u) = radial_value(|u|)."""
+
+    is_radial = True
+
+    def eval(self, s, u, bits=DEFAULT_BITS):
+        return self.radial_value(s.word_length(u), bits)
+
+    def sphere_values(self, s, points, bits=DEFAULT_BITS):
+        # one value per distinct length, met in the order eval would meet
+        # them, so a length that cannot be evaluated raises the same error
+        by_length = {}
+        for u in points:
+            n = s.word_length(u)
+            if n not in by_length:
+                by_length[n] = self.radial_value(n, bits)
+        return list(by_length.values())
 
 
 class TrivialWeight(Weight):
@@ -57,23 +79,16 @@ class TrivialWeight(Weight):
     def radial_value(self, n, bits=DEFAULT_BITS):
         return Fraction(1)
 
-    def to_spec(self):
-        return {"family": "trivial", "params": {}}
 
-
-class RadialPolyWeight(Weight):
+class RadialPolyWeight(WordLengthWeight):
     """(1 + |u|)^alpha."""
 
     family = "radial_poly"
-    is_radial = True
 
     def __init__(self, alpha):
         self.alpha = Fraction(alpha)
         if self.alpha < 0:
             raise InvalidInput("radial_poly needs alpha >= 0")
-
-    def eval(self, s, u, bits=DEFAULT_BITS):
-        return self.radial_value(s.word_length(u), bits)
 
     def radial_value(self, n, bits=DEFAULT_BITS):
         p, q = self.alpha.numerator, self.alpha.denominator
@@ -82,16 +97,12 @@ class RadialPolyWeight(Weight):
             return Fraction(base) ** p
         return nth_root(Fraction(base) ** p, q, bits)
 
-    def to_spec(self):
-        return {"family": "radial_poly", "params": {"alpha": format_rational(self.alpha)}}
 
-
-class RadialExpWeight(Weight):
+class RadialExpWeight(WordLengthWeight):
     """c^(|u|^beta) with c >= 1 and 0 < beta <= 1 (so the exponent is
     subadditive and the weight submultiplicative)."""
 
     family = "radial_exp"
-    is_radial = True
 
     def __init__(self, c, beta=1):
         self.c = Fraction(c)
@@ -100,9 +111,6 @@ class RadialExpWeight(Weight):
             raise InvalidInput("radial_exp needs c >= 1")
         if not (0 < self.beta <= 1):
             raise InvalidInput("radial_exp needs 0 < beta <= 1")
-
-    def eval(self, s, u, bits=DEFAULT_BITS):
-        return self.radial_value(s.word_length(u), bits)
 
     def radial_value(self, n, bits=DEFAULT_BITS):
         if n == 0:
@@ -118,10 +126,6 @@ class RadialExpWeight(Weight):
         if t.is_exact and t.lo.denominator == 1:
             return self.c ** t.lo.numerator
         return rat_pow(self.c, t, bits)
-
-    def to_spec(self):
-        return {"family": "radial_exp",
-                "params": {"c": format_rational(self.c), "beta": format_rational(self.beta)}}
 
 
 class ExplicitWeight(Weight):
@@ -141,13 +145,8 @@ class ExplicitWeight(Weight):
             raise InvalidInput(f"explicit weight has no value for element {key!r}")
         return self.values[key]
 
-    def to_spec(self):
-        return {"family": "explicit",
-                "params": {"values": {k: format_rational(v)
-                                      for k, v in sorted(self.values.items())}}}
 
-
-class Lemma74Weight(Weight):
+class Lemma74Weight(WordLengthWeight):
     """omega_n = (rho + eps(n))^n on the one-letter free monoid.
 
     eps(n) = eps_k for n_k < n <= n_(k+1) (eps_0 up to n_1, eps_K beyond n_K).
@@ -157,7 +156,6 @@ class Lemma74Weight(Weight):
     """
 
     family = "lemma74"
-    is_radial = True
 
     def __init__(self, rho, blocks, markers, eps):
         self.rho = Fraction(rho)
@@ -174,9 +172,6 @@ class Lemma74Weight(Weight):
 
     def base_at(self, n: int) -> Fraction:
         return self.rho + self.eps_at(n)
-
-    def eval(self, s, u, bits=DEFAULT_BITS):
-        return self.radial_value(s.word_length(u), bits)
 
     def radial_value(self, n, bits=DEFAULT_BITS):
         if n > EXACT_POW_CAP:
@@ -199,10 +194,6 @@ class Lemma74Weight(Weight):
             return B ** (nk + 1) / A ** nk
         enc = pow_bounds(B / A, nk, bits)
         return Enclosure(enc.lo * B, enc.hi * B)
-
-    def to_spec(self):
-        return {"family": "lemma74",
-                "params": {"rho": format_rational(self.rho), "blocks": self.blocks}}
 
 
 class Lemma76Weight(Weight):
@@ -229,14 +220,6 @@ class Lemma76Weight(Weight):
         w = self.omega_pos(n)
         return w if u >= 0 else self.C ** n * w
 
-    def to_spec(self):
-        return {"family": "lemma76",
-                "params": {"rho": format_rational(self.rho), "N": self.N}}
-
-
-WEIGHT_FAMILIES = ("trivial", "radial_poly", "radial_exp", "explicit",
-                   "lemma74", "lemma76")
-
 
 def weight_from_spec(spec: dict) -> Weight:
     if not isinstance(spec, dict):
@@ -257,12 +240,12 @@ def weight_from_spec(spec: dict) -> Weight:
     if family == "lemma74":
         if "rho" not in params or "blocks" not in params:
             raise InvalidInput("lemma74 weight needs params.rho and params.blocks")
-        w, _ = build_lemma74(parse_rational(params["rho"]), int(params["blocks"]))
+        w, _ = build_lemma74(parse_rational(params["rho"]), parse_int(params["blocks"], "params.blocks"))
         return w
     if family == "lemma76":
         if "rho" not in params or "N" not in params:
             raise InvalidInput("lemma76 weight needs params.rho and params.N")
-        w, _ = build_lemma76(parse_rational(params["rho"]), int(params["N"]))
+        w, _ = build_lemma76(parse_rational(params["rho"]), parse_int(params["N"], "params.N"))
         return w
     raise InvalidInput(f"unknown weight family {family!r}")
 
@@ -490,7 +473,7 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
                 raise InvalidInput(
                     f"sphere S_{n} is empty; tau is undefined past the "
                     f"stabilization depth (ball sizes {bt.sizes()})")
-            vals = [weight.eval(s, u, bits) for u in lev]
+            vals = weight.sphere_values(s, lev, bits)
             if any(isinstance(v, Enclosure) for v in vals):
                 raise InvalidInput(
                     "tau_and_C needs exact weight values (integer alpha or beta=1)")

@@ -5,11 +5,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from waug.certify import (Enclosure, basel_partial, compare_pow,
-                          format_rational, harmonic_number, int_nth_root,
-                          nth_root, parse_rational, pow_bounds, pow_enclosure,
-                          rat_pow, ratio_pow_less, round_down, round_up,
-                          sqrt_enclosure)
+from waug.certify import (Enclosure, basel_partial, format_rational,
+                          harmonic_number, int_nth_root, nth_root,
+                          parse_rational, pow_bounds, rat_pow, ratio_pow_less,
+                          round_down, round_up, sqrt_enclosure)
+from waug.idealkit import _le_status
 
 
 def test_parse_and_format_rational():
@@ -91,23 +91,6 @@ def test_ratio_pow_less_decides_correctly():
     assert not ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=True)
 
 
-def test_compare_pow_matches_exact():
-    # compare_pow decides a**n > c; check against the exact computation
-    rng = random.Random(415)
-    for _ in range(200):
-        a = F(rng.randrange(1, 30), rng.randrange(1, 30))
-        n = rng.randrange(0, 25)
-        c = F(rng.randrange(1, 10**6), rng.randrange(1, 10**4))
-        assert compare_pow(a, n, c) == (a**n > c)
-
-
-def test_pow_enclosure_monotone():
-    e = Enclosure(F(3, 2), F(8, 5))
-    p = pow_enclosure(e, 3)
-    assert p.lo <= F(3, 2) ** 3
-    assert p.hi >= F(8, 5) ** 3
-
-
 def test_rat_pow_integer_and_fractional():
     e = rat_pow(F(4), F(3, 2))  # 4^(3/2) = 8
     assert e.lo <= 8 <= e.hi
@@ -128,11 +111,13 @@ def test_harmonic_and_basel_partials():
 
 
 def test_enclosure_comparisons_are_conservative():
+    # a <= b is proved only when it holds at every point of both enclosures
     a = Enclosure(F(1), F(2))
     b = Enclosure(F(3), F(4))
-    assert a.certainly_le(b)
-    assert not b.certainly_le(a)
+    assert _le_status(a, b) == "proved"
+    assert _le_status(b, a) == "violated"
     c = Enclosure(F(2), F(3))
-    # overlapping: neither direction certain
-    assert not a.certainly_lt(c)
-    assert not c.certainly_lt(a)
+    # touching: a <= c everywhere, c <= a only at the shared point
+    assert _le_status(a, c) == "proved"
+    assert _le_status(c, a) == "indeterminate"
+    assert _le_status(F(2), a) == "indeterminate"

@@ -277,3 +277,30 @@ def test_negative_depth_is_an_input_error(capsys, tmp_path, command, family):
     code, out, err = run(capsys, *argv, "--spec", sfile, flag, "-3")
     assert code == 2
     assert out == "" and flag[2:] in err and "Traceback" not in err
+
+
+F2_SPEC = {"family": "free", "params": {"rank": 2, "inverses": True}}
+EXPLICIT_F2 = {"family": "explicit", "params": {"values": {"e": "1", "a": "2"}}}
+
+
+@pytest.mark.parametrize("spec,weight,argv,message", [
+    ({"family": "Zd", "params": {"d": "x"}}, None,
+     ["structure", "ball", "--depth", "2"], "params.d must be an integer"),
+    ({"family": "free", "params": {"rank": [2]}}, None,
+     ["structure", "ball", "--depth", "2"], "params.rank must be an integer"),
+    ({"family": "zero_adjoined", "params": {"rank": "two"}}, None,
+     ["structure", "ball", "--depth", "2"], "params.rank must be an integer"),
+    ({"family": "Z"}, {"family": "lemma74", "params": {"rho": "2", "blocks": "x"}},
+     ["weight", "tau", "--depth", "2"], "params.blocks must be an integer"),
+    # a crash inside the library (elem_str of an int on F2) is exit 2 as well
+    (F2_SPEC, EXPLICIT_F2, ["weight", "radii", "--depth", "2"], "TypeError"),
+], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2"])
+def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
+                                           argv, message):
+    argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]
+    if weight is not None:
+        argv += ["--weight", write_json(tmp_path / "w.json", weight)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("waug: error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err

@@ -12,7 +12,8 @@ from waug.idealkit import (CertificateError, decompose_full, decompose_point,
                            rewrite_pseudofinite, telescope,
                            witness_nontp_element, witness_prop45,
                            witness_thm75)
-from waug.structures import (InvalidInput, division_balls,
+import waug.structures as structures_mod
+from waug.structures import (InvalidInput, ResourceLimit, division_balls,
                              structure_from_spec)
 from waug.weights import RadialExpWeight, TrivialWeight, build_lemma74
 
@@ -162,6 +163,48 @@ def test_decompose_full_matches_pointwise_aggregation():
         for nm in rep["norms"].values():
             v = nm.hi if isinstance(nm, Enclosure) else nm
             assert v <= hi
+
+
+F2_AB = {"family": "free", "params": {"rank": 2, "inverses": True},
+         "generators": [[1], [-1], [2], [-2], [1, 2]]}
+
+
+def test_decompose_full_runs_one_word_bfs(monkeypatch):
+    rng = random.Random(604)
+    s, gens = structure_from_spec(F2_AB)
+    w = RadialExpWeight(F(2), F(1))
+    pool = sorted(division_balls(s, gens, 3).ball(3), key=s.elem_key)
+    calls = []
+    real_bfs = structures_mod.bfs_words
+
+    def counting_bfs(*args, **kwargs):
+        calls.append(kwargs.get("targets"))
+        return real_bfs(*args, **kwargs)
+
+    monkeypatch.setattr(structures_mod, "bfs_words", counting_bfs)
+    for _ in range(5):
+        f = random_zero_aug(rng, s, pool, 6)
+        calls.clear()
+        rep = decompose_full(s, gens, w, f, F(1, 2))
+        assert len(calls) == 1
+        assert set(calls[0]) == {u for u in f.support() if u != s.identity()}
+        alone = [decompose_point(s, gens, w, u, F(1, 2))["n"] for u in calls[0]]
+        assert rep["n_max"] == max(alone)
+
+
+def test_decompose_full_unreachable_point_message():
+    s, gens = structure_from_spec(F2_AB)
+    w = RadialExpWeight(F(2), F(1))
+    near, far = (1,), (2, 2, 1, 1)  # geodesic lengths 1 and 4
+    f = (Element.delta(s, s.identity()) - Element.delta(s, near)
+         + Element.delta(s, far) - Element.delta(s, s.identity()))
+    with pytest.raises(ResourceLimit) as point_exc:
+        decompose_point(s, gens, w, far, F(1, 2), max_depth=3)
+    with pytest.raises(ResourceLimit) as full_exc:
+        decompose_full(s, gens, w, f, F(1, 2), max_depth=3)
+    assert str(full_exc.value) == str(point_exc.value) == \
+        "element not reached within depth 3"
+    assert decompose_full(s, gens, w, f, F(1, 2), max_depth=4)["n_max"] == 4
 
 
 def test_decompose_full_rejects_nonzero_augmentation():

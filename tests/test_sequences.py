@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from waug.sequences import (PrefixSequence, build_block_sequence,
                             check_prefix_tp, failure_witness, growth_check,
-                            norm_tau, tail_functional, vector_from_json,
-                            vector_to_json)
+                            norm_tau, tail_functional)
 from waug.structures import InvalidInput, ResourceLimit
 
 
@@ -250,11 +249,6 @@ def test_block_sequence_refuses_numbers_past_the_digit_limit():
     for rho, K in ((F(2), 168), (F(7, 2), 120), (F(2), 10 ** 11)):
         with pytest.raises(ResourceLimit, match="--blocks"):
             build_block_sequence(rho, K)
-
-
-def test_vector_json_round_trip():
-    x = {3: F(1, 2), 7: F(-2, 5)}
-    assert vector_from_json(vector_to_json(x)) == x
 
 
 def test_prefix_consistent_bound_property():

@@ -1,6 +1,7 @@
 """Byte-stable JSON/CSV serialization and polymorphic file loading."""
 
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -11,12 +12,11 @@ from hypothesis import strategies as st
 from waug.algebra import QC, Element
 from waug.certify import Enclosure, parse_rational
 from waug.sequences import PrefixSequence
-from waug.serialize import (canonical_json, load_json_file, load_spec,
-                            load_vector_csv, parse_rational_text,
-                            sequence_csv_text, sha256_file, sha256_hex,
-                            to_jsonable, write_csv)
+from waug.serialize import (canonical_json, load_json_file,
+                            load_sequence_csv, load_vector_csv,
+                            sequence_csv_text, sha256_file, to_jsonable,
+                            write_csv)
 from waug.structures import UNIVERSE, InvalidInput
-from waug.weights import RadialPolyWeight
 
 
 def test_rationals_render_as_integer_or_quotient():
@@ -65,7 +65,7 @@ def test_sha256_matches_file_and_bytes(tmp_path):
     data = canonical_json({"k": F(5, 3)}).encode()
     p = tmp_path / "r.json"
     p.write_bytes(data)
-    assert sha256_file(str(p)) == sha256_hex(data)
+    assert sha256_file(str(p)) == hashlib.sha256(data).hexdigest()
 
 
 def test_csv_uses_newline_termination():
@@ -77,7 +77,7 @@ def test_sequence_csv_round_trip(tmp_path):
     seq = PrefixSequence([F(1), F(3, 2), F(9, 4)])
     p = tmp_path / "seq.csv"
     p.write_text(sequence_csv_text(seq))
-    back = load_spec(str(p), "sequence")
+    back = load_sequence_csv(str(p))
     assert back.values == seq.values
 
 
@@ -105,32 +105,6 @@ def test_json_parse_error_reports_location(tmp_path):
     assert "line 1" in str(exc.value)
 
 
-def test_load_spec_auto_dispatch(tmp_path):
-    sp = tmp_path / "s.json"
-    sp.write_text(json.dumps({"family": "Z"}))
-    s, gens = load_spec(str(sp))
-    assert s.family == "Z" and gens == [1, -1]
-
-    wp = tmp_path / "w.json"
-    wp.write_text(json.dumps({"family": "radial_poly", "params": {"alpha": "2"}}))
-    w = load_spec(str(wp))
-    assert isinstance(w, RadialPolyWeight)
-
-    ep = tmp_path / "e.json"
-    ep.write_text(json.dumps(
-        {"terms": [{"elem": 0, "re": "1", "im": "0"},
-                   {"elem": 2, "re": "-1/2", "im": "0"}]}))
-    f = load_spec(str(ep), structure=s)
-    assert f[2].re == F(-1, 2)
-
-
-def test_load_spec_element_needs_structure(tmp_path):
-    ep = tmp_path / "e.json"
-    ep.write_text(json.dumps({"terms": []}))
-    with pytest.raises(InvalidInput):
-        load_spec(str(ep))
-
-
 def test_element_round_trips_through_canonical_json(tmp_path):
     from waug.structures import structure_from_spec
     s, _ = structure_from_spec(
@@ -143,13 +117,13 @@ def test_element_round_trips_through_canonical_json(tmp_path):
 
 
 def test_rational_text_parsing():
-    assert parse_rational_text("-3/4") == F(-3, 4)
-    assert parse_rational_text("7") == F(7)
+    assert parse_rational("-3/4") == F(-3, 4)
+    assert parse_rational("7") == F(7)
     assert parse_rational("0.5") == F(1, 2)  # decimal text is exact
     with pytest.raises(InvalidInput):
-        parse_rational_text("1/0")
+        parse_rational("1/0")
     with pytest.raises(InvalidInput):
-        parse_rational_text("two")
+        parse_rational("two")
 
 
 @dataclasses.dataclass

@@ -9,8 +9,8 @@ from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
                              FreeStructure, IntegerGroup, IntegerLattice,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
                              closed_form_ball_size, division_balls,
-                             find_ancestry, geodesic_word, h_x_fixpoint,
-                             pseudo_finite_within, set_contains,
+                             find_ancestry, geodesic_word, geodesic_words,
+                             h_x_fixpoint, pseudo_finite_within,
                              structure_from_spec)
 
 
@@ -159,7 +159,7 @@ def test_zero_adjoined_universal_ball():
     bt = division_balls(s, [theta], 3)
     assert bt.sizes() == [1, 2, "all", "all"]
     assert bt.universal_at() == 2
-    assert set_contains(bt.ball(2), (1, 2, 1))
+    assert bt.ball(2) is UNIVERSE
     with pytest.raises(ResourceLimit):
         bt.sphere(2)
 
@@ -293,6 +293,50 @@ def test_geodesic_word_closed_forms_match_bfs():
             for i in w:
                 v = s.multiply(v, gens[i])
             assert v == u
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "free", "params": {"rank": 2, "inverses": True},
+     "generators": [[1], [-1], [2], [-2], [1, 2]]},
+    {"family": "Zd", "params": {"d": 2}, "generators": [[1, 0], [0, 1], [-1, -1]]},
+    {"family": "free", "params": {"rank": 2, "inverses": False}},
+    {"family": "Zd", "params": {"d": 2}},
+    {"family": "zero_adjoined", "params": {"rank": 2},
+     "generators": [[1], [2], "theta"]},
+], ids=["f2-ab", "z2-triangle", "fm2-standard", "z2-standard", "theta2"])
+def test_geodesic_words_equal_per_point_words(spec):
+    # one BFS for all points gives each point the word of its own BFS
+    rng = random.Random(903)
+    s, gens = structure_from_spec(spec)
+    _, words = bfs_words(s, gens, 4)
+    pool = sorted(words, key=s.elem_key)
+    for size in (1, 2, 5, 12):
+        points = rng.sample(pool, min(size, len(pool)))
+        got = geodesic_words(s, gens, points, 6)
+        assert list(got) == points
+        for u in points:
+            if s.is_standard_generators(gens):
+                assert got[u] == geodesic_word(s, gens, u, 6)
+            else:
+                assert got[u] == bfs_words(s, gens, 6, targets=[u])[1][u]
+
+
+def test_geodesic_words_unreachable_and_cap_messages():
+    s, gens = structure_from_spec(
+        {"family": "free", "params": {"rank": 2, "inverses": True},
+         "generators": [[1], [-1], [2], [-2], [1, 2]]})
+    near, far = (1,), (2, 2, 1, 1)  # b b a a: no a b to shorten it
+    with pytest.raises(ResourceLimit, match="^element not reached within depth 3$"):
+        geodesic_words(s, gens, [near, far], 3)
+    assert geodesic_words(s, gens, [near, far], 4)[far] == (2, 2, 0, 0)
+    # the cap is checked level by level up to the farthest point, so it
+    # fails exactly when the farthest point's own search fails
+    _, words = bfs_words(s, gens, 3)
+    with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
+        geodesic_word(s, gens, far, 6, cap=len(words))
+    with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
+        geodesic_words(s, gens, [near, far], 6, cap=len(words))
+    assert geodesic_words(s, gens, [near, (1, 2)], 6, cap=len(words))[(1, 2)] == (4,)
 
 
 def test_word_length_closed_forms():

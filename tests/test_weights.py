@@ -136,6 +136,60 @@ def test_tau_enumeration_agrees_with_radial_fast_path():
     assert fast["taus"] == slow
 
 
+def _cyclic_spec(n):
+    table = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return {"family": "table", "params": {"table": table}, "generators": [1]}
+
+
+F2_AB = {"family": "free", "params": {"rank": 2, "inverses": True},
+         "generators": [[1], [-1], [2], [-2], [1, 2]]}
+THETA2_LETTERS = {"family": "zero_adjoined", "params": {"rank": 2},
+                  "generators": [[1], [2]]}
+
+
+@pytest.mark.parametrize("spec,weight,N", [
+    (F2_AB, RadialExpWeight(F(2)), 4),
+    (F2_AB, RadialExpWeight(F(3, 2), F(1, 2)), 3),  # enclosures: refused
+    (F2_AB, RadialPolyWeight(F(2)), 4),
+    (F2_AB, TrivialWeight(), 4),
+    (_cyclic_spec(11), TrivialWeight(), 5),
+    (_cyclic_spec(11), RadialPolyWeight(F(1)), 3),  # no word length: refused
+    (THETA2_LETTERS, RadialExpWeight(F(2)), 5),
+    (THETA2_LETTERS, RadialPolyWeight(F(3)), 5),
+    (THETA2_LETTERS, TrivialWeight(), 5),
+], ids=["f2ab-exp", "f2ab-exp-sqrt", "f2ab-poly", "f2ab-trivial",
+        "cyclic-trivial", "cyclic-poly", "theta2-exp", "theta2-poly",
+        "theta2-trivial"])
+def test_tau_enumeration_matches_per_element_evaluation(spec, weight, N):
+    # the enumerating path evaluates a radial weight once per word length;
+    # the oracle evaluates it at every element of every sphere
+    s, gens = structure_from_spec(spec)
+
+    def per_element():
+        bt = division_balls(s, gens, N)
+        taus, sizes = [], []
+        for n in range(1, N + 1):
+            vals = [weight.eval(s, u) for u in bt.levels[n]]
+            if any(isinstance(v, Enclosure) for v in vals):
+                raise InvalidInput(
+                    "tau_and_C needs exact weight values (integer alpha or beta=1)")
+            taus.append(min(vals))
+            sizes.append(len(vals))
+        return {"taus": taus, "C": max(weight.eval(s, x) for x in gens),
+                "sphere_sizes": sizes}
+
+    try:
+        want = per_element()
+    except InvalidInput as exc:
+        with pytest.raises(InvalidInput) as got:
+            tau_and_C(s, gens, weight, N)
+        assert str(got.value) == str(exc)
+        return
+    tc = tau_and_C(s, gens, weight, N)
+    assert tc["method"] == "enumeration"
+    assert {k: tc[k] for k in want} == want
+
+
 def test_tau_step_violation_detected():
     rep = tau_step_check([F(2), F(8), F(3)], F(2))
     # tau_2 = 8 > C tau_3 = 6
