@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from waug.cli import main
+from waug.cli import COMMANDS, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -80,6 +80,114 @@ CASES = [
     ("sigma_theta_d3.json", 0,
      ["element", "sigma", "--spec", "inputs/theta.json",
       "--element", "inputs/theta_elem.json", "--depth", "3"]),
+    # weight
+    ("weight_verify_z_exp_half.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half.json", "--radius", "6"]),
+    ("weight_verify_c5_explicit.json", 0,
+     ["weight", "verify", "--spec", "inputs/c5.json",
+      "--weight", "inputs/w_explicit_c5.json", "--radius", "3"]),
+    ("weight_verify_fm1_l74.json", 0,
+     ["weight", "verify", "--spec", "inputs/fm1.json",
+      "--weight", "inputs/w_l74.json", "--radius", "8"]),
+    ("weight_verify_z_l76.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_l76.json", "--radius", "15"]),
+    ("weight_tau_f2_exp2.json", 0,
+     ["weight", "tau", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--depth", "5"]),
+    ("weight_tau_f2_exp2.csv", 0,
+     ["weight", "tau", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--depth", "5", "--format", "csv"]),
+    ("weight_tau_c5_explicit.json", 0,
+     ["weight", "tau", "--spec", "inputs/c5.json",
+      "--weight", "inputs/w_explicit_c5.json", "--depth", "2"]),
+    ("build_l74_r2_k5.json", 0,
+     ["weight", "build-l74", "--rho", "2", "--blocks", "5"]),
+    ("build_l76_r2_n15.json", 0,
+     ["weight", "build-l76", "--rho", "2", "--depth", "15"]),
+    ("radii_z_l76.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_l76.json", "--depth", "6"]),
+    ("radii_f2_exp_half.json", 0,
+     ["weight", "radii", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp_half.json", "--depth", "4"]),
+    # tau
+    ("tau_check_mixed.json", 0,
+     ["tau", "check", "--csv", "inputs/seq_mixed.csv"]),
+    ("tau_check_mixed.csv", 0,
+     ["tau", "check", "--csv", "inputs/seq_mixed.csv", "--format", "csv"]),
+    ("tau_check_geo_d6.json", 0,
+     ["tau", "check", "--csv", "inputs/seq_geo.csv", "--depth", "6"]),
+    ("tau_witness_ones.json", 0,
+     ["tau", "witness", "--csv", "inputs/seq_ones.csv", "--target", "2"]),
+    ("tau_witness_geo_none.json", 1,
+     ["tau", "witness", "--csv", "inputs/seq_geo.csv", "--target", "3"]),
+    ("blockseq_r2_k4.json", 0,
+     ["tau", "blockseq", "--rho", "2", "--blocks", "4"]),
+    ("blockseq_r2_k4.csv", 0,
+     ["tau", "blockseq", "--rho", "2", "--blocks", "4", "--format", "csv"]),
+    ("growth_geo.json", 0,
+     ["tau", "growth", "--csv", "inputs/seq_geo.csv", "--target", "1"]),
+    ("growth_mixed_fail.json", 1,
+     ["tau", "growth", "--csv", "inputs/seq_mixed.csv", "--target", "1/2"]),
+    # element
+    ("convolve_z.json", 0,
+     ["element", "convolve", "--spec", "inputs/z.json",
+      "--element", "inputs/z_elem_a.json", "--element", "inputs/z_elem_b.json"]),
+    ("norm_f2_exp2.json", 0,
+     ["element", "norm", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_elem.json"]),
+    ("norm_z_l76.json", 0,
+     ["element", "norm", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_l76.json", "--element", "inputs/z_elem_norm.json"]),
+    ("augment_f2.json", 0,
+     ["element", "augment", "--spec", "inputs/f2.json",
+      "--element", "inputs/f2_elem.json"]),
+    # ideal
+    ("telescope_f2.json", 0,
+     ["ideal", "telescope", "--spec", "inputs/f2.json",
+      "--element", "inputs/f2_zero_elem.json"]),
+    ("decompose_point_f2.json", 0,
+     ["ideal", "decompose-point", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--target", "[1, 2, -1]", "--d", "1"]),
+    ("decompose_point_f2_ab.json", 0,
+     ["ideal", "decompose-point", "--spec", "inputs/f2_ab.json",
+      "--weight", "inputs/w_exp2.json", "--target", "[1, 2, 2, -1]",
+      "--d", "1/2"]),
+    ("decompose_point_f2_identity.json", 0,
+     ["ideal", "decompose-point", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--target", "[]", "--d", "1"]),
+    ("decompose_point_f2_d_too_large.json", 1,
+     ["ideal", "decompose-point", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--target", "[1, 2, -1]", "--d", "3"]),
+    ("decompose_full_f2.json", 0,
+     ["ideal", "decompose-full", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_zero_elem.json",
+      "--d", "1"]),
+    ("decompose_full_f2_ab.json", 0,
+     ["ideal", "decompose-full", "--spec", "inputs/f2_ab.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_zero_elem.json",
+      "--d", "1/2"]),
+    ("divide_shift_z.json", 0,
+     ["ideal", "divide-shift", "--spec", "inputs/z.json",
+      "--element", "inputs/z_zero_elem.json"]),
+    ("rewrite_pf_theta.json", 0,
+     ["ideal", "rewrite-pf", "--spec", "inputs/theta.json",
+      "--element", "inputs/theta_elem.json"]),
+    ("necessity_klein_a.json", 1,
+     ["ideal", "necessity", "--spec", "inputs/klein_a.json",
+      "--element", "inputs/klein_elem.json", "--depth", "4"]),
+    ("witness_45_fm1.json", 0,
+     ["ideal", "witness-45", "--spec", "inputs/fm1.json", "--depth", "6"]),
+    ("witness_65_f2.json", 0,
+     ["ideal", "witness-65", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--csv", "inputs/alpha.csv"]),
+    ("witness_65_c5.json", 0,
+     ["ideal", "witness-65", "--spec", "inputs/c5.json",
+      "--weight", "inputs/w_explicit_c5.json", "--csv", "inputs/alpha2.csv"]),
+    ("witness_75_r2_k5.json", 0,
+     ["ideal", "witness-75", "--rho", "2", "--blocks", "5"]),
 ]
 
 
@@ -97,6 +205,11 @@ def test_report_matches_golden(name, code, argv, tmp_path, monkeypatch):
     assert got_code == code
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
         assert got == fh.read()
+
+
+def test_every_leaf_has_a_golden_case():
+    pinned = {tuple(argv[:2]) for _, _, argv in CASES}
+    assert sorted(set(COMMANDS) - pinned) == []
 
 
 if __name__ == "__main__":
