@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .certify import Enclosure, format_rational, nth_root, parse_rational
+from .certify import Enclosure, as_enclosure, format_rational, nth_root, parse_rational
 from .structures import UNIVERSE, InvalidInput, Structure
 
 
@@ -239,11 +239,8 @@ def weighted_norm(f: Element, weight=None, bits: int = 128):
     total_hi = Fraction(0)
     exact = True
     for u, c in f.coeffs.items():
-        a = c.abs_value(bits)
         w = Fraction(1) if weight is None else weight.eval(f.structure, u, bits=bits)
-        a_enc = a if isinstance(a, Enclosure) else Enclosure.exact(a)
-        w_enc = w if isinstance(w, Enclosure) else Enclosure.exact(w)
-        term = a_enc * w_enc
+        term = as_enclosure(c.abs_value(bits)) * as_enclosure(w)
         exact = exact and term.is_exact
         total_lo += term.lo
         total_hi += term.hi

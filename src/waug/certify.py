@@ -103,13 +103,13 @@ class Enclosure(NamedTuple):
         return self.lo == self.hi
 
     def __add__(self, other):
-        other = _as_enclosure(other)
+        other = as_enclosure(other)
         return Enclosure(self.lo + other.lo, self.hi + other.hi)
 
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = _as_enclosure(other)
+        other = as_enclosure(other)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,
@@ -129,18 +129,22 @@ class Enclosure(NamedTuple):
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
 
 
-def _as_enclosure(x) -> Enclosure:
+def as_enclosure(x) -> Enclosure:
+    """x itself if it is an Enclosure, else the exact enclosure of x."""
     if isinstance(x, Enclosure):
         return x
     return Enclosure.exact(x)
 
 
-def nth_root(x: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Certified enclosure of x**(1/n) for x >= 0, width <= 2**-bits.
+def nth_root(x, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
+    """Certified enclosure of x**(1/n) for a rational x >= 0, width <= 2**-bits,
+    or for an Enclosure x, rounded outward from its two ends.
 
     Returns an exact (zero-width) enclosure when x is a perfect n-th power
     of a rational.
     """
+    if isinstance(x, Enclosure):
+        return Enclosure(nth_root(x.lo, n, bits).lo, nth_root(x.hi, n, bits).hi)
     x = Fraction(x)
     if x < 0:
         raise ValueError("nth_root needs x >= 0")
@@ -155,15 +159,6 @@ def nth_root(x: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
     # a = floor( (x * 2**(n*bits)) ** (1/n) ):  (a/2**bits)^n <= x < ((a+1)/2**bits)^n
     a = int_nth_root((p << (n * bits)) // q, n)
     return Enclosure(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
-
-
-def sqrt_enclosure(x, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Certified sqrt of a rational or of an enclosure."""
-    if isinstance(x, Enclosure):
-        if x.lo < 0:
-            raise ValueError("sqrt of a possibly-negative enclosure")
-        return Enclosure(nth_root(x.lo, 2, bits).lo, nth_root(x.hi, 2, bits).hi)
-    return nth_root(Fraction(x), 2, bits)
 
 
 def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
@@ -235,7 +230,7 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     c = Fraction(c)
     if c < 1:
         raise ValueError("rat_pow implemented for c >= 1")
-    t = _as_enclosure(t)
+    t = as_enclosure(t)
     if t.lo < 0:
         raise ValueError("rat_pow needs t >= 0")
     return Enclosure(_rat_pow_one_sided(c, t.lo, bits, lower=True),
@@ -264,7 +259,7 @@ def _rat_pow_one_sided(c: Fraction, t: Fraction, bits: int, lower: bool) -> Frac
     for i in range(1, s + 1):
         if not m:
             break
-        root = sqrt_enclosure(root, work).rounded(work)
+        root = nth_root(root, 2, work).rounded(work)
         if (m >> (s - i)) & 1:
             total = (total * root).rounded(work)
             m &= (1 << (s - i)) - 1

@@ -10,8 +10,11 @@ Subcommands (one per core procedure):
              rewrite-pf | necessity | witness-45 | witness-65 | witness-75
 
 Every leaf is one row of the table COMMANDS: (group, command) -> help text,
-handler and flags (after the shared --out/--format/--precision).  The
-handler returns (report, ok, csv) and `main` writes the report envelope.
+handler and flags (after the shared --out/--format/--precision).  `main`
+loads the leaf's input files once (--spec, --weight, --element, --csv),
+hashes them into the envelope and hands the handler the loaded objects in
+place of the paths; the handler returns (report, ok, csv) and `main` writes
+the report envelope.
 `build_parser(argv)` always registers the five groups but, when argv[:2]
 names a leaf, only that leaf with its flags: a command run pays for one
 leaf parser, not 25.  Help, --version and unknown names get the full tree,
@@ -53,42 +56,6 @@ from .weights import (build_lemma74, build_lemma76, estimate_radii,
                       weight_from_spec)
 
 
-# ---------------------------------------------------------------------------
-# loading helpers
-# ---------------------------------------------------------------------------
-
-def _digest(inputs: dict, flag: str, path: str):
-    inputs[flag] = {"path": path, "sha256": sha256_file(path)}
-
-
-def _load_structure(args, inputs):
-    _digest(inputs, "spec", args.spec)
-    return structure_from_spec(load_json_file(args.spec))
-
-
-def _load_weight(args, inputs):
-    _digest(inputs, "weight", args.weight)
-    return weight_from_spec(load_json_file(args.weight))
-
-
-def _load_element(path, s, inputs, flag="element"):
-    if flag in inputs:  # repeated --element
-        flag = f"{flag}_{sum(1 for k in inputs if k.startswith(flag))}"
-    _digest(inputs, flag, path)
-    return Element.from_json(s, load_json_file(path))
-
-
-def _load_sequence(args, inputs):
-    _digest(inputs, "csv", args.csv)
-    seq = load_sequence_csv(args.csv)
-    depth = getattr(args, "depth", None)
-    if depth is not None:
-        if depth < 2:
-            raise InvalidInput("--depth must be >= 2 for a sequence prefix")
-        seq = PrefixSequence(seq.values[:depth])
-    return seq
-
-
 def _parse_point(text: str, s):
     try:
         obj = json.loads(text)
@@ -98,11 +65,12 @@ def _parse_point(text: str, s):
 
 
 # ---------------------------------------------------------------------------
-# handlers: (report, ok, csv) per subcommand
+# handlers: (report, ok, csv) per subcommand; `main` has already replaced
+# each input path in args by the object it holds (_load_inputs)
 # ---------------------------------------------------------------------------
 
-def _h_structure_ball(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
+def _h_structure_ball(args, bits):
+    s, gens = args.spec
     bt = division_balls(s, gens, args.depth)
     report = {
         "depth": args.depth,
@@ -112,18 +80,16 @@ def _h_structure_ball(args, inputs, bits):
         "stable_at": bt.stable_at(),
     }
     rows = []
-    total = 0
     for n, lev in enumerate(bt.levels):
         if lev is UNIVERSE or bt.balls[n] is UNIVERSE:
             rows.append([n, "all", "all"])
         else:
-            total = len(bt.balls[n])
-            rows.append([n, total, len(lev)])
+            rows.append([n, len(bt.balls[n]), len(lev)])
     return report, True, (["n", "ball_size", "sphere_size"], rows)
 
 
-def _h_structure_ancestry(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
+def _h_structure_ancestry(args, bits):
+    s, gens = args.spec
     u = _parse_point(args.target, s)
     chain, bt = find_ancestry(s, gens, u, args.depth)
     report = {
@@ -140,23 +106,17 @@ def _h_structure_ancestry(args, inputs, bits):
     return report, chain is not None, None
 
 
-def _h_structure_pseudofinite(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    rep = pseudo_finite_within(s, gens, args.depth)
-    return rep, True, None
+def _h_structure_pseudofinite(args, bits):
+    return pseudo_finite_within(*args.spec, args.depth), True, None
 
 
-def _h_weight_verify(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    rep = verify_weight_axioms(s, gens, w, args.radius, bits)
+def _h_weight_verify(args, bits):
+    rep = verify_weight_axioms(*args.spec, args.weight, args.radius, bits)
     return rep, rep["ok"], None
 
 
-def _h_weight_tau(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    tc = tau_and_C(s, gens, w, args.depth, bits)
+def _h_weight_tau(args, bits):
+    tc = tau_and_C(*args.spec, args.weight, args.depth, bits)
     l61 = tau_step_check(tc["taus"], tc["C"])
     tc["sphere_lipschitz"] = l61
     tc["certified"] = l61["ok"]
@@ -165,14 +125,14 @@ def _h_weight_tau(args, inputs, bits):
     return tc, l61["ok"], (["n", "tau_num", "tau_den"], rows)
 
 
-def _h_weight_build_l74(args, inputs, bits):
+def _h_weight_build_l74(args, bits):
     _, rep = build_lemma74(parse_rational(args.rho), args.blocks, bits)
     ok = rep["step_bounds_all_ok"] and rep["eps_monotone"] and rep["eps_below_1_over_k"]
     rep["certified"] = ok
     return rep, ok, None
 
 
-def _h_weight_build_l76(args, inputs, bits):
+def _h_weight_build_l76(args, bits):
     w, rep = build_lemma76(parse_rational(args.rho), args.depth)
     ok = (rep["star_ok"] and rep["dagger_ok"] and rep["submult_ok"]
           and rep["ratio_all_ok"])
@@ -181,30 +141,30 @@ def _h_weight_build_l76(args, inputs, bits):
     return rep, ok, None
 
 
-def _h_weight_radii(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    rep = estimate_radii(s, w, args.depth, bits)
-    return rep, True, None
+def _h_weight_radii(args, bits):
+    return estimate_radii(args.spec[0], args.weight, args.depth, bits), True, None
 
 
-def _h_tau_check(args, inputs, bits):
-    seq = _load_sequence(args, inputs)
+def _h_tau_check(args, bits):
+    seq = args.csv
+    if args.depth is not None:
+        if args.depth < 2:
+            raise InvalidInput("--depth must be >= 2 for a sequence prefix")
+        seq = PrefixSequence(seq.values[:args.depth])
     rep = check_prefix_tp(seq)
     rows = [[n + 1, r.numerator, r.denominator]
             for n, r in enumerate(rep["ratios"])]
     return rep, True, (["n", "ratio_num", "ratio_den"], rows)
 
 
-def _h_tau_witness(args, inputs, bits):
-    seq = _load_sequence(args, inputs)
-    rep = failure_witness(seq, args.target)
+def _h_tau_witness(args, bits):
+    rep = failure_witness(args.csv, args.target)
     if "x" in rep:
         rep["x"] = vector_to_json(rep["x"])
     return rep, rep["found"], None
 
 
-def _h_tau_blockseq(args, inputs, bits):
+def _h_tau_blockseq(args, bits):
     rep = build_block_sequence(parse_rational(args.rho), args.blocks)
     seq = rep.pop("sequence")
     rep["values"] = seq.values
@@ -214,108 +174,79 @@ def _h_tau_blockseq(args, inputs, bits):
                      list(seq.to_csv_rows()))
 
 
-def _h_tau_growth(args, inputs, bits):
-    seq = _load_sequence(args, inputs)
-    rep = growth_check(seq, args.target)
+def _h_tau_growth(args, bits):
+    rep = growth_check(args.csv, args.target)
     return rep, rep["hypothesis_ok"] and rep["conclusion_ok"], None
 
 
-def _h_element_convolve(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
+def _h_element_convolve(args, bits):
     if len(args.element) < 2:
         raise InvalidInput("convolve needs --element at least twice")
-    els = [_load_element(p, s, inputs) for p in args.element]
-    prod = convolve_many(*els)
-    return {"factors": len(els), "product": prod}, True, None
+    prod = convolve_many(*args.element)
+    return {"factors": len(args.element), "product": prod}, True, None
 
 
-def _h_element_norm(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    nm = weighted_norm(f, w, bits)
-    return {"norm": nm, "support_size": len(f)}, True, None
+def _h_element_norm(args, bits):
+    f = args.element
+    return {"norm": weighted_norm(f, args.weight, bits),
+            "support_size": len(f)}, True, None
 
 
-def _h_element_sigma(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    bt = division_balls(s, gens, args.depth)
-    values, stable = sigma_sequence(f, bt)
+def _h_element_sigma(args, bits):
+    bt = division_balls(*args.spec, args.depth)
+    values, stable = sigma_sequence(args.element, bt)
     rows = [[n, v.re.numerator, v.re.denominator, v.im.numerator,
              v.im.denominator] for n, v in enumerate(values)]
     rep = {"depth": args.depth, "sigma": values, "stable_from": stable}
     return rep, True, (["n", "re_num", "re_den", "im_num", "im_den"], rows)
 
 
-def _h_element_augment(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    return {"augmentation": f.augmentation()}, True, None
+def _h_element_augment(args, bits):
+    return {"augmentation": args.element.augmentation()}, True, None
 
 
-def _h_ideal_telescope(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    rep = telescope(f)
-    return rep, True, None
+def _h_ideal_telescope(args, bits):
+    return telescope(args.element), True, None
 
 
-def _h_ideal_decompose_point(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    u = _parse_point(args.target, s)
-    rep = decompose_point(s, gens, w, u, parse_rational(args.d), bits,
-                          max_depth=args.depth)
+def _h_ideal_decompose_point(args, bits):
+    s, gens = args.spec
+    rep = decompose_point(s, gens, args.weight, _parse_point(args.target, s),
+                          parse_rational(args.d), bits, max_depth=args.depth)
     return rep, rep["ok"], None
 
 
-def _h_ideal_decompose_full(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    rep = decompose_full(s, gens, w, f, parse_rational(args.d), bits,
-                         max_depth=args.depth)
+def _h_ideal_decompose_full(args, bits):
+    rep = decompose_full(*args.spec, args.weight, args.element,
+                         parse_rational(args.d), bits, max_depth=args.depth)
     return rep, rep["ok"], None
 
 
-def _h_ideal_divide_shift(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    g, rep = divide_shift(f)
+def _h_ideal_divide_shift(args, bits):
+    _, rep = divide_shift(args.element)
     return rep, rep["ok"], None
 
 
-def _h_ideal_rewrite_pf(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    f = _load_element(args.element, s, inputs)
-    rep = rewrite_pseudofinite(s, gens, f, depth=args.depth)
+def _h_ideal_rewrite_pf(args, bits):
+    rep = rewrite_pseudofinite(*args.spec, args.element, depth=args.depth)
     return rep, rep["ok"], None
 
 
-def _h_ideal_necessity(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    els = [_load_element(p, s, inputs) for p in args.element]
-    rep = pseudo_generation_necessity(s, els, args.depth)
+def _h_ideal_necessity(args, bits):
+    rep = pseudo_generation_necessity(args.spec[0], args.element, args.depth)
     return rep, rep["verdict"] == "covers", None
 
 
-def _h_ideal_witness_45(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    rep = witness_prop45(s, gens, args.depth)
+def _h_ideal_witness_45(args, bits):
+    return witness_prop45(*args.spec, args.depth), True, None
+
+
+def _h_ideal_witness_65(args, bits):
+    rep = witness_nontp_element(*args.spec, args.weight, args.alphas, bits)
     return rep, True, None
 
 
-def _h_ideal_witness_65(args, inputs, bits):
-    s, gens = _load_structure(args, inputs)
-    w = _load_weight(args, inputs)
-    _digest(inputs, "csv", args.csv)
-    alphas = load_vector_csv(args.csv)
-    rep = witness_nontp_element(s, gens, w, alphas, bits)
-    return rep, True, None
-
-
-def _h_ideal_witness_75(args, inputs, bits):
+def _h_ideal_witness_75(args, bits):
     rep = witness_thm75(parse_rational(args.rho), args.blocks, bits)
     return rep, rep["ok"], None
 
@@ -432,7 +363,8 @@ COMMANDS = {
     ("ideal", "witness-65"): (
         "weighted ball-sum witness from alpha data", _h_ideal_witness_65,
         [SPEC, WEIGHT,
-         _flag("--csv", required=True, help="alpha vector CSV (index,num,den)")]),
+         _flag("--csv", dest="alphas", metavar="CSV", required=True,
+               help="alpha vector CSV (index,num,den)")]),
     ("ideal", "witness-75"): (
         "bounded element with divergent divisor", _h_ideal_witness_75,
         [RHO, BLOCKS]),
@@ -466,12 +398,48 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     return ap
 
 
-def _parameters_of(args) -> dict:
+# the flags (by dest) that name an input file, in the order they are loaded
+INPUTS = ("spec", "weight", "element", "csv", "alphas")
+
+
+def _load_inputs(args, inputs: dict):
+    """Replace each input path in args by the object its file holds: the
+    (structure, generators) pair, the weight (checked against the structure),
+    the element or list of elements, the sequence or alpha vector.  Every
+    file is hashed into `inputs` for the envelope, the k-th repeat of
+    --element as element_k."""
+    for dest in INPUTS:
+        paths = getattr(args, dest, None)
+        if paths is None:
+            continue
+        key = "csv" if dest == "alphas" else dest
+        loaded = []
+        for i, path in enumerate(paths if isinstance(paths, list) else [paths]):
+            inputs[f"{key}_{i}" if i else key] = {
+                "path": path, "sha256": sha256_file(path)}
+            if dest == "csv":
+                loaded.append(load_sequence_csv(path))
+            elif dest == "alphas":
+                loaded.append(load_vector_csv(path))
+            elif dest == "spec":
+                loaded.append(structure_from_spec(load_json_file(path)))
+            elif dest == "weight":
+                w = weight_from_spec(load_json_file(path))
+                w.check_domain(args.spec[0])
+                loaded.append(w)
+            else:
+                loaded.append(Element.from_json(args.spec[0], load_json_file(path)))
+        setattr(args, dest, loaded if isinstance(paths, list) else loaded[0])
+
+
+def _parameters_of(args, flags) -> dict:
+    """The envelope's parameters: every flag of the leaf but --out and the
+    input files, when set."""
     out = {}
-    for key in ("depth", "radius", "blocks", "rho", "precision", "target", "d",
-                "format"):
-        val = getattr(args, key, None)
-        if val is not None:
+    for name, kw in flags:
+        key = kw.get("dest", name[2:])
+        val = getattr(args, key)
+        if key != "out" and key not in INPUTS and val is not None:
             out[key] = val
     return out
 
@@ -500,11 +468,13 @@ def main(argv=None) -> int:
     if bits < 8:
         print("waug: --precision must be at least 8 bits", file=sys.stderr)
         return 2
-    handler = COMMANDS[(args.group, args.command)][1]
+    _, handler, flags = COMMANDS[(args.group, args.command)]
+    flags = IO_FLAGS + flags
     inputs = {}
     try:
         try:
-            report, ok, csv_data = handler(args, inputs, bits)
+            _load_inputs(args, inputs)
+            report, ok, csv_data = handler(args, bits)
         except CertificateError as exc:
             report = dict(exc.report)
             report["error"] = "certificate"
@@ -522,7 +492,7 @@ def main(argv=None) -> int:
                 "version": __version__,
                 "operation": f"{args.group} {args.command}",
                 "inputs": inputs,
-                "parameters": _parameters_of(args),
+                "parameters": _parameters_of(args, flags),
                 "result": report,
                 "ok": ok,
             }

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Element, QC, ZERO, convolve, sigma_sequence, weighted_norm
-from .certify import (DEFAULT_BITS, Enclosure, basel_partial, format_rational,
-                      harmonic_number, parse_rational)
+from .algebra import (Element, ONE, QC, ZERO, convolve, sigma_sequence,
+                      weighted_norm)
+from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
+                      format_rational, harmonic_number, parse_rational)
 from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
-                         geodesic_word, geodesic_words, pseudo_finite_within,
-                         IntegerGroup, IntegerLattice, FreeStructure, Structure)
+                         geodesic_words, pseudo_finite_within,
+                         IntegerGroup, IntegerLattice, Structure)
 from .weights import build_lemma74, tau_and_C
 
 
@@ -32,14 +33,10 @@ class CertificateError(RuntimeError):
         self.report = report or {}
 
 
-def _as_enclosure(v) -> Enclosure:
-    return v if isinstance(v, Enclosure) else Enclosure.exact(Fraction(v))
-
-
 def _le_status(a, b) -> str:
     """'proved' / 'violated' / 'indeterminate' for a <= b with exact or
     enclosure operands."""
-    ea, eb = _as_enclosure(a), _as_enclosure(b)
+    ea, eb = as_enclosure(a), as_enclosure(b)
     if ea.hi <= eb.lo:
         return "proved"
     if ea.lo > eb.hi:
@@ -50,15 +47,14 @@ def _le_status(a, b) -> str:
 class Decomposition:
     """f = sum_i coeff_i * gen_i, verified exactly on construction."""
 
-    def __init__(self, structure: Structure, target: Element, pairs,
-                 labels=None, check=True):
+    def __init__(self, structure: Structure, target: Element, pairs, labels):
         self.structure = structure
         self.target = target
         self.pairs = list(pairs)
-        self.labels = list(labels) if labels is not None else [None] * len(self.pairs)
+        self.labels = list(labels)
         if len(self.labels) != len(self.pairs):
             raise InvalidInput("decomposition labels do not match pairs")
-        if check and not self.verify():
+        if not self.verify():
             raise CertificateError("decomposition does not reconvolve to its target")
 
     def verify(self) -> bool:
@@ -73,10 +69,8 @@ class Decomposition:
     def to_json(self) -> dict:
         items = []
         for (coeff, gen), label in zip(self.pairs, self.labels):
-            entry = {"coefficient": coeff.to_json(), "generator": gen.to_json()}
-            if label is not None:
-                entry["label"] = label
-            items.append(entry)
+            items.append({"coefficient": coeff.to_json(),
+                          "generator": gen.to_json(), "label": label})
         return {"target": self.target.to_json(), "pairs": items,
                 "reconvolves": True}
 
@@ -85,7 +79,7 @@ class Decomposition:
 # telescoping: f = sum beta_u (delta_e - delta_u)
 # ---------------------------------------------------------------------------
 
-def telescope(f: Element, order=None) -> dict:
+def telescope(f: Element) -> dict:
     """Write an augmentation-zero f as sum_u beta_u (delta_e - delta_u).
 
     Matching coefficients gives beta_u = -f(u) for u != e; the e-coordinate
@@ -95,23 +89,13 @@ def telescope(f: Element, order=None) -> dict:
     if f.augmentation():
         raise InvalidInput("telescope needs augmentation 0")
     e = s.identity()
-    support = [u for u in f.support() if u != e]
-    if order is None:
-        order = support
-    else:
-        order = [u for u in order if u != e]
-        missing = [u for u in support if u not in set(order)]
-        if missing:
-            raise InvalidInput(
-                f"telescope order does not cover the support "
-                f"(missing {s.elem_str(missing[0])})")
     pairs = []
     labels = []
     betas = []
-    for u in order:
-        beta = -f[u]
-        if not beta:
+    for u in f.support():
+        if u == e:
             continue
+        beta = -f[u]
         pairs.append((Element.delta(s, e).scale(beta),
                       Element.delta(s, e) - Element.delta(s, u)))
         labels.append(f"delta_e - delta_{s.elem_str(u)}")
@@ -171,114 +155,47 @@ def _check_growth_premise(taus, D: Fraction):
     return growth_fail, inclusive_ok
 
 
-def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
-                    max_depth: int = 64, cap=None) -> dict:
-    """delta_e - delta_u = sum_x f_x * (delta_e - delta_x) along a geodesic,
-    with each f_x a {0,1}-sum of geodesic-prefix deltas, plus the certified
-    norm bound ||f_x||_omega <= (1/D) omega(u)."""
+def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
+               max_depth, head: dict):
+    """The decomposition core.  target = sum_u beta_u (delta_e - delta_u) over
+    the pairs (u, beta_u) of `betas`; peeling each delta_e - delta_u along its
+    geodesic word (_point_prefix_maps) gives
+        target = sum_x s_x * (delta_e - delta_x),   s_x = sum_u beta_u f_x^(u),
+    with the certified bound ||s_x||_omega <= (1/D) sum_u |beta_u| omega(u).
+    `head` opens the report and the CertificateError report.  Returns
+    (report, words), words mapping each u to its geodesic word."""
+    op = head["op"]
     D = parse_rational(D)
     if D <= 0:
-        raise InvalidInput("decompose_point needs D > 0")
+        raise InvalidInput(f"{op} needs D > 0")
+    if target.augmentation():
+        raise InvalidInput(f"{op} needs augmentation 0")
     e = s.identity()
-    word = geodesic_word(s, gens, u, max_depth, cap)
-    maps = _point_prefix_maps(s, gens, u, word)
-    n = len(word)
+    words = geodesic_words(s, gens, [u for u, _ in betas], max_depth)
+    peeled = sorted(((len(words[u]), s.elem_key(u), u, beta,
+                      _point_prefix_maps(s, gens, u, words[u]))
+                     for u, beta in betas), key=lambda t: t[:2])
+    n_max = max((t[0] for t in peeled), default=0)
 
-    taus = []
-    if n >= 1:
-        tc = tau_and_C(s, gens, weight, n, bits, cap)
-        taus = tc["taus"]
+    taus = tau_and_C(s, gens, weight, n_max, bits)["taus"] if n_max else []
     growth_fail, inclusive_ok = _check_growth_premise(taus, D)
     if growth_fail is not None:
         raise CertificateError(
             f"D = {D} is not valid for this weight prefix: "
             f"tau_{growth_fail} < D * (tau_1 + ... + tau_{growth_fail - 1})",
-            report={"op": "decompose_point", "u": s.elem_to_json(u),
-                    "D": format_rational(D), "first_violation": growth_fail,
-                    "taus": [format_rational(t) for t in taus], "ok": False})
-
-    target = Element.delta(s, e) - Element.delta(s, u)
-    pairs = []
-    labels = []
-    norms = {}
-    status = {}
-    bound = _as_enclosure(weight.eval(s, u, bits)) * _as_enclosure(Fraction(1) / D)
-    for i, fx in sorted(maps.items()):
-        x = gens[i]
-        pairs.append((fx, Element.delta(s, e) - Element.delta(s, x)))
-        labels.append(f"delta_e - delta_{s.elem_str(x)}")
-        nm = weighted_norm(fx, weight, bits)
-        norms[s.elem_str(x)] = nm
-        status[s.elem_str(x)] = _le_status(nm, bound)
-    decomp = Decomposition(s, target, pairs, labels)
-    norm_ok = all(v == "proved" for v in status.values())
-    return {
-        "op": "decompose_point",
-        "u": u,
-        "word": [s.elem_str(gens[i]) for i in word],
-        "n": n,
-        "D": D,
-        "taus": taus,
-        "premise_growth_ok": True,
-        "premise_inclusive_ok": inclusive_ok,
-        "decomposition": decomp,
-        "norms": norms,
-        "bound": bound if not bound.is_exact else bound.lo,
-        "norm_status": status,
-        "norm_ok": norm_ok,
-        "reconvolved": True,
-        "ok": norm_ok,
-    }
-
-
-def decompose_full(s: Structure, gens, weight, f: Element, D,
-                   bits: int = DEFAULT_BITS, max_depth: int = 64,
-                   cap=None) -> dict:
-    """f = sum_x s_x * (delta_e - delta_x) for augmentation-zero f, by
-    aggregating per-point geodesic decompositions:
-        f = sum_(u != e) (-f(u)) (delta_e - delta_u),
-        s_x = - sum_u f(u) f_x^(u),
-    with the certified bound ||s_x||_omega <= (1/D) sum_(u!=e) |f(u)| omega(u).
-    """
-    D = parse_rational(D)
-    if D <= 0:
-        raise InvalidInput("decompose_full needs D > 0")
-    if f.augmentation():
-        raise InvalidInput("decompose_full needs augmentation 0")
-    e = s.identity()
-    points = [u for u in f.support() if u != e]
-    words = geodesic_words(s, gens, points, max_depth, cap)
-    worded = []
-    for u in points:
-        word = words[u]
-        worded.append((len(word), s.elem_key(u), u,
-                       _point_prefix_maps(s, gens, u, word)))
-    worded.sort(key=lambda t: (t[0], t[1]))
-    n_max = max((t[0] for t in worded), default=0)
-
-    taus = []
-    if n_max >= 1:
-        tc = tau_and_C(s, gens, weight, n_max, bits, cap)
-        taus = tc["taus"]
-    growth_fail, inclusive_ok = _check_growth_premise(taus, D)
-    if growth_fail is not None:
-        raise CertificateError(
-            f"D = {D} is not valid for this weight prefix: "
-            f"tau_{growth_fail} < D * (tau_1 + ... + tau_{growth_fail - 1})",
-            report={"op": "decompose_full", "D": format_rational(D),
+            report={**head, "D": format_rational(D),
                     "first_violation": growth_fail,
                     "taus": [format_rational(t) for t in taus], "ok": False})
 
     sx = {}
-    mass = Enclosure.exact(Fraction(0))  # sum |f(u)| omega(u) over u != e
-    for _, _, u, maps in worded:
-        alpha = f[u]
-        mass = mass + _as_enclosure(alpha.abs_value(bits)) * _as_enclosure(
+    mass = Enclosure.exact(0)  # sum |beta_u| omega(u)
+    for _, _, u, beta, maps in peeled:
+        mass = mass + as_enclosure(beta.abs_value(bits)) * as_enclosure(
             weight.eval(s, u, bits))
         for i, fx in maps.items():
-            part = fx.scale(-alpha)
+            part = fx.scale(beta)
             sx[i] = sx[i] + part if i in sx else part
-    bound = mass * _as_enclosure(Fraction(1) / D)
+    bound = mass * as_enclosure(Fraction(1) / D)
 
     pairs = []
     labels = []
@@ -291,24 +208,53 @@ def decompose_full(s: Structure, gens, weight, f: Element, D,
         nm = weighted_norm(sx[i], weight, bits)
         norms[s.elem_str(x)] = nm
         status[s.elem_str(x)] = _le_status(nm, bound)
-    decomp = Decomposition(s, f, pairs, labels)
     norm_ok = all(v == "proved" for v in status.values())
     return {
-        "op": "decompose_full",
-        "points": len(points),
-        "n_max": n_max,
+        **head,
         "D": D,
         "taus": taus,
         "premise_growth_ok": True,
         "premise_inclusive_ok": inclusive_ok,
-        "decomposition": decomp,
+        "decomposition": Decomposition(s, target, pairs, labels),
         "norms": norms,
         "bound": bound if not bound.is_exact else bound.lo,
         "norm_status": status,
         "norm_ok": norm_ok,
         "reconvolved": True,
         "ok": norm_ok,
-    }
+    }, words
+
+
+def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
+                    max_depth: int = 64) -> dict:
+    """delta_e - delta_u = sum_x f_x * (delta_e - delta_x) along a geodesic,
+    with each f_x a {0,1}-sum of geodesic-prefix deltas, plus the certified
+    norm bound ||f_x||_omega <= (1/D) omega(u): the one-point case of the
+    decomposition core."""
+    e = s.identity()
+    rep, words = _decompose(s, gens, weight,
+                            Element.delta(s, e) - Element.delta(s, u), [(u, ONE)],
+                            D, bits, max_depth, {"op": "decompose_point", "u": u})
+    rep["word"] = [s.elem_str(gens[i]) for i in words[u]]
+    rep["n"] = len(words[u])
+    return rep
+
+
+def decompose_full(s: Structure, gens, weight, f: Element, D,
+                   bits: int = DEFAULT_BITS, max_depth: int = 64) -> dict:
+    """f = sum_x s_x * (delta_e - delta_x) for augmentation-zero f, by
+    aggregating per-point geodesic decompositions:
+        f = sum_(u != e) (-f(u)) (delta_e - delta_u),
+        s_x = - sum_u f(u) f_x^(u),
+    with the certified bound ||s_x||_omega <= (1/D) sum_(u!=e) |f(u)| omega(u).
+    """
+    e = s.identity()
+    betas = [(u, -f[u]) for u in f.support() if u != e]
+    rep, words = _decompose(s, gens, weight, f, betas, D, bits, max_depth,
+                            {"op": "decompose_full"})
+    rep["points"] = len(betas)
+    rep["n_max"] = max(map(len, words.values()), default=0)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +341,7 @@ def _concrete_ball(bt, k):
     return out
 
 
-def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
-                         cap=None) -> dict:
+def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dict:
     """Exact rewriting of an augmentation-zero f over a pseudo-finite monoid
     (M = B_n) as a combination of right-shifted copies of delta_e - delta_x.
 
@@ -415,12 +360,12 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
     """
     if f.augmentation():
         raise InvalidInput("rewrite needs augmentation 0")
-    pf = pseudo_finite_within(s, gens, depth, cap)
+    pf = pseudo_finite_within(s, gens, depth)
     if not pf.found:
         raise InvalidInput(f"structure is not pseudo-finite within depth "
                            f"{depth}: {pf.reason}")
     n = pf.n
-    bt = division_balls(s, gens, max(n, 1), cap)
+    bt = division_balls(s, gens, max(n, 1))
     e = s.identity()
     X = []
     for x in gens:
@@ -466,6 +411,20 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
             acc[key] = [coeff, gen, label]
             order.append(key)
 
+    def base_telescope(g: Element, part: str):
+        """g on {e} u X with augmentation 0, over delta_e - delta_(x_1) and
+        the chain delta_(x_i) - delta_(x_(i+1))."""
+        out = []
+        partial = g[e]
+        for idx, x in enumerate(X):
+            if partial:
+                out.append((Element.delta(s, e).scale(partial),
+                            base_gens[idx], base_labels[idx]))
+            partial = partial + g[x]
+        if partial:
+            raise RuntimeError(f"{part} telescoping out of balance")
+        return out
+
     def shift_right(triples, x):
         dx = Element.delta(s, x)
         sx = s.elem_str(x)
@@ -477,16 +436,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
         if not g:
             return []
         if set(g.support()) <= base_cover:
-            out = []
-            partial = g[e]
-            for idx, x in enumerate(X):
-                if partial:
-                    out.append((Element.delta(s, e).scale(partial),
-                                base_gens[idx], base_labels[idx]))
-                partial = partial + g[x]
-            if partial:
-                raise RuntimeError("base telescoping out of balance")
-            return out
+            return base_telescope(g, "base")
         if k <= 0:
             raise RuntimeError("augmentation-zero mass stuck at level 0")
         lower = k - 1
@@ -548,16 +498,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
                 out.extend(rewrite_level(hi0.translate(X[i]), lower))
         eps_part = Element(s, eps_coeffs)
         if eps_part:
-            telescoped = []
-            partial = eps_part[e]
-            for idx, x in enumerate(X):
-                if partial:
-                    telescoped.append((Element.delta(s, e).scale(partial),
-                                       base_gens[idx], base_labels[idx]))
-                partial = partial + eps_part[x]
-            if partial:
-                raise RuntimeError("epsilon-part telescoping out of balance")
-            out.extend(telescoped)
+            out.extend(base_telescope(eps_part, "epsilon-part"))
         return out
 
     for coeff, gen, label in rewrite_level(f, start):
@@ -592,7 +533,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16,
 # necessity probe: do the supports of given ideal elements pseudo-generate?
 # ---------------------------------------------------------------------------
 
-def pseudo_generation_necessity(s: Structure, hs, depth: int, cap=None) -> dict:
+def pseudo_generation_necessity(s: Structure, hs, depth: int) -> dict:
     """X = union of the supports of the given augmentation-zero elements;
     run the division-ball recursion over X and report how far it reaches.
     A strict stall below the reachable elements refutes generation of the
@@ -600,19 +541,12 @@ def pseudo_generation_necessity(s: Structure, hs, depth: int, cap=None) -> dict:
     pseudo-generate M)."""
     if not hs:
         raise InvalidInput("necessity probe needs at least one element")
-    X = []
-    seen = set()
-    for h in hs:
-        if h.augmentation():
-            raise InvalidInput("necessity probe needs augmentation-zero elements")
-        for u in h.support():
-            if u not in seen:
-                seen.add(u)
-                X.append(u)
-    X.sort(key=s.elem_key)
+    if any(h.augmentation() for h in hs):
+        raise InvalidInput("necessity probe needs augmentation-zero elements")
+    X = sorted({u for h in hs for u in h.support()}, key=s.elem_key)
     if not X:
         raise InvalidInput("necessity probe: all elements are zero")
-    bt = division_balls(s, X, depth, cap)
+    bt = division_balls(s, X, depth)
     sizes = bt.sizes()
     universal = bt.universal_at()
     stall = bt.stable_at()
@@ -661,7 +595,7 @@ def pseudo_generation_necessity(s: Structure, hs, depth: int, cap=None) -> dict:
 # witnesses
 # ---------------------------------------------------------------------------
 
-def witness_prop45(s: Structure, gens, K: int, cap=None) -> dict:
+def witness_prop45(s: Structure, gens, K: int) -> dict:
     """Truncated obstruction witness for a non-pseudo-finite monoid.
 
     With u_k the least new element of the k-th division ball,
@@ -673,12 +607,12 @@ def witness_prop45(s: Structure, gens, K: int, cap=None) -> dict:
     """
     if K < 1:
         raise InvalidInput("witness needs K >= 1")
-    bt = division_balls(s, gens, K, cap)
+    bt = division_balls(s, gens, K)
     points = []
     for k in range(1, K + 1):
         lev = bt.levels[k]
         if lev is UNIVERSE or not lev:
-            found = pseudo_finite_within(s, gens, K, cap)
+            found = pseudo_finite_within(s, gens, K)
             raise InvalidInput(
                 "structure is pseudo-finite "
                 f"({found.reason}); every augmentation-zero element is a "
@@ -727,18 +661,17 @@ def witness_prop45(s: Structure, gens, K: int, cap=None) -> dict:
 
 
 def _least_sphere_point(s: Structure, n: int):
-    """elem_key-least element at word length n, for the standard families."""
+    """elem_key-least element at word length n, for the families on which
+    tau_and_C reads sphere minima in closed form."""
     if isinstance(s, IntegerGroup):
         return n
     if isinstance(s, IntegerLattice):
         return (n,) + (0,) * (s.d - 1)
-    if isinstance(s, FreeStructure):
-        return (1,) * n
-    return None
+    return (1,) * n  # FreeStructure
 
 
 def witness_nontp_element(s: Structure, gens, weight, alphas,
-                          bits: int = DEFAULT_BITS, cap=None) -> dict:
+                          bits: int = DEFAULT_BITS) -> dict:
     """Truncated witness against single-generator decomposability.
 
     y_n is the least sphere point where the weight attains its sphere minimum
@@ -764,12 +697,10 @@ def witness_nontp_element(s: Structure, gens, weight, alphas,
                 "C": None, "ceiling_constant": None, "ceiling": Fraction(0),
                 "implied_divisor_norm_lower_bound": Fraction(0),
                 "exceeds_single_generator_ceiling": False, "ok": True}
-    tc = tau_and_C(s, gens, weight, N, bits, cap)
+    tc = tau_and_C(s, gens, weight, N, bits)
     taus, C = tc["taus"], tc["C"]
-    use_closed = (getattr(weight, "is_radial", False)
-                  and s.is_standard_generators(gens) and s.size is None
-                  and _least_sphere_point(s, 1) is not None)
-    bt = None if use_closed else division_balls(s, gens, N, cap)
+    use_closed = tc["method"] == "radial"
+    bt = None if use_closed else division_balls(s, gens, N)
     points = []
     for n in range(1, N + 1):
         if use_closed:
@@ -823,8 +754,7 @@ def witness_nontp_element(s: Structure, gens, weight, alphas,
     }
 
 
-def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS,
-                  builder=None) -> dict:
+def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS) -> dict:
     """Bounded element with divergent divisor over the stepped-exponent
     weight on the half-line.
 
@@ -841,16 +771,13 @@ def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS,
     rho = parse_rational(rho)
     if K < 1:
         raise InvalidInput("witness needs K >= 1")
-    if builder is None:
-        weight, brep = build_lemma74(rho, K, bits)
-    else:
-        weight, brep = builder
+    weight, brep = build_lemma74(rho, K, bits)
     markers = brep["markers"]
     norm_enc = Enclosure.exact(0)
     sites = []
     alpha_symbolic = []
     for k in range(1, K + 1):
-        ratio = _as_enclosure(weight.step_ratio(k, bits))
+        ratio = as_enclosure(weight.step_ratio(k, bits))
         norm_enc = Enclosure(norm_enc.lo + ratio.lo / k, norm_enc.hi + ratio.hi / k)
         if max(norm_enc.lo.denominator, norm_enc.hi.denominator).bit_length() > bits:
             norm_enc = norm_enc.rounded(bits)

@@ -23,6 +23,12 @@ from .structures import InvalidInput, ResourceLimit
 
 BLOCKSEQ_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
 
+# check_prefix_tp's heuristic: the final-quartile ratio floor, and the
+# window of trailing ratios with the decay factor they must fall below
+TP_THRESHOLD = Fraction(1, 1000)
+TP_WINDOW = 10
+TP_DECAY = Fraction(19, 20)
+
 
 class PrefixSequence:
     """tau_1..tau_N, exact rationals, all >= 1, N >= 2."""
@@ -58,18 +64,24 @@ class PrefixSequence:
 
     @classmethod
     def from_csv_rows(cls, rows):
-        vals = {}
-        for row in rows:
-            try:
-                n, num, den = int(row[0]), int(row[1]), int(row[2])
-            except (ValueError, IndexError) as exc:
-                raise InvalidInput(f"bad sequence CSV row {row!r}") from exc
-            if den == 0:
-                raise InvalidInput(f"zero denominator at index {n}")
-            vals[n] = Fraction(num, den)
-        if sorted(vals) != list(range(1, len(vals) + 1)):
-            raise InvalidInput("sequence CSV indices must be 1..N without gaps")
-        return cls([vals[n] for n in range(1, len(vals) + 1)])
+        return cls(csv_row_values(rows, "sequence"))
+
+
+def csv_row_values(rows, what: str) -> list:
+    """Rows (index, numerator, denominator) -> [v_1..v_N]; the indices must
+    be 1..N without gaps.  `what` names the file kind in error messages."""
+    vals = {}
+    for row in rows:
+        try:
+            n, num, den = int(row[0]), int(row[1]), int(row[2])
+        except (ValueError, IndexError) as exc:
+            raise InvalidInput(f"bad {what} CSV row {row!r}") from exc
+        if den == 0:
+            raise InvalidInput(f"zero denominator at index {n}")
+        vals[n] = Fraction(num, den)
+    if sorted(vals) != list(range(1, len(vals) + 1)):
+        raise InvalidInput(f"{what} CSV indices must be 1..N without gaps")
+    return [vals[n] for n in range(1, len(vals) + 1)]
 
 
 def norm_tau(seq: PrefixSequence, x: dict) -> Fraction:
@@ -87,29 +99,22 @@ def tail_functional(seq: PrefixSequence, x: dict) -> Fraction:
     for j in x:
         if not 1 <= j <= seq.N:
             raise InvalidInput(f"support index {j} outside 1..{seq.N}")
-    top = max(x)
-    # tail_n only changes while n < top; beyond it everything is zero
+    # the tail sum_{j>n} x_j is zero from n = max(x) on; build it downward
     total = Fraction(0)
     tail = Fraction(0)
-    tails = {}
-    for n in range(top, 0, -1):
-        # tail after n is sum_{j>n}; build downward
-        tails[n] = tail
+    for n in range(max(x), 0, -1):
+        if tail:
+            total += seq.tau(n) * abs(tail)
         tail += Fraction(x.get(n, 0))
-    for n in range(1, top):
-        t = tails[n]
-        if t:
-            total += seq.tau(n) * abs(t)
     return total
 
 
-def check_prefix_tp(seq: PrefixSequence, threshold=Fraction(1, 1000),
-                    window: int = 10, decay=Fraction(19, 20)) -> dict:
+def check_prefix_tp(seq: PrefixSequence) -> dict:
     """Exact per-n ratios and D_hat, plus the labeled heuristic classification.
 
-    suspect-fail iff the final-quartile minimum ratio drops below `threshold`,
-    or the last `window` ratios are strictly decreasing and lose at least a
-    1 - `decay` fraction over that stretch.  (A strict decrease alone proves
+    suspect-fail iff the final-quartile minimum ratio drops below TP_THRESHOLD,
+    or the last TP_WINDOW ratios are strictly decreasing and lose at least a
+    1 - TP_DECAY fraction over that stretch.  (A strict decrease alone proves
     nothing: ratios of genuinely tail-preserving sequences such as c^n
     decrease towards a positive limit.)
     """
@@ -118,11 +123,11 @@ def check_prefix_tp(seq: PrefixSequence, threshold=Fraction(1, 1000),
     d_hat = min(ratios)
     argmin = ratios.index(d_hat) + 1
     quart = ratios[-(max(1, len(ratios) // 4)):]
-    suspect = min(quart) < threshold
-    if not suspect and len(ratios) >= window:
-        lastw = ratios[-window:]
+    suspect = min(quart) < TP_THRESHOLD
+    if not suspect and len(ratios) >= TP_WINDOW:
+        lastw = ratios[-TP_WINDOW:]
         decreasing = all(b < a for a, b in zip(lastw, lastw[1:]))
-        if decreasing and lastw[-1] < decay * lastw[0]:
+        if decreasing and lastw[-1] < TP_DECAY * lastw[0]:
             suspect = True
     return {
         "N": seq.N,
@@ -132,9 +137,9 @@ def check_prefix_tp(seq: PrefixSequence, threshold=Fraction(1, 1000),
         "classification": "suspect-fail" if suspect else "prefix-consistent",
         "heuristic": {
             "kind": "semi-decision; prefix data cannot prove tail-preservation",
-            "threshold": threshold,
-            "window": window,
-            "decay": decay,
+            "threshold": TP_THRESHOLD,
+            "window": TP_WINDOW,
+            "decay": TP_DECAY,
         },
     }
 

@@ -149,19 +149,8 @@ def load_sequence_csv(path: str):
 def load_vector_csv(path: str):
     """Same columns as the sequence CSV, but entries are arbitrary rationals;
     returns the list [v_1..v_N] (indices must be 1..N without gaps)."""
-    rows = _read_csv_rows(path)
-    vals = {}
-    for row in rows:
-        try:
-            n, num, den = int(row[0]), int(row[1]), int(row[2])
-        except (ValueError, IndexError) as exc:
-            raise InvalidInput(f"bad vector CSV row {row!r}") from exc
-        if den == 0:
-            raise InvalidInput(f"zero denominator at index {n}")
-        vals[n] = Fraction(num, den)
-    if sorted(vals) != list(range(1, len(vals) + 1)):
-        raise InvalidInput("vector CSV indices must be 1..N without gaps")
-    return [vals[n] for n in range(1, len(vals) + 1)]
+    from .sequences import csv_row_values
+    return csv_row_values(_read_csv_rows(path), "vector")
 
 
 def sequence_csv_text(seq) -> str:

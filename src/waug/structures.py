@@ -670,12 +670,11 @@ class PseudoFiniteReport:
     reason: str
 
 
-def pseudo_finite_within(s: Structure, gens, depth: int,
-                         cap: Optional[int] = None) -> PseudoFiniteReport:
+def pseudo_finite_within(s: Structure, gens, depth: int) -> PseudoFiniteReport:
     """Is M = B_n for some n <= depth?  (M^0-style universal balls count.)"""
     _check_depth(depth)
     if s.size is not None:
-        bt = division_balls(s, gens, depth, cap)
+        bt = division_balls(s, gens, depth)
         sizes = bt.sizes()
         for n, b in enumerate(bt.balls):
             if len(b) == s.size:
@@ -686,7 +685,7 @@ def pseudo_finite_within(s: Structure, gens, depth: int,
                   if stall is not None else f"B_{depth} has {sizes[-1]} of {s.size} elements")
         return PseudoFiniteReport(False, None, depth, sizes, reason)
     if isinstance(s, ZeroAdjoinedMonoid):
-        bt = division_balls(s, gens, depth, cap)
+        bt = division_balls(s, gens, depth)
         un = bt.universal_at()
         if un is not None:
             return PseudoFiniteReport(True, un, depth, bt.sizes()[:un + 1],
@@ -712,13 +711,12 @@ class AncestryStep:
     x: Optional[object]
 
 
-def find_ancestry(s: Structure, gens, u, max_depth: int,
-                  cap: Optional[int] = None):
+def find_ancestry(s: Structure, gens, u, max_depth: int):
     """Chain z_1=u, ..., z_n=e with each step a multiplication or division
     by a generator, read off the ball recursion.  Returns (chain, ball_table)
     or (None, ball_table) if u is outside B_max_depth.
     """
-    bt = division_balls(s, gens, max_depth, cap)
+    bt = division_balls(s, gens, max_depth)
     lvl = bt.level_of.get(u)
     if lvl is None:
         # not discovered at a finite level; covered only if a ball went universal
@@ -752,11 +750,10 @@ def find_ancestry(s: Structure, gens, u, max_depth: int,
     return chain, bt
 
 
-def h_x_fixpoint(s: Structure, gens, max_depth: int, cap: Optional[int] = None):
+def h_x_fixpoint(s: Structure, gens, max_depth: int):
     """Run the ball recursion to a fixpoint (or max_depth).  Returns
     (ball_table, stabilized_at or None)."""
-    cap = ball_cap() if cap is None else cap
-    bt = division_balls(s, gens, max_depth, cap)
+    bt = division_balls(s, gens, max_depth)
     return bt, bt.stable_at()
 
 

@@ -25,11 +25,11 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .certify import (DEFAULT_BITS, Enclosure, format_rational, nth_root,
-                      parse_int, parse_rational, pow_bounds, rat_pow,
+from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, format_rational,
+                      nth_root, parse_int, parse_rational, pow_bounds, rat_pow,
                       ratio_pow_less)
-from .structures import (InvalidInput, ResourceLimit, Structure, UNIVERSE,
-                         closed_form_ball_size, division_balls)
+from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
+                         UNIVERSE, closed_form_ball_size, division_balls)
 
 EXACT_POW_CAP = 1 << 18  # max exponent for exact big-Fraction powers
 
@@ -47,6 +47,10 @@ class Weight:
     def sphere_values(self, s: Structure, points, bits: int = DEFAULT_BITS):
         """The values omega takes on `points`, each at least once."""
         return [self.eval(s, u, bits) for u in points]
+
+    def check_domain(self, s: Structure):
+        """Raise InvalidInput unless the weight is defined on s; the
+        constructed weights live on one structure each."""
 
 
 class WordLengthWeight(Weight):
@@ -165,6 +169,11 @@ class Lemma74Weight(WordLengthWeight):
         if len(self.markers) != blocks or len(self.eps) != blocks + 1:
             raise InvalidInput("lemma74 weight: inconsistent block data")
 
+    def check_domain(self, s):
+        if not (isinstance(s, FreeStructure) and s.rank == 1 and not s.inverses):
+            raise InvalidInput("lemma74 weight lives on the one-letter free "
+                               f"monoid, not on this {s.family} structure")
+
     def eps_at(self, n: int) -> Fraction:
         if n < 0:
             raise InvalidInput("lemma74 weight is graded by n >= 0")
@@ -200,13 +209,16 @@ class Lemma76Weight(Weight):
     """Two-sided weight on Z built from the self-similar gamma table."""
 
     family = "lemma76"
-    is_radial = False
 
     def __init__(self, rho, N, gamma, C):
         self.rho = Fraction(rho)
         self.N = N
         self.gamma = [Fraction(g) for g in gamma]  # gamma_0 .. gamma_N
         self.C = Fraction(C)
+
+    def check_domain(self, s):
+        if s.family != "Z":
+            raise InvalidInput(f"lemma76 weight lives on Z, not on {s.family}")
 
     def omega_pos(self, n: int) -> Fraction:
         return self.rho ** n * self.gamma[n]
@@ -254,8 +266,16 @@ def weight_from_spec(spec: dict) -> Weight:
 # axiom verification
 # ---------------------------------------------------------------------------
 
+def _fail(report: dict, **kw):
+    """Record a failed axiom: the report turns not ok and keeps the first ten
+    failures."""
+    report["ok"] = False
+    if len(report["failures"]) < 10:
+        report["failures"].append(kw)
+
+
 def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
-                         bits: int = DEFAULT_BITS, cap=None) -> dict:
+                         bits: int = DEFAULT_BITS) -> dict:
     """Check omega(e) = 1, omega >= 1, omega(uv) <= omega(u) omega(v).
 
     Enumerates pairs from B_radius for explicit weights; uses exact
@@ -268,12 +288,6 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
         raise InvalidInput(f"radius must be >= 0, got {radius}")
     report = {"ok": True, "method": None, "radius": radius,
               "pairs_checked": 0, "failures": [], "notes": []}
-
-    def fail(**kw):
-        report["ok"] = False
-        if len(report["failures"]) < 10:
-            report["failures"].append(kw)
-
     if isinstance(weight, TrivialWeight):
         report["method"] = "structural"
         report["notes"].append("constant weight 1: all axioms are identities")
@@ -283,11 +297,11 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
         report["method"] = "structural"
         eps = weight.eps
         if any(e <= 0 for e in eps):
-            fail(axiom="omega>=1", detail="eps staircase not positive")
+            _fail(report, axiom="omega>=1", detail="eps staircase not positive")
         if any(eps[i + 1] > eps[i] for i in range(len(eps) - 1)):
-            fail(axiom="submultiplicative", detail="eps staircase increases")
+            _fail(report, axiom="submultiplicative", detail="eps staircase increases")
         if weight.rho < 1:
-            fail(axiom="omega>=1", detail="rho < 1")
+            _fail(report, axiom="omega>=1", detail="rho < 1")
         report["notes"].append(
             "omega_(m+n) = (rho+eps(m+n))^m (rho+eps(m+n))^n <= "
             "(rho+eps(m))^m (rho+eps(n))^n since eps is non-increasing; "
@@ -303,16 +317,11 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
         # on the integer lengths, which covers every pair from B_radius.
         report["method"] = "radial-lengths"
         if weight.radial_value(0) != 1:
-            fail(axiom="omega(e)=1", detail=str(weight.radial_value(0)))
-        sub_one = None
+            _fail(report, axiom="omega(e)=1", detail=str(weight.radial_value(0)))
         for n in range(0, radius + 1):
-            v = weight.radial_value(n, bits)
-            lo = v.lo if isinstance(v, Enclosure) else v
-            if lo < 1:
-                sub_one = n
+            if as_enclosure(weight.radial_value(n, bits)).lo < 1:
+                _fail(report, axiom="omega>=1", n=n)
                 break
-        if sub_one is not None:
-            fail(axiom="omega>=1", n=sub_one)
         pairs = 0
         for m in range(1, radius + 1):
             for n in range(m, radius + 1):
@@ -321,19 +330,19 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
                 ok = _radial_submult_pair(weight, m, n, bits)
                 pairs += 1
                 if not ok:
-                    fail(axiom="submultiplicative", m=m, n=n)
+                    _fail(report, axiom="submultiplicative", m=m, n=n)
         report["pairs_checked"] = pairs
         return report
 
     # explicit table: enumerate
     report["method"] = "enumeration"
-    bt = division_balls(s, gens, radius, cap)
+    bt = division_balls(s, gens, radius)
     if bt.balls[-1] is UNIVERSE:
         raise ResourceLimit("cannot enumerate pairs from a universal ball")
     elems = sorted(bt.balls[-1], key=s.elem_key)
     we = weight.eval(s, s.identity(), bits)
     if we != 1:
-        fail(axiom="omega(e)=1", value=format_rational(we))
+        _fail(report, axiom="omega(e)=1", value=format_rational(we))
     vals = {}
     for u in elems:
         try:
@@ -342,7 +351,7 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
             report["notes"].append(f"no value for {s.elem_str(u)}; skipped")
     for u, wu in vals.items():
         if wu < 1:
-            fail(axiom="omega>=1", elem=s.elem_str(u))
+            _fail(report, axiom="omega>=1", elem=s.elem_str(u))
     pairs = 0
     for u, wu in vals.items():
         for v, wv in vals.items():
@@ -351,51 +360,44 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
                 continue
             pairs += 1
             if vals[w] > wu * wv:
-                fail(axiom="submultiplicative", u=s.elem_str(u), v=s.elem_str(v),
-                     lhs=format_rational(vals[w]), rhs=format_rational(wu * wv))
+                _fail(report, axiom="submultiplicative", u=s.elem_str(u),
+                      v=s.elem_str(v), lhs=format_rational(vals[w]),
+                      rhs=format_rational(wu * wv))
     report["pairs_checked"] = pairs
     return report
 
 
 def _radial_submult_pair(weight, m, n, bits) -> bool:
-    """Certified F(m+n) <= F(m) F(n) for a radial weight."""
+    """Certified F(m+n) <= F(m) F(n) for a radial_poly or radial_exp weight
+    (verify_weight_axioms settles the other radial families before)."""
     if isinstance(weight, RadialPolyWeight):
         # (1+m+n)^alpha <= ((1+m)(1+n))^alpha <=> 1+m+n <= (1+m)(1+n): exact
         return 1 + m + n <= (1 + m) * (1 + n)
-    if isinstance(weight, RadialExpWeight):
-        p, q = weight.beta.numerator, weight.beta.denominator
-        if q == 1:
-            return True  # exponent additive
-        # need (m+n)^beta <= m^beta + n^beta; certify with escalation
-        b = bits
-        while b <= (1 << 14):
-            tm = nth_root(Fraction(m) ** p, q, b)
-            tn = nth_root(Fraction(n) ** p, q, b)
-            ts = nth_root(Fraction(m + n) ** p, q, b)
-            if ts.hi <= tm.lo + tn.lo:
-                return True
-            if ts.lo > tm.hi + tn.hi:
-                return False
-            b *= 2
-        raise ResourceLimit(f"radial_exp submultiplicativity at ({m},{n}) indeterminate")
-    # generic radial: compare values/enclosures with escalation
+    p, q = weight.beta.numerator, weight.beta.denominator
+    if q == 1:
+        return True  # exponent additive
+    # need (m+n)^beta <= m^beta + n^beta; certify with escalation
     b = bits
     while b <= (1 << 14):
-        fm = weight.radial_value(m, b)
-        fn = weight.radial_value(n, b)
-        fs = weight.radial_value(m + n, b)
-        fm = fm if isinstance(fm, Enclosure) else Enclosure.exact(fm)
-        fn = fn if isinstance(fn, Enclosure) else Enclosure.exact(fn)
-        fs = fs if isinstance(fs, Enclosure) else Enclosure.exact(fs)
-        prod = fm * fn
-        if fs.hi <= prod.lo:
+        tm = nth_root(Fraction(m) ** p, q, b)
+        tn = nth_root(Fraction(n) ** p, q, b)
+        ts = nth_root(Fraction(m + n) ** p, q, b)
+        if ts.hi <= tm.lo + tn.lo:
             return True
-        if fs.lo > prod.hi:
+        if ts.lo > tm.hi + tn.hi:
             return False
-        if fs.is_exact and prod.is_exact:
-            return fs.lo <= prod.lo
         b *= 2
-    raise ResourceLimit(f"radial submultiplicativity at ({m},{n}) indeterminate")
+    raise ResourceLimit(f"radial_exp submultiplicativity at ({m},{n}) indeterminate")
+
+
+def _gamma_submult_failures(gamma, N: int):
+    """The pairs (i, j), 1 <= i <= j, i + j <= N, with
+    gamma_(i+j) > gamma_i gamma_j, in order."""
+    for i in range(1, N + 1):
+        gi = gamma[i]
+        for j in range(i, N + 1 - i):
+            if gamma[i + j] > gi * gamma[j]:
+                yield i, j
 
 
 def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> dict:
@@ -404,32 +406,22 @@ def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> 
     N = min(radius, weight.N)
     g = weight.gamma
     rho = weight.rho
-
-    def fail(**kw):
-        report["ok"] = False
-        if len(report["failures"]) < 10:
-            report["failures"].append(kw)
-
     if g[0] != 1:
-        fail(axiom="omega(e)=1", value=format_rational(g[0]))
-    pairs = 0
+        _fail(report, axiom="omega(e)=1", value=format_rational(g[0]))
     for i in range(0, N + 1):
         if g[i] < 1:
-            fail(axiom="gamma>=1", n=i)
+            _fail(report, axiom="gamma>=1", n=i)
             break
-    for i in range(1, N + 1):
-        for j in range(i, N + 1 - i):
-            pairs += 1
-            if g[i + j] > g[i] * g[j]:
-                fail(axiom="gamma-submultiplicative", i=i, j=j)
+    for i, j in _gamma_submult_failures(g, N):
+        _fail(report, axiom="gamma-submultiplicative", i=i, j=j)
     # omega_n/omega_(n+1) <= C by construction; record the premise for the
     # mixed-sign chain omega_(m-n) <= C^n omega_m <= omega_m omega_(-n).
     bad = [n for n in range(0, N) if g[n] > weight.C * rho * g[n + 1]]
     if bad:
-        fail(axiom="ratio-premise", n=bad[0])
+        _fail(report, axiom="ratio-premise", n=bad[0])
     if weight.C < 1:
-        fail(axiom="omega>=1 (negative side)", detail="C < 1")
-    report["pairs_checked"] = pairs
+        _fail(report, axiom="omega>=1 (negative side)", detail="C < 1")
+    report["pairs_checked"] = sum(max(0, N + 1 - 2 * i) for i in range(1, N + 1))
     report["notes"].append(
         "positive side: omega_(i+j) <= omega_i omega_j iff gamma_(i+j) <= "
         "gamma_i gamma_j (rho^n cancels); negative and mixed signs follow "
@@ -442,7 +434,7 @@ def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> 
 # ---------------------------------------------------------------------------
 
 def tau_and_C(s: Structure, gens, weight: Weight, N: int,
-              bits: int = DEFAULT_BITS, cap=None) -> dict:
+              bits: int = DEFAULT_BITS) -> dict:
     """tau_n = min over the sphere S_n of omega, for n = 1..N, plus
     C = max over the generators of omega.  Exact Fractions required (use
     integer alpha / beta = 1 radial weights, or table weights)."""
@@ -451,21 +443,15 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
     radial_fast = (weight.is_radial and s.is_standard_generators(gens)
                    and s.size is None
                    and closed_form_ball_size(s, gens, 1) is not None)
+    bt = None if radial_fast else division_balls(s, gens, N)
     taus = []
     sphere_sizes = []
-    method = "radial" if radial_fast else "enumeration"
-    if radial_fast:
-        for n in range(1, N + 1):
-            v = weight.radial_value(n, bits)
-            if isinstance(v, Enclosure):
-                raise InvalidInput(
-                    "tau_and_C needs exact weight values (integer alpha or beta=1)")
-            taus.append(v)
+    for n in range(1, N + 1):
+        if radial_fast:
+            vals = [weight.radial_value(n, bits)]
             sphere_sizes.append(closed_form_ball_size(s, gens, n)
                                 - closed_form_ball_size(s, gens, n - 1))
-    else:
-        bt = division_balls(s, gens, N, cap)
-        for n in range(1, N + 1):
+        else:
             lev = bt.levels[n]
             if lev is UNIVERSE:
                 raise ResourceLimit("sphere minima over a universal sphere")
@@ -474,16 +460,16 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
                     f"sphere S_{n} is empty; tau is undefined past the "
                     f"stabilization depth (ball sizes {bt.sizes()})")
             vals = weight.sphere_values(s, lev, bits)
-            if any(isinstance(v, Enclosure) for v in vals):
-                raise InvalidInput(
-                    "tau_and_C needs exact weight values (integer alpha or beta=1)")
-            taus.append(min(vals))
             sphere_sizes.append(len(lev))
+        if any(isinstance(v, Enclosure) for v in vals):
+            raise InvalidInput(
+                "tau_and_C needs exact weight values (integer alpha or beta=1)")
+        taus.append(min(vals))
     cvals = [weight.eval(s, x, bits) for x in gens]
     if any(isinstance(v, Enclosure) for v in cvals):
         raise InvalidInput("tau_and_C needs exact weight values on the generators")
     return {"taus": taus, "C": max(cvals), "sphere_sizes": sphere_sizes,
-            "N": N, "method": method}
+            "N": N, "method": "radial" if radial_fast else "enumeration"}
 
 
 def tau_step_check(taus, C) -> dict:
@@ -498,24 +484,21 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 
     rho2_hat = min_{1<=n<=N} omega(n)^(1/n)  (outer radius estimate);
     for two-sided weights on Z also rho1_hat = max_n omega(-n)^(-1/n).
-    Both are certified enclosures of the finite-horizon min/max.
+    Both are certified enclosures of the finite-horizon min/max.  A weight
+    that is not radial is read at the integers, so only on Z.
     """
     if N < 1:
         raise InvalidInput("estimate_radii needs N >= 1")
-
-    def root_enc(value, n):
-        if isinstance(value, Enclosure):
-            return Enclosure(nth_root(value.lo, n, bits).lo,
-                             nth_root(value.hi, n, bits).hi)
-        return nth_root(value, n, bits)
-
+    if not weight.is_radial and s.family != "Z":
+        raise InvalidInput(f"{weight.family} weight is not radial: its radii "
+                           f"are estimated on Z only, not on {s.family}")
     pos = []
     for n in range(1, N + 1):
         if weight.is_radial:
             v = weight.radial_value(n, bits)
         else:
             v = weight.eval(s, n, bits)
-        pos.append(root_enc(v, n))
+        pos.append(nth_root(v, n, bits))
     rho2 = Enclosure(min(e.lo for e in pos), min(e.hi for e in pos))
     out = {"N": N, "rho2_hat": rho2, "per_n_pos": pos}
     if s.family == "Z":
@@ -525,7 +508,7 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
                 v = weight.eval(s, -n, bits)
             except InvalidInput:
                 break
-            r = root_enc(v, n)
+            r = nth_root(v, n, bits)
             neg.append(Enclosure(1 / r.hi, 1 / r.lo))
         if len(neg) == N:
             out["rho1_hat"] = Enclosure(max(e.lo for e in neg), max(e.hi for e in neg))
@@ -673,32 +656,21 @@ def build_lemma76(rho, N: int):
         gamma.append(r1 * gamma[j - nk])
     gamma = gamma[:N + 1]
 
-    star_ok = True
     star_fail = None
     for idx, nk in enumerate(markers, start=1):
         if idx < 2 or nk > N:
             continue
         for i in range(0, idx):
             if gamma[nk - i] != r1 ** (i + 1):
-                star_ok = False
                 star_fail = {"k": idx, "i": i}
                 break
-        if not star_ok:
+        if star_fail:
             break
     dagger_bad = [j for j in range(0, N) if gamma[j] > r1 * gamma[j + 1]]
-    sub_bad = None
-    for i in range(1, N + 1):
-        gi = gamma[i]
-        for j in range(i, N + 1 - i):
-            if gamma[i + j] > gi * gamma[j]:
-                sub_bad = (i, j)
-                break
-        if sub_bad:
-            break
+    sub_bad = next(_gamma_submult_failures(gamma, N), None)
 
     omega = [rho ** n * gamma[n] for n in range(N + 1)]
     ratios = []
-    ratio_ok = True
     for idx, nk in enumerate(markers, start=1):
         if idx < 2:
             continue
@@ -707,21 +679,20 @@ def build_lemma76(rho, N: int):
         bound = (rho / r1) ** (idx - 1)
         ratios.append({"k": idx, "n_k": nk, "ratio": val, "bound": bound,
                        "ok": val <= bound})
-        ratio_ok = ratio_ok and val <= bound
     C = max(omega[n] / omega[n + 1] for n in range(N)) if N >= 1 else Fraction(1)
     weight = Lemma76Weight(rho, N, gamma, C)
     report = {
         "rho": rho,
         "N": N,
         "markers": markers,
-        "star_ok": star_ok,
+        "star_ok": star_fail is None,
         "star_failure": star_fail,
         "dagger_ok": not dagger_bad,
         "dagger_violations": dagger_bad[:5],
         "submult_ok": sub_bad is None,
         "submult_failure": sub_bad,
         "ratio_checks": ratios,
-        "ratio_all_ok": ratio_ok,
+        "ratio_all_ok": all(r["ok"] for r in ratios),
         "C": C,
     }
     return weight, report

@@ -8,7 +8,7 @@ import pytest
 from waug.certify import (Enclosure, basel_partial, format_rational,
                           harmonic_number, int_nth_root, nth_root,
                           parse_rational, pow_bounds, rat_pow, ratio_pow_less,
-                          round_down, round_up, sqrt_enclosure)
+                          round_down, round_up)
 from waug.idealkit import _le_status
 
 
@@ -60,7 +60,7 @@ def test_nth_root_encloses():
     # exact cube root
     e = nth_root(F(27, 8), 3)
     assert e.lo <= F(3, 2) <= e.hi
-    s = sqrt_enclosure(F(9, 4))
+    s = nth_root(F(9, 4), 2)
     assert s.lo <= F(3, 2) <= s.hi
 
 

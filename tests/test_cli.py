@@ -281,6 +281,7 @@ def test_negative_depth_is_an_input_error(capsys, tmp_path, command, family):
 
 F2_SPEC = {"family": "free", "params": {"rank": 2, "inverses": True}}
 EXPLICIT_F2 = {"family": "explicit", "params": {"values": {"e": "1", "a": "2"}}}
+LEMMA76 = {"family": "lemma76", "params": {"rho": "2", "N": 7}}
 
 
 @pytest.mark.parametrize("spec,weight,argv,message", [
@@ -292,9 +293,18 @@ EXPLICIT_F2 = {"family": "explicit", "params": {"values": {"e": "1", "a": "2"}}}
      ["structure", "ball", "--depth", "2"], "params.rank must be an integer"),
     ({"family": "Z"}, {"family": "lemma74", "params": {"rho": "2", "blocks": "x"}},
      ["weight", "tau", "--depth", "2"], "params.blocks must be an integer"),
-    # a crash inside the library (elem_str of an int on F2) is exit 2 as well
-    (F2_SPEC, EXPLICIT_F2, ["weight", "radii", "--depth", "2"], "TypeError"),
-], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2"])
+    # a weight on a structure it is not defined on is refused up front
+    (F2_SPEC, EXPLICIT_F2, ["weight", "radii", "--depth", "2"],
+     "explicit weight is not radial: its radii are estimated on Z only, not on free"),
+    ({"family": "Z"}, {"family": "lemma74", "params": {"rho": "2", "blocks": 2}},
+     ["weight", "verify", "--radius", "64"],
+     "lemma74 weight lives on the one-letter free monoid, not on this Z structure"),
+    (F2_SPEC, LEMMA76, ["weight", "radii", "--depth", "2"],
+     "lemma76 weight lives on Z, not on free"),
+    ({"family": "Zd", "params": {"d": 2}}, LEMMA76,
+     ["weight", "verify", "--radius", "4"], "lemma76 weight lives on Z, not on Zd"),
+], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2",
+        "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2"])
 def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
                                            argv, message):
     argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]
