@@ -10,11 +10,13 @@ exactly or through directed rounding.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
+INT_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
 
 
 class InvalidInput(ValueError):
@@ -52,6 +54,17 @@ def format_rational(q: Fraction) -> str:
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
+
+
+def check_digits(digits: float, what: str) -> None:
+    """Refuse up front, with ResourceLimit, a report whose numbers would have
+    up to `digits` decimal digits, at or above the interpreter's int->str
+    limit; `what` names the input and the number that grows."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or INT_DIGIT_CAP
+    if digits >= limit:
+        raise ResourceLimit(
+            f"{what}, and its numbers would have up to {int(digits) + 1} "
+            f"digits, above the {limit}-digit limit")
 
 
 def round_down(x: Fraction, bits: int) -> Fraction:
@@ -226,6 +239,12 @@ def _exact_pow_feasible(a: Fraction, n: int, limit_bits: int = 1 << 21) -> bool:
 def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     """Certified enclosure of c**t for rational c >= 1 and t >= 0 rational
     or enclosure.  Monotonicity in t does the interval bookkeeping.
+
+    A fractional end k + f is c**k times c**(m * 2**-w), w = bits + 16, for
+    a dyadic m * 2**-w <= f at the lower end and >= f at the upper one: the
+    product of the square roots c**(2**-i) over the set bits i of m.  It runs
+    on integer mantissas at scale 2**-w, every step rounded toward its end,
+    and both ends read one chain of square roots.
     """
     c = Fraction(c)
     if c < 1:
@@ -233,39 +252,32 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     t = as_enclosure(t)
     if t.lo < 0:
         raise ValueError("rat_pow needs t >= 0")
-    return Enclosure(_rat_pow_one_sided(c, t.lo, bits, lower=True),
-                     _rat_pow_one_sided(c, t.hi, bits, lower=False))
-
-
-def _rat_pow_one_sided(c: Fraction, t: Fraction, bits: int, lower: bool) -> Fraction:
-    """One certified bound of c**t (c >= 1, t >= 0 rational)."""
-    if t.denominator == 1:
-        enc = pow_bounds(c, t.numerator, bits)
-        return enc.lo if lower else enc.hi
-    k = t.numerator // t.denominator
-    frac = t - k  # in [0, 1)
-    work = bits + 16
-    total = pow_bounds(c, k, work)
-    # c**frac via the binary expansion of a dyadic bracket of frac:
-    # c**(2**-i) terms come from iterated certified square roots.
-    s = work
-    m_lo = (frac.numerator << s) // frac.denominator       # m_lo/2**s <= frac
-    m_hi = -((-frac.numerator << s) // frac.denominator)   # m_hi/2**s >= frac
-    m = m_lo if lower else m_hi
-    if m >= (1 << s):  # bracket rounded up to exactly 1
-        total = pow_bounds(c, k + 1, work)
-        m = 0
-    root = Enclosure.exact(c)
-    for i in range(1, s + 1):
-        if not m:
-            break
-        root = nth_root(root, 2, work).rounded(work)
-        if (m >> (s - i)) & 1:
-            total = (total * root).rounded(work)
-            m &= (1 << (s - i)) - 1
-    # c**(m/2**s) computed; for the upper side m/2**s >= frac so this is
-    # already an upper bound of c**frac (and conversely for the lower side).
-    return total.lo if lower else total.hi
+    w = bits + 16
+    mask = (1 << w) - 1
+    ends = []  # side 0 is the lower end, side 1 the upper one
+    for side, x in enumerate(t):
+        k, r = divmod(x.numerator, x.denominator)
+        m = -((-r << w) // x.denominator) if side else (r << w) // x.denominator
+        ends.append((side, x.denominator == 1, k + (m >> w), m & mask))  # m = 2**w carries
+    p, q = c.numerator, c.denominator
+    lo, hi = (p << 2 * w) // q, -((-p << 2 * w) // q)  # c at scale 2**-2w
+    chain = []  # c**(2**-i) for i = 1, 2, ... up to the lowest set bit of either m
+    for _ in range(max((w + 1 - (m & -m).bit_length() for *_, m in ends if m), default=0)):
+        lo, a = isqrt(lo), isqrt(hi)
+        hi = a if a * a == hi else a + 1  # the root itself only when it is exact
+        chain.append((lo, hi))
+        lo, hi = lo << w, hi << w
+    bounds = []
+    for side, integral, k, m in ends:
+        if integral:
+            bounds.append(pow_bounds(c, k, bits)[side])
+            continue
+        total = int(pow_bounds(c, k, w)[side] * (1 << w))
+        for i, root in enumerate(chain, start=1):
+            if m >> (w - i) & 1:
+                total = (total * root[side] + side * mask) >> w
+        bounds.append(Fraction(total, 1 << w))
+    return Enclosure(*bounds)
 
 
 def _tree_sum(terms) -> Fraction:

@@ -14,14 +14,11 @@ here is a labeled heuristic, while D_hat, T and the witnesses are exact.
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
 from math import log10
 
-from .certify import format_rational, parse_rational
-from .structures import InvalidInput, ResourceLimit
-
-BLOCKSEQ_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
+from .certify import check_digits, format_rational, parse_rational
+from .structures import InvalidInput
 
 # check_prefix_tp's heuristic: the final-quartile ratio floor, and the
 # window of trailing ratios with the decay factor they must fall below
@@ -216,13 +213,9 @@ def build_block_sequence(rho, K: int) -> dict:
     if K < 2:
         raise InvalidInput("build_block_sequence needs K >= 2")
     top = K * (K + 1) // 2 + K
-    digits = top * log10(max(rho.numerator, rho.denominator)) + log10(top)
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or BLOCKSEQ_DIGIT_CAP
-    if digits >= limit:
-        raise ResourceLimit(
-            f"--blocks {K} is too large for rho = {format_rational(rho)}: the "
-            f"sequence reaches rho^{top}, and its numbers would have up to "
-            f"{int(digits) + 1} digits, above the {limit}-digit limit")
+    check_digits(top * log10(max(rho.numerator, rho.denominator)) + log10(top),
+                 f"--blocks {K} is too large for rho = {format_rational(rho)}: "
+                 f"the sequence reaches rho^{top}")
     markers = [1]
     for k in range(2, K + 1):
         markers.append(markers[-1] + k + 1)

@@ -10,7 +10,8 @@ Families:
                 non-increasing staircase; built block-by-block so that the
                 norm of delta_(n_k+1) divided by omega_(n_k) stays summable
   lemma76       two-sided weight on Z: omega_n = rho^n gamma_n for n >= 0
-                with gamma recursively self-similar, omega_(-n) = C^n omega_n
+                with gamma_n = (rho+1)^(e_n) for a recursively self-similar
+                integer table e, omega_(-n) = C^n omega_n
                 where C = max_n omega_n/omega_(n+1)
   explicit      finite value table keyed by the element's canonical string
 
@@ -24,10 +25,11 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
+from operator import gt
 
-from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, format_rational,
-                      nth_root, parse_int, parse_rational, pow_bounds, rat_pow,
-                      ratio_pow_less)
+from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, check_digits,
+                      format_rational, nth_root, parse_int, parse_rational,
+                      pow_bounds, rat_pow, ratio_pow_less)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -206,14 +208,17 @@ class Lemma74Weight(WordLengthWeight):
 
 
 class Lemma76Weight(Weight):
-    """Two-sided weight on Z built from the self-similar gamma table."""
+    """Two-sided weight on Z built from the self-similar exponent table:
+    gamma_n = (rho+1)^(e_n) for 0 <= n <= N."""
 
     family = "lemma76"
 
-    def __init__(self, rho, N, gamma, C):
+    def __init__(self, rho, N, exponents, C):
         self.rho = Fraction(rho)
         self.N = N
-        self.gamma = [Fraction(g) for g in gamma]  # gamma_0 .. gamma_N
+        self.exponents = list(exponents)  # e_0 .. e_N
+        powers = {x: (self.rho + 1) ** x for x in set(self.exponents)}
+        self.gamma = [powers[x] for x in self.exponents]
         self.C = Fraction(C)
 
     def check_domain(self, s):
@@ -390,35 +395,39 @@ def _radial_submult_pair(weight, m, n, bits) -> bool:
     raise ResourceLimit(f"radial_exp submultiplicativity at ({m},{n}) indeterminate")
 
 
-def _gamma_submult_failures(gamma, N: int):
-    """The pairs (i, j), 1 <= i <= j, i + j <= N, with
-    gamma_(i+j) > gamma_i gamma_j, in order."""
-    for i in range(1, N + 1):
-        gi = gamma[i]
-        for j in range(i, N + 1 - i):
-            if gamma[i + j] > gi * gamma[j]:
-                yield i, j
+def _exponent_submult_failures(e, N: int):
+    """The pairs (i, j), 1 <= i <= j, i + j <= N, with e_(i+j) > e_i + e_j,
+    in order; one pass over all j screens each i."""
+    for i in range(1, N // 2 + 1):
+        ei = e[i]
+        if any(map(gt, e[2 * i:N + 1], map(ei.__add__, e[i:N + 1 - i]))):
+            yield from ((i, j) for j in range(i, N + 1 - i)
+                        if e[i + j] > ei + e[j])
 
 
 def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> dict:
-    """gamma-table checks plus the ratio-chain argument for mixed signs."""
+    """Exponent-table checks plus the ratio-chain argument for mixed signs;
+    rho + 1 > 1, so each gamma comparison is one of exponents."""
     report["method"] = "table+structural"
     N = min(radius, weight.N)
-    g = weight.gamma
-    rho = weight.rho
-    if g[0] != 1:
-        _fail(report, axiom="omega(e)=1", value=format_rational(g[0]))
+    e = weight.exponents
+    if e[0] != 0:
+        _fail(report, axiom="omega(e)=1", value=format_rational(weight.gamma[0]))
     for i in range(0, N + 1):
-        if g[i] < 1:
+        if e[i] < 0:
             _fail(report, axiom="gamma>=1", n=i)
             break
-    for i, j in _gamma_submult_failures(g, N):
+    for i, j in _exponent_submult_failures(e, N):
         _fail(report, axiom="gamma-submultiplicative", i=i, j=j)
     # omega_n/omega_(n+1) <= C by construction; record the premise for the
     # mixed-sign chain omega_(m-n) <= C^n omega_m <= omega_m omega_(-n).
-    bad = [n for n in range(0, N) if g[n] > weight.C * rho * g[n + 1]]
-    if bad:
-        _fail(report, axiom="ratio-premise", n=bad[0])
+    # omega_n <= C omega_(n+1) iff (rho+1)^(e_n - e_(n+1)) <= C rho, decided
+    # once per distinct drop e_n - e_(n+1).
+    drops = [e[n] - e[n + 1] for n in range(N)]
+    holds = {d: (weight.rho + 1) ** d <= weight.C * weight.rho for d in set(drops)}
+    bad = next((n for n, d in enumerate(drops) if not holds[d]), None)
+    if bad is not None:
+        _fail(report, axiom="ratio-premise", n=bad)
     if weight.C < 1:
         _fail(report, axiom="omega>=1 (negative side)", detail="C < 1")
     report["pairs_checked"] = sum(max(0, N + 1 - 2 * i) for i in range(1, N + 1))
@@ -623,18 +632,25 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
 # ---------------------------------------------------------------------------
 
 def build_lemma76(rho, N: int):
-    """gamma_0 = 1, gamma_1 = rho+1, gamma_2 = (rho+1)^2, and
-    gamma_j = (rho+1) gamma_(j - n_k) for n_k <= j < n_(k+1), n_k = 2^k - 1.
+    """gamma_j = (rho+1)^(e_j) with e_0 = 0, e_1 = 1, e_2 = 2 and
+    e_j = 1 + e_(j - n_k) for n_k <= j < n_(k+1), n_k = 2^k - 1: e_j is the
+    digit sum of j in canonical skew binary.
 
     omega_n = rho^n gamma_n for 0 <= n <= N; omega_(-n) = C^n omega_n with
-    C = max_{0<=n<N} omega_n/omega_(n+1).
+    C = max_{0<=n<N} omega_n/omega_(n+1) = (rho+1)^(max_n (e_n - e_(n+1))) / rho.
 
-    Verifies exactly, for the whole table:
+    Verifies exactly, for the whole table; rho + 1 > 1, so the first three
+    are comparisons of exponents:
       (star)    gamma_(n_k - i) = (rho+1)^(i+1) for 0 <= i <= k-1, k >= 2
       (dagger)  gamma_j <= (rho+1) gamma_(j+1)
       submult   gamma_(i+j) <= gamma_i gamma_j  for all i + j <= N
       ratio     omega_(n_k) / sum_(j=1..n_k-1) omega_j <= (rho/(rho+1))^(k-1), k >= 2
                 (omega_0 = 1 is left out of the sum)
+
+    An N whose largest ratio would pass the int->str digit limit is refused
+    up front.  For rho = p/q, j + e_j never decreases (dagger) and is
+    n_k + 1 at j = n_k - 1 (star), so the ratio at n_k is p^(n_k) (p+q) / D
+    with an integer D <= n_k p^(n_k+1) 2^(max e), and max e <= bit_length(N+1).
 
     Returns (Lemma76Weight, report).
     """
@@ -644,43 +660,37 @@ def build_lemma76(rho, N: int):
     if N < 1:
         raise InvalidInput("build_lemma76 needs N >= 1")
     r1 = rho + 1
-    markers = []
-    k = 1
-    while (1 << k) - 1 <= N:
-        markers.append((1 << k) - 1)
-        k += 1
-    gamma = [Fraction(1), r1, r1 * r1]
-    for j in range(3, N + 1):
-        i = bisect_left(markers, j + 1) - 1  # largest k with n_k <= j
-        nk = markers[i]
-        gamma.append(r1 * gamma[j - nk])
-    gamma = gamma[:N + 1]
+    markers = [(1 << k) - 1 for k in range(1, (N + 1).bit_length())]
+    top = markers[-1]
+    check_digits((top + 1) * math.log10(rho.numerator)
+                 + (N + 1).bit_length() * math.log10(2) + math.log10(top),
+                 f"lemma76 N = {N} is too large for rho = {format_rational(rho)}: "
+                 f"its ratio check at n_k = {top} reaches rho^{top}")
+    e = [0]
+    for j in range(1, N + 1):
+        nk = (1 << ((j + 1).bit_length() - 1)) - 1  # the largest n_k <= j
+        e.append(1 + e[j - nk])
 
-    star_fail = None
-    for idx, nk in enumerate(markers, start=1):
-        if idx < 2 or nk > N:
-            continue
-        for i in range(0, idx):
-            if gamma[nk - i] != r1 ** (i + 1):
-                star_fail = {"k": idx, "i": i}
-                break
-        if star_fail:
-            break
-    dagger_bad = [j for j in range(0, N) if gamma[j] > r1 * gamma[j + 1]]
-    sub_bad = next(_gamma_submult_failures(gamma, N), None)
+    star_fail = next(({"k": k, "i": i}
+                      for k, nk in enumerate(markers[1:], start=2)
+                      for i in range(k) if e[nk - i] != i + 1), None)
+    dagger_bad = [j for j in range(0, N) if e[j] > 1 + e[j + 1]]
+    sub_bad = next(_exponent_submult_failures(e, N), None)
+    C = r1 ** max(e[n] - e[n + 1] for n in range(N)) / rho
+    weight = Lemma76Weight(rho, N, e, C)
 
-    omega = [rho ** n * gamma[n] for n in range(N + 1)]
     ratios = []
-    for idx, nk in enumerate(markers, start=1):
-        if idx < 2:
-            continue
-        total = sum(omega[j] for j in range(1, nk))
-        val = omega[nk] / total
-        bound = (rho / r1) ** (idx - 1)
-        ratios.append({"k": idx, "n_k": nk, "ratio": val, "bound": bound,
-                       "ok": val <= bound})
-    C = max(omega[n] / omega[n + 1] for n in range(N)) if N >= 1 else Fraction(1)
-    weight = Lemma76Weight(rho, N, gamma, C)
+    total, rho_n = Fraction(0), Fraction(1)  # sum_(1<=j<n) omega_j, rho^n
+    for n in range(1, top + 1):
+        rho_n *= rho
+        omega = rho_n * weight.gamma[n]
+        if n > 1 and not n & (n + 1):  # n = n_k = 2^k - 1 with k >= 2
+            k = n.bit_length()
+            val = omega / total
+            bound = (rho / r1) ** (k - 1)
+            ratios.append({"k": k, "n_k": n, "ratio": val, "bound": bound,
+                           "ok": val <= bound})
+        total += omega
     report = {
         "rho": rho,
         "N": N,

@@ -209,6 +209,25 @@ def test_blockseq_too_many_blocks_is_refused_up_front(capsys, rho, blocks):
     assert err.count("\n") == 1 and "--blocks" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("rho,depth", [("1000", "2047"), ("2", "20000")])
+def test_build_l76_too_deep_is_refused_up_front(capsys, rho, depth):
+    # the largest ratio check would pass the 4300-digit int->str limit
+    started = time.monotonic()
+    code, out, err = run(capsys, "weight", "build-l76", "--rho", rho,
+                         "--depth", depth)
+    assert time.monotonic() - started < 5
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert f"N = {depth}" in err and "-digit limit" in err
+
+
+def test_build_l76_just_below_the_digit_limit_runs(capsys):
+    code, out, _ = run(capsys, "weight", "build-l76", "--rho", "1000",
+                       "--depth", "2046")
+    assert code == 0
+    assert json.loads(out)["result"]["certified"]
+
+
 def test_unsupported_csv_format_refused(capsys, tmp_path, zline):
     efile = write_json(tmp_path / "e.json",
                        {"terms": [{"elem": 0, "re": "1", "im": "0"}]})

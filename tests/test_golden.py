@@ -93,6 +93,15 @@ CASES = [
     ("weight_verify_z_l76.json", 0,
      ["weight", "verify", "--spec", "inputs/z.json",
       "--weight", "inputs/w_l76.json", "--radius", "15"]),
+    ("weight_verify_z_l76_r3_n255.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_l76_r3_n255.json", "--radius", "255"]),
+    ("weight_verify_z_exp_half_c9_4.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half_c9_4.json", "--radius", "20"]),
+    ("weight_verify_z_exp_half_c7_2.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half_c7_2.json", "--radius", "20"]),
     ("weight_tau_f2_exp2.json", 0,
      ["weight", "tau", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--depth", "5"]),
@@ -106,6 +115,14 @@ CASES = [
      ["weight", "build-l74", "--rho", "2", "--blocks", "5"]),
     ("build_l76_r2_n15.json", 0,
      ["weight", "build-l76", "--rho", "2", "--depth", "15"]),
+    ("build_l76_r3_2_n255.json", 0,
+     ["weight", "build-l76", "--rho", "3/2", "--depth", "255"]),
+    ("radii_z_exp_half_c9_4.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half_c9_4.json", "--depth", "20"]),
+    ("radii_z_exp_half_c7_2.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half_c7_2.json", "--depth", "20"]),
     ("radii_z_l76.json", 0,
      ["weight", "radii", "--spec", "inputs/z.json",
       "--weight", "inputs/w_l76.json", "--depth", "6"]),

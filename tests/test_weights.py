@@ -376,6 +376,78 @@ def test_lemma76_ratio_bound():
                for chk in rep["ratio_checks"])
 
 
+def _skew_binary_digit_sums(n):
+    """Digit sums of 0..n in canonical skew binary (weights 2^(k+1) - 1,
+    digits 0 or 1, the lowest nonzero digit may be 2), counted by Myers's
+    increment: a lowest nonzero 2 becomes 0 and carries one into the next
+    weight, otherwise the weight-1 digit goes up by one."""
+    digits, sums = [0] * 20, [0]
+    for _ in range(n):
+        low = next((k for k, d in enumerate(digits) if d), None)
+        if low is not None and digits[low] == 2:
+            digits[low] = 0
+            digits[low + 1] += 1
+        else:
+            digits[0] += 1
+        sums.append(sum(digits))
+    return sums
+
+
+def test_lemma76_exponents_are_skew_binary_digit_sums():
+    w, rep = build_lemma76(F(2), 4095)
+    assert w.exponents == _skew_binary_digit_sums(4095)
+    assert w.gamma == [F(3) ** x for x in w.exponents]
+    assert rep["star_ok"] and rep["dagger_ok"] and rep["submult_ok"]
+
+
+def _fraction_submult_first_failure(gamma, N):
+    for i in range(1, N + 1):
+        for j in range(i, N + 1 - i):
+            if gamma[i + j] > gamma[i] * gamma[j]:
+                return i, j
+    return None
+
+
+@pytest.mark.parametrize("pos,delta", [(2, 1), (3, -1), (5, 1), (12, 2),
+                                       (31, -1), (40, 3), (62, 1), (63, 3)])
+def test_lemma76_exponent_scan_matches_fraction_brute_force(pos, delta):
+    N = 63
+    w, _ = build_lemma76(F(3, 2), N)
+    e = list(w.exponents)
+    e[pos] += delta
+    gamma = [F(5, 2) ** x for x in e]
+    want = _fraction_submult_first_failure(gamma, N)
+    assert want is not None
+    assert next(weights_mod._exponent_submult_failures(e, N), None) == want
+    # the axiom check reads the same exponents
+    rep = verify_weight_axioms(None, None, Lemma76Weight(w.rho, N, e, w.C), N)
+    sub = [f for f in rep["failures"]
+           if f["axiom"] == "gamma-submultiplicative"]
+    assert not rep["ok"] and (sub[0]["i"], sub[0]["j"]) == want
+
+
+@pytest.mark.parametrize("rho", [F(3, 2), F(2), F(3)])
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 63])
+def test_lemma76_C_is_the_largest_omega_ratio(rho, N):
+    w, rep = build_lemma76(rho, N)
+    omega = [rho ** n * w.gamma[n] for n in range(N + 1)]
+    want = max(omega[n] / omega[n + 1] for n in range(N))
+    assert rep["C"] == w.C == want
+
+
+@pytest.mark.parametrize("rho", [F(3, 2), F(3)])
+def test_lemma76_ratio_premise_matches_fraction_brute_force(rho):
+    N = 63
+    w, _ = build_lemma76(rho, N)
+    small_C = w.C * F(9, 10)
+    omega = [rho ** n * w.gamma[n] for n in range(N + 1)]
+    want = next(n for n in range(N) if omega[n] > small_C * omega[n + 1])
+    rep = verify_weight_axioms(
+        None, None, Lemma76Weight(rho, N, w.exponents, small_C), N)
+    assert not rep["ok"]
+    assert {"axiom": "ratio-premise", "n": want} in rep["failures"]
+
+
 def test_lemma76_axioms_certified():
     w, _ = build_lemma76(F(2), 63)
     rep = verify_weight_axioms(None, None, w, 63)
