@@ -10,9 +10,10 @@ and the scalar moduli are rational, and certified enclosures otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 
 from .certify import Enclosure, as_enclosure, format_rational, nth_root, parse_rational
-from .structures import UNIVERSE, InvalidInput, Structure
+from .structures import InvalidInput, Structure
 
 
 class QC:
@@ -254,24 +255,13 @@ def sigma_sequence(f: Element, ball_table):
 
     Returns (values, stable_from) where stable_from is the first n with
     supp(f) inside B_n (sigma is constant = phi_0(f) from there on), or None
-    if the support is not exhausted by depth.
+    if the support is not exhausted by depth.  One pass: each coefficient
+    goes to the bucket of its level, and sigma_n is the n-th prefix sum.
     """
-    values = []
-    stable_from = None
-    supp = list(f.coeffs.items())
-    for n, ball in enumerate(ball_table.balls):
-        if ball is UNIVERSE:
-            values.append(f.augmentation())
-            if stable_from is None:
-                stable_from = n
-            continue
-        total = ZERO
-        inside = 0
-        for u, c in supp:
-            if u in ball:
-                total = total + c
-                inside += 1
-        values.append(total)
-        if stable_from is None and inside == len(supp):
-            stable_from = n
-    return values, stable_from
+    buckets = [ZERO] * (ball_table.depth + 1)
+    levels = [ball_table.level(u) for u in f.coeffs]
+    for lvl, c in zip(levels, f.coeffs.values()):
+        if lvl is not None:
+            buckets[lvl] = buckets[lvl] + c
+    stable_from = None if None in levels else max(levels, default=0)
+    return list(accumulate(buckets)), stable_from

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log10
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
@@ -56,11 +56,17 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def _digit_limit() -> int:
+    """The interpreter's int->str digit limit, or INT_DIGIT_CAP where there
+    is none (it is never raised here)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)() or INT_DIGIT_CAP
+
+
 def check_digits(digits: float, what: str) -> None:
     """Refuse up front, with ResourceLimit, a report whose numbers would have
     up to `digits` decimal digits, at or above the interpreter's int->str
     limit; `what` names the input and the number that grows."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)() or INT_DIGIT_CAP
+    limit = _digit_limit()
     if digits >= limit:
         raise ResourceLimit(
             f"{what}, and its numbers would have up to {int(digits) + 1} "
@@ -140,6 +146,17 @@ class Enclosure(NamedTuple):
         if self.is_exact:
             return {"exact": format_rational(self.lo)}
         return {"lo": format_rational(self.lo), "hi": format_rational(self.hi)}
+
+
+def printable(q: Fraction, bits: int):
+    """q itself while its numerator and denominator stay below the int->str
+    digit limit (by the bit-length bound on their digits), else q rounded
+    outward to an Enclosure of dyadics at scale 2**-bits, which prints for
+    any q of moderate size."""
+    big = max(abs(q.numerator), q.denominator)
+    if int(big.bit_length() * log10(2)) + 1 < _digit_limit():
+        return q
+    return Enclosure.exact(q).rounded(bits)
 
 
 def as_enclosure(x) -> Enclosure:

@@ -39,7 +39,7 @@ import time
 
 from . import __version__
 from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
-from .certify import DEFAULT_BITS, parse_rational
+from .certify import DEFAULT_BITS, parse_rational, printable
 from .idealkit import (CertificateError, decompose_full, decompose_point,
                        divide_shift, pseudo_generation_necessity,
                        rewrite_pseudofinite, telescope, witness_nontp_element,
@@ -72,19 +72,16 @@ def _parse_point(text: str, s):
 def _h_structure_ball(args, bits):
     s, gens = args.spec
     bt = division_balls(s, gens, args.depth)
+    sizes = bt.sizes()
     report = {
         "depth": args.depth,
-        "ball_sizes": bt.sizes(),
+        "ball_sizes": sizes,
         "levels": [lev if lev is UNIVERSE else list(lev) for lev in bt.levels],
         "universal_at": bt.universal_at(),
         "stable_at": bt.stable_at(),
     }
-    rows = []
-    for n, lev in enumerate(bt.levels):
-        if lev is UNIVERSE or bt.balls[n] is UNIVERSE:
-            rows.append([n, "all", "all"])
-        else:
-            rows.append([n, len(bt.balls[n]), len(lev)])
+    rows = [[n, size, "all" if size == "all" else len(lev)]
+            for n, (size, lev) in enumerate(zip(sizes, bt.levels))]
     return report, True, (["n", "ball_size", "sphere_size"], rows)
 
 
@@ -248,6 +245,9 @@ def _h_ideal_witness_65(args, bits):
 
 def _h_ideal_witness_75(args, bits):
     rep = witness_thm75(parse_rational(args.rho), args.blocks, bits)
+    for key in ("norm_upper_bound_exact", "divisor_partial_norm"):
+        if rep[key] is not None:  # exact sums pass the digit limit near K = 5000
+            rep[key] = printable(rep[key], bits)
     return rep, rep["ok"], None
 
 

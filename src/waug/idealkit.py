@@ -18,7 +18,7 @@ from .algebra import (Element, ONE, QC, ZERO, convolve, sigma_sequence,
                       weighted_norm)
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
                       format_rational, harmonic_number, parse_rational)
-from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
+from .structures import (InvalidInput, UNIVERSE, division_balls,
                          geodesic_words, pseudo_finite_within,
                          IntegerGroup, IntegerLattice, Structure)
 from .weights import build_lemma74, tau_and_C
@@ -324,23 +324,6 @@ def divide_shift(f: Element):
 # pseudo-finite rewriting (level induction over the division balls)
 # ---------------------------------------------------------------------------
 
-def _ball_level(bt, u):
-    lvl = bt.level_of.get(u)
-    if lvl is not None:
-        return lvl
-    return bt.universal_at()
-
-
-def _concrete_ball(bt, k):
-    """B_k as a sorted element list (k must be below any universal level)."""
-    out = []
-    for lev in bt.levels[:k + 1]:
-        if lev is UNIVERSE:
-            raise ResourceLimit("cannot enumerate a universal ball")
-        out.extend(lev)
-    return out
-
-
 def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dict:
     """Exact rewriting of an augmentation-zero f over a pseudo-finite monoid
     (M = B_n) as a combination of right-shifted copies of delta_e - delta_x.
@@ -376,7 +359,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
 
     start = 0
     for u in f.support():
-        lvl = _ball_level(bt, u)
+        lvl = bt.level(u)
         if lvl is None or lvl > n:
             raise InvalidInput(
                 f"support point {s.elem_str(u)} escapes B_{n}")
@@ -448,18 +431,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
                 continue
             routed = False
             for i, x in enumerate(X):
-                cands = s.right_divide_point(u, x)
-                if cands is UNIVERSE:
-                    # every v solves v x = u; restrict to the enumerated part
-                    un = bt.universal_at()
-                    top = lower if un is None else min(lower, un - 1)
-                    pre = _concrete_ball(bt, top)
-                else:
-                    pre = []
-                    for v in cands:
-                        lvl = _ball_level(bt, v)
-                        if lvl is not None and lvl <= lower:
-                            pre.append(v)
+                pre = bt.divisors_below(u, x, lower)
                 if pre:
                     u_prime = min(pre, key=s.elem_key)
                     gs.setdefault(i, {})
@@ -468,8 +440,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
                     break
             if not routed:
                 for i, x in enumerate(X):
-                    w = s.multiply(u, x)
-                    lvl = _ball_level(bt, w)
+                    lvl = bt.level(s.multiply(u, x))
                     if lvl is not None and lvl <= lower:
                         hs.setdefault(i, {})
                         hs[i][u] = hs[i].get(u, ZERO) + g[u]
@@ -548,19 +519,13 @@ def pseudo_generation_necessity(s: Structure, hs, depth: int) -> dict:
         raise InvalidInput("necessity probe: all elements are zero")
     bt = division_balls(s, X, depth)
     sizes = bt.sizes()
-    universal = bt.universal_at()
     stall = bt.stable_at()
-    covered = None
-    if s.size is not None:
-        covered = any(b is not UNIVERSE and len(b) == s.size for b in bt.balls)
-    elif universal is not None:
-        covered = True
+    at = bt.whole_at()
+    # unknown, not False, while an infinite structure has no universal ball
+    covered = True if at is not None else (False if s.size is not None else None)
     refuted = False
     reason = ""
     if covered:
-        at = universal if universal is not None else next(
-            i for i, b in enumerate(bt.balls)
-            if b is not UNIVERSE and len(b) == s.size)
         verdict = "covers"
         reason = f"B_{at} reaches the whole structure"
     elif stall is not None:
@@ -581,7 +546,7 @@ def pseudo_generation_necessity(s: Structure, hs, depth: int) -> dict:
         "X": X,
         "depth": depth,
         "ball_sizes": sizes,
-        "universal_at": universal,
+        "universal_at": bt.universal_at(),
         "stalled_at": stall,
         "covered": covered,
         "refuted": refuted,

@@ -30,13 +30,16 @@ were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
 comes from an element of the last sphere (theta, on the zero-adjoined
 monoid).  Each level thus costs in proportion to its frontier, not to the
 whole ball.  Every deterministic choice ("least" element, term order) is
-made against elem_key, a canonical total order.
+made against elem_key, a canonical total order.  A BallTable keeps the
+spheres alone (u is in B_n iff its level is at most n, or B_n is universal)
+and answers every ball question itself.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Optional
 
 from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-exported)
@@ -549,17 +552,30 @@ def structure_from_spec(spec: dict):
 
 @dataclass
 class BallTable:
-    """Division-closure balls B_0..B_depth and their level sets."""
+    """Division-closure balls B_0..B_depth, kept as their spheres: levels[n]
+    is S_n sorted by elem_key (the first universal ball is the UNIVERSE
+    marker, later levels are empty) and level_of maps each element to its
+    level.  u is in B_n iff level_of[u] <= n, or B_n is universal.  Callers
+    ask `level`, `ball` (a set, built on demand), `sphere`, `divisors_below`,
+    `sizes`, `universal_at`, `whole_at` and `stable_at`."""
 
     structure: Structure
     gens: list
     depth: int
-    balls: list        # frozenset or UNIVERSE, cumulative
-    levels: list       # sorted list of new elements per level; UNIVERSE marker once
+    levels: list
     level_of: dict = field(default_factory=dict)
 
+    def level(self, u) -> Optional[int]:
+        """Least n with u in B_n, or None if u lies outside B_depth."""
+        lvl = self.level_of.get(u)
+        return self.universal_at() if lvl is None else lvl
+
     def ball(self, n):
-        return self.balls[n]
+        """B_n as a frozenset, or UNIVERSE."""
+        un = self.universal_at()
+        if un is not None and n >= un:
+            return UNIVERSE
+        return frozenset(u for lev in self.levels[:n + 1] for u in lev)
 
     def sphere(self, n):
         lev = self.levels[n]
@@ -567,14 +583,28 @@ class BallTable:
             raise ResourceLimit("sphere of a universal ball is not enumerable")
         return lev
 
+    def divisors_below(self, u, x, k) -> list:
+        """{v in B_k : v x = u} as a list, for k below any universal level,
+        where level_of alone decides membership."""
+        cands = self.structure.right_divide_point(u, x)
+        if cands is UNIVERSE:
+            # every v solves v x = u
+            return [v for lev in self.levels[:k + 1] for v in lev]
+        return [v for v in cands if self.level_of.get(v, k + 1) <= k]
+
     def sizes(self):
-        return ["all" if b is UNIVERSE else len(b) for b in self.balls]
+        sizes = list(accumulate(map(len, self.levels[:self.universal_at()])))
+        return sizes + ["all"] * (len(self.levels) - len(sizes))
 
     def universal_at(self) -> Optional[int]:
-        for n, b in enumerate(self.balls):
-            if b is UNIVERSE:
-                return n
-        return None
+        return next((n for n, lev in enumerate(self.levels) if lev is UNIVERSE), None)
+
+    def whole_at(self) -> Optional[int]:
+        """First n with B_n the whole structure (all of a finite one, or
+        universal)."""
+        whole = "all" if self.structure.size is None else self.structure.size
+        sizes = self.sizes()
+        return sizes.index(whole) if whole in sizes else None
 
     def stable_at(self) -> Optional[int]:
         """First n >= 1 with B_n == B_(n-1) (fixpoint of the recursion):
@@ -593,47 +623,39 @@ def _check_depth(depth: int):
 
 def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) -> BallTable:
     """Balls B_0..B_depth by the frontier form of the recursion (module
-    docstring): only the last sphere is multiplied and divided."""
+    docstring): only the last sphere is multiplied and divided, and its
+    images are kept where level_of does not know them yet."""
     _check_depth(depth)
     cap = ball_cap() if cap is None else cap
     e = s.identity()
-    balls = [frozenset([e])]
-    levels = [[e]]
+    frontier = [e]
+    levels = [frontier]
     level_of = {e: 0}
-    frontier = levels[0]
+    universal = False
     for n in range(1, depth + 1):
-        prev = balls[-1]
-        if prev is UNIVERSE:
-            balls.append(UNIVERSE)
+        if universal:
             levels.append([])
             continue
         acc = set()
-        universal = False
         for x in gens:
-            m = s.mult_set(frontier, x)
-            if m is UNIVERSE:
-                universal = True
-                break
-            acc |= m
+            acc |= s.mult_set(frontier, x)  # a finite set times x is finite
             d = s.divide_set(frontier, x)
             if d is UNIVERSE:
                 universal = True
                 break
             acc |= d
         if universal:
-            balls.append(UNIVERSE)
             levels.append(UNIVERSE)
             continue
-        acc -= prev
-        if len(prev) + len(acc) > cap:
+        new = [u for u in acc if u not in level_of]
+        if len(level_of) + len(new) > cap:
             raise ResourceLimit(
-                f"ball B_{n} has {len(prev) + len(acc)} elements, over the cap {cap} "
-                f"(set {BALL_CAP_ENV} to raise it)")
-        frontier = sorted(acc, key=s.elem_key)
+                f"ball B_{n} has {len(level_of) + len(new)} elements, over the cap "
+                f"{cap} (set {BALL_CAP_ENV} to raise it)")
+        frontier = sorted(new, key=s.elem_key)
         level_of.update(dict.fromkeys(frontier, n))
-        balls.append(prev.union(frontier))
         levels.append(frontier)
-    return BallTable(s, list(gens), depth, balls, levels, level_of)
+    return BallTable(s, list(gens), depth, levels, level_of)
 
 
 def closed_form_ball_size(s: Structure, gens, n: int) -> Optional[int]:
@@ -673,25 +695,21 @@ class PseudoFiniteReport:
 def pseudo_finite_within(s: Structure, gens, depth: int) -> PseudoFiniteReport:
     """Is M = B_n for some n <= depth?  (M^0-style universal balls count.)"""
     _check_depth(depth)
-    if s.size is not None:
+    if s.size is not None or isinstance(s, ZeroAdjoinedMonoid):
         bt = division_balls(s, gens, depth)
         sizes = bt.sizes()
-        for n, b in enumerate(bt.balls):
-            if len(b) == s.size:
-                return PseudoFiniteReport(True, n, depth, sizes[:n + 1],
-                                          f"B_{n} exhausts all {s.size} elements")
+        n = bt.whole_at()
+        if n is not None:
+            return PseudoFiniteReport(True, n, depth, sizes[:n + 1],
+                                      f"B_{n} is the whole monoid" if s.size is None
+                                      else f"B_{n} exhausts all {s.size} elements")
+        if s.size is None:
+            return PseudoFiniteReport(False, None, depth, sizes,
+                                      "no ball reached the whole monoid")
         stall = bt.stable_at()
         reason = (f"balls stall at B_{stall} with {sizes[stall]} of {s.size} elements"
                   if stall is not None else f"B_{depth} has {sizes[-1]} of {s.size} elements")
         return PseudoFiniteReport(False, None, depth, sizes, reason)
-    if isinstance(s, ZeroAdjoinedMonoid):
-        bt = division_balls(s, gens, depth)
-        un = bt.universal_at()
-        if un is not None:
-            return PseudoFiniteReport(True, un, depth, bt.sizes()[:un + 1],
-                                      f"B_{un} is the whole monoid")
-        return PseudoFiniteReport(False, None, depth, bt.sizes(),
-                                  "no ball reached the whole monoid")
     # Z / Zd / free: every ball is finite while M is infinite, so no
     # enumeration is needed (or possible at the depths this gets asked at).
     sizes = []
@@ -717,10 +735,7 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
     or (None, ball_table) if u is outside B_max_depth.
     """
     bt = division_balls(s, gens, max_depth)
-    lvl = bt.level_of.get(u)
-    if lvl is None:
-        # not discovered at a finite level; covered only if a ball went universal
-        lvl = bt.universal_at()
+    lvl = bt.level(u)
     if lvl is None:
         return None, bt
     chain = [AncestryStep(u, None, None)]
@@ -729,17 +744,13 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
         parent = None
         step = None
         for x in gens:
-            cands = s.right_divide_point(current, x)
-            if cands is UNIVERSE:
-                # every v satisfies v.x = current; any lower-level element works
-                cands = frozenset(v for v, l in bt.level_of.items() if l <= i - 1)
-            picks = [v for v in cands if bt.level_of.get(v, max_depth + 1) <= i - 1]
+            picks = bt.divisors_below(current, x, i - 1)
             if picks:
                 parent = min(picks, key=s.elem_key)
                 step = ("mul", x)
                 break
             w = s.multiply(current, x)
-            if bt.level_of.get(w, max_depth + 1) <= i - 1:
+            if bt.level_of.get(w, i) <= i - 1:
                 parent = w
                 step = ("div", x)
                 break

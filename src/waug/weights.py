@@ -341,10 +341,10 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
 
     # explicit table: enumerate
     report["method"] = "enumeration"
-    bt = division_balls(s, gens, radius)
-    if bt.balls[-1] is UNIVERSE:
+    ball = division_balls(s, gens, radius).ball(radius)
+    if ball is UNIVERSE:
         raise ResourceLimit("cannot enumerate pairs from a universal ball")
-    elems = sorted(bt.balls[-1], key=s.elem_key)
+    elems = sorted(ball, key=s.elem_key)
     we = weight.eval(s, s.identity(), bits)
     if we != 1:
         _fail(report, axiom="omega(e)=1", value=format_rational(we))
@@ -512,12 +512,13 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
     out = {"N": N, "rho2_hat": rho2, "per_n_pos": pos}
     if s.family == "Z":
         neg = []
-        for n in range(1, N + 1):
-            try:
-                v = weight.eval(s, -n, bits)
-            except InvalidInput:
-                break
-            r = nth_root(v, n, bits)
+        for n, r in enumerate(pos, start=1):
+            if not weight.is_radial:  # else omega(-n) = omega(n): r is its root
+                try:
+                    v = weight.eval(s, -n, bits)
+                except InvalidInput:
+                    break
+                r = nth_root(v, n, bits)
             neg.append(Enclosure(1 / r.hi, 1 / r.lo))
         if len(neg) == N:
             out["rho1_hat"] = Enclosure(max(e.lo for e in neg), max(e.hi for e in neg))

@@ -7,7 +7,7 @@ import pytest
 
 from waug.algebra import (QC, Element, convolve, convolve_many,
                           sigma_sequence, weighted_norm)
-from waug.structures import division_balls, structure_from_spec
+from waug.structures import UNIVERSE, division_balls, structure_from_spec
 from waug.weights import RadialExpWeight, TrivialWeight
 
 
@@ -151,6 +151,45 @@ def test_sigma_sequence_on_universal_ball():
     # B_2 = everything, so sigma_2 = augmentation
     assert vals[2] == f.augmentation()
     assert stable <= 2
+
+
+TRUNCATED_ADD_8 = [[min(u + v, 7) for v in range(8)] for u in range(8)]
+
+
+@pytest.mark.parametrize("spec,depth,pool", [
+    ({"family": "free", "params": {"rank": 2, "inverses": True}}, 3,
+     [(), (1,), (-2,), (1, 2), (2, -1, 2), (1, 1, 1, 1), (-1, 2, 2, 1, -2)]),
+    ({"family": "Zd", "params": {"d": 3}}, 3,
+     [(0, 0, 0), (1, 0, 0), (0, -1, 1), (2, 1, 0), (3, 0, -1), (0, 4, 0)]),
+    # truncated addition on 0..7 (7 absorbing): B_n = {0..n}, 5..7 outside
+    ({"family": "table", "params": {"table": TRUNCATED_ADD_8},
+      "generators": [1]}, 4, list(range(8))),
+    # B_2 is universal: every point is in it, however long
+    ({"family": "zero_adjoined", "params": {"rank": 2}, "generators": ["theta"]},
+     4, [(), "theta", (1,), (2, 1), (1, 2, 1), (2, 2, 2, 2, 1, 1)]),
+], ids=["F2", "Z3", "table", "theta"])
+def test_sigma_sequence_matches_the_per_ball_sums(spec, depth, pool):
+    s, gens = structure_from_spec(spec)
+    bt = division_balls(s, gens, depth)
+    balls = [bt.ball(n) for n in range(depth + 1)]
+    rng = random.Random(133)
+    for _ in range(40):
+        f = Element.zero(s)
+        for _ in range(rng.randrange(0, 6)):
+            c = QC(F(rng.randrange(-6, 7), rng.randrange(1, 9)),
+                   F(rng.randrange(-6, 7), rng.randrange(1, 9)))
+            f = f + Element.delta(s, rng.choice(pool), c)
+        supp = f.support()
+        expect = []
+        for ball in balls:
+            total = QC(0)
+            for u in supp:
+                if ball is UNIVERSE or u in ball:
+                    total = total + f[u]
+            expect.append(total)
+        stable = next((n for n, ball in enumerate(balls)
+                       if all(ball is UNIVERSE or u in ball for u in supp)), None)
+        assert sigma_sequence(f, bt) == (expect, stable)
 
 
 def test_element_json_round_trip():

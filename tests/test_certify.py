@@ -1,14 +1,16 @@
 """Certified rational/dyadic arithmetic: enclosures, roots, powers."""
 
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
 
-from waug.certify import (Enclosure, basel_partial, format_rational,
-                          harmonic_number, int_nth_root, nth_root,
-                          parse_rational, pow_bounds, rat_pow, ratio_pow_less,
-                          round_down, round_up)
+from waug.certify import (Enclosure, ResourceLimit, basel_partial,
+                          check_digits, format_rational, harmonic_number,
+                          int_nth_root, nth_root, parse_rational, pow_bounds,
+                          printable, rat_pow, ratio_pow_less, round_down,
+                          round_up)
 from waug.idealkit import _le_status
 
 
@@ -121,3 +123,16 @@ def test_enclosure_comparisons_are_conservative():
     assert _le_status(a, c) == "proved"
     assert _le_status(c, a) == "indeterminate"
     assert _le_status(F(2), a) == "indeterminate"
+
+
+def test_printable_rounds_outward_only_at_the_digit_limit(monkeypatch):
+    # the limit is read as check_digits reads it
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50)
+    with pytest.raises(ResourceLimit):
+        check_digits(50, "x")
+    small = F(10 ** 48 - 1, 7)  # at most 49 digits by the bit-length bound
+    assert printable(small, 64) is small
+    big = F(10 ** 60 + 1, 3 * 10 ** 59)
+    enc = printable(big, 64)
+    assert isinstance(enc, Enclosure) and enc.lo <= big <= enc.hi
+    assert enc.hi - enc.lo <= F(1, 2 ** 63)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from waug.certify import basel_partial
+from waug.certify import basel_partial, harmonic_number
 from waug.cli import main
 
 
@@ -197,6 +197,28 @@ def test_witness_75_report_at_scale(capsys, tmp_path, rho, blocks):
     lo, hi = Fraction(enc["lo"]), Fraction(enc["hi"])
     assert 0 < lo <= hi <= (Fraction(rho) + 1) * basel_partial(blocks)
     assert hi - lo < Fraction(1, 10 ** 30)
+
+
+@pytest.mark.parametrize("blocks,rounded", [
+    (5000, ["norm_upper_bound_exact"]),
+    (10000, ["norm_upper_bound_exact", "divisor_partial_norm"])])
+def test_witness_75_past_the_digit_limit(capsys, tmp_path, blocks, rounded):
+    # the exact bound 3 zeta_K passes the 4300-digit int->str limit from
+    # about K = 4,970 and H_K at K = 10^4; each is then reported as an
+    # outward-rounded enclosure of itself, and below the limit exactly
+    out = tmp_path / "w75.json"
+    code, _, err = run(capsys, "ideal", "witness-75", "--rho", "2",
+                       "--blocks", str(blocks), "--out", str(out))
+    assert code == 0 and "Traceback" not in err
+    result = json.loads(out.read_text())["result"]
+    for field, exact in [("norm_upper_bound_exact", 3 * basel_partial(blocks)),
+                         ("divisor_partial_norm", harmonic_number(blocks))]:
+        got = result[field]
+        if field in rounded:
+            lo, hi = Fraction(got["lo"]), Fraction(got["hi"])
+            assert lo <= exact <= hi and hi - lo < Fraction(1, 10 ** 30)
+        else:
+            assert Fraction(got) == exact
 
 
 @pytest.mark.parametrize("rho,blocks", [("7/2", "120"), ("2", "100000000000")])

@@ -149,7 +149,7 @@ def test_balls_match_brute_force(spec, depth):
         assert all(bt.ball(n) is UNIVERSE for n in range(finite, depth + 1))
     else:
         assert bt.universal_at() is None
-    assert bt.stable_at() == _old_stable_at(bt.balls)
+    assert bt.stable_at() == _old_stable_at([bt.ball(n) for n in range(depth + 1)])
     assert bt.stable_at() == _old_stable_at(brute + [UNIVERSE] * (depth + 1 - finite))
 
 

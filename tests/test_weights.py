@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import waug.weights as weights_mod
-from waug.certify import Enclosure, pow_bounds
+from waug.certify import Enclosure, nth_root, pow_bounds
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
                              structure_from_spec)
 from waug.weights import (ExplicitWeight, Lemma74Weight, Lemma76Weight,
@@ -201,6 +201,26 @@ def test_radii_estimates_enclose_geometric_rate():
     rep = estimate_radii(s, RadialExpWeight(F(2), F(1)), 10)
     r2 = rep["rho2_hat"]
     assert r2.lo <= 2 <= r2.hi
+
+
+def test_radii_evaluate_each_radial_value_once(monkeypatch):
+    # omega(-n) = omega(n) for a radial weight, so the negative side reuses
+    # the positive roots: N values at depth N, not 2N
+    s, _ = structure_from_spec({"family": "Z"})
+    w = RadialExpWeight(F(3, 2), F(1, 2))
+    calls = []
+    plain = RadialExpWeight.radial_value
+
+    def counted(self, n, bits=128):
+        calls.append(n)
+        return plain(self, n, bits)
+
+    monkeypatch.setattr(RadialExpWeight, "radial_value", counted)
+    rep = estimate_radii(s, w, 32)
+    assert sorted(calls) == list(range(1, 33))
+    for n, neg in enumerate(rep["per_n_neg"], start=1):
+        r = nth_root(w.eval(s, -n), n)
+        assert neg == Enclosure(1 / r.hi, 1 / r.lo)
 
 
 # ---------------------------------------------------------------------------
