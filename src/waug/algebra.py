@@ -1,16 +1,23 @@
 """Finitely supported elements of weighted l1 algebras, exactly.
 
-Scalars are Gaussian rationals (re, im pairs of Fractions).  Elements are
-sparse maps  support-element -> scalar  over a structure from
-`waug.structures`.  Convolution, augmentation and the ball partial-sum
-functionals sigma_n are exact; weighted norms are exact whenever the weight
-and the scalar moduli are rational, and certified enclosures otherwise.
+An element over a structure from `waug.structures` is integer numerators
+over one shared denominator, f = sum_u (re[u] + i im[u]) / den delta_u (`im`
+empty while every coefficient is real), kept canonical: no zero numerators
+and gcd(den, numerators) = 1, so equal elements have equal maps.  Scalars
+cross the boundary as `QC` Gaussian rationals (f[u], augmentations, ball
+sums).  Convolution, augmentation and the ball partial-sum functionals
+sigma_n are exact; weighted norms are exact whenever the weight and the
+scalar moduli are rational, and certified enclosures otherwise.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
+from collections.abc import Mapping
+from math import gcd, lcm
+from types import MappingProxyType
 
 from .certify import Enclosure, as_enclosure, format_rational, nth_root, parse_rational
 from .structures import InvalidInput, Structure
@@ -90,109 +97,130 @@ class QC:
         return cls(parse_rational(obj))
 
 
-ZERO = QC(0)
 ONE = QC(1)
 
 
 class Element:
     """Finitely supported function on a structure (a member of l1(S, omega)
-    for every weight omega, since the support is finite)."""
+    for every weight omega, since the support is finite), as integer
+    numerator maps `re`, `im` over one denominator `den`.  The maps are
+    never mutated once the element is built."""
 
-    __slots__ = ("structure", "coeffs")
+    __slots__ = ("structure", "re", "im", "den")
 
     def __init__(self, structure: Structure, coeffs=None):
-        self.structure = structure
-        clean = {}
-        if coeffs:
-            for u, c in (coeffs.items() if isinstance(coeffs, dict) else coeffs):
-                c = QC.coerce(c)
-                if c:
-                    clean[u] = clean.get(u, ZERO) + c
-                    if not clean[u]:
-                        del clean[u]
-        self.coeffs = clean
+        terms = [(u, QC.coerce(c)) for u, c in
+                 (coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ())]
+        den = lcm(*(x.denominator for _, q in terms for x in (q.re, q.im)))
+        re, im = {}, {}
+        for u, q in terms:
+            for out, x in ((re, q.re), (im, q.im)):
+                out[u] = out.get(u, 0) + x.numerator * (den // x.denominator)
+        self._set(structure, re, im, den)
+
+    def _set(self, structure, re, im, den):
+        """Store sum_u (re[u] + i im[u]) / den delta_u in canonical form."""
+        re = {u: c for u, c in re.items() if c}
+        im = {u: c for u, c in im.items() if c} if im else {}
+        g = gcd(den, *re.values(), *im.values())
+        if g > 1:
+            re = {u: c // g for u, c in re.items()}
+            im = {u: c // g for u, c in im.items()}
+            den //= g
+        self.structure, self.re, self.im, self.den = structure, re, im, den
+
+    @classmethod
+    def from_numerators(cls, structure, re, im, den) -> "Element":
+        """sum_u (re[u] + i im[u]) / den delta_u for int maps and int den > 0."""
+        f = cls.__new__(cls)
+        f._set(structure, re, im, den)
+        return f
 
     @classmethod
     def delta(cls, structure, u, scale=1) -> "Element":
-        return cls(structure, {u: QC.coerce(scale)})
+        return cls(structure, {u: scale})
 
     @classmethod
     def zero(cls, structure) -> "Element":
-        return cls(structure, {})
+        return cls.from_numerators(structure, {}, {}, 1)
+
+    def _points(self):
+        """The support, unordered."""
+        return self.re.keys() | self.im.keys() if self.im else self.re.keys()
 
     def support(self):
-        return sorted(self.coeffs, key=self.structure.elem_key)
+        return sorted(self._points(), key=self.structure.elem_key)
 
     def __len__(self):
-        return len(self.coeffs)
+        return len(self._points())
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.re) or bool(self.im)
 
     def __getitem__(self, u) -> QC:
-        return self.coeffs.get(u, ZERO)
+        return QC(Fraction(self.re.get(u, 0), self.den),
+                  Fraction(self.im.get(u, 0), self.den))
+
+    @property
+    def coeffs(self):
+        """Read-only {u: QC} view, built on demand (the boundary only)."""
+        return MappingProxyType({u: self[u] for u in self.support()})
 
     def __eq__(self, other):
         return (isinstance(other, Element)
-                and self.structure is other.structure
-                and self.coeffs == other.coeffs)
+                and self.structure is other.structure and self.den == other.den
+                and self.re == other.re and self.im == other.im)
 
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for u, c in other.coeffs.items():
-            s = out.get(u, ZERO) + c
-            if s:
-                out[u] = s
-            else:
-                out.pop(u, None)
-        return Element(self.structure, out)
+    def __hash__(self):
+        return hash((self.den, frozenset(self.re.items()),
+                     frozenset(self.im.items())))
+
+    def __add__(self, other, sign=1):
+        """self + sign * other over the lcm of the two denominators."""
+        g = gcd(self.den, other.den)
+        m, n = other.den // g, sign * (self.den // g)
+        maps = []
+        for a, b in ((self.re, other.re), (self.im, other.im)):
+            out = {u: c * m for u, c in a.items()}
+            for u, c in b.items():
+                out[u] = out.get(u, 0) + c * n
+            maps.append(out)
+        return Element.from_numerators(self.structure, *maps, self.den // g * other.den)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return Element(self.structure, {u: -c for u, c in self.coeffs.items()})
+        return self.scale(-1)
 
     def scale(self, a) -> "Element":
-        a = QC.coerce(a)
-        if not a:
-            return Element.zero(self.structure)
-        return Element(self.structure, {u: a * c for u, c in self.coeffs.items()})
+        """a * f = (a delta_e) * f for an int, Fraction or QC scalar a."""
+        s = self.structure
+        a = Element.delta(s, s.identity(), a)
+        re, im = {}, {}
+        _convolve_into(re, im, lambda _, v: v, a, self, 1)   # e v = v
+        return Element.from_numerators(s, re, im, a.den * self.den)
 
     def translate(self, x) -> "Element":
         """Right translation f * delta_x."""
-        s = self.structure
-        out = {}
-        for u, c in self.coeffs.items():
-            w = s.multiply(u, x)
-            acc = out.get(w, ZERO) + c
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-        return Element(s, out)
+        return convolve(self, Element.delta(self.structure, x))
 
     def augmentation(self) -> QC:
         """phi_0(f) = sum of all coefficients."""
-        total = ZERO
-        for c in self.coeffs.values():
-            total = total + c
-        return total
+        return QC(Fraction(sum(self.re.values()), self.den),
+                  Fraction(sum(self.im.values()), self.den))
 
     def __repr__(self):
-        s = self.structure
-        parts = [f"{c!r}*d[{s.elem_str(u)}]" for u, c in
-                 sorted(self.coeffs.items(), key=lambda t: s.elem_key(t[0]))]
+        parts = [f"{self[u]!r}*d[{self.structure.elem_str(u)}]"
+                 for u in self.support()]
         return "Element(" + " + ".join(parts) + ")" if parts else "Element(0)"
 
     def to_json(self) -> dict:
-        s = self.structure
-        terms = []
-        for u in self.support():
-            t = {"elem": s.elem_to_json(u)}
-            t.update(self.coeffs[u].to_json())
-            terms.append(t)
-        return {"terms": terms}
+        s, re, im, den = self.structure, self.re, self.im, self.den
+        return {"terms": [{"elem": s.elem_to_json(u),
+                           "re": format_rational(Fraction(re.get(u, 0), den)),
+                           "im": format_rational(Fraction(im.get(u, 0), den))}
+                          for u in self.support()]}
 
     @classmethod
     def from_json(cls, structure, obj) -> "Element":
@@ -205,28 +233,38 @@ class Element:
         return cls(structure, coeffs)
 
 
+def _convolve_into(re, im, mul, f, g, m):
+    """re + i im += m f * g on numerators, one mul(u, v) per support pair."""
+    gs = [(v, g.re.get(v, 0), g.im.get(v, 0)) for v in g._points()]
+    for u in f._points():
+        a, b = m * f.re.get(u, 0), m * f.im.get(u, 0)
+        for v, c, d in gs:
+            w = mul(u, v)
+            re[w] = re.get(w, 0) + a * c - b * d
+            im[w] = im.get(w, 0) + a * d + b * c
+
+
+def convolve_sum(structure, pairs) -> Element:
+    """sum_i f_i * g_i over the (f_i, g_i) of `pairs`, exact, any monoid:
+    every product goes into one numerator map over the lcm of the
+    denominators f_i.den * g_i.den."""
+    pairs = list(pairs)
+    den = lcm(*(f.den * g.den for f, g in pairs))
+    re, im = {}, {}
+    for f, g in pairs:
+        _convolve_into(re, im, structure.multiply, f, g, den // (f.den * g.den))
+    return Element.from_numerators(structure, re, im, den)
+
+
 def convolve(f: Element, g: Element) -> Element:
     """(f*g)(w) = sum_{uv=w} f(u) g(v); exact, any monoid."""
-    s = f.structure
-    out = {}
-    for u, cu in f.coeffs.items():
-        for v, cv in g.coeffs.items():
-            w = s.multiply(u, v)
-            acc = out.get(w, ZERO) + cu * cv
-            if acc:
-                out[w] = acc
-            else:
-                out.pop(w, None)
-    return Element(s, out)
+    return convolve_sum(f.structure, [(f, g)])
 
 
 def convolve_many(*elems) -> Element:
     if not elems:
         raise InvalidInput("convolve_many needs at least one element")
-    acc = elems[0]
-    for f in elems[1:]:
-        acc = convolve(acc, f)
-    return acc
+    return reduce(convolve, elems)
 
 
 def weighted_norm(f: Element, weight=None, bits: int = 128):
@@ -236,18 +274,16 @@ def weighted_norm(f: Element, weight=None, bits: int = 128):
     (None = trivial weight).  Returns a Fraction when every factor is exact,
     otherwise a certified Enclosure.
     """
-    total_lo = Fraction(0)
-    total_hi = Fraction(0)
-    exact = True
-    for u, c in f.coeffs.items():
-        w = Fraction(1) if weight is None else weight.eval(f.structure, u, bits=bits)
-        term = as_enclosure(c.abs_value(bits)) * as_enclosure(w)
-        exact = exact and term.is_exact
-        total_lo += term.lo
-        total_hi += term.hi
-    if exact:
-        return total_lo
-    return Enclosure(total_lo, total_hi)
+    lo = hi = 0                  # bounds on den * ||f||_omega
+    for u in f._points():
+        w = as_enclosure(1 if weight is None else weight.eval(f.structure, u, bits=bits))
+        # |den f(u)|: the numerator itself at a real point
+        c = as_enclosure(f[u].abs_value(bits) * f.den if u in f.im else abs(f.re[u]))
+        lo += c.lo * w.lo
+        hi += c.hi * w.hi
+    if lo == hi:
+        return Fraction(lo, f.den)
+    return Enclosure(Fraction(lo, f.den), Fraction(hi, f.den))
 
 
 def sigma_sequence(f: Element, ball_table):
@@ -255,13 +291,20 @@ def sigma_sequence(f: Element, ball_table):
 
     Returns (values, stable_from) where stable_from is the first n with
     supp(f) inside B_n (sigma is constant = phi_0(f) from there on), or None
-    if the support is not exhausted by depth.  One pass: each coefficient
-    goes to the bucket of its level, and sigma_n is the n-th prefix sum.
+    if the support is not exhausted by depth.  One pass: each numerator
+    goes to the bucket of its level, and sigma_n is the n-th prefix sum of
+    the reduced buckets (a bucket that divides den reduces by one division,
+    where a prefix numerator would cost a full gcd).
     """
-    buckets = [ZERO] * (ball_table.depth + 1)
-    levels = [ball_table.level(u) for u in f.coeffs]
-    for lvl, c in zip(levels, f.coeffs.values()):
+    size = ball_table.depth + 1
+    re, im = [0] * size, [0] * size
+    levels = []
+    for u in f._points():
+        lvl = ball_table.level(u)
+        levels.append(lvl)
         if lvl is not None:
-            buckets[lvl] = buckets[lvl] + c
+            re[lvl] += f.re.get(u, 0)
+            im[lvl] += f.im.get(u, 0)
     stable_from = None if None in levels else max(levels, default=0)
-    return list(accumulate(buckets)), stable_from
+    sums = [accumulate(Fraction(a, f.den) for a in b) for b in (re, im)]
+    return list(map(QC, *sums)), stable_from

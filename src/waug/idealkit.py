@@ -13,9 +13,11 @@ divergence they evidence - divergence itself is never claimed as computed.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
-from .algebra import (Element, ONE, QC, ZERO, convolve, sigma_sequence,
-                      weighted_norm)
+from .algebra import (Element, ONE, convolve, convolve_sum,
+                      sigma_sequence, weighted_norm)
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
                       format_rational, harmonic_number, parse_rational)
 from .structures import (InvalidInput, UNIVERSE, division_balls,
@@ -58,10 +60,7 @@ class Decomposition:
             raise CertificateError("decomposition does not reconvolve to its target")
 
     def verify(self) -> bool:
-        acc = Element.zero(self.structure)
-        for coeff, gen in self.pairs:
-            acc = acc + convolve(coeff, gen)
-        return acc == self.target
+        return convolve_sum(self.structure, self.pairs) == self.target
 
     def __len__(self):
         return len(self.pairs)
@@ -96,8 +95,8 @@ def telescope(f: Element) -> dict:
         if u == e:
             continue
         beta = -f[u]
-        pairs.append((Element.delta(s, e).scale(beta),
-                      Element.delta(s, e) - Element.delta(s, u)))
+        pairs.append((Element.delta(s, e, beta),
+                      Element(s, [(e, 1), (u, -1)])))
         labels.append(f"delta_e - delta_{s.elem_str(u)}")
         betas.append({"u": u, "beta": beta})
     decomp = Decomposition(s, f, pairs, labels)
@@ -111,23 +110,19 @@ def telescope(f: Element) -> dict:
 
 def _point_prefix_maps(s: Structure, gens, u, word):
     """For a geodesic word u = y_1...y_n over the generator alphabet, the map
-    x -> sum of prefix deltas delta_(y_1...y_(j-1)) over positions j with
-    y_j = x.  Peeling the first letter of the word gives
+    x -> f_x = sum of prefix deltas delta_(y_1...y_(j-1)) over positions j
+    with y_j = x, each f_x as a {prefix: multiplicity} int map.  Peeling the
+    first letter of the word gives
         delta_e - delta_u = sum_j delta_(prefix_j) * (delta_e - delta_(y_j)).
     """
-    fs = {}
+    maps = {}
     prefix = s.identity()
     for i in word:
-        fs.setdefault(i, []).append(prefix)
+        fx = maps.setdefault(i, {})
+        fx[prefix] = fx.get(prefix, 0) + 1
         prefix = s.multiply(prefix, gens[i])
     if prefix != u:
         raise RuntimeError("geodesic word does not multiply back to its element")
-    maps = {}
-    for i, pts in fs.items():
-        acc = Element.zero(s)
-        for p in pts:
-            acc = acc + Element.delta(s, p)
-        maps[i] = acc
     return maps
 
 
@@ -187,14 +182,20 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
                     "first_violation": growth_fail,
                     "taus": [format_rational(t) for t in taus], "ok": False})
 
+    # s_x as (re, im) numerator maps over the lcm of the betas' denominators
+    den = lcm(*(x.denominator for _, beta in betas for x in (beta.re, beta.im)))
     sx = {}
     mass = Enclosure.exact(0)  # sum |beta_u| omega(u)
     for _, _, u, beta, maps in peeled:
         mass = mass + as_enclosure(beta.abs_value(bits)) * as_enclosure(
             weight.eval(s, u, bits))
+        nums = [x.numerator * (den // x.denominator) for x in (beta.re, beta.im)]
         for i, fx in maps.items():
-            part = fx.scale(beta)
-            sx[i] = sx[i] + part if i in sx else part
+            for acc, b in zip(sx.setdefault(i, ({}, {})), nums):
+                if b:
+                    for p, k in fx.items():
+                        acc[p] = acc.get(p, 0) + k * b
+    sx = {i: Element.from_numerators(s, re, im, den) for i, (re, im) in sx.items()}
     bound = mass * as_enclosure(Fraction(1) / D)
 
     pairs = []
@@ -203,7 +204,7 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     status = {}
     for i in sorted(sx):
         x = gens[i]
-        pairs.append((sx[i], Element.delta(s, e) - Element.delta(s, x)))
+        pairs.append((sx[i], Element(s, [(e, 1), (x, -1)])))
         labels.append(f"delta_e - delta_{s.elem_str(x)}")
         nm = weighted_norm(sx[i], weight, bits)
         norms[s.elem_str(x)] = nm
@@ -233,7 +234,7 @@ def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
     decomposition core."""
     e = s.identity()
     rep, words = _decompose(s, gens, weight,
-                            Element.delta(s, e) - Element.delta(s, u), [(u, ONE)],
+                            Element(s, [(e, 1), (u, -1)]), [(u, ONE)],
                             D, bits, max_depth, {"op": "decompose_point", "u": u})
     rep["word"] = [s.elem_str(gens[i]) for i in words[u]]
     rep["n"] = len(words[u])
@@ -286,7 +287,7 @@ def divide_shift(f: Element):
     support = f.support()
     if not support:
         g = Element.zero(s)
-        divisor = Element.delta(s, 1) - Element.delta(s, 0)
+        divisor = Element(s, [(1, 1), (0, -1)])
         return g, {"op": "divide_shift", "ok": True, "side": "nonneg",
                    "divisor": divisor, "g": g, "reconvolved": True}
     has_neg = any(u < 0 for u in support)
@@ -295,27 +296,18 @@ def divide_shift(f: Element):
         raise InvalidInput(
             "divide_shift needs support in one half-line (all >= 0 or all <= 0)")
     lo, hi = min(support), max(support)
-    coeffs = {}
-    if not has_neg:
-        side = "nonneg"
-        divisor = Element.delta(s, 1) - Element.delta(s, 0)
-        acc = ZERO
-        for n in range(lo, hi):
-            acc = acc + f[n]
-            if acc:
-                coeffs[n] = -acc
-    else:
-        side = "nonpos"
-        divisor = Element.delta(s, -1) - Element.delta(s, 0)
-        acc = ZERO
-        for t in range(lo + 1, hi + 1):
-            acc = acc + f[t - 1]
-            if acc:
-                coeffs[t] = acc
-    g = Element(s, coeffs)
+    # with P_n = sum_(i<=n) f(i): g(n) = -P_n (divisor delta_1 - delta_0), or
+    # g(n+1) = P_n (divisor delta_(-1) - delta_0), for lo <= n < hi
+    x = -1 if has_neg else 1
+    divisor = Element(s, [(x, 1), (0, -1)])
+    maps = [{n + (x < 0): -x * p for n, p in
+             zip(range(lo, hi), accumulate(a.get(n, 0) for n in range(lo, hi)))}
+            for a in (f.re, f.im)]
+    g = Element.from_numerators(s, *maps, f.den)
     if convolve(g, divisor) != f:
         raise CertificateError("divide_shift reconvolution failed")
-    return g, {"op": "divide_shift", "ok": True, "side": side,
+    return g, {"op": "divide_shift", "ok": True,
+               "side": "nonpos" if has_neg else "nonneg",
                "divisor": divisor, "g": g, "reconvolved": True,
                "support_range": [lo, hi]}
 
@@ -371,28 +363,13 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
     prev = None
     for x in X:
         if prev is None:
-            base_gens.append(Element.delta(s, e) - Element.delta(s, x))
+            base_gens.append(Element(s, [(e, 1), (x, -1)]))
             base_labels.append(f"delta_e - delta_{s.elem_str(x)}")
         else:
-            base_gens.append(Element.delta(s, prev) - Element.delta(s, x))
+            base_gens.append(Element(s, [(prev, 1), (x, -1)]))
             base_labels.append(
                 f"delta_{s.elem_str(prev)} - delta_{s.elem_str(x)}")
         prev = x
-
-    acc = {}      # canonical generator key -> [coeff, gen, label]
-    order = []    # keys in first-appearance order
-
-    def gen_key(g: Element):
-        return tuple(sorted((s.elem_key(u), c.re, c.im)
-                            for u, c in g.coeffs.items()))
-
-    def add(coeff: Element, gen: Element, label: str):
-        key = gen_key(gen)
-        if key in acc:
-            acc[key][0] = acc[key][0] + coeff
-        else:
-            acc[key] = [coeff, gen, label]
-            order.append(key)
 
     def base_telescope(g: Element, part: str):
         """g on {e} u X with augmentation 0, over delta_e - delta_(x_1) and
@@ -401,7 +378,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         partial = g[e]
         for idx, x in enumerate(X):
             if partial:
-                out.append((Element.delta(s, e).scale(partial),
+                out.append((Element.delta(s, e, partial),
                             base_gens[idx], base_labels[idx]))
             partial = partial + g[x]
         if partial:
@@ -425,7 +402,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         lower = k - 1
         gs = {}
         hs = {}
-        eps_coeffs = {e: g[e]}
+        eps = [(e, g[e])]  # (point, coefficient) terms, summed by Element
         for u in g.support():
             if u == e:
                 continue
@@ -433,17 +410,14 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
             for i, x in enumerate(X):
                 pre = bt.divisors_below(u, x, lower)
                 if pre:
-                    u_prime = min(pre, key=s.elem_key)
-                    gs.setdefault(i, {})
-                    gs[i][u_prime] = gs[i].get(u_prime, ZERO) + g[u]
+                    gs.setdefault(i, []).append((min(pre, key=s.elem_key), g[u]))
                     routed = True
                     break
             if not routed:
                 for i, x in enumerate(X):
                     lvl = bt.level(s.multiply(u, x))
                     if lvl is not None and lvl <= lower:
-                        hs.setdefault(i, {})
-                        hs[i][u] = hs[i].get(u, ZERO) + g[u]
+                        hs.setdefault(i, []).append((u, g[u]))
                         routed = True
                         break
             if not routed:
@@ -453,33 +427,32 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         for i in sorted(gs):
             gi = Element(s, gs[i])
             phi = gi.augmentation()
-            si = gi - Element.delta(s, e).scale(phi)
-            if phi:
-                eps_coeffs[X[i]] = eps_coeffs.get(X[i], ZERO) + phi
+            si = gi - Element.delta(s, e, phi)
+            eps.append((X[i], phi))
             out.extend(shift_right(rewrite_level(si, lower), X[i]))
         for i in sorted(hs):
             hi = Element(s, hs[i])
             phi = hi.augmentation()
-            hi0 = hi - Element.delta(s, e).scale(phi)
-            if phi:
-                eps_coeffs[e] = eps_coeffs.get(e, ZERO) + phi
+            hi0 = hi - Element.delta(s, e, phi)
+            eps.append((e, phi))
             if hi0:
-                out.append((hi0, Element.delta(s, e) - Element.delta(s, X[i]),
+                out.append((hi0, Element(s, [(e, 1), (X[i], -1)]),
                             f"delta_e - delta_{s.elem_str(X[i])}"))
                 out.extend(rewrite_level(hi0.translate(X[i]), lower))
-        eps_part = Element(s, eps_coeffs)
+        eps_part = Element(s, eps)
         if eps_part:
             out.extend(base_telescope(eps_part, "epsilon-part"))
         return out
 
+    acc = {}  # generator -> [coeff, label], in first-appearance order
     for coeff, gen, label in rewrite_level(f, start):
-        add(coeff, gen, label)
+        entry = acc.setdefault(gen, [Element.zero(s), label])
+        entry[0] = entry[0] + coeff
 
     pairs = []
     labels = []
     family = []
-    for key in order:
-        coeff, gen, label = acc[key]
+    for gen, (coeff, label) in acc.items():
         if not coeff:
             continue
         if gen.augmentation():
@@ -584,9 +557,9 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
                 "finite combination over the generators and no witness exists")
         points.append(lev[0])
     zeta = basel_partial(K)
-    coeffs = {s.identity(): QC(zeta)}
+    coeffs = {s.identity(): zeta}
     for k, u in enumerate(points, start=1):
-        coeffs[u] = coeffs.get(u, ZERO) - QC(Fraction(1, k * k))
+        coeffs[u] = coeffs.get(u, 0) - Fraction(1, k * k)
     f = Element(s, coeffs)
     sigmas, _ = sigma_sequence(f, bt)
     sig = [v.re for v in sigmas]
@@ -600,7 +573,9 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
         raise RuntimeError("ball sums disagree with the zeta tails")
     truncated_lb_ok = all(
         sig[k] >= Fraction(1, k + 1) - Fraction(1, K + 1) for k in range(1, K))
-    partial_sum = sum(sig[1:], Fraction(0))
+    # every sigma_k has a denominator dividing f.den: one reduction, not K
+    partial_sum = Fraction(sum(q.numerator * (f.den // q.denominator)
+                               for q in sig[1:]), f.den)
     hk = harmonic_number(K)
     if partial_sum != hk - zeta:
         raise RuntimeError("sigma partial sum disagrees with H_K - zeta_K")
@@ -679,10 +654,10 @@ def witness_nontp_element(s: Structure, gens, weight, alphas,
             raise RuntimeError(f"selected point does not attain tau_{n}")
         points.append(y)
     zeta = sum(alphas, Fraction(0))
-    coeffs = {e: QC(zeta)}
+    coeffs = {e: zeta}
     for a, y in zip(alphas, points):
         if a:
-            coeffs[y] = coeffs.get(y, ZERO) - QC(a)
+            coeffs[y] = coeffs.get(y, 0) - a
     f = Element(s, coeffs)
     norm_f = zeta + sum((a * t for a, t in zip(alphas, taus)), Fraction(0))
     # sigma_n = sum_(j>n) alpha_j for 0 <= n < N, with tau_0 = 1

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from operator import gt
 
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, check_digits,
                       format_rational, nth_root, parse_int, parse_rational,
@@ -397,12 +396,25 @@ def _radial_submult_pair(weight, m, n, bits) -> bool:
 
 def _exponent_submult_failures(e, N: int):
     """The pairs (i, j), 1 <= i <= j, i + j <= N, with e_(i+j) > e_i + e_j,
-    in order; one pass over all j screens each i."""
+    in order.  e_0..e_N are packed into one integer, lane k of W bits
+    holding e_k + M (M = max |e_k|, 2^(W-1) > 3M + 1); for each i, shifts, a
+    mask and one subtraction give the lanes 2^(W-1) + e_(i+j) - e_j - e_i - 1
+    (j = i..N-i), which stay in [0, 2^W), so none borrows from the next, and
+    have the top bit set exactly when e_(i+j) > e_i + e_j.  The failing j
+    are listed only for an i whose lanes have a top bit set."""
+    M = max(map(abs, e[:N + 1]))
+    nbytes = ((3 * M + 1).bit_length() + 8) // 8
+    W, B = 8 * nbytes, 1 << (8 * nbytes - 1)
+    packed = int.from_bytes(b"".join((x + M).to_bytes(nbytes, "little")
+                                     for x in e[:N + 1]), "little")
+    ones = int.from_bytes((b"\x01" + bytes(nbytes - 1)) * (N + 1), "little")
     for i in range(1, N // 2 + 1):
-        ei = e[i]
-        if any(map(gt, e[2 * i:N + 1], map(ei.__add__, e[i:N + 1 - i]))):
+        rep = ones >> (2 * i * W)  # one 1 per lane j = i..N-i
+        lanes = ((packed >> (2 * i * W)) + rep * (B - 1 - e[i])
+                 - ((packed >> (i * W)) & ((1 << ((N + 1 - 2 * i) * W)) - 1)))
+        if lanes & (rep << (W - 1)):
             yield from ((i, j) for j in range(i, N + 1 - i)
-                        if e[i + j] > ei + e[j])
+                        if e[i + j] > e[i] + e[j])
 
 
 def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> dict:

@@ -4,9 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from waug.algebra import (QC, Element, convolve, convolve_many,
                           sigma_sequence, weighted_norm)
+from waug.certify import Enclosure, as_enclosure, format_rational
+from waug.serialize import canonical_json
 from waug.structures import UNIVERSE, division_balls, structure_from_spec
 from waug.weights import RadialExpWeight, TrivialWeight
 
@@ -201,6 +205,27 @@ def test_element_json_round_trip():
     assert g == f
 
 
+def test_element_rebuilds_from_its_coeffs_view():
+    s, _ = structure_from_spec({"family": "Zd", "params": {"d": 2}})
+    f = (Element.delta(s, (1, 0), QC(F(1, 3), F(-2, 5)))
+         + Element.delta(s, (0, 2), F(-7, 4)))
+    assert Element(s, f.coeffs) == f
+
+
+def test_gaussian_convolution_multiplies_once_per_support_pair(monkeypatch):
+    s, _ = structure_from_spec({"family": "Zd", "params": {"d": 2}})
+    calls = []
+    mul = s.multiply
+    monkeypatch.setattr(s, "multiply", lambda u, v: calls.append(1) or mul(u, v))
+    f = Element(s, {(0, 0): QC(1, 2), (1, 0): F(1, 3), (0, 1): QC(0, 1)})
+    g = Element(s, {(1, 1): QC(F(1, 2), -1), (2, 0): 5})
+    convolve(f, g)
+    assert len(calls) == 6
+    f.scale(QC(2, F(1, 3)))
+    -f
+    assert len(calls) == 6
+
+
 def test_translate_right_shift():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
@@ -209,3 +234,150 @@ def test_translate_right_shift():
     assert g.support() == [(2,), (1, 2)]
     assert g[(1, 2)] == QC(F(1))
     assert g[(2,)] == QC(F(2))
+
+
+# ---------------------------------------------------------------------------
+# ring laws of the convolution algebra, under Hypothesis
+# ---------------------------------------------------------------------------
+
+LAW_STRUCTURES = {
+    "Z": ({"family": "Z"}, [0, 1, -1, 2, -3, 5]),
+    "Z2": ({"family": "Zd", "params": {"d": 2}},
+           [(0, 0), (1, 0), (0, -1), (2, 1), (-1, 3)]),
+    "F2": ({"family": "free", "params": {"rank": 2, "inverses": True}},
+           [(), (1,), (-2,), (1, 2), (2, -1), (-1, -1, 2)]),
+    "FM2": ({"family": "free", "params": {"rank": 2, "inverses": False}},
+            [(), (1,), (2,), (1, 2), (2, 2, 1)]),
+    # truncated addition on 0..7: a commutative monoid that is not a group
+    "table": ({"family": "table", "params": {"table": TRUNCATED_ADD_8},
+               "generators": [1]}, list(range(8))),
+    # theta absorbs: theta * u = u * theta = theta
+    "theta": ({"family": "zero_adjoined", "params": {"rank": 2}},
+              [(), "theta", (1,), (2, 1), (1, 2, 1)]),
+}
+LAW_STRUCTURES = {name: (structure_from_spec(spec)[0], pool)
+                  for name, (spec, pool) in LAW_STRUCTURES.items()}
+
+_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 12))
+_scalars = st.one_of(
+    _rationals.map(QC),                               # real
+    st.builds(QC, _rationals, _rationals),            # Gaussian
+    st.builds(F, st.integers(-9, 9), st.just(1)),     # plain rational
+    st.integers(-3, 3),                               # plain int
+)
+
+
+def _elements(name):
+    s, pool = LAW_STRUCTURES[name]
+    return st.lists(st.tuples(st.sampled_from(pool), _scalars),
+                    max_size=5).map(lambda terms: Element(s, terms))
+
+
+def _oracle_convolve(f, g):
+    """{w: (re, im)} by the double loop over the supports, in Fractions."""
+    mul = f.structure.multiply
+    out = {}
+    for u in f.support():
+        a = f[u]
+        for v in g.support():
+            b = g[v]
+            w = mul(u, v)
+            re, im = out.get(w, (F(0), F(0)))
+            out[w] = (re + a.re * b.re - a.im * b.im,
+                      im + a.re * b.im + a.im * b.re)
+    return {w: c for w, c in out.items() if c != (0, 0)}
+
+
+LAW_NAMES = sorted(LAW_STRUCTURES)
+_laws = settings(max_examples=40)
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+@_laws
+@given(data=st.data())
+def test_convolution_ring_laws(name, data):
+    s, _ = LAW_STRUCTURES[name]
+    f, g, h = (data.draw(_elements(name)) for _ in range(3))
+    delta_e = Element.delta(s, s.identity())
+    assert convolve(convolve(f, g), h) == convolve(f, convolve(g, h))
+    assert convolve(f, g + h) == convolve(f, g) + convolve(f, h)
+    assert convolve(f + g, h) == convolve(f, h) + convolve(g, h)
+    assert convolve(delta_e, f) == f == convolve(f, delta_e)
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+@_laws
+@given(data=st.data())
+def test_self_difference_is_the_empty_zero(name, data):
+    s, _ = LAW_STRUCTURES[name]
+    f = data.draw(_elements(name))
+    d = f - f
+    assert d == Element.zero(s)
+    assert d.support() == [] and len(d) == 0 and not d
+    assert f + Element.zero(s) == f
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+@_laws
+@given(data=st.data())
+def test_augmentation_additive_and_multiplicative(name, data):
+    f, g = data.draw(_elements(name)), data.draw(_elements(name))
+    assert (f + g).augmentation() == f.augmentation() + g.augmentation()
+    assert (f - g).augmentation() == f.augmentation() - g.augmentation()
+    assert convolve(f, g).augmentation() == f.augmentation() * g.augmentation()
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+@_laws
+@given(data=st.data())
+def test_translate_is_convolution_by_a_delta(name, data):
+    s, pool = LAW_STRUCTURES[name]
+    f = data.draw(_elements(name))
+    x = data.draw(st.sampled_from(pool))
+    assert f.translate(x) == convolve(f, Element.delta(s, x))
+
+
+@pytest.mark.parametrize("name", LAW_NAMES)
+@_laws
+@given(data=st.data())
+def test_convolution_matches_the_fraction_double_loop(name, data):
+    f, g = data.draw(_elements(name)), data.draw(_elements(name))
+    want = _oracle_convolve(f, g)
+    h = convolve(f, g)
+    assert set(h.support()) == set(want)
+    assert {w: (h[w].re, h[w].im) for w in h.support()} == want
+    s = f.structure
+    k = data.draw(_scalars)
+    fk = f.scale(k)
+    assert ({w: (fk[w].re, fk[w].im) for w in fk.support()}
+            == _oracle_convolve(Element.delta(s, s.identity(), k), f))
+
+
+# the table monoid has no standard word length for a radial weight
+@pytest.mark.parametrize("name", [n for n in LAW_NAMES if n != "table"])
+@_laws
+@given(data=st.data())
+def test_weighted_norm_matches_the_per_point_enclosure_sum(name, data):
+    f = data.draw(_elements(name))
+    for weight in (None, RadialExpWeight(F(2), F(1)), RadialExpWeight(F(2), F(1, 2))):
+        want = Enclosure.exact(0)
+        for u in f.support():
+            w = 1 if weight is None else weight.eval(f.structure, u, bits=64)
+            want = want + as_enclosure(f[u].abs_value(64)) * as_enclosure(w)
+        assert weighted_norm(f, weight, 64) == (want.lo if want.is_exact else want)
+
+
+def test_basel_element_json_matches_the_fraction_path():
+    """A 2,000-term element with coefficients 1/k^2 (shared denominator
+    lcm(1..2000)^2) prints every coefficient as its reduced fraction, as a
+    map of Fractions does."""
+    s, _ = structure_from_spec({"family": "Z"})
+    K = 2000
+    coeffs = {0: sum((F(1, k * k) for k in range(1, K + 1)), F(0))}
+    for k in range(1, K + 1):
+        coeffs[k] = -F(1, k * k)
+    f = Element(s, coeffs)
+    want = {"terms": [{"elem": u, "re": format_rational(coeffs[u]), "im": "0"}
+                      for u in sorted(coeffs, key=s.elem_key)]}
+    assert canonical_json(f.to_json()) == canonical_json(want)
+    assert f.augmentation() == QC(0)

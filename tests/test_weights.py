@@ -472,3 +472,27 @@ def test_lemma76_axioms_certified():
     w, _ = build_lemma76(F(2), 63)
     rep = verify_weight_axioms(None, None, w, 63)
     assert rep["ok"]
+
+
+def _exponent_scan_oracle(e, N):
+    """The exponent scan as it was before the packed screen: one pass over
+    all j per i, listing the failing j when the pass finds one."""
+    from operator import gt
+    for i in range(1, N // 2 + 1):
+        ei = e[i]
+        if any(map(gt, e[2 * i:N + 1], map(ei.__add__, e[i:N + 1 - i]))):
+            yield from ((i, j) for j in range(i, N + 1 - i)
+                        if e[i + j] > ei + e[j])
+
+
+def test_exponent_scan_matches_the_per_i_pass_on_perturbed_tables():
+    rng = random.Random(9)
+    base, _ = build_lemma76(F(2), 600)
+    for trial in range(200):
+        N = rng.choice([1, 2, 3, rng.randrange(4, 64), rng.randrange(64, 601)])
+        e = list(base.exponents[:N + 1]) + [rng.randrange(0, 9)]  # e beyond N
+        spread = rng.choice([1, 3, 100, 40000])
+        for _ in range(rng.randrange(0, 6)):
+            e[rng.randrange(0, N + 1)] += rng.randint(-spread, spread)
+        want = list(_exponent_scan_oracle(e, N))
+        assert list(weights_mod._exponent_submult_failures(e, N)) == want, trial
