@@ -48,7 +48,7 @@ from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
                         failure_witness, growth_check, vector_to_json)
 from .serialize import (canonical_json, load_json_file, load_sequence_csv,
                         load_vector_csv, sha256_file, write_csv)
-from .structures import (InvalidInput, ResourceLimit, UNIVERSE, division_balls,
+from .structures import (InvalidInput, ResourceLimit, division_balls,
                          find_ancestry, pseudo_finite_within,
                          structure_from_spec)
 from .weights import (build_lemma74, build_lemma76, estimate_radii,
@@ -76,7 +76,7 @@ def _h_structure_ball(args, bits):
     report = {
         "depth": args.depth,
         "ball_sizes": sizes,
-        "levels": [lev if lev is UNIVERSE else list(lev) for lev in bt.levels],
+        "levels": bt.levels,
         "universal_at": bt.universal_at(),
         "stable_at": bt.stable_at(),
     }

@@ -14,12 +14,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import lcm, log10
 
 from .algebra import (Element, ONE, convolve, convolve_sum,
                       sigma_sequence, weighted_norm)
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
-                      format_rational, harmonic_number, parse_rational)
+                      check_digits, harmonic_number, parse_rational)
+from .sequences import first_growth_failure
 from .structures import (InvalidInput, UNIVERSE, division_balls,
                          geodesic_words, pseudo_finite_within,
                          IntegerGroup, IntegerLattice, Structure)
@@ -126,30 +127,6 @@ def _point_prefix_maps(s: Structure, gens, u, word):
     return maps
 
 
-def _check_growth_premise(taus, D: Fraction):
-    """Divisor-norm premise checks over the sphere minima tau_1..tau_n.
-
-    Returns (growth_first_failure, inclusive_ok):
-      growth:     tau_(m+1) >= D * sum_(1<=j<=m) tau_j  for 1 <= m < n
-      inclusive:  tau_n    >= D * (1 + sum_(1<=j<n) tau_j)   (tau_0 = 1)
-    The telescoped norm bound sum_(j=0)^(n-1) tau_j <= (1/D) tau_n needs the
-    inclusive form (the j=0 term is not implied by the growth premise:
-    tau = (1, D) is a counterexample); both are reported.
-    """
-    n = len(taus)
-    growth_fail = None
-    partial = Fraction(0)
-    for m in range(1, n):
-        partial += taus[m - 1]
-        if taus[m] < D * partial:
-            growth_fail = m + 1
-            break
-    inclusive_ok = True
-    if n >= 1:
-        inclusive_ok = taus[-1] >= D * (1 + sum(taus[:-1], Fraction(0)))
-    return growth_fail, inclusive_ok
-
-
 def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
                max_depth, head: dict):
     """The decomposition core.  target = sum_u beta_u (delta_e - delta_u) over
@@ -173,14 +150,17 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     n_max = max((t[0] for t in peeled), default=0)
 
     taus = tau_and_C(s, gens, weight, n_max, bits)["taus"] if n_max else []
-    growth_fail, inclusive_ok = _check_growth_premise(taus, D)
+    growth_fail = first_growth_failure(taus, D)
     if growth_fail is not None:
         raise CertificateError(
             f"D = {D} is not valid for this weight prefix: "
             f"tau_{growth_fail} < D * (tau_1 + ... + tau_{growth_fail - 1})",
-            report={**head, "D": format_rational(D),
-                    "first_violation": growth_fail,
-                    "taus": [format_rational(t) for t in taus], "ok": False})
+            report={**head, "D": D, "first_violation": growth_fail,
+                    "taus": taus, "ok": False})
+    # the telescoped bound sum_(j=0)^(n-1) tau_j <= (1/D) tau_n needs the
+    # inclusive premise tau_n >= D (1 + sum_(j<n) tau_j) (tau_0 = 1), which
+    # the growth premise does not imply (tau = (1, D)); both are reported
+    inclusive_ok = not taus or taus[-1] >= D * (1 + sum(taus[:-1]))
 
     # s_x as (re, im) numerator maps over the lcm of the betas' denominators
     den = lcm(*(x.denominator for _, beta in betas for x in (beta.re, beta.im)))
@@ -542,9 +522,18 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
     sigma_k(f) = sum_(k<j<=K) 1/j^2, which in untruncated form stay above
     1/(k+1) at every k - incompatible with the summable ball sums any
     single-generator combination g*(delta_e - delta_x) must have.
+
+    Every denominator in the report divides lcm(1..K)^2 and every number is
+    at most (K + 2) lcm(1..K)^2, so a K whose numbers would pass the int->str
+    digit limit is refused up front; lcm(1..K) >= 2^K for K >= 7 refuses a
+    large K before the lcm is built.
     """
     if K < 1:
         raise InvalidInput("witness needs K >= 1")
+    what = (f"--depth {K} is too large for the witness: its denominators "
+            f"divide lcm(1..{K})^2")
+    check_digits(2 * K * log10(2), what)
+    check_digits(2 * log10(lcm(*range(1, K + 1))) + log10(K + 2), what)
     bt = division_balls(s, gens, K)
     points = []
     for k in range(1, K + 1):

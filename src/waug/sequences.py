@@ -166,18 +166,25 @@ def failure_witness(seq: PrefixSequence, target) -> dict:
             "note": "no witness within this prefix; not a proof of tail-preservation"}
 
 
+def first_growth_failure(taus: list, D):
+    """For the list tau_1..tau_n, the first index m + 1 (1 <= m < n) with
+    tau_(m+1) < D * sum_(j<=m) tau_j, or None when the growth premise holds,
+    as it does for n <= 1."""
+    partial = 0
+    for m in range(1, len(taus)):
+        partial += taus[m - 1]
+        if taus[m] < D * partial:
+            return m + 1
+    return None
+
+
 def growth_check(seq: PrefixSequence, D) -> dict:
     """Check the growth premise tau_(n+1) >= D sum_{j<=n} tau_j on the prefix, and the
     growth bound it implies: tau_(j+1) >= D (D+1)^(j-1) tau_1."""
     D = parse_rational(D)
     if D <= 0:
         raise InvalidInput("growth_check needs D > 0")
-    P = seq.prefix_sums()
-    hyp_fail = None
-    for n in range(1, seq.N):
-        if seq.values[n] < D * P[n]:
-            hyp_fail = n + 1  # index of the violating tau
-            break
+    hyp_fail = first_growth_failure(seq.values, D)
     concl_fail = None
     power = Fraction(1)  # (D+1)^(j-1)
     for j in range(1, seq.N):
@@ -250,6 +257,5 @@ def build_block_sequence(rho, K: int) -> dict:
 
 
 def vector_to_json(x: dict) -> list:
-    return [{"n": j, "value": format_rational(Fraction(v))}
-            for j, v in sorted(x.items())]
+    return [{"n": j, "value": v} for j, v in sorted(x.items())]
 

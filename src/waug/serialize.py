@@ -6,13 +6,16 @@ per producer, '\n' line endings.  Identical inputs and tool version must
 yield byte-identical bytes, so nothing time- or locale-dependent belongs
 here.
 
-canonical_json(x) converts x once with to_jsonable and writes the result
-with its own writer over plain JSON values (dict with str keys, list, str,
-int, bool, None; any other type raises TypeError).  Its bytes are those of
-    json.dumps(to_jsonable(x), sort_keys=True, indent=2, ensure_ascii=True) + "\n"
-which tests/test_serialize.py checks as a property.  json.dumps with an
-indent runs the pure-Python encoder; the writer instead writes a list of
-ints with one join and strings with the C function encode_basestring_ascii.
+canonical_json(x) walks the report x once and writes each value as it
+meets it: int, str, bool and None as themselves; list and tuple as arrays;
+dict with str keys in sorted key order; Fraction through format_rational;
+UNIVERSE as "all"; any object with a to_json method (Enclosure, QC, Element,
+Decomposition) as what that returns; a dataclass field by field.  Anything
+else, floats, sets and non-str keys included, raises TypeError.  json.dumps
+with an indent runs the pure-Python encoder; the writer instead writes a
+list of ints with one join and strings with the C function
+encode_basestring_ascii.  tests/test_serialize.py checks its bytes against
+json.dumps over a reference conversion to plain JSON values, as a property.
 """
 
 from __future__ import annotations
@@ -25,55 +28,22 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .certify import Enclosure, format_rational
+from .certify import format_rational
 from .structures import UNIVERSE, InvalidInput
 
 _INT = {int}
-_PLAIN_SEQ = (list, tuple)  # exact types: no to_json hook to honour
-
-
-def to_jsonable(x):
-    """Recursively convert report values to JSON-ready structures."""
-    if x is None or isinstance(x, (bool, int, str)):
-        return x
-    if type(x) in _PLAIN_SEQ and set(map(type, x)) <= _INT:
-        return list(x)
-    if isinstance(x, float):
-        raise TypeError("floats are banned from reports; use Fraction/Enclosure")
-    if isinstance(x, Fraction):
-        return format_rational(x)
-    if isinstance(x, Enclosure):
-        return x.to_json()
-    if x is UNIVERSE:
-        return "all"
-    to_json = getattr(x, "to_json", None)
-    if callable(to_json):
-        return to_jsonable(to_json())
-    if dataclasses.is_dataclass(x):
-        return {f.name: to_jsonable(getattr(x, f.name))
-                for f in dataclasses.fields(x)}
-    if isinstance(x, dict):
-        return {str(k): to_jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [to_jsonable(v) for v in x]
-    if isinstance(x, (set, frozenset)):
-        items = [to_jsonable(v) for v in x]
-        return sorted(items, key=lambda v: json.dumps(v, sort_keys=True))
-    raise TypeError(f"cannot serialize {type(x).__name__}: {x!r}")
-
-
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
 def _write(x, parts, nl):
-    """Append the indented JSON text of the plain value x; nl is the
+    """Append the indented JSON text of the report value x; nl is the
     newline plus indentation of the line x starts on."""
     t = type(x)
     if t is int:
         parts.append(int.__repr__(x))
     elif t is str:
         parts.append(encode_basestring_ascii(x))
-    elif t is list:
+    elif t is list or t is tuple:
         if not x:
             parts.append("[]")
             return
@@ -101,15 +71,24 @@ def _write(x, parts, nl):
             _write(x[k], parts, inner)
             sep = "," + inner
         parts.append(nl + "}")
+    elif t is Fraction:
+        parts.append('"' + format_rational(x) + '"')
     elif t is bool or x is None:
         parts.append(_LITERALS[x])
+    elif x is UNIVERSE:
+        parts.append('"all"')
+    elif callable(getattr(x, "to_json", None)):
+        _write(x.to_json(), parts, nl)
+    elif dataclasses.is_dataclass(x):
+        _write({f.name: getattr(x, f.name) for f in dataclasses.fields(x)},
+               parts, nl)
     else:
-        raise TypeError(f"not a plain JSON value: {type(x).__name__}")
+        raise TypeError(f"cannot serialize {t.__name__}: {x!r}")
 
 
 def canonical_json(obj) -> str:
     parts = []
-    _write(to_jsonable(obj), parts, "\n")
+    _write(obj, parts, "\n")
     parts.append("\n")
     return "".join(parts)
 
@@ -151,10 +130,6 @@ def load_vector_csv(path: str):
     returns the list [v_1..v_N] (indices must be 1..N without gaps)."""
     from .sequences import csv_row_values
     return csv_row_values(_read_csv_rows(path), "vector")
-
-
-def sequence_csv_text(seq) -> str:
-    return write_csv(["index", "numerator", "denominator"], seq.to_csv_rows())
 
 
 def load_json_file(path: str) -> dict:

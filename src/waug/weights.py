@@ -346,7 +346,7 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
     elems = sorted(ball, key=s.elem_key)
     we = weight.eval(s, s.identity(), bits)
     if we != 1:
-        _fail(report, axiom="omega(e)=1", value=format_rational(we))
+        _fail(report, axiom="omega(e)=1", value=we)
     vals = {}
     for u in elems:
         try:
@@ -365,8 +365,7 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
             pairs += 1
             if vals[w] > wu * wv:
                 _fail(report, axiom="submultiplicative", u=s.elem_str(u),
-                      v=s.elem_str(v), lhs=format_rational(vals[w]),
-                      rhs=format_rational(wu * wv))
+                      v=s.elem_str(v), lhs=vals[w], rhs=wu * wv)
     report["pairs_checked"] = pairs
     return report
 
@@ -424,7 +423,7 @@ def _verify_lemma76_axioms(weight: Lemma76Weight, radius: int, report: dict) -> 
     N = min(radius, weight.N)
     e = weight.exponents
     if e[0] != 0:
-        _fail(report, axiom="omega(e)=1", value=format_rational(weight.gamma[0]))
+        _fail(report, axiom="omega(e)=1", value=weight.gamma[0])
     for i in range(0, N + 1):
         if e[i] < 0:
             _fail(report, axiom="gamma>=1", n=i)

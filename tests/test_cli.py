@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from waug.certify import basel_partial, harmonic_number
-from waug.cli import main
+from waug.cli import COMMANDS, SPEC, WEIGHT, main
 
 
 def run(capsys, *argv):
@@ -355,3 +355,64 @@ def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+# every leaf that reads --spec or --weight, with a valid value for each of
+# its other required flags, so that only the input under test can fail
+_FILLERS = {"--depth": "2", "--radius": "2", "--target": "1", "--d": "1"}
+_BAD_JSON = '{"family": "Z",'
+# case -> (spec, weight or None, a part of the one error line)
+_SPEC_CASES = {
+    "spec-malformed": (_BAD_JSON, None, "JSON parse error"),
+    "spec-unknown-family": ({"family": "klein-bottle"}, None, "klein-bottle")}
+_WEIGHT_CASES = {
+    "weight-malformed": (F2_SPEC, _BAD_JSON, "JSON parse error"),
+    "weight-unknown-family": (F2_SPEC, {"family": "gauss"}, "gauss"),
+    "weight-lemma76-on-f2": (F2_SPEC, LEMMA76, "lemma76 weight lives on Z")}
+_INPUT_CASES = [
+    (key, case)
+    for key, (_, _, flags) in COMMANDS.items()
+    for case in [*(_SPEC_CASES if SPEC in flags else ()),
+                 *(_WEIGHT_CASES if WEIGHT in flags else ())]]
+
+
+def _write_input(path, obj):
+    """obj written as JSON to path, or as it is when it is text."""
+    if isinstance(obj, str):
+        path.write_text(obj)
+        return str(path)
+    return write_json(path, obj)
+
+
+@pytest.mark.parametrize("key,case", _INPUT_CASES,
+                         ids=[f"{g}-{c}-{case}" for (g, c), case in _INPUT_CASES])
+def test_input_errors_exit_two_on_one_line(capsys, tmp_path, key, case):
+    spec, weight, message = {**_SPEC_CASES, **_WEIGHT_CASES}[case]
+    csv = tmp_path / "v.csv"
+    csv.write_text("1,1,1\n2,1,1\n")
+    files = {"--spec": _write_input(tmp_path / "s.json", spec),
+             "--weight": _write_input(tmp_path / "w.json", weight or {}),
+             "--element": write_json(tmp_path / "e.json", {"terms": []}),
+             "--csv": str(csv)}
+    argv = list(key)
+    for name, kw in COMMANDS[key][2]:
+        if kw.get("required"):
+            argv += [name, files.get(name) or _FILLERS[name]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("waug: error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau", "blockseq", "--rho", "2", "--blocks", "200"],
+    ["weight", "build-l76", "--rho", "2", "--depth", "20000"],
+    ["ideal", "witness-45", "--spec", "Z", "--depth", "5000"],
+], ids=["blockseq", "build-l76", "witness-45"])
+def test_size_refusals_exit_two_on_one_line(capsys, zline, argv):
+    started = time.monotonic()
+    code, out, err = run(capsys, *[zline if a == "Z" else a for a in argv])
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err.startswith("waug: error: ") and err.count("\n") == 1
+    assert "-digit limit" in err and "Traceback" not in err
