@@ -296,7 +296,7 @@ def sigma_sequence(f: Element, ball_table):
     the reduced buckets (a bucket that divides den reduces by one division,
     where a prefix numerator would cost a full gcd).
     """
-    size = ball_table.depth + 1
+    size = len(ball_table.levels)
     re, im = [0] * size, [0] * size
     levels = []
     for u in f._points():

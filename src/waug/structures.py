@@ -29,10 +29,13 @@ lie in B_(n-1) by the recursion one level down.  The same holds for UNIVERSE:
 were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
 comes from an element of the last sphere (theta, on the zero-adjoined
 monoid).  Each level thus costs in proportion to its frontier, not to the
-whole ball.  Every deterministic choice ("least" element, term order) is
-made against elem_key, a canonical total order.  A BallTable keeps the
-spheres alone (u is in B_n iff its level is at most n, or B_n is universal)
-and answers every ball question itself.
+whole ball.  On a group, E.x^-1 is E multiplied by x^-1, so the frontier
+form is one multiplication pass per level,
+    B_n = B_(n-1)  u  S_(n-1).(X u X^-1),
+the same pass that finds geodesic words (bfs_words).  Every deterministic
+choice ("least" element, term order) is made against elem_key, a canonical
+total order.  A BallTable keeps the spheres alone (u is in B_n iff its level
+is at most n, or B_n is universal) and answers every ball question itself.
 """
 
 from __future__ import annotations
@@ -106,30 +109,19 @@ class Structure:
         return False
 
     def right_divide_point(self, u, x):
-        """{v : v x = u} as a frozenset (or UNIVERSE)."""
-        raise NotImplementedError
-
-    def mult_set(self, E, x):
-        if E is UNIVERSE:
-            raise ResourceLimit(
-                f"{self.family}: cannot multiply the universal set by an element")
-        return frozenset(self.multiply(u, x) for u in E)
+        """{v : v x = u} as a frozenset (or UNIVERSE); on a group, the one
+        solution u x^-1 (non-groups override this)."""
+        return frozenset([self.multiply(u, self.invert(x))])
 
     def divide_set(self, E, x):
-        """E . x^-1 = {v : v x in E}."""
-        if E is UNIVERSE:
-            raise ResourceLimit(
-                f"{self.family}: cannot divide the universal set by an element")
-        if self.is_group:
-            # v x = u has the one solution v = u x^-1
-            return self.mult_set(E, self.invert(x))
+        """E . x^-1 = {v : v x in E} for a finite E, as a set or UNIVERSE."""
         out = set()
         for u in E:
             part = self.right_divide_point(u, x)
             if part is UNIVERSE:
                 return UNIVERSE
             out |= part
-        return frozenset(out)
+        return out
 
     # --- encoding -----------------------------------------------------
 
@@ -141,6 +133,17 @@ class Structure:
 
     def elem_str(self, u) -> str:
         raise NotImplementedError
+
+    def parse_str(self, text: str):
+        """The inverse of elem_str: the element that prints as text, read by
+        the family's _read_str; InvalidInput if no element prints so."""
+        try:
+            u = self._read_str(text)
+        except (ValueError, LookupError):
+            u = None
+        if u is None or self.elem_str(u) != text:
+            raise InvalidInput(f"{text!r} names no element of this {self.family} structure")
+        return u
 
 
 class IntegerGroup(Structure):
@@ -170,9 +173,6 @@ class IntegerGroup(Structure):
     def word_length(self, u):
         return abs(u)
 
-    def right_divide_point(self, u, x):
-        return frozenset([u - x])
-
     def elem_to_json(self, u):
         return u
 
@@ -183,6 +183,9 @@ class IntegerGroup(Structure):
 
     def elem_str(self, u):
         return str(u)
+
+    def _read_str(self, text):
+        return int(text)
 
 
 class IntegerLattice(Structure):
@@ -206,15 +209,9 @@ class IntegerLattice(Structure):
         return tuple(-a for a in u)
 
     def default_generators(self):
-        gens = []
-        for i in range(self.d):
-            e = [0] * self.d
-            e[i] = 1
-            gens.append(tuple(e))
-            e2 = [0] * self.d
-            e2[i] = -1
-            gens.append(tuple(e2))
-        return gens
+        # +e_i before -e_i, i ascending
+        return [tuple(c if j == i else 0 for j in range(self.d))
+                for i in range(self.d) for c in (1, -1)]
 
     def is_standard_generators(self, gens):
         return set(gens) == set(self.default_generators())
@@ -230,9 +227,6 @@ class IntegerLattice(Structure):
     def word_length(self, u):
         return sum(abs(a) for a in u)
 
-    def right_divide_point(self, u, x):
-        return frozenset([tuple(a - b for a, b in zip(u, x))])
-
     def elem_to_json(self, u):
         return list(u)
 
@@ -244,6 +238,9 @@ class IntegerLattice(Structure):
 
     def elem_str(self, u):
         return "(" + ",".join(str(a) for a in u) + ")"
+
+    def _read_str(self, text):
+        return self.elem_from_json([int(a) for a in text[1:-1].split(",")])
 
 
 def _letter_names(rank: int):
@@ -344,6 +341,13 @@ class FreeStructure(Structure):
             parts.append(name if g > 0 else name + "^-1")
         return ".".join(parts)
 
+    def _read_str(self, text):
+        if text == "e":
+            return ()
+        letters = {name: g for g, name in enumerate(self.names, start=1)}
+        letters.update({name + "^-1": -g for name, g in letters.items()})
+        return self.elem_from_json([letters[part] for part in text.split(".")])
+
 
 class TableMonoid(Structure):
     """Finite monoid from a row-major table; element 0 is the identity."""
@@ -400,9 +404,6 @@ class TableMonoid(Structure):
                 return j
         raise InvalidInput(f"element {u} has no inverse")
 
-    def elements(self):
-        return range(self.size)
-
     def elem_key(self, u):
         return (u,)
 
@@ -425,6 +426,9 @@ class TableMonoid(Structure):
 
     def elem_str(self, u):
         return self.names[u]
+
+    def _read_str(self, text):
+        return self.names.index(text)
 
 
 class ZeroAdjoinedMonoid(Structure):
@@ -467,20 +471,7 @@ class ZeroAdjoinedMonoid(Structure):
             return frozenset([THETA])
         return self.base.right_divide_point(u, x)
 
-    def mult_set(self, E, x):
-        if E is UNIVERSE:
-            if x == THETA:
-                return frozenset([THETA])
-            if x == ():
-                return UNIVERSE
-            raise ResourceLimit(
-                "zero_adjoined: M0 . w is an infinite proper subset; not representable")
-        return frozenset(self.multiply(u, x) for u in E)
-
     def divide_set(self, E, x):
-        if E is UNIVERSE:
-            # {v : v x in M0} is everything
-            return UNIVERSE
         if x == THETA:
             return UNIVERSE if THETA in E else frozenset()
         return super().divide_set(E, x)
@@ -497,6 +488,9 @@ class ZeroAdjoinedMonoid(Structure):
         if u == THETA:
             return THETA
         return self.base.elem_str(u)
+
+    def _read_str(self, text):
+        return THETA if text == THETA else self.base._read_str(text)
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +554,6 @@ class BallTable:
     `sizes`, `universal_at`, `whole_at` and `stable_at`."""
 
     structure: Structure
-    gens: list
-    depth: int
     levels: list
     level_of: dict = field(default_factory=dict)
 
@@ -609,7 +601,7 @@ class BallTable:
     def stable_at(self) -> Optional[int]:
         """First n >= 1 with B_n == B_(n-1) (fixpoint of the recursion):
         the first empty level, which after a universal ball is the next one."""
-        for n in range(1, self.depth + 1):
+        for n in range(1, len(self.levels)):
             lev = self.levels[n]
             if lev is not UNIVERSE and not lev:
                 return n
@@ -621,16 +613,51 @@ def _check_depth(depth: int):
         raise InvalidInput(f"ball depth must be >= 0, got {depth}")
 
 
+def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big):
+    """Right multiplication by `steps`, one sphere per `next`: sphere n is the
+    images u.x of sphere n-1 (u in its order, then x = steps[i]) that `seen`
+    lacks, each once, in order of first finding, entered into `seen` as
+    label(n, u, i).  Sphere 0 is {e}, already in `seen`.  With `size` > `cap`
+    elements in `seen` after sphere n, raises ResourceLimit(too_big(n, size))."""
+    frontier = [s.identity()]
+    n = 0
+    while True:
+        n += 1
+        nxt = []
+        for u in frontier:
+            for i, x in enumerate(steps):
+                v = s.multiply(u, x)
+                if v not in seen:
+                    seen[v] = label(n, u, i)
+                    nxt.append(v)
+        if len(seen) > cap:
+            raise ResourceLimit(too_big(n, len(seen)))
+        yield nxt
+        frontier = nxt
+
+
 def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) -> BallTable:
     """Balls B_0..B_depth by the frontier form of the recursion (module
-    docstring): only the last sphere is multiplied and divided, and its
-    images are kept where level_of does not know them yet."""
+    docstring): only the last sphere is multiplied and divided (on a group,
+    multiplied by X u X^-1 in one _spheres pass), and its images are kept
+    where level_of does not know them yet."""
     _check_depth(depth)
     cap = ball_cap() if cap is None else cap
+
+    def too_big(n, size):
+        return (f"ball B_{n} has {size} elements, over the cap "
+                f"{cap} (set {BALL_CAP_ENV} to raise it)")
+
     e = s.identity()
     frontier = [e]
     levels = [frontier]
     level_of = {e: 0}
+    if s.is_group:
+        steps = list(dict.fromkeys([*gens, *map(s.invert, gens)]))
+        spheres = _spheres(s, steps, level_of, lambda n, u, i: n, cap, too_big)
+        for _, sphere in zip(range(depth), spheres):
+            levels.append(sorted(sphere, key=s.elem_key))
+        return BallTable(s, levels, level_of)
     universal = False
     for n in range(1, depth + 1):
         if universal:
@@ -638,7 +665,7 @@ def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) ->
             continue
         acc = set()
         for x in gens:
-            acc |= s.mult_set(frontier, x)  # a finite set times x is finite
+            acc.update(s.multiply(u, x) for u in frontier)
             d = s.divide_set(frontier, x)
             if d is UNIVERSE:
                 universal = True
@@ -647,15 +674,12 @@ def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) ->
         if universal:
             levels.append(UNIVERSE)
             continue
-        new = [u for u in acc if u not in level_of]
-        if len(level_of) + len(new) > cap:
-            raise ResourceLimit(
-                f"ball B_{n} has {len(level_of) + len(new)} elements, over the cap "
-                f"{cap} (set {BALL_CAP_ENV} to raise it)")
-        frontier = sorted(new, key=s.elem_key)
+        frontier = sorted((u for u in acc if u not in level_of), key=s.elem_key)
         level_of.update(dict.fromkeys(frontier, n))
+        if len(level_of) > cap:
+            raise ResourceLimit(too_big(n, len(level_of)))
         levels.append(frontier)
-    return BallTable(s, list(gens), depth, levels, level_of)
+    return BallTable(s, levels, level_of)
 
 
 def closed_form_ball_size(s: Structure, gens, n: int) -> Optional[int]:
@@ -761,68 +785,41 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
     return chain, bt
 
 
-def h_x_fixpoint(s: Structure, gens, max_depth: int):
-    """Run the ball recursion to a fixpoint (or max_depth).  Returns
-    (ball_table, stabilized_at or None)."""
-    bt = division_balls(s, gens, max_depth)
-    return bt, bt.stable_at()
-
-
 # ---------------------------------------------------------------------------
 # right-multiplication BFS (geodesic words over a generating set)
 # ---------------------------------------------------------------------------
 
 def bfs_words(s: Structure, gens, depth: int, cap: Optional[int] = None,
-              targets=None):
-    """Lexicographically-least shortest words over `gens` (right multiplication).
-
-    Returns (levels, words) where words maps element -> tuple of generator
-    indices.  Stops early once all `targets` are found, if given.
-    """
+              targets=None) -> dict:
+    """Lexicographically-least shortest words over `gens` (right
+    multiplication), as a dict element -> tuple of generator indices, for
+    the elements within `depth` steps of e.  Stops early once all `targets`
+    are found, if given."""
     cap = ball_cap() if cap is None else cap
     e = s.identity()
     words = {e: ()}
-    levels = [[e]]
-    frontier = [e]
-    remaining = set(targets) if targets is not None else None
-    if remaining is not None:
-        remaining.discard(e)
+    remaining = None if targets is None else set(targets) - {e}
+    spheres = _spheres(
+        s, gens, words, lambda n, u, i: words[u] + (i,), cap,
+        lambda n, size: f"word BFS exceeded cap {cap} (set {BALL_CAP_ENV} to raise it)")
     for _ in range(depth):
         if remaining is not None and not remaining:
             break
-        nxt = []
-        for u in frontier:
-            wu = words[u]
-            for i, x in enumerate(gens):
-                v = s.multiply(u, x)
-                if v not in words:
-                    words[v] = wu + (i,)
-                    nxt.append(v)
-                    if remaining is not None:
-                        remaining.discard(v)
-        if len(words) > cap:
-            raise ResourceLimit(
-                f"word BFS exceeded cap {cap} (set {BALL_CAP_ENV} to raise it)")
-        if not nxt:
-            break
-        levels.append(nxt)
-        frontier = nxt
-    return levels, words
+        nxt = next(spheres)
+        if remaining is not None:
+            remaining.difference_update(nxt)
+    return words
 
 
 def _standard_word(s: Structure, idx, u):
     """Closed-form least shortest word over a standard generating set, whose
     generator -> index map is idx."""
     if isinstance(s, IntegerGroup):
-        step = 1 if u >= 0 else -1
-        return tuple(idx[step] for _ in range(abs(u)))
+        return (idx[1 if u >= 0 else -1],) * abs(u)
     if isinstance(s, IntegerLattice):
-        out = []
-        for i, c in enumerate(u):
-            e = [0] * s.d
-            e[i] = 1 if c >= 0 else -1
-            out.extend([idx[tuple(e)]] * abs(c))
-        return tuple(out)
+        std = s.default_generators()  # +e_1, -e_1, +e_2, ...
+        return tuple(idx[std[2 * i + (c < 0)]]
+                     for i, c in enumerate(u) for _ in range(abs(c)))
     return tuple(idx[(g,)] for g in u)  # FreeStructure
 
 
@@ -835,12 +832,7 @@ def geodesic_words(s: Structure, gens, points, max_depth: int,
     if s.is_standard_generators(gens):
         idx = {g: i for i, g in enumerate(gens)}
         return {u: _standard_word(s, idx, u) for u in points}
-    _, words = bfs_words(s, gens, max_depth, cap, targets=points)
+    words = bfs_words(s, gens, max_depth, cap, targets=points)
     if any(u not in words for u in points):
         raise ResourceLimit(f"element not reached within depth {max_depth}")
     return {u: words[u] for u in points}
-
-
-def geodesic_word(s: Structure, gens, u, max_depth: int, cap: Optional[int] = None):
-    """Least shortest word for u over gens, as a tuple of generator indices."""
-    return geodesic_words(s, gens, [u], max_depth, cap)[u]

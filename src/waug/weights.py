@@ -144,6 +144,13 @@ class ExplicitWeight(Weight):
             if v <= 0:
                 raise InvalidInput(f"explicit weight value at {k!r} must be positive")
 
+    def check_domain(self, s):
+        for key in self.values:
+            try:
+                s.parse_str(key)
+            except InvalidInput as exc:
+                raise InvalidInput(f"explicit weight key {exc}") from None
+
     def eval(self, s, u, bits=DEFAULT_BITS):
         key = s.elem_str(u)
         if key not in self.values:

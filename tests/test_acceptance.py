@@ -20,7 +20,7 @@ from waug.idealkit import (decompose_full, decompose_point, divide_shift,
 from waug.sequences import (PrefixSequence, build_block_sequence,
                             check_prefix_tp, failure_witness, norm_tau,
                             tail_functional)
-from waug.structures import (TableMonoid, division_balls, h_x_fixpoint,
+from waug.structures import (TableMonoid, division_balls,
                              pseudo_finite_within, structure_from_spec)
 from waug.weights import (RadialExpWeight, RadialPolyWeight, build_lemma74,
                           build_lemma76, tau_step_check, tau_and_C,
@@ -342,7 +342,8 @@ def test_c16_closure_of_the_pseudo_generated_set():
         m = len(table)
         s = TableMonoid(table)
         X = rng.sample(range(m), rng.randrange(1, m + 1))
-        bt, stable = h_x_fixpoint(s, X, m + 2)
+        bt = division_balls(s, X, m + 2)
+        stable = bt.stable_at()
         assert stable is not None
         H = bt.ball(stable)
         for u in H:

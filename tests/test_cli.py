@@ -368,7 +368,12 @@ _SPEC_CASES = {
 _WEIGHT_CASES = {
     "weight-malformed": (F2_SPEC, _BAD_JSON, "JSON parse error"),
     "weight-unknown-family": (F2_SPEC, {"family": "gauss"}, "gauss"),
-    "weight-lemma76-on-f2": (F2_SPEC, LEMMA76, "lemma76 weight lives on Z")}
+    "weight-lemma76-on-f2": (F2_SPEC, LEMMA76, "lemma76 weight lives on Z"),
+    # a key that no element of the structure prints as
+    "weight-explicit-unknown-key": (
+        F2_SPEC, {"family": "explicit", "params": {"values": {
+            "e": "1", "a": "2", "a^-1": "2", "b": "2", "b^-1": "2", "zz.q": "5"}}},
+        "explicit weight key 'zz.q' names no element of this free structure")}
 _INPUT_CASES = [
     (key, case)
     for key, (_, _, flags) in COMMANDS.items()

@@ -1,6 +1,7 @@
 """Structures, division balls, ancestries, geodesic words."""
 
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -9,9 +10,8 @@ from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
                              FreeStructure, IntegerGroup, IntegerLattice,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
                              closed_form_ball_size, division_balls,
-                             find_ancestry, geodesic_word, geodesic_words,
-                             h_x_fixpoint, pseudo_finite_within,
-                             structure_from_spec)
+                             find_ancestry, geodesic_words,
+                             pseudo_finite_within, structure_from_spec)
 
 
 def brute_division_balls(s, gens, depth):
@@ -110,6 +110,7 @@ def test_free_monoid_balls_include_divisions():
 
 
 _T3, _T3_CYCLE, _T3_FOLD = _transformation_monoid()
+_Z51 = [[(i + j) % 51 for j in range(51)] for i in range(51)]
 
 
 # the first four ids are the names these cases have always been run under
@@ -131,6 +132,15 @@ _T3, _T3_CYCLE, _T3_FOLD = _transformation_monoid()
                   "generators": [[1], "theta"]}, 4, id="a-theta"),
     pytest.param({"family": "zero_adjoined", "params": {"rank": 2},
                   "generators": ["theta", [2]]}, 4, id="theta-b"),
+    # groups over generators not closed under inverses: a group ball still
+    # divides, so it holds the inverse steps too
+    pytest.param({"family": "Z", "generators": [1]}, 5, id="Z-one"),
+    pytest.param({"family": "free", "params": {"rank": 2, "inverses": True},
+                  "generators": [[1], [2]]}, 4, id="F2-a-b"),
+    pytest.param({"family": "Zd", "params": {"d": 3},
+                  "generators": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}, 4, id="Z3-plus"),
+    pytest.param({"family": "table", "params": {"table": _Z51},
+                  "generators": [7]}, 27, id="Z51-unit"),
 ])
 def test_balls_match_brute_force(spec, depth):
     s, gens = structure_from_spec(spec)
@@ -151,6 +161,19 @@ def test_balls_match_brute_force(spec, depth):
         assert bt.universal_at() is None
     assert bt.stable_at() == _old_stable_at([bt.ball(n) for n in range(depth + 1)])
     assert bt.stable_at() == _old_stable_at(brute + [UNIVERSE] * (depth + 1 - finite))
+
+
+@pytest.mark.parametrize("inverses", [True, False], ids=["F2", "FM2"])
+def test_balls_with_identity_and_repeated_generators(inverses):
+    # the necessity probe passes support sets, which may hold e and repeats
+    s, gens = structure_from_spec(
+        {"family": "free", "params": {"rank": 2, "inverses": inverses},
+         "generators": [[1], [2]]})
+    messy = [(), (1,), (2,), (1,), ()]
+    bt = division_balls(s, messy, 4)
+    ref = division_balls(s, gens, 4)
+    assert bt.levels == ref.levels and bt.level_of == ref.level_of
+    assert [bt.ball(n) for n in range(5)] == brute_division_balls(s, messy, 4)
 
 
 def test_zero_adjoined_universal_ball():
@@ -214,8 +237,8 @@ def test_stall_is_permanent():
     T = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     s, gens = structure_from_spec(
         {"family": "table", "params": {"table": T}, "generators": [1]})
-    bt, stable = h_x_fixpoint(s, gens, 6)
-    assert stable == 2
+    bt = division_balls(s, gens, 6)
+    assert bt.stable_at() == 2
     assert all(bt.ball(n) == bt.ball(1) for n in range(1, 7))
 
 
@@ -271,7 +294,7 @@ def test_ancestry_through_universal_ball():
 def test_bfs_words_shortest_and_least():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    _, words = bfs_words(s, gens, 3)
+    words = bfs_words(s, gens, 3)
     # gens order [a, a^-1, b, b^-1]; ab has the unique word (0, 2)
     assert words[(1, 2)] == (0, 2)
     assert words[s.identity()] == ()
@@ -283,10 +306,10 @@ def test_geodesic_word_closed_forms_match_bfs():
     for spec in ({"family": "Z"}, {"family": "Zd", "params": {"d": 2}},
                  {"family": "free", "params": {"rank": 2, "inverses": True}}):
         s, gens = structure_from_spec(spec)
-        _, words = bfs_words(s, gens, 4)
+        words = bfs_words(s, gens, 4)
         pool = sorted(words, key=s.elem_key)
         for u in rng.sample(pool, min(25, len(pool))):
-            w = geodesic_word(s, gens, u, 6)
+            w = geodesic_words(s, gens, [u], 6)[u]
             assert len(w) == len(words[u])
             # replaying the word reaches u
             v = s.identity()
@@ -308,7 +331,7 @@ def test_geodesic_words_equal_per_point_words(spec):
     # one BFS for all points gives each point the word of its own BFS
     rng = random.Random(903)
     s, gens = structure_from_spec(spec)
-    _, words = bfs_words(s, gens, 4)
+    words = bfs_words(s, gens, 4)
     pool = sorted(words, key=s.elem_key)
     for size in (1, 2, 5, 12):
         points = rng.sample(pool, min(size, len(pool)))
@@ -316,9 +339,9 @@ def test_geodesic_words_equal_per_point_words(spec):
         assert list(got) == points
         for u in points:
             if s.is_standard_generators(gens):
-                assert got[u] == geodesic_word(s, gens, u, 6)
+                assert got[u] == geodesic_words(s, gens, [u], 6)[u]
             else:
-                assert got[u] == bfs_words(s, gens, 6, targets=[u])[1][u]
+                assert got[u] == bfs_words(s, gens, 6, targets=[u])[u]
 
 
 def test_geodesic_words_unreachable_and_cap_messages():
@@ -331,9 +354,9 @@ def test_geodesic_words_unreachable_and_cap_messages():
     assert geodesic_words(s, gens, [near, far], 4)[far] == (2, 2, 0, 0)
     # the cap is checked level by level up to the farthest point, so it
     # fails exactly when the farthest point's own search fails
-    _, words = bfs_words(s, gens, 3)
+    words = bfs_words(s, gens, 3)
     with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
-        geodesic_word(s, gens, far, 6, cap=len(words))
+        geodesic_words(s, gens, [far], 6, cap=len(words))
     with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
         geodesic_words(s, gens, [near, far], 6, cap=len(words))
     assert geodesic_words(s, gens, [near, (1, 2)], 6, cap=len(words))[(1, 2)] == (4,)
@@ -392,3 +415,42 @@ def test_ball_cap_respected():
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     with pytest.raises(ResourceLimit):
         division_balls(s, gens, 6, cap=100)
+    # each search fires at the first level past the cap, with its own message:
+    # F2 balls (group path) 1, 5, 17, 53, 161; rank-3 free monoid balls
+    # (multiply-and-divide path) 1, 4, 13, 40, 121; F2 words as the F2 balls
+    fm3, fm3_gens = structure_from_spec(
+        {"family": "free", "params": {"rank": 3, "inverses": False}})
+    for st, g, size in ((s, gens, 161), (fm3, fm3_gens, 121)):
+        assert division_balls(st, g, 3, cap=100).sizes()[-1] <= 100
+        with pytest.raises(ResourceLimit, match="^" + re.escape(
+                f"ball B_4 has {size} elements, over the cap 100 "
+                "(set WAUG_BALL_CAP to raise it)") + "$"):
+            division_balls(st, g, 6, cap=100)
+    assert len(bfs_words(s, gens, 3, cap=100)) == 53
+    with pytest.raises(ResourceLimit, match="^" + re.escape(
+            "word BFS exceeded cap 100 (set WAUG_BALL_CAP to raise it)") + "$"):
+        bfs_words(s, gens, 6, cap=100)
+
+
+@pytest.mark.parametrize("spec,bad", [
+    ({"family": "Z"}, ["+1", "01", "-0", " 1", "1.0", "x", ""]),
+    ({"family": "Zd", "params": {"d": 2}},
+     ["(1,2,3)", "(1, 2)", "1,2", "(01,2)", "()", "(1,2"]),
+    ({"family": "free", "params": {"rank": 2, "inverses": True}},
+     ["a.a^-1", "c", "a..b", "", "a^-2", "zz.q", "e.a", "A"]),
+    ({"family": "free", "params": {"rank": 3, "inverses": False}},
+     ["a^-1", "d", "a.e", "()"]),
+    ({"family": "table", "params": {"table": _T3},
+      "generators": [_T3_CYCLE, _T3_FOLD]}, ["m27", "M1", "1", "m01"]),
+    ({"family": "zero_adjoined", "params": {"rank": 2}, "generators": [[1], "theta"]},
+     ["Theta", "theta.a", "a^-1", "c"]),
+], ids=["Z", "Z2", "F2", "FM3", "T3", "theta2"])
+def test_parse_str_inverts_elem_str(spec, bad):
+    s, gens = structure_from_spec(spec)
+    bt = division_balls(s, gens, 3)
+    points = [u for lev in bt.levels if lev is not UNIVERSE for u in lev]
+    for u in points:
+        assert s.parse_str(s.elem_str(u)) == u
+    for text in bad:
+        with pytest.raises(InvalidInput, match=re.escape(repr(text))):
+            s.parse_str(text)

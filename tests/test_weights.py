@@ -53,6 +53,17 @@ def test_explicit_weight_table():
     assert w.eval(s, -1) == 3
     with pytest.raises(InvalidInput):
         w.eval(s, 7)
+    w.check_domain(s)
+    with pytest.raises(InvalidInput, match="explicit weight key '\\+1'"):
+        ExplicitWeight({0: F(1), "+1": F(2)}).check_domain(s)
+    # every key must name an element: the F2 generators do, zz.q does not
+    f2, gens = structure_from_spec({"family": "free", "params": {"rank": 2}})
+    values = {"e": "1", "a": "2", "a^-1": "2", "b": "2", "b^-1": "2"}
+    ExplicitWeight(values).check_domain(f2)
+    assert verify_weight_axioms(f2, gens, ExplicitWeight(values), 1)["ok"]
+    with pytest.raises(InvalidInput, match="^explicit weight key 'zz.q' names "
+                       "no element of this free structure$"):
+        ExplicitWeight({**values, "zz.q": "5"}).check_domain(f2)
 
 
 def test_weight_from_spec_round_trip():
