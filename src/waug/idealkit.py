@@ -23,7 +23,7 @@ from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
 from .sequences import first_growth_failure
 from .structures import (InvalidInput, UNIVERSE, division_balls,
                          geodesic_words, pseudo_finite_within,
-                         IntegerGroup, IntegerLattice, Structure)
+                         IntegerGroup, Structure)
 from .weights import build_lemma74, tau_and_C
 
 
@@ -589,16 +589,6 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
     }
 
 
-def _least_sphere_point(s: Structure, n: int):
-    """elem_key-least element at word length n, for the families on which
-    tau_and_C reads sphere minima in closed form."""
-    if isinstance(s, IntegerGroup):
-        return n
-    if isinstance(s, IntegerLattice):
-        return (n,) + (0,) * (s.d - 1)
-    return (1,) * n  # FreeStructure
-
-
 def witness_nontp_element(s: Structure, gens, weight, alphas,
                           bits: int = DEFAULT_BITS) -> dict:
     """Truncated witness against single-generator decomposability.
@@ -628,20 +618,20 @@ def witness_nontp_element(s: Structure, gens, weight, alphas,
                 "exceeds_single_generator_ceiling": False, "ok": True}
     tc = tau_and_C(s, gens, weight, N, bits)
     taus, C = tc["taus"], tc["C"]
-    use_closed = tc["method"] == "radial"
-    bt = None if use_closed else division_balls(s, gens, N)
-    points = []
-    for n in range(1, N + 1):
-        if use_closed:
-            y = _least_sphere_point(s, n)
-        else:
-            y = next((u for u in bt.sphere(n)
-                      if weight.eval(s, u, bits) == taus[n - 1]), None)
-            if y is None:
-                raise RuntimeError(f"no sphere point attains tau_{n}")
+    if tc["method"] == "radial":
+        # the least point of sphere n is x^n, x the first standard generator
+        x = s.default_generators()[0]
+        points = list(accumulate([x] * N, s.multiply))
+    else:
+        bt = division_balls(s, gens, N)
+        points = [next((u for u in bt.sphere(n)
+                        if weight.eval(s, u, bits) == taus[n - 1]), None)
+                  for n in range(1, N + 1)]
+    for n, y in enumerate(points, start=1):
+        if y is None:
+            raise RuntimeError(f"no sphere point attains tau_{n}")
         if weight.eval(s, y, bits) != taus[n - 1]:
             raise RuntimeError(f"selected point does not attain tau_{n}")
-        points.append(y)
     zeta = sum(alphas, Fraction(0))
     coeffs = {e: zeta}
     for a, y in zip(alphas, points):

@@ -29,13 +29,16 @@ lie in B_(n-1) by the recursion one level down.  The same holds for UNIVERSE:
 were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
 comes from an element of the last sphere (theta, on the zero-adjoined
 monoid).  Each level thus costs in proportion to its frontier, not to the
-whole ball.  On a group, E.x^-1 is E multiplied by x^-1, so the frontier
-form is one multiplication pass per level,
+whole ball.  One frontier loop (_spheres) computes it for every family.  On a
+group, E.x^-1 is E multiplied by x^-1, so a level is one multiplication pass,
     B_n = B_(n-1)  u  S_(n-1).(X u X^-1),
-the same pass that finds geodesic words (bfs_words).  Every deterministic
-choice ("least" element, term order) is made against elem_key, a canonical
-total order.  A BallTable keeps the spheres alone (u is in B_n iff its level
-is at most n, or B_n is universal) and answers every ball question itself.
+the same pass that finds geodesic words (bfs_words).  On a monoid the pass
+multiplies each sphere element u by each x in X and divides it by x, entering
+u.x and {v : v x = u} together; a universal quotient ends the loop, and that
+ball and every later one is UNIVERSE.  Every deterministic choice ("least"
+element, term order) is made against elem_key, a canonical total order.
+A BallTable keeps the spheres alone (u is in B_n iff its level is at most n,
+or B_n is universal) and answers every ball question itself.
 """
 
 from __future__ import annotations
@@ -64,6 +67,15 @@ def ball_cap() -> int:
     if cap <= 0:
         raise InvalidInput(f"{BALL_CAP_ENV} must be positive")
     return cap
+
+
+def _check_spec_size(what: str, size: int):
+    """Refuse a spec whose standard generators, built at load, would hold
+    `size` entries past the cap."""
+    cap = ball_cap()
+    if size > cap:
+        raise ResourceLimit(f"{what} = {size} generator entries, over the cap "
+                            f"{cap} (set {BALL_CAP_ENV} to raise it)")
 
 
 class _Universe:
@@ -112,16 +124,6 @@ class Structure:
         """{v : v x = u} as a frozenset (or UNIVERSE); on a group, the one
         solution u x^-1 (non-groups override this)."""
         return frozenset([self.multiply(u, self.invert(x))])
-
-    def divide_set(self, E, x):
-        """E . x^-1 = {v : v x in E} for a finite E, as a set or UNIVERSE."""
-        out = set()
-        for u in E:
-            part = self.right_divide_point(u, x)
-            if part is UNIVERSE:
-                return UNIVERSE
-            out |= part
-        return out
 
     # --- encoding -----------------------------------------------------
 
@@ -197,6 +199,7 @@ class IntegerLattice(Structure):
     def __init__(self, d: int):
         if d < 1:
             raise InvalidInput("Zd needs d >= 1")
+        _check_spec_size(f"params.d = {d} needs 2*d^2", 2 * d * d)
         self.d = d
 
     def identity(self):
@@ -244,8 +247,9 @@ class IntegerLattice(Structure):
 
 
 def _letter_names(rank: int):
-    if rank <= 26:
-        return [chr(ord("a") + i) for i in range(rank)]
+    """a, b, c, d, f, ... (e names the identity) up to rank 25, else g1, g2, ..."""
+    if rank <= 25:
+        return list("abcdfghijklmnopqrstuvwxyz"[:rank])
     return [f"g{i + 1}" for i in range(rank)]
 
 
@@ -255,6 +259,7 @@ class FreeStructure(Structure):
     def __init__(self, rank: int, inverses: bool = True):
         if rank < 1:
             raise InvalidInput("free structure needs rank >= 1")
+        _check_spec_size(f"params.rank = {rank} needs 2*rank", 2 * rank)
         self.rank = rank
         self.inverses = inverses
         self.is_group = inverses
@@ -309,7 +314,7 @@ class FreeStructure(Structure):
 
     def right_divide_point(self, u, x):
         if self.inverses:
-            return frozenset([self.multiply(u, self.invert(x))])
+            return super().right_divide_point(u, x)
         # monoid: v x = u iff x is a suffix of u
         n = len(x)
         if n <= len(u) and (n == 0 or u[len(u) - n:] == x):
@@ -363,6 +368,8 @@ class TableMonoid(Structure):
         self.names = list(names) if names else [f"m{i}" for i in range(n)]
         if names and len(self.names) != n:
             raise InvalidInput("names length does not match table size")
+        if not all(isinstance(a, str) for a in self.names) or len(set(self.names)) < n:
+            raise InvalidInput("table params.names must be distinct strings")
         if validate:
             self._validate()
         self.is_group = all(
@@ -470,11 +477,6 @@ class ZeroAdjoinedMonoid(Structure):
         if u == THETA:
             return frozenset([THETA])
         return self.base.right_divide_point(u, x)
-
-    def divide_set(self, E, x):
-        if x == THETA:
-            return UNIVERSE if THETA in E else frozenset()
-        return super().divide_set(E, x)
 
     def elem_to_json(self, u):
         return THETA if u == THETA else list(u)
@@ -613,12 +615,17 @@ def _check_depth(depth: int):
         raise InvalidInput(f"ball depth must be >= 0, got {depth}")
 
 
-def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big):
-    """Right multiplication by `steps`, one sphere per `next`: sphere n is the
-    images u.x of sphere n-1 (u in its order, then x = steps[i]) that `seen`
+def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
+             divide: bool = False):
+    """Right multiplication by `steps` (and, with `divide`, right division),
+    one sphere per `next`: sphere n is the images of sphere n-1 that `seen`
     lacks, each once, in order of first finding, entered into `seen` as
-    label(n, u, i).  Sphere 0 is {e}, already in `seen`.  With `size` > `cap`
-    elements in `seen` after sphere n, raises ResourceLimit(too_big(n, size))."""
+    label(n, u, i).  The images of u, taken in its sphere's order, are u.x
+    for x = steps[i], i ascending, then with `divide` the quotients
+    {v : v x = u}, i ascending.  Sphere 0 is {e}, already in `seen`.
+    A UNIVERSE quotient takes sphere n's entries back out of `seen` and ends
+    the iteration with a UNIVERSE sphere.  With `size` > `cap` elements in
+    `seen` after sphere n, raises ResourceLimit(too_big(n, size))."""
     frontier = [s.identity()]
     n = 0
     while True:
@@ -630,6 +637,19 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big):
                 if v not in seen:
                     seen[v] = label(n, u, i)
                     nxt.append(v)
+            if not divide:
+                continue
+            for i, x in enumerate(steps):
+                quotients = s.right_divide_point(u, x)
+                if quotients is UNIVERSE:
+                    for v in nxt:
+                        del seen[v]
+                    yield UNIVERSE
+                    return
+                for v in quotients:
+                    if v not in seen:
+                        seen[v] = label(n, u, i)
+                        nxt.append(v)
         if len(seen) > cap:
             raise ResourceLimit(too_big(n, len(seen)))
         yield nxt
@@ -638,9 +658,10 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big):
 
 def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) -> BallTable:
     """Balls B_0..B_depth by the frontier form of the recursion (module
-    docstring): only the last sphere is multiplied and divided (on a group,
-    multiplied by X u X^-1 in one _spheres pass), and its images are kept
-    where level_of does not know them yet."""
+    docstring), in one _spheres pass per level: a group multiplies the last
+    sphere by X u X^-1, a monoid multiplies it by X and divides it by X.
+    Images are kept where level_of does not know them yet; a universal
+    quotient makes the level UNIVERSE and every later level empty."""
     _check_depth(depth)
     cap = ball_cap() if cap is None else cap
 
@@ -649,36 +670,15 @@ def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) ->
                 f"{cap} (set {BALL_CAP_ENV} to raise it)")
 
     e = s.identity()
-    frontier = [e]
-    levels = [frontier]
+    levels = [[e]]
     level_of = {e: 0}
-    if s.is_group:
-        steps = list(dict.fromkeys([*gens, *map(s.invert, gens)]))
-        spheres = _spheres(s, steps, level_of, lambda n, u, i: n, cap, too_big)
-        for _, sphere in zip(range(depth), spheres):
-            levels.append(sorted(sphere, key=s.elem_key))
-        return BallTable(s, levels, level_of)
-    universal = False
-    for n in range(1, depth + 1):
-        if universal:
-            levels.append([])
-            continue
-        acc = set()
-        for x in gens:
-            acc.update(s.multiply(u, x) for u in frontier)
-            d = s.divide_set(frontier, x)
-            if d is UNIVERSE:
-                universal = True
-                break
-            acc |= d
-        if universal:
-            levels.append(UNIVERSE)
-            continue
-        frontier = sorted((u for u in acc if u not in level_of), key=s.elem_key)
-        level_of.update(dict.fromkeys(frontier, n))
-        if len(level_of) > cap:
-            raise ResourceLimit(too_big(n, len(level_of)))
-        levels.append(frontier)
+    inverses = map(s.invert, gens) if s.is_group else ()
+    steps = list(dict.fromkeys([*gens, *inverses]))
+    spheres = _spheres(s, steps, level_of, lambda n, u, i: n, cap, too_big,
+                       divide=not s.is_group)
+    for _, sphere in zip(range(depth), spheres):
+        levels.append(sphere if sphere is UNIVERSE else sorted(sphere, key=s.elem_key))
+    levels.extend([] for _ in range(depth + 1 - len(levels)))
     return BallTable(s, levels, level_of)
 
 

@@ -344,8 +344,12 @@ LEMMA76 = {"family": "lemma76", "params": {"rho": "2", "N": 7}}
      "lemma76 weight lives on Z, not on free"),
     ({"family": "Zd", "params": {"d": 2}}, LEMMA76,
      ["weight", "verify", "--radius", "4"], "lemma76 weight lives on Z, not on Zd"),
+    # two elements printing alike would make names ambiguous
+    ({"family": "table", "params": {"table": [[0, 1], [1, 0]], "names": ["x", "x"]},
+      "generators": [1]}, None,
+     ["structure", "ball", "--depth", "2"], "table params.names must be distinct strings"),
 ], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2",
-        "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2"])
+        "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2", "table-names"])
 def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
                                            argv, message):
     argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]
@@ -407,6 +411,27 @@ def test_input_errors_exit_two_on_one_line(capsys, tmp_path, key, case):
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ({"family": "Zd", "params": {"d": 8}}, "params.d = 8 needs 2*d^2 = 128"),
+    ({"family": "free", "params": {"rank": 51}}, "params.rank = 51 needs 2*rank = 102"),
+    ({"family": "zero_adjoined", "params": {"rank": 51}},
+     "params.rank = 51 needs 2*rank = 102"),
+], ids=["zd-d", "free-rank", "theta-rank"])
+def test_spec_sizes_are_capped_at_load(capsys, tmp_path, monkeypatch, spec, message):
+    # the generators a spec builds before any check are bounded by the ball cap
+    monkeypatch.setenv("WAUG_BALL_CAP", "100")
+    code, out, err = run(capsys, "structure", "ball", "--depth", "0",
+                         "--spec", write_json(tmp_path / "s.json", spec))
+    assert code == 2 and out == ""
+    assert err == (f"waug: error: {message} generator entries, over the cap 100 "
+                   "(set WAUG_BALL_CAP to raise it)\n")
+    # one step smaller loads
+    params = {"d": 7} if "d" in spec["params"] else {"rank": 50}
+    smaller = write_json(tmp_path / "t.json", {**spec, "params": params})
+    code, out, _ = run(capsys, "structure", "ball", "--depth", "0", "--spec", smaller)
+    assert code == 0 and json.loads(out)["result"]["ball_sizes"] == [1]
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_acceptance import brute_transformation_monoid
 from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
                              FreeStructure, IntegerGroup, IntegerLattice,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
@@ -161,6 +162,29 @@ def test_balls_match_brute_force(spec, depth):
         assert bt.universal_at() is None
     assert bt.stable_at() == _old_stable_at([bt.ball(n) for n in range(depth + 1)])
     assert bt.stable_at() == _old_stable_at(brute + [UNIVERSE] * (depth + 1 - finite))
+
+
+def test_monoid_balls_match_brute_force_on_random_tables():
+    """100 random transformation monoids (size <= 12), random X: at every
+    depth up to m + 2 the balls equal the naive recursion's, and level_of
+    holds exactly the levels' elements."""
+    rng = random.Random(1212)
+    divided = 0
+    for _ in range(100):
+        table = brute_transformation_monoid(rng)
+        m = len(table)
+        s = TableMonoid(table)
+        X = rng.sample(range(m), rng.randrange(1, m + 1))
+        brute = brute_division_balls(s, X, m + 2)
+        for depth in range(m + 3):
+            bt = division_balls(s, X, depth)
+            assert [bt.ball(n) for n in range(depth + 1)] == brute[:depth + 1]
+            assert bt.level_of == {u: n for n, lev in enumerate(bt.levels) for u in lev}
+        products = {0}
+        for _ in range(m):
+            products |= {s.multiply(u, x) for u in products for x in X}
+        divided += bt.ball(m + 2) != products
+    assert divided  # some samples need division to fill their balls
 
 
 @pytest.mark.parametrize("inverses", [True, False], ids=["F2", "FM2"])
@@ -417,7 +441,7 @@ def test_ball_cap_respected():
         division_balls(s, gens, 6, cap=100)
     # each search fires at the first level past the cap, with its own message:
     # F2 balls (group path) 1, 5, 17, 53, 161; rank-3 free monoid balls
-    # (multiply-and-divide path) 1, 4, 13, 40, 121; F2 words as the F2 balls
+    # (monoid path: multiply and divide) 1, 4, 13, 40, 121; F2 words as the F2 balls
     fm3, fm3_gens = structure_from_spec(
         {"family": "free", "params": {"rank": 3, "inverses": False}})
     for st, g, size in ((s, gens, 161), (fm3, fm3_gens, 121)):
@@ -444,7 +468,12 @@ def test_ball_cap_respected():
       "generators": [_T3_CYCLE, _T3_FOLD]}, ["m27", "M1", "1", "m01"]),
     ({"family": "zero_adjoined", "params": {"rank": 2}, "generators": [[1], "theta"]},
      ["Theta", "theta.a", "a^-1", "c"]),
-], ids=["Z", "Z2", "F2", "FM3", "T3", "theta2"])
+    # e names the identity alone: the fifth letter is f, and rank 26 uses g1..g26
+    ({"family": "free", "params": {"rank": 5, "inverses": True}},
+     ["e.f", "f.e", "g", "f^-2", "E"]),
+    ({"family": "free", "params": {"rank": 26, "inverses": False},
+      "generators": [[1], [5], [26]]}, ["a", "e.g1", "g27", "g0", "g05", "z"]),
+], ids=["Z", "Z2", "F2", "FM3", "T3", "theta2", "F5", "FM26"])
 def test_parse_str_inverts_elem_str(spec, bad):
     s, gens = structure_from_spec(spec)
     bt = division_balls(s, gens, 3)
