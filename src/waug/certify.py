@@ -191,24 +191,15 @@ def nth_root(x, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
     return Enclosure(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
 
 
-def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Directed-rounding enclosure of base**n (base >= 0, n >= 0 integer).
-
-    Square-and-multiply on integer mantissas (value ~ m * 2**-bits), with lo
-    rounded down and hi rounded up after every step.  Mantissa size tracks the
-    magnitude of the value, so this is meant for bases/results of moderate
-    size — huge-power inequalities should be phrased with a ratio base < 1.
-    """
-    base = Fraction(base)
-    if base < 0:
-        raise ValueError("pow_bounds needs base >= 0")
-    if n < 0:
-        raise ValueError("pow_bounds needs n >= 0")
+def pow_mantissas(base: Fraction, n: int, bits: int) -> tuple:
+    """Integer mantissas (lo, hi), lo * 2**-bits <= base**n <= hi * 2**-bits,
+    for base >= 0 and n >= 0 by square-and-multiply, lo rounded down and hi
+    up after every step.  Mantissa size tracks the magnitude of the value, so
+    huge-power inequalities should be phrased with a ratio base < 1."""
     if n == 0:
-        return Enclosure.exact(1)
+        return 1 << bits, 1 << bits
     p, q = base.numerator, base.denominator
-    scale = 1 << bits
-    mask = scale - 1
+    mask = (1 << bits) - 1
     b_lo = (p << bits) // q
     b_hi = -((-p << bits) // q)
     lo, hi = b_lo, b_hi
@@ -218,37 +209,57 @@ def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
         if bit == "1":
             lo = (lo * b_lo) >> bits
             hi = (hi * b_hi + mask) >> bits
-    return Enclosure(Fraction(lo, scale), Fraction(hi, scale))
+    return lo, hi
+
+
+def pow_less(m: tuple, c: Fraction, bits: int, strict: bool = True) -> Optional[bool]:
+    """x < c (or <= with strict=False) for the x that mantissas m = (lo, hi)
+    at scale 2**-bits enclose, decided on integers: True, False, or None
+    while the enclosure straddles c."""
+    num, den = c.numerator << bits, c.denominator
+    if m[1] * den < num + (not strict):  # on integers, hi <= c iff hi < c + 1
+        return True
+    return False if m[0] * den > num - strict else None  # lo >= c iff lo > c - 1
+
+
+def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
+    """Directed-rounding enclosure of base**n (base >= 0, n >= 0 integer),
+    the Fractions of `pow_mantissas`; the lemma-7.4 chain keeps mantissas."""
+    base = Fraction(base)
+    if base < 0:
+        raise ValueError("pow_bounds needs base >= 0")
+    if n < 0:
+        raise ValueError("pow_bounds needs n >= 0")
+    return Enclosure(*(Fraction(x, 1 << bits) for x in pow_mantissas(base, n, bits)))
 
 
 def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
                    bits: int = DEFAULT_BITS, max_bits: int = 1 << 16) -> bool:
     """Certified decision of  r**n < c  (or <= with strict=False), 0 <= r.
 
-    Escalates precision until the enclosure separates; falls back to the
-    exact integer comparison when that is feasible.  Intended for ratio bases
-    0 < r <= 1 where the mantissas stay small at any exponent.
+    Escalates precision, computing r**n afresh each time, until `pow_less`
+    decides; falls back to the exact integer comparison when that is
+    feasible.  Intended for ratio bases 0 < r <= 1 where the mantissas stay
+    small at any exponent.
     """
     r, c = Fraction(r), Fraction(c)
-    if _exact_pow_feasible(r, n, 1 << 14):
+    if exact_pow_feasible(r, n, 1 << 14):
         rn = r ** n
         return rn < c if strict else rn <= c
     b = bits
     while b <= max_bits:
-        enc = pow_bounds(r, n, b)
-        if enc.hi < c or (not strict and enc.hi <= c):
-            return True
-        if enc.lo > c or (strict and enc.lo >= c):
-            return False
+        verdict = pow_less(pow_mantissas(r, n, b), c, b, strict)
+        if verdict is not None:
+            return verdict
         b *= 2
-    if _exact_pow_feasible(r, n):
+    if exact_pow_feasible(r, n):
         rn = r ** n
         return rn < c if strict else rn <= c
     raise ValueError(
         f"comparison r^{n} vs {c} indeterminate at {max_bits} bits")
 
 
-def _exact_pow_feasible(a: Fraction, n: int, limit_bits: int = 1 << 21) -> bool:
+def exact_pow_feasible(a: Fraction, n: int, limit_bits: int = 1 << 21) -> bool:
     size = max(a.numerator.bit_length(), a.denominator.bit_length())
     return n * size <= limit_bits
 
@@ -285,15 +296,13 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
         chain.append((lo, hi))
         lo, hi = lo << w, hi << w
     bounds = []
-    for side, integral, k, m in ends:
-        if integral:
-            bounds.append(pow_bounds(c, k, bits)[side])
-            continue
-        total = int(pow_bounds(c, k, w)[side] * (1 << w))
+    for side, integral, k, m in ends:  # an integral end has m = 0: no roots
+        scale = bits if integral else w
+        total = pow_mantissas(c, k, scale)[side]
         for i, root in enumerate(chain, start=1):
             if m >> (w - i) & 1:
                 total = (total * root[side] + side * mask) >> w
-        bounds.append(Fraction(total, 1 << w))
+        bounds.append(Fraction(total, 1 << scale))
     return Enclosure(*bounds)
 
 

@@ -518,8 +518,10 @@ def structure_from_spec(spec: dict):
     elif family == "free":
         if "rank" not in params:
             raise InvalidInput("free needs params.rank")
-        s = FreeStructure(parse_int(params["rank"], "params.rank"),
-                          bool(params.get("inverses", True)))
+        inverses = params.get("inverses", True)
+        if not isinstance(inverses, bool):
+            raise InvalidInput(f"params.inverses must be true or false, got {inverses!r}")
+        s = FreeStructure(parse_int(params["rank"], "params.rank"), inverses)
     elif family == "table":
         if "table" not in params:
             raise InvalidInput("table needs params.table")
@@ -682,10 +684,11 @@ def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) ->
     return BallTable(s, levels, level_of)
 
 
-def closed_form_ball_size(s: Structure, gens, n: int) -> Optional[int]:
-    """|B_n| without enumeration, when the generators are the standard set."""
-    if not s.is_standard_generators(gens):
-        return None
+def closed_form_ball_size(s: Structure, n: int) -> Optional[int]:
+    """|B_n| over the family's standard generators, without enumeration
+    (None for a family with no formula).  Callers check
+    `is_standard_generators` once, not per n: on Zd and free it builds the
+    standard set."""
     if isinstance(s, IntegerGroup):
         return 2 * n + 1
     if isinstance(s, IntegerLattice):
@@ -737,11 +740,8 @@ def pseudo_finite_within(s: Structure, gens, depth: int) -> PseudoFiniteReport:
     # Z / Zd / free: every ball is finite while M is infinite, so no
     # enumeration is needed (or possible at the depths this gets asked at).
     sizes = []
-    for n in range(0, min(depth, 64) + 1):
-        cs = closed_form_ball_size(s, gens, n)
-        if cs is None:
-            break
-        sizes.append(cs)
+    if s.is_standard_generators(gens):
+        sizes = [closed_form_ball_size(s, n) for n in range(0, min(depth, 64) + 1)]
     return PseudoFiniteReport(False, None, depth, sizes,
                               "monoid is infinite but every ball is finite")
 

@@ -27,8 +27,9 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, check_digits,
-                      format_rational, nth_root, parse_int, parse_rational,
-                      pow_bounds, rat_pow, ratio_pow_less)
+                      exact_pow_feasible, format_rational, nth_root, parse_int,
+                      parse_rational, pow_less, pow_mantissas, rat_pow,
+                      ratio_pow_less)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -164,16 +165,17 @@ class Lemma74Weight(WordLengthWeight):
     eps(n) = eps_k for n_k < n <= n_(k+1) (eps_0 up to n_1, eps_K beyond n_K).
     Values for large n are astronomically big; radial_value materializes them
     only up to EXACT_POW_CAP and callers needing large-index information use
-    the ratio helpers instead.
+    the ratio helpers instead.  pows[k-1] holds step_ratio(k)'s power at `bits`.
     """
 
     family = "lemma74"
 
-    def __init__(self, rho, blocks, markers, eps):
+    def __init__(self, rho, blocks, markers, eps, pows, bits):
         self.rho = Fraction(rho)
         self.blocks = blocks
         self.markers = list(markers)   # n_1 < n_2 < ... < n_K
         self.eps = [Fraction(e) for e in eps]  # eps_0 .. eps_K
+        self.pows, self.bits = pows, bits
         if len(self.markers) != blocks or len(self.eps) != blocks + 1:
             raise InvalidInput("lemma74 weight: inconsistent block data")
 
@@ -200,7 +202,8 @@ class Lemma74Weight(WordLengthWeight):
     def step_ratio(self, k: int, bits: int = DEFAULT_BITS):
         """omega_(n_k+1) / omega_(n_k) as a Fraction (exact when feasible)
         or a certified Enclosure; this is the quantity bounded by
-        (rho+1)/k."""
+        (rho+1)/k.  The enclosure is (B/A)^(n_k) B, the power read from
+        `pows` when the build ran at these `bits`, else computed here."""
         nk = self.markers[k - 1]
         A = self.rho + self.eps[k - 1]   # base on block ending at n_k
         B = self.rho + self.eps[k]       # base from n_k + 1 on
@@ -209,8 +212,9 @@ class Lemma74Weight(WordLengthWeight):
         # nk reaches ~1e4
         if (nk + 1) * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13):
             return B ** (nk + 1) / A ** nk
-        enc = pow_bounds(B / A, nk, bits)
-        return Enclosure(enc.lo * B, enc.hi * B)
+        lo, hi = self.pows[k - 1] if bits == self.bits else pow_mantissas(B / A, nk, bits)
+        q = B.denominator << bits
+        return Enclosure(Fraction(lo * B.numerator, q), Fraction(hi * B.numerator, q))
 
 
 class Lemma76Weight(Weight):
@@ -469,15 +473,15 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
         raise InvalidInput(f"depth N must be >= 0, got {N}")
     radial_fast = (weight.is_radial and s.is_standard_generators(gens)
                    and s.size is None
-                   and closed_form_ball_size(s, gens, 1) is not None)
+                   and closed_form_ball_size(s, 1) is not None)
     bt = None if radial_fast else division_balls(s, gens, N)
     taus = []
     sphere_sizes = []
     for n in range(1, N + 1):
         if radial_fast:
             vals = [weight.radial_value(n, bits)]
-            sphere_sizes.append(closed_form_ball_size(s, gens, n)
-                                - closed_form_ball_size(s, gens, n - 1))
+            sphere_sizes.append(closed_form_ball_size(s, n)
+                                - closed_form_ball_size(s, n - 1))
         else:
             lev = bt.levels[n]
             if lev is UNIVERSE:
@@ -548,13 +552,19 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 # Stepped-exponent weight builder: summable step ratios by construction
 # ---------------------------------------------------------------------------
 
-def _lemma74_predicate(A: Fraction, B: Fraction, n: int, bits: int) -> bool:
-    """Certified  A^n > n B^n,  i.e.  (B/A)^n < 1/n."""
-    return ratio_pow_less(B / A, n, Fraction(1, n), strict=True, bits=bits)
+def _lemma74_predicate(r: Fraction, n: int, bits: int, seen: dict) -> bool:
+    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A.  The mantissas
+    of r^n at `bits` go to seen[n]; past the exact range they decide,
+    unless they straddle 1/n and `ratio_pow_less` escalates from 2 * bits."""
+    c = Fraction(1, n)
+    seen[n] = m = pow_mantissas(r, n, bits)
+    verdict = None if exact_pow_feasible(r, n, 1 << 14) else pow_less(m, c, bits)
+    return ratio_pow_less(r, n, c, bits=2 * bits) if verdict is None else verdict
 
 
-def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int) -> int:
-    """Least n > lo with A^n > n B^n (1 < A/B <= 9/8), certified by its bracket.
+def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int):
+    """Least n > lo with A^n > n B^n (1 < A/B <= 9/8), certified by its bracket,
+    and the mantissas of (B/A)^n at `bits` that its probe kept.
 
     n log(A/B) - log n is convex, positive at n = 1 and negative at n = 2, so
     past n = 1 the predicate turns true once, at the larger real root: "true
@@ -563,6 +573,7 @@ def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int) -> int:
     cancel); only the certified predicate decides, and a wrong guess costs
     O(log error) calls: the stride doubles away from it, then halves.
     """
+    seen, r = {}, B / A
     lr = math.log1p(float((A - B) / B))
     if lr < 1e-300:  # the root, about log(1/lr)/lr, overflows a float
         raise ResourceLimit("lemma74 block search diverged")
@@ -572,7 +583,7 @@ def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int) -> int:
     n = max(lo + 1, math.floor(x) + 1)
     false_at, true_at, stride = lo, None, 1
     while true_at is None or true_at - false_at > 1:
-        if _lemma74_predicate(A, B, n, bits):
+        if _lemma74_predicate(r, n, bits, seen):
             true_at = n
         else:
             false_at = n
@@ -585,7 +596,7 @@ def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int) -> int:
         else:  # halve the certified bracket
             n = (false_at + true_at) // 2
         stride *= 2
-    return true_at
+    return true_at, seen[true_at]
 
 
 def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
@@ -595,8 +606,8 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     integer above n_(k-1) with  (rho+eps_(k-1))^n > n (rho+eps_k)^n.  Each
     block then satisfies the step-ratio bound
         omega_(n_k+1)/omega_(n_k) <= (rho+1)/k,
-    which is certified per block (exactly when the numbers are materializable,
-    by directed-rounding dyadics beyond that).
+    which is certified per block: exactly while the numbers materialize, else
+    from the marker search's mantissas of (B/A)^(n_k), which `step_ratio` reuses.
 
     Returns (Lemma74Weight, report).
     """
@@ -606,32 +617,30 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     if K < 1:
         raise InvalidInput("build_lemma74 needs K >= 1")
     eps = [Fraction(1)] + [Fraction(1, k + 1) for k in range(1, K + 1)]
-    markers = [1]
     # n_1 = 1: the defining inequality at n = 1 is (rho+1)^1 > 1*(rho+1/2)^1, exact.
     assert rho + eps[0] > 1 * (rho + eps[1])
-    for k in range(2, K + 1):
-        A = rho + eps[k - 1]
-        B = rho + eps[k]
-        markers.append(_lemma74_marker(A, B, markers[-1], bits))
-    weight = Lemma74Weight(rho, K, markers, eps)
-    # per-block step-ratio certificates:  k omega_(n_k+1) <= (rho+1) omega_(n_k)
-    step_bounds = []
+    markers, pows, step_bounds = [], [], []
+    r1, B = rho + 1, rho + eps[0]
     for k in range(1, K + 1):
-        nk = markers[k - 1]
-        A = rho + eps[k - 1]
-        B = rho + eps[k]
+        A, B = B, rho + eps[k]
+        nk, m = _lemma74_marker(A, B, markers[-1], bits) if k > 1 else (1, None)
+        # step-ratio certificate:  k omega_(n_k+1) <= (rho+1) omega_(n_k).
         # exact only while the materialized powers stay small: a Fraction
         # comparison cross-multiplies ~nk*log2(k)-bit integers, which is the
         # entire runtime once nk reaches ~1e5
         if nk * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13):
-            ok = Fraction(k) * B ** (nk + 1) <= (rho + 1) * A ** nk
+            ok = k * B ** (nk + 1) <= r1 * A ** nk
             method = "exact"
         else:
             # k B^(nk+1) <= (rho+1) A^nk  <=>  (B/A)^nk <= (rho+1)/(k B)
-            ok = ratio_pow_less(B / A, nk, (rho + 1) / (Fraction(k) * B),
-                                strict=False, bits=bits)
+            ok = pow_less(m, r1 / (k * B), bits, strict=False)
+            if ok is None:
+                ok = ratio_pow_less(B / A, nk, r1 / (k * B), strict=False, bits=2 * bits)
             method = "certified-dyadic"
+        markers.append(nk)
+        pows.append(m)
         step_bounds.append({"k": k, "n_k": nk, "ok": ok, "method": method})
+    weight = Lemma74Weight(rho, K, markers, eps, pows, bits)
     report = {
         "rho": rho,
         "blocks": K,

@@ -9,8 +9,8 @@ import pytest
 from waug.certify import (Enclosure, ResourceLimit, basel_partial,
                           check_digits, format_rational, harmonic_number,
                           int_nth_root, nth_root, parse_rational, pow_bounds,
-                          printable, rat_pow, ratio_pow_less, round_down,
-                          round_up)
+                          pow_less, printable, rat_pow, ratio_pow_less,
+                          round_down, round_up)
 from waug.idealkit import _le_status
 
 
@@ -91,6 +91,21 @@ def test_ratio_pow_less_decides_correctly():
     # equality case, non-strict vs strict
     assert ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=False)
     assert not ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=True)
+
+
+def test_pow_less_decides_on_integers_at_the_boundaries():
+    # mantissas (lo, hi) at scale 2**-3 enclose x in [lo/8, hi/8]
+    c = F(1, 2)
+    assert pow_less((4, 4), c, 3, strict=False) is True    # x = c
+    assert pow_less((4, 4), c, 3, strict=True) is False
+    assert pow_less((3, 4), c, 3, strict=False) is True    # x <= c
+    assert pow_less((3, 4), c, 3, strict=True) is None     # x < c or x = c
+    assert pow_less((4, 5), c, 3, strict=True) is False    # x >= c
+    assert pow_less((4, 5), c, 3, strict=False) is None
+    # a c that is no dyadic: 1/4 <= x <= 3/8 against 2/5 and 3/10
+    assert pow_less((2, 3), F(2, 5), 3) is True
+    assert pow_less((2, 3), F(3, 10), 3) is None
+    assert pow_less((4, 4), F(2, 5), 3, strict=False) is False
 
 
 def test_rat_pow_integer_and_fractional():

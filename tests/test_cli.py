@@ -348,8 +348,13 @@ LEMMA76 = {"family": "lemma76", "params": {"rho": "2", "N": 7}}
     ({"family": "table", "params": {"table": [[0, 1], [1, 0]], "names": ["x", "x"]},
       "generators": [1]}, None,
      ["structure", "ball", "--depth", "2"], "table params.names must be distinct strings"),
+    # a JSON string is not a boolean: "false" would load the free group
+    ({"family": "free", "params": {"rank": 2, "inverses": "false"}}, None,
+     ["structure", "ball", "--depth", "2"],
+     "params.inverses must be true or false, got 'false'"),
 ], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2",
-        "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2", "table-names"])
+        "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2", "table-names",
+        "free-inverses"])
 def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
                                            argv, message):
     argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]

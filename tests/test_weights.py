@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 import waug.weights as weights_mod
-from waug.certify import Enclosure, nth_root, pow_bounds
+from waug.certify import Enclosure, nth_root, pow_less, pow_mantissas
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
                              structure_from_spec)
 from waug.weights import (ExplicitWeight, Lemma74Weight, Lemma76Weight,
@@ -262,9 +262,9 @@ def _count_predicate_calls(monkeypatch):
     calls = []
     real = weights_mod._lemma74_predicate
 
-    def counted(A, B, n, bits):
-        calls.append(n)
-        return real(A, B, n, bits)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(weights_mod, "_lemma74_predicate", counted)
     return calls
@@ -285,8 +285,8 @@ def test_lemma74_markers_are_certified_brackets(rho, monkeypatch):
         A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
         nk = markers[k - 1]
         assert nk > markers[k - 2]
-        assert pred(A, B, nk, 128)
-        assert nk - 1 == markers[k - 2] or not pred(A, B, nk - 1, 128)
+        assert pred(B / A, nk, 128, {})
+        assert nk - 1 == markers[k - 2] or not pred(B / A, nk - 1, 128, {})
 
 
 @pytest.mark.parametrize("bias", [0.9, 0.999, 1.001, 1.2])
@@ -338,6 +338,93 @@ def test_lemma74_huge_value_refuses_materialization():
     # but the step ratio is still available as an enclosure
     r = w.step_ratio(300)
     assert isinstance(r, Enclosure) and r.lo > 0
+
+
+def _frozen_step_ratio(w, k, bits):
+    """step_ratio as it read before the build kept its powers:
+    pow_bounds(B/A, n_k, bits) times B, with pow_bounds' loop frozen."""
+    nk, rho = w.markers[k - 1], w.rho
+    A, B = rho + w.eps[k - 1], rho + w.eps[k]
+    r = B / A
+    p, q = r.numerator, r.denominator
+    mask = (1 << bits) - 1
+    b_lo, b_hi = (p << bits) // q, -((-p << bits) // q)
+    lo, hi = b_lo, b_hi
+    for bit in bin(nk)[3:]:
+        lo, hi = (lo * lo) >> bits, (hi * hi + mask) >> bits
+        if bit == "1":
+            lo, hi = (lo * b_lo) >> bits, (hi * b_hi + mask) >> bits
+    return Enclosure(F(lo, 1 << bits) * B, F(hi, 1 << bits) * B)
+
+
+@pytest.mark.parametrize("rho", [F(3, 2), F(2), F(3)])
+def test_lemma74_low_precision_keeps_markers_and_verdicts(rho):
+    # at 8 to 32 bits many kept powers do not decide their comparison, so
+    # the marker probes and step certificates escalate; what they certify
+    # must not depend on where they started
+    K = 400
+    want = build_lemma74(rho, K)[1]
+    for bits in (8, 16, 32):
+        rep = build_lemma74(rho, K, bits)[1]
+        assert rep["markers"] == want["markers"]
+        assert rep["step_bounds"] == want["step_bounds"]
+
+
+@pytest.mark.parametrize("bits", [16, 128])
+def test_lemma74_step_ratio_reads_the_kept_power(bits):
+    w, rep = build_lemma74(F(5, 2), 300, bits)
+    dyadic = [k for k in range(1, 301) if not isinstance(w.step_ratio(k, bits), F)]
+    assert len(dyadic) > 250
+    for k in dyadic:
+        assert w.step_ratio(k, bits) == _frozen_step_ratio(w, k, bits)
+    # at another precision than the build's, the power is computed afresh
+    for k in dyadic[::25]:
+        assert w.step_ratio(k, 64) == _frozen_step_ratio(w, k, 64)
+
+
+@pytest.mark.parametrize("bits", [8, 128])
+def test_lemma74_computes_each_power_once(bits, monkeypatch):
+    # the marker probe's power serves the step certificate and step_ratio
+    computed = []
+    real = weights_mod.pow_mantissas
+
+    def spy(base, n, b):
+        computed.append((base, n, b))
+        return real(base, n, b)
+
+    monkeypatch.setattr(weights_mod, "pow_mantissas", spy)
+    w, rep = build_lemma74(F(2), 300, bits)
+    for k in range(1, 301):
+        w.step_ratio(k, bits)
+    assert len(computed) > 300
+    assert len(set(computed)) == len(computed)
+
+
+def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
+    # every step certificate whose kept power straddles its bound must be
+    # decided by ratio_pow_less, not read off the straddling mantissas
+    escalated = []
+    real = weights_mod.ratio_pow_less
+
+    def spy(r, n, c, strict=True, **kw):
+        if not strict:
+            escalated.append(n)
+        return real(r, n, c, strict, **kw)
+
+    monkeypatch.setattr(weights_mod, "ratio_pow_less", spy)
+    bits, rho = 8, F(3, 2)
+    w, rep = build_lemma74(rho, 400, bits)
+    undecided = []
+    for c in rep["step_bounds"]:
+        k, nk = c["k"], c["n_k"]
+        if c["method"] == "exact":
+            continue
+        A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
+        m = pow_mantissas(B / A, nk, bits)
+        assert w.pows[k - 1] == m
+        if pow_less(m, (rho + 1) / (k * B), bits, strict=False) is None:
+            undecided.append(nk)
+    assert undecided and escalated == undecided
 
 
 def test_lemma74_rejects_bad_rho():
