@@ -213,9 +213,8 @@ def pow_mantissas(base: Fraction, n: int, bits: int) -> tuple:
 
 
 def pow_less(m: tuple, c: Fraction, bits: int, strict: bool = True) -> Optional[bool]:
-    """x < c (or <= with strict=False) for the x that mantissas m = (lo, hi)
-    at scale 2**-bits enclose, decided on integers: True, False, or None
-    while the enclosure straddles c."""
+    """x < c (<= with strict=False) for the x that mantissas m = (lo, hi) at
+    scale 2**-bits enclose, on integers: True, False, or None if m straddles c."""
     num, den = c.numerator << bits, c.denominator
     if m[1] * den < num + (not strict):  # on integers, hi <= c iff hi < c + 1
         return True

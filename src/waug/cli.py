@@ -465,8 +465,8 @@ def main(argv=None) -> int:
     started = time.monotonic()
     args = build_parser(argv).parse_args(argv)
     bits = args.precision
-    if bits < 8:
-        print("waug: --precision must be at least 8 bits", file=sys.stderr)
+    if not 8 <= bits <= 1 << 16:  # certify.ratio_pow_less escalates to 1 << 16 at most
+        print("waug: --precision must be between 8 and 65536 bits", file=sys.stderr)
         return 2
     _, handler, flags = COMMANDS[(args.group, args.command)]
     flags = IO_FLAGS + flags

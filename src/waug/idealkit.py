@@ -696,7 +696,7 @@ def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS) -> dict:
     sites = []
     alpha_symbolic = []
     for k in range(1, K + 1):
-        ratio = as_enclosure(weight.step_ratio(k, bits))
+        ratio = as_enclosure(weight.step_ratio(k))
         norm_enc = Enclosure(norm_enc.lo + ratio.lo / k, norm_enc.hi + ratio.hi / k)
         if max(norm_enc.lo.denominator, norm_enc.hi.denominator).bit_length() > bits:
             norm_enc = norm_enc.rounded(bits)

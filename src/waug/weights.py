@@ -165,7 +165,7 @@ class Lemma74Weight(WordLengthWeight):
     eps(n) = eps_k for n_k < n <= n_(k+1) (eps_0 up to n_1, eps_K beyond n_K).
     Values for large n are astronomically big; radial_value materializes them
     only up to EXACT_POW_CAP and callers needing large-index information use
-    the ratio helpers instead.  pows[k-1] holds step_ratio(k)'s power at `bits`.
+    the ratio helpers instead.
     """
 
     family = "lemma74"
@@ -199,11 +199,11 @@ class Lemma74Weight(WordLengthWeight):
                 "use the ratio certificates instead")
         return self.base_at(n) ** n
 
-    def step_ratio(self, k: int, bits: int = DEFAULT_BITS):
+    def step_ratio(self, k: int):
         """omega_(n_k+1) / omega_(n_k) as a Fraction (exact when feasible)
         or a certified Enclosure; this is the quantity bounded by
-        (rho+1)/k.  The enclosure is (B/A)^(n_k) B, the power read from
-        `pows` when the build ran at these `bits`, else computed here."""
+        (rho+1)/k.  The enclosure is (B/A)^(n_k) B, with the power the
+        build kept in pows[k-1] at its `bits`; nothing recomputes it."""
         nk = self.markers[k - 1]
         A = self.rho + self.eps[k - 1]   # base on block ending at n_k
         B = self.rho + self.eps[k]       # base from n_k + 1 on
@@ -212,9 +212,8 @@ class Lemma74Weight(WordLengthWeight):
         # nk reaches ~1e4
         if (nk + 1) * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13):
             return B ** (nk + 1) / A ** nk
-        lo, hi = self.pows[k - 1] if bits == self.bits else pow_mantissas(B / A, nk, bits)
-        q = B.denominator << bits
-        return Enclosure(Fraction(lo * B.numerator, q), Fraction(hi * B.numerator, q))
+        q = B.denominator << self.bits
+        return Enclosure(*(Fraction(x * B.numerator, q) for x in self.pows[k - 1]))
 
 
 class Lemma76Weight(Weight):
@@ -552,14 +551,19 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 # Stepped-exponent weight builder: summable step ratios by construction
 # ---------------------------------------------------------------------------
 
+def _kept_less(m: tuple, r: Fraction, n: int, c: Fraction, bits: int, strict=True) -> bool:
+    """`ratio_pow_less(r, n, c, strict)` with the kept mantissas m of r^n at
+    `bits` as its first probe: past the exact range m decides, unless it
+    straddles c and `ratio_pow_less` escalates from 2 * bits."""
+    verdict = None if exact_pow_feasible(r, n, 1 << 14) else pow_less(m, c, bits, strict)
+    return ratio_pow_less(r, n, c, strict, bits=2 * bits) if verdict is None else verdict
+
+
 def _lemma74_predicate(r: Fraction, n: int, bits: int, seen: dict) -> bool:
-    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A.  The mantissas
-    of r^n at `bits` go to seen[n]; past the exact range they decide,
-    unless they straddle 1/n and `ratio_pow_less` escalates from 2 * bits."""
-    c = Fraction(1, n)
+    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A; the mantissas
+    of r^n at `bits` go to seen[n]."""
     seen[n] = m = pow_mantissas(r, n, bits)
-    verdict = None if exact_pow_feasible(r, n, 1 << 14) else pow_less(m, c, bits)
-    return ratio_pow_less(r, n, c, bits=2 * bits) if verdict is None else verdict
+    return _kept_less(m, r, n, Fraction(1, n), bits)
 
 
 def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int):
@@ -623,7 +627,8 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     r1, B = rho + 1, rho + eps[0]
     for k in range(1, K + 1):
         A, B = B, rho + eps[k]
-        nk, m = _lemma74_marker(A, B, markers[-1], bits) if k > 1 else (1, None)
+        nk, m = (_lemma74_marker(A, B, markers[-1], bits) if k > 1
+                 else (1, pow_mantissas(B / A, 1, bits)))
         # step-ratio certificate:  k omega_(n_k+1) <= (rho+1) omega_(n_k).
         # exact only while the materialized powers stay small: a Fraction
         # comparison cross-multiplies ~nk*log2(k)-bit integers, which is the
@@ -633,9 +638,7 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
             method = "exact"
         else:
             # k B^(nk+1) <= (rho+1) A^nk  <=>  (B/A)^nk <= (rho+1)/(k B)
-            ok = pow_less(m, r1 / (k * B), bits, strict=False)
-            if ok is None:
-                ok = ratio_pow_less(B / A, nk, r1 / (k * B), strict=False, bits=2 * bits)
+            ok = _kept_less(m, B / A, nk, r1 / (k * B), bits, strict=False)
             method = "certified-dyadic"
         markers.append(nk)
         pows.append(m)

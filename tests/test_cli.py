@@ -114,6 +114,15 @@ def test_exit_two_on_low_precision(capsys, f2):
     assert code == 2 and "precision" in err
 
 
+def test_exit_two_on_high_precision(capsys):
+    # past 65536 bits a lemma-7.4 build would run every probe at that
+    # precision; it is refused before any work starts
+    code, out, err = run(capsys, "weight", "build-l74", "--rho", "2",
+                         "--blocks", "300", "--precision", "65537")
+    assert code == 2 and out == ""
+    assert err == "waug: --precision must be between 8 and 65536 bits\n"
+
+
 def test_exit_two_on_unknown_structure_family(capsys, tmp_path):
     sfile = write_json(tmp_path / "s.json", {"family": "frobnicate"})
     code, _, err = run(capsys, "structure", "ball", "--spec", sfile,

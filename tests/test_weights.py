@@ -1,5 +1,6 @@
 """Weights: axioms, sphere minima, and the two staircase constructions."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction as F
@@ -8,6 +9,8 @@ import pytest
 
 import waug.weights as weights_mod
 from waug.certify import Enclosure, nth_root, pow_less, pow_mantissas
+from waug.idealkit import witness_thm75
+from waug.serialize import canonical_json
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
                              structure_from_spec)
 from waug.weights import (ExplicitWeight, Lemma74Weight, Lemma76Weight,
@@ -373,13 +376,10 @@ def test_lemma74_low_precision_keeps_markers_and_verdicts(rho):
 @pytest.mark.parametrize("bits", [16, 128])
 def test_lemma74_step_ratio_reads_the_kept_power(bits):
     w, rep = build_lemma74(F(5, 2), 300, bits)
-    dyadic = [k for k in range(1, 301) if not isinstance(w.step_ratio(k, bits), F)]
+    dyadic = [k for k in range(1, 301) if not isinstance(w.step_ratio(k), F)]
     assert len(dyadic) > 250
     for k in dyadic:
-        assert w.step_ratio(k, bits) == _frozen_step_ratio(w, k, bits)
-    # at another precision than the build's, the power is computed afresh
-    for k in dyadic[::25]:
-        assert w.step_ratio(k, 64) == _frozen_step_ratio(w, k, 64)
+        assert w.step_ratio(k) == _frozen_step_ratio(w, k, bits)
 
 
 @pytest.mark.parametrize("bits", [8, 128])
@@ -395,7 +395,7 @@ def test_lemma74_computes_each_power_once(bits, monkeypatch):
     monkeypatch.setattr(weights_mod, "pow_mantissas", spy)
     w, rep = build_lemma74(F(2), 300, bits)
     for k in range(1, 301):
-        w.step_ratio(k, bits)
+        w.step_ratio(k)
     assert len(computed) > 300
     assert len(set(computed)) == len(computed)
 
@@ -425,6 +425,29 @@ def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
         if pow_less(m, (rho + 1) / (k * B), bits, strict=False) is None:
             undecided.append(nk)
     assert undecided and escalated == undecided
+
+
+# sha256 prefixes of the canonical reports as they read before the build
+# kept its powers; rho = (2*10^d + 1)/10^d
+_HUGE_RHO_REPORTS = {
+    (700, 1): ("0575f1cd11d1ae03", "a1186a41a141e0e6"),
+    (700, 2): ("8fc03a522b8628a1", "11892a2f544527dc"),
+    (1300, 1): ("a6337bff94fb16d5", "503dc8b9a22b1fbc"),
+    (1300, 2): ("5a37bfc501da5de4", "9b8fdb9c82f848a4"),
+}
+
+
+@pytest.mark.parametrize("digits,K", sorted(_HUGE_RHO_REPORTS))
+def test_lemma74_huge_rho_keeps_every_blocks_power(digits, K):
+    # with a ~700-digit numerator block 1's step ratio leaves its exact
+    # branch; with ~1300 digits so does its step certificate, and both read
+    # the power that block 1 keeps like any other block
+    rho = F(2 * 10 ** digits + 1, 10 ** digits)
+    w, rep = build_lemma74(rho, K)
+    assert all(len(m) == 2 for m in w.pows)
+    digest = [hashlib.sha256(canonical_json(r).encode()).hexdigest()[:16]
+              for r in (rep, witness_thm75(rho, K))]
+    assert tuple(digest) == _HUGE_RHO_REPORTS[digits, K]
 
 
 def test_lemma74_rejects_bad_rho():
