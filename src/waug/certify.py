@@ -225,10 +225,8 @@ def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
     """Directed-rounding enclosure of base**n (base >= 0, n >= 0 integer),
     the Fractions of `pow_mantissas`; the lemma-7.4 chain keeps mantissas."""
     base = Fraction(base)
-    if base < 0:
-        raise ValueError("pow_bounds needs base >= 0")
-    if n < 0:
-        raise ValueError("pow_bounds needs n >= 0")
+    if base < 0 or n < 0:
+        raise ValueError(f"pow_bounds needs base >= 0 and n >= 0, got {base} and {n}")
     return Enclosure(*(Fraction(x, 1 << bits) for x in pow_mantissas(base, n, bits)))
 
 

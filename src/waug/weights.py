@@ -552,9 +552,8 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 # ---------------------------------------------------------------------------
 
 def _kept_less(m: tuple, r: Fraction, n: int, c: Fraction, bits: int, strict=True) -> bool:
-    """`ratio_pow_less(r, n, c, strict)` with the kept mantissas m of r^n at
-    `bits` as its first probe: past the exact range m decides, unless it
-    straddles c and `ratio_pow_less` escalates from 2 * bits."""
+    """`ratio_pow_less(r, n, c, strict)` with the kept mantissas m of r^n at `bits`
+    as its first probe past the exact range; escalation starts at 2 * bits."""
     verdict = None if exact_pow_feasible(r, n, 1 << 14) else pow_less(m, c, bits, strict)
     return ratio_pow_less(r, n, c, strict, bits=2 * bits) if verdict is None else verdict
 
