@@ -8,7 +8,8 @@ from fractions import Fraction as F
 import pytest
 
 import waug.weights as weights_mod
-from waug.certify import Enclosure, nth_root, pow_less, pow_mantissas
+from waug.certify import (Enclosure, exact_pow_feasible, nth_root, pow_less,
+                          pow_mantissas)
 from waug.idealkit import witness_thm75
 from waug.serialize import canonical_json
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
@@ -402,7 +403,8 @@ def test_lemma74_computes_each_power_once(bits, monkeypatch):
 
 def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
     # every step certificate whose kept power straddles its bound must be
-    # decided by ratio_pow_less, not read off the straddling mantissas
+    # decided by ratio_pow_less, not read off the straddling mantissas; so
+    # is one in ratio_pow_less's exact range, and no other
     escalated = []
     real = weights_mod.ratio_pow_less
 
@@ -414,7 +416,7 @@ def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
     monkeypatch.setattr(weights_mod, "ratio_pow_less", spy)
     bits, rho = 8, F(3, 2)
     w, rep = build_lemma74(rho, 400, bits)
-    undecided = []
+    straddling, handed_on = [], []
     for c in rep["step_bounds"]:
         k, nk = c["k"], c["n_k"]
         if c["method"] == "exact":
@@ -423,8 +425,10 @@ def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
         m = pow_mantissas(B / A, nk, bits)
         assert w.pows[k - 1] == m
         if pow_less(m, (rho + 1) / (k * B), bits, strict=False) is None:
-            undecided.append(nk)
-    assert undecided and escalated == undecided
+            straddling.append(nk)
+        if nk in straddling or exact_pow_feasible(B / A, nk, 1 << 14):
+            handed_on.append(nk)
+    assert straddling and escalated == handed_on
 
 
 # sha256 prefixes of the canonical reports as they read before the build
