@@ -50,7 +50,7 @@ def parse_int(value, name: str) -> int:
 
 def format_rational(q: Fraction) -> str:
     """Canonical 'p/q' (or 'p' when the denominator is 1)."""
-    q = Fraction(q)
+    q = q if type(q) is Fraction else Fraction(q)
     if q.denominator == 1:
         return str(q.numerator)
     return f"{q.numerator}/{q.denominator}"
@@ -240,10 +240,8 @@ def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
     small at any exponent.
     """
     r, c = Fraction(r), Fraction(c)
-    if exact_pow_feasible(r, n, 1 << 14):
-        rn = r ** n
-        return rn < c if strict else rn <= c
-    b = bits
+    # small powers skip the escalation and compare exactly at once
+    b = max_bits + 1 if exact_pow_feasible(r, n, 1 << 14) else bits
     while b <= max_bits:
         verdict = pow_less(pow_mantissas(r, n, b), c, b, strict)
         if verdict is not None:
@@ -305,9 +303,7 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
 
 def _tree_sum(terms) -> Fraction:
     """Balanced pairwise Fraction sum (keeps gcd work small for long sums)."""
-    items = list(terms)
-    if not items:
-        return Fraction(0)
+    items = list(terms) or [Fraction(0)]
     while len(items) > 1:
         items = [items[i] + items[i + 1] if i + 1 < len(items) else items[i]
                  for i in range(0, len(items), 2)]

@@ -167,8 +167,7 @@ def _h_tau_blockseq(args, bits):
     rep["values"] = seq.values
     ok = rep["tau_geq_rho_pow_j"] and rep["boundary_all_ok"]
     rep["certified"] = ok
-    return rep, ok, (["index", "numerator", "denominator"],
-                     list(seq.to_csv_rows()))
+    return rep, ok, (["index", "numerator", "denominator"], seq.to_csv_rows())
 
 
 def _h_tau_growth(args, bits):

@@ -31,7 +31,7 @@ class PrefixSequence:
     """tau_1..tau_N, exact rationals, all >= 1, N >= 2."""
 
     def __init__(self, values):
-        vals = [Fraction(v) for v in values]
+        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
         if len(vals) < 2:
             raise InvalidInput("prefix sequence needs N >= 2")
         for i, v in enumerate(vals, start=1):
@@ -56,8 +56,11 @@ class PrefixSequence:
         return sums
 
     def to_csv_rows(self):
-        return [(n, self.values[n - 1].numerator, self.values[n - 1].denominator)
-                for n in range(1, self.N + 1)]
+        """Rows (n, numerator, denominator), each distinct int formatted once."""
+        ints = {i for v in self.values for i in (v.numerator, v.denominator)}
+        text = dict(zip(ints, map(str, ints)))
+        for n, v in enumerate(self.values, start=1):
+            yield n, text[v.numerator], text[v.denominator]
 
     @classmethod
     def from_csv_rows(cls, rows):
@@ -223,36 +226,30 @@ def build_block_sequence(rho, K: int) -> dict:
     check_digits(top * log10(max(rho.numerator, rho.denominator)) + log10(top),
                  f"--blocks {K} is too large for rho = {format_rational(rho)}: "
                  f"the sequence reaches rho^{top}")
-    markers = [1]
-    for k in range(2, K + 1):
-        markers.append(markers[-1] + k + 1)
-    values = []
-    prev_end = 0  # n_(k-1)+1 for block 1 with the n_0 = -1 convention
+    markers = [k * (k + 1) // 2 + k - 1 for k in range(1, K + 1)]
+    # block k is tau_j = rho^e, e = n_k+1, for n_(k-1)+1 < j <= e; the prefix
+    # sums are integers over q^top (top = n_K+1), summed block by block
+    values, exponents, boundary = [], [], []
+    below = 0  # q^top times the sum of tau_j over the blocks before block k
     for k, nk in enumerate(markers, start=1):
-        block_val = rho ** (nk + 1)
-        start = prev_end + 1
-        end = nk + 1
-        values.extend([block_val] * (end - start + 1))
-        prev_end = end
-    seq = PrefixSequence(values)
-    geq = all(values[j - 1] >= rho ** j for j in range(1, len(values) + 1))
-    P = seq.prefix_sums()
-    boundary = []
-    all_ok = True
-    for k, nk in enumerate(markers, start=1):
-        ratio = seq.values[nk] / P[nk]  # tau_(n_k+1) / sum_{j<=n_k}
-        ok = ratio <= Fraction(1, k)
-        all_ok = all_ok and ok
+        e, block_val = nk + 1, rho ** (nk + 1)
+        count = e - len(values)
+        values += [block_val] * count
+        exponents += [e] * count
+        num = block_val.numerator * rho.denominator ** (top - e)
+        ratio = Fraction(num, below + (count - 1) * num)  # tau_(n_k+1) / P_(n_k)
+        below += count * num
         boundary.append({"k": k, "n_k": nk, "ratio": ratio,
-                         "bound": Fraction(1, k), "ok": ok})
+                         "bound": Fraction(1, k), "ok": ratio <= Fraction(1, k)})
     return {
         "rho": rho,
         "K": K,
         "markers": markers,
-        "sequence": seq,
-        "tau_geq_rho_pow_j": geq,
+        "sequence": PrefixSequence(values),
+        # with rho > 1, tau_j = rho^e >= rho^j exactly when e >= j
+        "tau_geq_rho_pow_j": all(e >= j for j, e in enumerate(exponents, start=1)),
         "boundary_ratios": boundary,
-        "boundary_all_ok": all_ok,
+        "boundary_all_ok": all(b["ok"] for b in boundary),
     }
 
 

@@ -11,7 +11,10 @@ meets it: int, str, bool and None as themselves; list and tuple as arrays;
 dict with str keys in sorted key order; Fraction through format_rational;
 UNIVERSE as "all"; any object with a to_json method (Enclosure, QC, Element,
 Decomposition) as what that returns; a dataclass field by field.  Anything
-else, floats, sets and non-str keys included, raises TypeError.  json.dumps
+else, floats, sets and non-str keys included, raises TypeError.  A memo
+that lives for one call keys each Fraction by value, its reduced (numerator,
+denominator) pair, and holds its text, so a value repeated in a report (a
+block sequence repeats each of its values) is formatted once.  json.dumps
 with an indent runs the pure-Python encoder; the writer instead writes a
 list of ints with one join and strings with the C function
 encode_basestring_ascii.  tests/test_serialize.py checks its bytes against
@@ -35,9 +38,10 @@ _INT = {int}
 _LITERALS = {None: "null", True: "true", False: "false"}
 
 
-def _write(x, parts, nl):
+def _write(x, parts, nl, memo):
     """Append the indented JSON text of the report value x; nl is the
-    newline plus indentation of the line x starts on."""
+    newline plus indentation of the line x starts on, and memo maps each
+    Fraction met so far in this report to its quoted text."""
     t = type(x)
     if t is int:
         parts.append(int.__repr__(x))
@@ -55,7 +59,7 @@ def _write(x, parts, nl):
         sep = "[" + inner
         for v in x:
             parts.append(sep)
-            _write(v, parts, inner)
+            _write(v, parts, inner, memo)
             sep = "," + inner
         parts.append(nl + "]")
     elif t is dict:
@@ -68,27 +72,31 @@ def _write(x, parts, nl):
             if type(k) is not str:
                 raise TypeError(f"report keys must be str, got {k!r}")
             parts.append(sep + encode_basestring_ascii(k) + ": ")
-            _write(x[k], parts, inner)
+            _write(x[k], parts, inner, memo)
             sep = "," + inner
         parts.append(nl + "}")
     elif t is Fraction:
-        parts.append('"' + format_rational(x) + '"')
+        key = (x.numerator, x.denominator)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = '"' + format_rational(x) + '"'
+        parts.append(text)
     elif t is bool or x is None:
         parts.append(_LITERALS[x])
     elif x is UNIVERSE:
         parts.append('"all"')
     elif callable(getattr(x, "to_json", None)):
-        _write(x.to_json(), parts, nl)
+        _write(x.to_json(), parts, nl, memo)
     elif dataclasses.is_dataclass(x):
         _write({f.name: getattr(x, f.name) for f in dataclasses.fields(x)},
-               parts, nl)
+               parts, nl, memo)
     else:
         raise TypeError(f"cannot serialize {t.__name__}: {x!r}")
 
 
 def canonical_json(obj) -> str:
     parts = []
-    _write(obj, parts, "\n")
+    _write(obj, parts, "\n", {})
     parts.append("\n")
     return "".join(parts)
 

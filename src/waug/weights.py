@@ -207,10 +207,7 @@ class Lemma74Weight(WordLengthWeight):
         nk = self.markers[k - 1]
         A = self.rho + self.eps[k - 1]   # base on block ending at n_k
         B = self.rho + self.eps[k]       # base from n_k + 1 on
-        # exact only while cheap: the division of two exact powers costs a
-        # gcd on ~nk*log2(k)-bit integers, which dominates everything once
-        # nk reaches ~1e4
-        if (nk + 1) * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13):
+        if _l74_exact(A, B, nk + 1):
             return B ** (nk + 1) / A ** nk
         q = B.denominator << self.bits
         return Enclosure(*(Fraction(x * B.numerator, q) for x in self.pows[k - 1]))
@@ -551,6 +548,12 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 # Stepped-exponent weight builder: summable step ratios by construction
 # ---------------------------------------------------------------------------
 
+def _l74_exact(A: Fraction, B: Fraction, n: int) -> bool:
+    """Whether lemma 7.4 handles A^n and B^n exactly: only while they are small,
+    as their product or gcd is the whole runtime once n reaches ~1e4."""
+    return n * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13)
+
+
 def _kept_less(m: tuple, r: Fraction, n: int, c: Fraction, bits: int, strict=True) -> bool:
     """`ratio_pow_less(r, n, c, strict)` with the kept mantissas m of r^n at `bits`
     as its first probe past the exact range; escalation starts at 2 * bits."""
@@ -628,11 +631,8 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
         A, B = B, rho + eps[k]
         nk, m = (_lemma74_marker(A, B, markers[-1], bits) if k > 1
                  else (1, pow_mantissas(B / A, 1, bits)))
-        # step-ratio certificate:  k omega_(n_k+1) <= (rho+1) omega_(n_k).
-        # exact only while the materialized powers stay small: a Fraction
-        # comparison cross-multiplies ~nk*log2(k)-bit integers, which is the
-        # entire runtime once nk reaches ~1e5
-        if nk * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13):
+        # step-ratio certificate:  k omega_(n_k+1) <= (rho+1) omega_(n_k)
+        if _l74_exact(A, B, nk):
             ok = k * B ** (nk + 1) <= r1 * A ** nk
             method = "exact"
         else:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, report envelopes, byte stability."""
 
+import hashlib
 import json
 import time
 from fractions import Fraction
@@ -192,6 +193,18 @@ def test_blockseq_csv_feeds_tau_check(capsys, tmp_path):
     assert code in (0, 1)  # verdict depends on the data, not a crash
     rep = json.loads(out)
     assert rep["operation"] == "tau check"
+
+
+@pytest.mark.parametrize("rho,blocks,digest", [
+    ("3/2", "80", "757f83162ef53190b1c057b26f102c44ad6a44c78b3e1fdbd32d9454729e8216"),
+    ("5/2", "70", "9d48f7fec098a7d72756ac565e80c056e266d4dac9b568136939850f9bd8e5eb")])
+def test_big_blockseq_csv_bytes_are_pinned(capsys, rho, blocks, digest):
+    # 3,320 and 2,555 rows of numbers with up to about 1,800 digits, far past
+    # the goldens' K = 5; the digests are those of the Fraction builder's CSVs
+    code, out, _ = run(capsys, "tau", "blockseq", "--rho", rho,
+                       "--blocks", blocks, "--format", "csv")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("rho,blocks", [("2", 3000), ("3/2", 1500)])

@@ -251,6 +251,63 @@ def test_block_sequence_refuses_numbers_past_the_digit_limit():
             build_block_sequence(rho, K)
 
 
+def _fraction_block_sequence(rho, K):
+    """Frozen copy of the Fraction builder the integer one replaced: every
+    prefix sum a reduced Fraction addition, every tau_j >= rho^j a Fraction
+    comparison against a fresh power; the oracle for its reports."""
+    markers = [1]
+    for k in range(2, K + 1):
+        markers.append(markers[-1] + k + 1)
+    values = []
+    prev_end = 0
+    for nk in markers:
+        block_val = rho ** (nk + 1)
+        values.extend([block_val] * (nk + 1 - prev_end))
+        prev_end = nk + 1
+    P = PrefixSequence(values).prefix_sums()
+    boundary = []
+    for k, nk in enumerate(markers, start=1):
+        ratio = values[nk] / P[nk]
+        boundary.append({"k": k, "n_k": nk, "ratio": ratio,
+                         "bound": F(1, k), "ok": ratio <= F(1, k)})
+    return {
+        "markers": markers,
+        "values": values,
+        "tau_geq_rho_pow_j": all(values[j - 1] >= rho ** j
+                                 for j in range(1, len(values) + 1)),
+        "boundary_ratios": boundary,
+        "boundary_all_ok": all(b["ok"] for b in boundary),
+    }
+
+
+def _assert_matches_the_fraction_builder(rho, K):
+    rep = build_block_sequence(rho, K)
+    want = _fraction_block_sequence(rho, K)
+    got = {key: rep[key] for key in want if key != "values"}
+    got["values"] = rep["sequence"].values
+    assert got == want
+    assert all(type(b["ratio"]) is F for b in rep["boundary_ratios"])
+
+
+@pytest.mark.parametrize("rho", [F(2), F(3), F(3, 2), F(5, 2), F(7, 3),
+                                 F(1000000001, 1000000000), F(10 ** 400)],
+                         ids=lambda rho: str(rho)[:12])
+def test_block_sequence_matches_the_fraction_builder(rho):
+    checked = []
+    for K in (2, 3, 17, 40):
+        try:
+            _assert_matches_the_fraction_builder(rho, K)
+        except ResourceLimit:  # past the digit limit: refused up front
+            continue
+        checked.append(K)
+    assert checked[:2] == [2, 3]
+
+
+def test_block_sequence_matches_the_fraction_builder_at_the_digit_limit():
+    # K = 167 is the largest K that rho = 2 reaches below the limit
+    _assert_matches_the_fraction_builder(F(2), 167)
+
+
 def test_prefix_consistent_bound_property():
     # for nonnegative x with ||x||_tau <= 1, T(x) <= 1/D_hat
     rng = random.Random(502)

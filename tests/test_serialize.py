@@ -186,6 +186,31 @@ def test_canonical_json_equals_json_dumps(x):
     assert canonical_json(x) == expect
 
 
+def _dumps_reference(x):
+    return json.dumps(_reference_plain(x), sort_keys=True, indent=2,
+                      ensure_ascii=True) + "\n"
+
+
+def test_repeated_and_equal_fractions_share_one_text():
+    big = F(3 ** 2000, 2 ** 2000)
+    half = F(1, 2)
+    report = {"same": [big] * 5 + [half] * 3,
+              "equal": [F(3 ** 2000, 2 ** 2000), F(2, 4), F(-1, 2), F(1, 2)],
+              "nested": {"a": Enclosure(half, big), "b": [F(1), 1, F(0)]}}
+    assert report["equal"][0] is not big
+    assert canonical_json(report) == _dumps_reference(report)
+
+
+def test_no_memo_survives_a_failed_call():
+    with pytest.raises(TypeError):
+        canonical_json({"a": [F(1, 3), F(7, 5)], "b": 0.5, "c": F(2, 3)})
+    report = {"a": [F(2, 3), F(1, 3)], "b": F(7, 5)}
+    assert canonical_json(report) == _dumps_reference(report)
+    assert canonical_json([F(1, 3)]) == '[\n  "1/3"\n]\n'
+    for n in range(1, 50):  # dead Fractions' ids come back: no text may stick
+        assert canonical_json(F(n, n + 1)) == f'"{n}/{n + 1}"\n'
+
+
 def test_canonical_json_refuses_non_plain_values():
     with pytest.raises(TypeError):
         canonical_json({"x": [1, 0.5]})
