@@ -91,10 +91,8 @@ class QC:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
     @classmethod
-    def from_json(cls, obj) -> "QC":
-        if isinstance(obj, dict):
-            return cls(parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0)))
-        return cls(parse_rational(obj))
+    def from_json(cls, obj: dict) -> "QC":
+        return cls(parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0)))
 
 
 ONE = QC(1)

@@ -16,6 +16,7 @@ from math import isqrt, log10
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
+MAX_BITS = 1 << 16  # the precision ratio_pow_less escalates to, and --precision's ceiling
 INT_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
 
 
@@ -221,42 +222,32 @@ def pow_less(m: tuple, c: Fraction, bits: int, strict: bool = True) -> Optional[
     return False if m[0] * den > num - strict else None  # lo >= c iff lo > c - 1
 
 
-def pow_bounds(base: Fraction, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
-    """Directed-rounding enclosure of base**n (base >= 0, n >= 0 integer),
-    the Fractions of `pow_mantissas`; the lemma-7.4 chain keeps mantissas."""
-    base = Fraction(base)
-    if base < 0 or n < 0:
-        raise ValueError(f"pow_bounds needs base >= 0 and n >= 0, got {base} and {n}")
-    return Enclosure(*(Fraction(x, 1 << bits) for x in pow_mantissas(base, n, bits)))
-
-
 def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
-                   bits: int = DEFAULT_BITS, max_bits: int = 1 << 16) -> bool:
-    """Certified decision of  r**n < c  (or <= with strict=False), 0 <= r.
+                   bits: int = DEFAULT_BITS, kept: Optional[tuple] = None) -> bool:
+    """Certified decision of  r**n < c  (or <= with strict=False) for
+    rationals r >= 0 and c: the package's one certified power comparison.
 
-    Escalates precision, computing r**n afresh each time, until `pow_less`
-    decides; falls back to the exact integer comparison when that is
-    feasible.  Intended for ratio bases 0 < r <= 1 where the mantissas stay
-    small at any exponent.
+    The first probe is `kept`, the mantissas of r**n at scale 2**-bits that
+    the caller holds, else fresh ones.  While `pow_less` leaves a probe
+    undecided the precision doubles, up to MAX_BITS; past it the exact
+    comparison decides while `exact_pow_feasible`.  Meant for ratio bases
+    0 < r <= 1, whose mantissas stay small at any exponent.  r and c are
+    taken as they come (Fractions or ints), with no coercion on this hot path.
     """
-    r, c = Fraction(r), Fraction(c)
-    # small powers skip the escalation and compare exactly at once
-    b = max_bits + 1 if exact_pow_feasible(r, n, 1 << 14) else bits
-    while b <= max_bits:
-        verdict = pow_less(pow_mantissas(r, n, b), c, b, strict)
-        if verdict is not None:
-            return verdict
-        b *= 2
-    if exact_pow_feasible(r, n):
-        rn = r ** n
-        return rn < c if strict else rn <= c
-    raise ValueError(
-        f"comparison r^{n} vs {c} indeterminate at {max_bits} bits")
+    m = kept or pow_mantissas(r, n, bits)
+    while (verdict := pow_less(m, c, bits, strict)) is None:
+        bits *= 2
+        if bits > MAX_BITS:
+            if not exact_pow_feasible(r, n):
+                raise ValueError(f"comparison r^{n} vs {c} indeterminate at {MAX_BITS} bits")
+            return r ** n < c if strict else r ** n <= c
+        m = pow_mantissas(r, n, bits)
+    return verdict
 
 
-def exact_pow_feasible(a: Fraction, n: int, limit_bits: int = 1 << 21) -> bool:
-    size = max(a.numerator.bit_length(), a.denominator.bit_length())
-    return n * size <= limit_bits
+def exact_pow_feasible(a: Fraction, n: int) -> bool:
+    """Whether a**n has at most 2**21 bits in its numerator and denominator."""
+    return n * max(a.numerator.bit_length(), a.denominator.bit_length()) <= 1 << 21
 
 
 def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:

@@ -10,11 +10,12 @@ Subcommands (one per core procedure):
              rewrite-pf | necessity | witness-45 | witness-65 | witness-75
 
 Every leaf is one row of the table COMMANDS: (group, command) -> help text,
-handler and flags (after the shared --out/--format/--precision).  `main`
-loads the leaf's input files once (--spec, --weight, --element, --csv),
-hashes them into the envelope and hands the handler the loaded objects in
-place of the paths; the handler returns (report, ok, csv) and `main` writes
-the report envelope.
+handler, flags (after the shared --out/--format/--precision) and, for a leaf
+with a CSV form, its CSV header.  `main` refuses --format csv on any other
+leaf before it starts, loads the leaf's input files once (--spec, --weight,
+--element, --csv), hashes them into the envelope and hands the handler the
+loaded objects in place of the paths; the handler returns (report, ok, CSV
+rows or None) and `main` writes the report envelope or the CSV.
 `build_parser(argv)` always registers the five groups but, when argv[:2]
 names a leaf, only that leaf with its flags: a command run pays for one
 leaf parser, not 25.  Help, --version and unknown names get the full tree,
@@ -39,7 +40,7 @@ import time
 
 from . import __version__
 from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
-from .certify import DEFAULT_BITS, parse_rational, printable
+from .certify import DEFAULT_BITS, MAX_BITS, parse_rational, printable
 from .idealkit import (CertificateError, decompose_full, decompose_point,
                        divide_shift, pseudo_generation_necessity,
                        rewrite_pseudofinite, telescope, witness_nontp_element,
@@ -65,7 +66,7 @@ def _parse_point(text: str, s):
 
 
 # ---------------------------------------------------------------------------
-# handlers: (report, ok, csv) per subcommand; `main` has already replaced
+# handlers: (report, ok, rows) per subcommand; `main` has already replaced
 # each input path in args by the object it holds (_load_inputs)
 # ---------------------------------------------------------------------------
 
@@ -82,7 +83,7 @@ def _h_structure_ball(args, bits):
     }
     rows = [[n, size, "all" if size == "all" else len(lev)]
             for n, (size, lev) in enumerate(zip(sizes, bt.levels))]
-    return report, True, (["n", "ball_size", "sphere_size"], rows)
+    return report, True, rows
 
 
 def _h_structure_ancestry(args, bits):
@@ -119,7 +120,7 @@ def _h_weight_tau(args, bits):
     tc["certified"] = l61["ok"]
     rows = [[n + 1, t.numerator, t.denominator]
             for n, t in enumerate(tc["taus"])]
-    return tc, l61["ok"], (["n", "tau_num", "tau_den"], rows)
+    return tc, l61["ok"], rows
 
 
 def _h_weight_build_l74(args, bits):
@@ -151,7 +152,7 @@ def _h_tau_check(args, bits):
     rep = check_prefix_tp(seq)
     rows = [[n + 1, r.numerator, r.denominator]
             for n, r in enumerate(rep["ratios"])]
-    return rep, True, (["n", "ratio_num", "ratio_den"], rows)
+    return rep, True, rows
 
 
 def _h_tau_witness(args, bits):
@@ -167,7 +168,7 @@ def _h_tau_blockseq(args, bits):
     rep["values"] = seq.values
     ok = rep["tau_geq_rho_pow_j"] and rep["boundary_all_ok"]
     rep["certified"] = ok
-    return rep, ok, (["index", "numerator", "denominator"], seq.to_csv_rows())
+    return rep, ok, seq.to_csv_rows()
 
 
 def _h_tau_growth(args, bits):
@@ -194,7 +195,7 @@ def _h_element_sigma(args, bits):
     rows = [[n, v.re.numerator, v.re.denominator, v.im.numerator,
              v.im.denominator] for n, v in enumerate(values)]
     rep = {"depth": args.depth, "sigma": values, "stable_from": stable}
-    return rep, True, (["n", "re_num", "re_den", "im_num", "im_den"], rows)
+    return rep, True, rows
 
 
 def _h_element_augment(args, bits):
@@ -281,11 +282,12 @@ GROUPS = {
     "ideal": "augmentation-ideal decompositions and witnesses",
 }
 
-# (group, command) -> (help, handler, flags after IO_FLAGS), in --help order
+# (group, command) -> (help, handler, flags after IO_FLAGS[, CSV header]),
+# in --help order
 COMMANDS = {
     ("structure", "ball"): (
         "division-closure balls B_0..B_depth", _h_structure_ball,
-        [SPEC, DEPTH]),
+        [SPEC, DEPTH], ["n", "ball_size", "sphere_size"]),
     ("structure", "ancestry"): (
         "multiplication/division chain down to e", _h_structure_ancestry,
         [SPEC, _flag("--target", required=True, help="element (JSON literal)"),
@@ -298,7 +300,7 @@ COMMANDS = {
         [SPEC, WEIGHT, _flag("--radius", type=int, required=True)]),
     ("weight", "tau"): (
         "sphere minima tau_n and generator max C", _h_weight_tau,
-        [SPEC, WEIGHT, DEPTH]),
+        [SPEC, WEIGHT, DEPTH], ["n", "tau_num", "tau_den"]),
     ("weight", "build-l74"): (
         "stepped-exponent weight, K blocks", _h_weight_build_l74,
         [RHO, BLOCKS]),
@@ -311,13 +313,14 @@ COMMANDS = {
     ("tau", "check"): (
         "exact prefix ratios and D-hat", _h_tau_check,
         [_flag("--csv", required=True, help="sequence CSV (index,num,den)"),
-         _flag("--depth", type=int, help="truncate to the first N entries")]),
+         _flag("--depth", type=int, help="truncate to the first N entries")],
+        ["n", "ratio_num", "ratio_den"]),
     ("tau", "witness"): (
         "search for ||x|| <= 1 with T(x) >= target", _h_tau_witness,
         [CSV, _flag("--target", required=True, help="rational target")]),
     ("tau", "blockseq"): (
         "staircase sequence with 1/k boundary ratios", _h_tau_blockseq,
-        [RHO, BLOCKS]),
+        [RHO, BLOCKS], ["index", "numerator", "denominator"]),
     ("tau", "growth"): (
         "check tau_(n+1) >= D sum_(j<=n) tau_j and its bound", _h_tau_growth,
         [CSV, _flag("--target", required=True, help="the constant D")]),
@@ -329,7 +332,7 @@ COMMANDS = {
         [SPEC, WEIGHT, ELEMENT]),
     ("element", "sigma"): (
         "ball sums sigma_n(f) for n = 0..depth", _h_element_sigma,
-        [SPEC, ELEMENT, DEPTH]),
+        [SPEC, ELEMENT, DEPTH], ["n", "re_num", "re_den", "im_num", "im_den"]),
     ("element", "augment"): (
         "sum of coefficients", _h_element_augment,
         [SPEC, ELEMENT]),
@@ -388,7 +391,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     commands = {name: groups.add_parser(name, help=text).add_subparsers(
                     dest="command", required=True)
                 for name, text in GROUPS.items()}
-    for key, (text, _, flags) in COMMANDS.items():
+    for key, (text, _, flags, *_) in COMMANDS.items():
         if only is not None and key != only:
             continue
         p = commands[key[0]].add_parser(key[1], help=text)
@@ -464,27 +467,26 @@ def main(argv=None) -> int:
     started = time.monotonic()
     args = build_parser(argv).parse_args(argv)
     bits = args.precision
-    if not 8 <= bits <= 1 << 16:  # certify.ratio_pow_less escalates to 1 << 16 at most
-        print("waug: --precision must be between 8 and 65536 bits", file=sys.stderr)
+    if not 8 <= bits <= MAX_BITS:
+        print(f"waug: --precision must be between 8 and {MAX_BITS} bits", file=sys.stderr)
         return 2
-    _, handler, flags = COMMANDS[(args.group, args.command)]
+    _, handler, flags, *csv_header = COMMANDS[(args.group, args.command)]
+    if args.format == "csv" and not csv_header:
+        print(f"waug: no CSV form for '{args.group} {args.command}'", file=sys.stderr)
+        return 2
     flags = IO_FLAGS + flags
     inputs = {}
     try:
         try:
             _load_inputs(args, inputs)
-            report, ok, csv_data = handler(args, bits)
+            report, ok, rows = handler(args, bits)
         except CertificateError as exc:
             report = dict(exc.report)
             report["error"] = "certificate"
             report["reason"] = str(exc)
-            ok, csv_data = False, None
+            ok, rows = False, None
         if args.format == "csv":
-            if csv_data is None:
-                print(f"waug: no CSV form for '{args.group} {args.command}'",
-                      file=sys.stderr)
-                return 2
-            text = write_csv(*csv_data)
+            text = write_csv(csv_header[0], rows)
         else:
             envelope = {
                 "tool": "waug",

@@ -69,7 +69,7 @@ class PrefixSequence:
 
 def csv_row_values(rows, what: str) -> list:
     """Rows (index, numerator, denominator) -> [v_1..v_N]; the indices must
-    be 1..N without gaps.  `what` names the file kind in error messages."""
+    be 1..N, each once.  `what` names the file kind in error messages."""
     vals = {}
     for row in rows:
         try:
@@ -78,6 +78,8 @@ def csv_row_values(rows, what: str) -> list:
             raise InvalidInput(f"bad {what} CSV row {row!r}") from exc
         if den == 0:
             raise InvalidInput(f"zero denominator at index {n}")
+        if n in vals:
+            raise InvalidInput(f"{what} CSV repeats index {n}")
         vals[n] = Fraction(num, den)
     if sorted(vals) != list(range(1, len(vals) + 1)):
         raise InvalidInput(f"{what} CSV indices must be 1..N without gaps")

@@ -359,7 +359,7 @@ class TableMonoid(Structure):
 
     family = "table"
 
-    def __init__(self, table, names=None, validate=True):
+    def __init__(self, table, names=None):
         self.table = [list(row) for row in table]
         n = len(self.table)
         if n == 0:
@@ -370,8 +370,7 @@ class TableMonoid(Structure):
             raise InvalidInput("names length does not match table size")
         if not all(isinstance(a, str) for a in self.names) or len(set(self.names)) < n:
             raise InvalidInput("table params.names must be distinct strings")
-        if validate:
-            self._validate()
+        self._validate()
         self.is_group = all(
             any(self.table[i][j] == 0 and self.table[j][i] == 0 for j in range(n))
             for i in range(n))
@@ -658,14 +657,14 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
         frontier = nxt
 
 
-def division_balls(s: Structure, gens, depth: int, cap: Optional[int] = None) -> BallTable:
+def division_balls(s: Structure, gens, depth: int) -> BallTable:
     """Balls B_0..B_depth by the frontier form of the recursion (module
     docstring), in one _spheres pass per level: a group multiplies the last
     sphere by X u X^-1, a monoid multiplies it by X and divides it by X.
     Images are kept where level_of does not know them yet; a universal
     quotient makes the level UNIVERSE and every later level empty."""
     _check_depth(depth)
-    cap = ball_cap() if cap is None else cap
+    cap = ball_cap()
 
     def too_big(n, size):
         return (f"ball B_{n} has {size} elements, over the cap "
@@ -789,13 +788,12 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
 # right-multiplication BFS (geodesic words over a generating set)
 # ---------------------------------------------------------------------------
 
-def bfs_words(s: Structure, gens, depth: int, cap: Optional[int] = None,
-              targets=None) -> dict:
+def bfs_words(s: Structure, gens, depth: int, targets=None) -> dict:
     """Lexicographically-least shortest words over `gens` (right
     multiplication), as a dict element -> tuple of generator indices, for
     the elements within `depth` steps of e.  Stops early once all `targets`
     are found, if given."""
-    cap = ball_cap() if cap is None else cap
+    cap = ball_cap()
     e = s.identity()
     words = {e: ()}
     remaining = None if targets is None else set(targets) - {e}
@@ -823,8 +821,7 @@ def _standard_word(s: Structure, idx, u):
     return tuple(idx[(g,)] for g in u)  # FreeStructure
 
 
-def geodesic_words(s: Structure, gens, points, max_depth: int,
-                   cap: Optional[int] = None) -> dict:
+def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:
     """Least shortest word over gens for each of `points`, as a dict
     point -> tuple of generator indices.  Off the standard generating sets
     one BFS serves every point: it stops once the farthest point is reached,
@@ -832,7 +829,7 @@ def geodesic_words(s: Structure, gens, points, max_depth: int,
     if s.is_standard_generators(gens):
         idx = {g: i for i, g in enumerate(gens)}
         return {u: _standard_word(s, idx, u) for u in points}
-    words = bfs_words(s, gens, max_depth, cap, targets=points)
+    words = bfs_words(s, gens, max_depth, targets=points)
     if any(u not in words for u in points):
         raise ResourceLimit(f"element not reached within depth {max_depth}")
     return {u: words[u] for u in points}

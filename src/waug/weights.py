@@ -27,9 +27,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, check_digits,
-                      exact_pow_feasible, format_rational, nth_root, parse_int,
-                      parse_rational, pow_less, pow_mantissas, rat_pow,
-                      ratio_pow_less)
+                      format_rational, nth_root, parse_int, parse_rational,
+                      pow_mantissas, rat_pow, ratio_pow_less)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -554,18 +553,11 @@ def _l74_exact(A: Fraction, B: Fraction, n: int) -> bool:
     return n * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13)
 
 
-def _kept_less(m: tuple, r: Fraction, n: int, c: Fraction, bits: int, strict=True) -> bool:
-    """`ratio_pow_less(r, n, c, strict)` with the kept mantissas m of r^n at `bits`
-    as its first probe past the exact range; escalation starts at 2 * bits."""
-    verdict = None if exact_pow_feasible(r, n, 1 << 14) else pow_less(m, c, bits, strict)
-    return ratio_pow_less(r, n, c, strict, bits=2 * bits) if verdict is None else verdict
-
-
 def _lemma74_predicate(r: Fraction, n: int, bits: int, seen: dict) -> bool:
-    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A; the mantissas
-    of r^n at `bits` go to seen[n]."""
+    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A: `ratio_pow_less`
+    with the mantissas of r^n at `bits` as its first probe, which go to seen[n]."""
     seen[n] = m = pow_mantissas(r, n, bits)
-    return _kept_less(m, r, n, Fraction(1, n), bits)
+    return ratio_pow_less(r, n, Fraction(1, n), True, bits, m)
 
 
 def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int):
@@ -613,7 +605,8 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     block then satisfies the step-ratio bound
         omega_(n_k+1)/omega_(n_k) <= (rho+1)/k,
     which is certified per block: exactly while the numbers materialize, else
-    from the marker search's mantissas of (B/A)^(n_k), which `step_ratio` reuses.
+    by `ratio_pow_less` from the marker search's mantissas of (B/A)^(n_k),
+    which `step_ratio` reuses.
 
     Returns (Lemma74Weight, report).
     """
@@ -637,7 +630,7 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
             method = "exact"
         else:
             # k B^(nk+1) <= (rho+1) A^nk  <=>  (B/A)^nk <= (rho+1)/(k B)
-            ok = _kept_less(m, B / A, nk, r1 / (k * B), bits, strict=False)
+            ok = ratio_pow_less(B / A, nk, r1 / (k * B), False, bits, m)
             method = "certified-dyadic"
         markers.append(nk)
         pows.append(m)

@@ -8,9 +8,9 @@ import pytest
 
 from waug.certify import (Enclosure, ResourceLimit, basel_partial,
                           check_digits, format_rational, harmonic_number,
-                          int_nth_root, nth_root, parse_rational, pow_bounds,
-                          pow_less, printable, rat_pow, ratio_pow_less,
-                          round_down, round_up)
+                          int_nth_root, nth_root, parse_rational,
+                          pow_less, pow_mantissas, printable, rat_pow,
+                          ratio_pow_less, round_down, round_up)
 from waug.idealkit import _le_status
 
 
@@ -66,22 +66,22 @@ def test_nth_root_encloses():
     assert s.lo <= F(3, 2) <= s.hi
 
 
-def test_pow_bounds_brackets_exact_power():
+def test_pow_mantissas_brackets_exact_power():
     rng = random.Random(414)
     for _ in range(100):
         base = F(rng.randrange(1, 50), rng.randrange(1, 50))
         if base == 0:
             continue
         n = rng.randrange(0, 40)
-        enc = pow_bounds(base, n, 64)
-        assert enc.lo <= base**n <= enc.hi
+        lo, hi = pow_mantissas(base, n, 64)
+        assert lo <= base**n * 2**64 <= hi
 
 
-def test_pow_bounds_huge_exponent_is_cheap():
+def test_pow_mantissas_huge_exponent_is_cheap():
     # (1001/1000)^(10^9) has ~1.4e9 bits exactly; the enclosure is instant
-    enc = pow_bounds(F(1001, 1000), 10**9, 64)
-    assert enc.lo > 0
-    assert enc.lo <= enc.hi
+    lo, hi = pow_mantissas(F(1001, 1000), 10**9, 64)
+    assert lo > 0
+    assert lo <= hi
 
 
 def test_ratio_pow_less_decides_correctly():
@@ -91,6 +91,20 @@ def test_ratio_pow_less_decides_correctly():
     # equality case, non-strict vs strict
     assert ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=False)
     assert not ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=True)
+
+
+@pytest.mark.parametrize("r, n, c", [(F(1, 2), 10, F(1, 1024)),
+                                     (F(1, 3), 2, F(1, 9)),
+                                     (F(2, 3), 3, F(8, 27))])
+@pytest.mark.parametrize("bits", [8, 64])
+def test_ratio_pow_less_at_equality(r, n, c, bits):
+    # r^n == c: a probe decides it only once the mantissas are exact, as for
+    # (1/2)^10 from 10 bits on; (1/3)^2 and (2/3)^3 never are, so the exact
+    # comparison past MAX_BITS decides them, with or without kept mantissas
+    kept = pow_mantissas(r, n, bits)
+    for m in (None, kept):
+        assert ratio_pow_less(r, n, c, strict=False, bits=bits, kept=m)
+        assert not ratio_pow_less(r, n, c, strict=True, bits=bits, kept=m)
 
 
 def test_pow_less_decides_on_integers_at_the_boundaries():

@@ -124,6 +124,19 @@ def test_exit_two_on_high_precision(capsys):
     assert err == "waug: --precision must be between 8 and 65536 bits\n"
 
 
+def test_precision_at_its_ceiling_is_accepted(capsys):
+    # 65536 bits is MAX_BITS, where ratio_pow_less's escalation ends; the
+    # build certifies what it certifies at the default precision
+    argv = ["weight", "build-l74", "--rho", "2", "--blocks", "12"]
+    code, out, _ = run(capsys, *argv, "--precision", "65536")
+    assert code == 0
+    top = json.loads(out)["result"]
+    assert top["step_bounds"][-1]["method"] == "certified-dyadic"
+    code, out, _ = run(capsys, *argv)
+    want = json.loads(out)["result"]
+    assert (top["markers"], top["step_bounds"]) == (want["markers"], want["step_bounds"])
+
+
 def test_exit_two_on_unknown_structure_family(capsys, tmp_path):
     sfile = write_json(tmp_path / "s.json", {"family": "frobnicate"})
     code, _, err = run(capsys, "structure", "ball", "--spec", sfile,
@@ -405,11 +418,15 @@ _WEIGHT_CASES = {
         F2_SPEC, {"family": "explicit", "params": {"values": {
             "e": "1", "a": "2", "a^-1": "2", "b": "2", "b^-1": "2", "zz.q": "5"}}},
         "explicit weight key 'zz.q' names no element of this free structure")}
+# case -> (the --csv file, a part of the one error line); spec and weight valid
+_CSV_CASES = {
+    "csv-repeated-index": ("1,2,1\n2,3,1\n2,5,1\n3,9,1\n", "CSV repeats index 2")}
 _INPUT_CASES = [
     (key, case)
-    for key, (_, _, flags) in COMMANDS.items()
+    for key, (_, _, flags, *_) in COMMANDS.items()
     for case in [*(_SPEC_CASES if SPEC in flags else ()),
-                 *(_WEIGHT_CASES if WEIGHT in flags else ())]]
+                 *(_WEIGHT_CASES if WEIGHT in flags else ()),
+                 *(_CSV_CASES if any(name == "--csv" for name, _ in flags) else ())]]
 
 
 def _write_input(path, obj):
@@ -423,9 +440,14 @@ def _write_input(path, obj):
 @pytest.mark.parametrize("key,case", _INPUT_CASES,
                          ids=[f"{g}-{c}-{case}" for (g, c), case in _INPUT_CASES])
 def test_input_errors_exit_two_on_one_line(capsys, tmp_path, key, case):
-    spec, weight, message = {**_SPEC_CASES, **_WEIGHT_CASES}[case]
+    if case in _CSV_CASES:
+        spec, weight = F2_SPEC, {"family": "trivial"}
+        text, message = _CSV_CASES[case]
+    else:
+        spec, weight, message = {**_SPEC_CASES, **_WEIGHT_CASES}[case]
+        text = "1,1,1\n2,1,1\n"
     csv = tmp_path / "v.csv"
-    csv.write_text("1,1,1\n2,1,1\n")
+    csv.write_text(text)
     files = {"--spec": _write_input(tmp_path / "s.json", spec),
              "--weight": _write_input(tmp_path / "w.json", weight or {}),
              "--element": write_json(tmp_path / "e.json", {"terms": []}),
@@ -438,6 +460,27 @@ def test_input_errors_exit_two_on_one_line(capsys, tmp_path, key, case):
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", [key for key, row in COMMANDS.items() if len(row) == 3],
+                         ids=" ".join)
+def test_csv_refused_before_the_handler_runs(capsys, monkeypatch, key):
+    # a leaf without a CSV header refuses --format csv before it loads its
+    # inputs (the paths below name no file) or runs its handler
+    text, _, flags = COMMANDS[key]
+
+    def handler(args, bits):
+        raise AssertionError("the handler ran")
+
+    monkeypatch.setitem(COMMANDS, key, (text, handler, flags))
+    values = {**_FILLERS, "--rho": "2", "--blocks": "10000"}
+    argv = [*key, "--format", "csv"]
+    for name, kw in flags:
+        if kw.get("required"):
+            argv += [name, values.get(name, "no-such-file")]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"waug: no CSV form for '{key[0]} {key[1]}'\n"
 
 
 @pytest.mark.parametrize("spec,message", [

@@ -390,7 +390,7 @@ def test_geodesic_words_equal_per_point_words(spec):
                 assert got[u] == bfs_words(s, gens, 6, targets=[u])[u]
 
 
-def test_geodesic_words_unreachable_and_cap_messages():
+def test_geodesic_words_unreachable_and_cap_messages(monkeypatch):
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True},
          "generators": [[1], [-1], [2], [-2], [1, 2]]})
@@ -400,12 +400,12 @@ def test_geodesic_words_unreachable_and_cap_messages():
     assert geodesic_words(s, gens, [near, far], 4)[far] == (2, 2, 0, 0)
     # the cap is checked level by level up to the farthest point, so it
     # fails exactly when the farthest point's own search fails
-    words = bfs_words(s, gens, 3)
+    monkeypatch.setenv("WAUG_BALL_CAP", str(len(bfs_words(s, gens, 3))))
     with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
-        geodesic_words(s, gens, [far], 6, cap=len(words))
+        geodesic_words(s, gens, [far], 6)
     with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
-        geodesic_words(s, gens, [near, far], 6, cap=len(words))
-    assert geodesic_words(s, gens, [near, (1, 2)], 6, cap=len(words))[(1, 2)] == (4,)
+        geodesic_words(s, gens, [near, far], 6)
+    assert geodesic_words(s, gens, [near, (1, 2)], 6)[(1, 2)] == (4,)
 
 
 def test_word_length_closed_forms():
@@ -456,26 +456,27 @@ def test_structure_spec_errors():
         s.elem_from_json("theta")     # theta outside zero-adjoined
 
 
-def test_ball_cap_respected():
+def test_ball_cap_respected(monkeypatch):
+    monkeypatch.setenv("WAUG_BALL_CAP", "100")
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     with pytest.raises(ResourceLimit):
-        division_balls(s, gens, 6, cap=100)
+        division_balls(s, gens, 6)
     # each search fires at the first level past the cap, with its own message:
     # F2 balls (group path) 1, 5, 17, 53, 161; rank-3 free monoid balls
     # (monoid path: multiply and divide) 1, 4, 13, 40, 121; F2 words as the F2 balls
     fm3, fm3_gens = structure_from_spec(
         {"family": "free", "params": {"rank": 3, "inverses": False}})
     for st, g, size in ((s, gens, 161), (fm3, fm3_gens, 121)):
-        assert division_balls(st, g, 3, cap=100).sizes()[-1] <= 100
+        assert division_balls(st, g, 3).sizes()[-1] <= 100
         with pytest.raises(ResourceLimit, match="^" + re.escape(
                 f"ball B_4 has {size} elements, over the cap 100 "
                 "(set WAUG_BALL_CAP to raise it)") + "$"):
-            division_balls(st, g, 6, cap=100)
-    assert len(bfs_words(s, gens, 3, cap=100)) == 53
+            division_balls(st, g, 6)
+    assert len(bfs_words(s, gens, 3)) == 53
     with pytest.raises(ResourceLimit, match="^" + re.escape(
             "word BFS exceeded cap 100 (set WAUG_BALL_CAP to raise it)") + "$"):
-        bfs_words(s, gens, 6, cap=100)
+        bfs_words(s, gens, 6)
 
 
 @pytest.mark.parametrize("spec,bad", [

@@ -7,9 +7,9 @@ from fractions import Fraction as F
 
 import pytest
 
+import waug.certify as certify_mod
 import waug.weights as weights_mod
-from waug.certify import (Enclosure, exact_pow_feasible, nth_root, pow_less,
-                          pow_mantissas)
+from waug.certify import Enclosure, nth_root, pow_less, pow_mantissas
 from waug.idealkit import witness_thm75
 from waug.serialize import canonical_json
 from waug.structures import (InvalidInput, ResourceLimit, division_balls,
@@ -345,8 +345,8 @@ def test_lemma74_huge_value_refuses_materialization():
 
 
 def _frozen_step_ratio(w, k, bits):
-    """step_ratio as it read before the build kept its powers:
-    pow_bounds(B/A, n_k, bits) times B, with pow_bounds' loop frozen."""
+    """step_ratio as it read before the build kept its powers: the
+    directed-rounding power (B/A)^(n_k) at `bits` times B, its loop frozen."""
     nk, rho = w.markers[k - 1], w.rho
     A, B = rho + w.eps[k - 1], rho + w.eps[k]
     r = B / A
@@ -385,15 +385,18 @@ def test_lemma74_step_ratio_reads_the_kept_power(bits):
 
 @pytest.mark.parametrize("bits", [8, 128])
 def test_lemma74_computes_each_power_once(bits, monkeypatch):
-    # the marker probe's power serves the step certificate and step_ratio
+    # the marker probe's power serves the step certificate and step_ratio;
+    # only an escalation, at a higher precision, computes a power again
     computed = []
     real = weights_mod.pow_mantissas
 
     def spy(base, n, b):
-        computed.append((base, n, b))
+        if b == bits:
+            computed.append((base, n, b))
         return real(base, n, b)
 
     monkeypatch.setattr(weights_mod, "pow_mantissas", spy)
+    monkeypatch.setattr(certify_mod, "pow_mantissas", spy)  # ratio_pow_less's probes
     w, rep = build_lemma74(F(2), 300, bits)
     for k in range(1, 301):
         w.step_ratio(k)
@@ -402,33 +405,35 @@ def test_lemma74_computes_each_power_once(bits, monkeypatch):
 
 
 def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
-    # every step certificate whose kept power straddles its bound must be
-    # decided by ratio_pow_less, not read off the straddling mantissas; so
-    # is one in ratio_pow_less's exact range, and no other
-    escalated = []
-    real = weights_mod.ratio_pow_less
-
-    def spy(r, n, c, strict=True, **kw):
-        if not strict:
-            escalated.append(n)
-        return real(r, n, c, strict, **kw)
-
-    monkeypatch.setattr(weights_mod, "ratio_pow_less", spy)
+    # a step certificate whose kept power straddles its bound computes a
+    # fresh power at twice the precision; every other one computes none
     bits, rho = 8, F(3, 2)
+    fresh, certifying = [], []
+    real_pow, real_less = certify_mod.pow_mantissas, weights_mod.ratio_pow_less
+
+    def pow_spy(base, n, b):
+        if certifying and b == 2 * bits:
+            fresh.append(n)
+        return real_pow(base, n, b)
+
+    def less_spy(r, n, c, strict, b, kept):
+        certifying[:] = [] if strict else [n]  # only step certificates are non-strict
+        return real_less(r, n, c, strict, b, kept)
+
+    monkeypatch.setattr(certify_mod, "pow_mantissas", pow_spy)
+    monkeypatch.setattr(weights_mod, "ratio_pow_less", less_spy)
     w, rep = build_lemma74(rho, 400, bits)
-    straddling, handed_on = [], []
+    straddling = []
     for c in rep["step_bounds"]:
         k, nk = c["k"], c["n_k"]
         if c["method"] == "exact":
             continue
         A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
-        m = pow_mantissas(B / A, nk, bits)
+        m = real_pow(B / A, nk, bits)
         assert w.pows[k - 1] == m
         if pow_less(m, (rho + 1) / (k * B), bits, strict=False) is None:
             straddling.append(nk)
-        if nk in straddling or exact_pow_feasible(B / A, nk, 1 << 14):
-            handed_on.append(nk)
-    assert straddling and escalated == handed_on
+    assert straddling and fresh == straddling
 
 
 # sha256 prefixes of the canonical reports as they read before the build
