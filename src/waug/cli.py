@@ -77,7 +77,7 @@ def _h_structure_ball(args, bits):
     report = {
         "depth": args.depth,
         "ball_sizes": sizes,
-        "levels": bt.levels,
+        "levels": s.spheres_to_json(bt.levels),
         "universal_at": bt.universal_at(),
         "stable_at": bt.stable_at(),
     }
@@ -91,14 +91,16 @@ def _h_structure_ancestry(args, bits):
     u = _parse_point(args.target, s)
     chain, bt = find_ancestry(s, gens, u, args.depth)
     report = {
-        "target": u,
+        "target": s.elem_to_json(u),
         "depth": args.depth,
         "ball_sizes": bt.sizes(),
         "found": chain is not None,
     }
     if chain is not None:
-        report["chain"] = [{"elem": st.elem, "op": st.op, "x": st.x}
-                           for st in chain]
+        report["chain"] = [
+            {"elem": s.elem_to_json(st.elem), "op": st.op,
+             "x": None if st.x is None else s.elem_to_json(st.x)}
+            for st in chain]
     else:
         report["reason"] = f"element not inside B_{args.depth}"
     return report, chain is not None, None

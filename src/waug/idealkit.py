@@ -99,7 +99,7 @@ def telescope(f: Element) -> dict:
         pairs.append((Element.delta(s, e, beta),
                       Element(s, [(e, 1), (u, -1)])))
         labels.append(f"delta_e - delta_{s.elem_str(u)}")
-        betas.append({"u": u, "beta": beta})
+        betas.append({"u": s.elem_to_json(u), "beta": beta})
     decomp = Decomposition(s, f, pairs, labels)
     return {"op": "telescope", "betas": betas, "decomposition": decomp,
             "ok": True}
@@ -213,9 +213,9 @@ def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
     norm bound ||f_x||_omega <= (1/D) omega(u): the one-point case of the
     decomposition core."""
     e = s.identity()
-    rep, words = _decompose(s, gens, weight,
-                            Element(s, [(e, 1), (u, -1)]), [(u, ONE)],
-                            D, bits, max_depth, {"op": "decompose_point", "u": u})
+    head = {"op": "decompose_point", "u": s.elem_to_json(u)}
+    rep, words = _decompose(s, gens, weight, Element(s, [(e, 1), (u, -1)]),
+                            [(u, ONE)], D, bits, max_depth, head)
     rep["word"] = [s.elem_str(gens[i]) for i in words[u]]
     rep["n"] = len(words[u])
     return rep
@@ -496,7 +496,7 @@ def pseudo_generation_necessity(s: Structure, hs, depth: int) -> dict:
                   f"(sizes {sizes}); increase the depth")
     return {
         "op": "pseudo_generation_necessity",
-        "X": X,
+        "X": [s.elem_to_json(x) for x in X],
         "depth": depth,
         "ball_sizes": sizes,
         "universal_at": bt.universal_at(),
@@ -572,7 +572,7 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
         "op": "witness_prop45",
         "K": K,
         "levels": list(range(1, K + 1)),
-        "points": points,
+        "points": [s.elem_to_json(u) for u in points],
         "zeta": zeta,
         "witness": f,
         "sigma": sig,
@@ -653,7 +653,7 @@ def witness_nontp_element(s: Structure, gens, weight, alphas,
     return {
         "op": "witness_nontp_element",
         "alphas": alphas,
-        "points": points,
+        "points": [s.elem_to_json(y) for y in points],
         "zeta": zeta,
         "witness": f,
         "norm": norm_f,

@@ -133,6 +133,12 @@ class Structure:
     def elem_from_json(self, obj):
         raise NotImplementedError
 
+    def spheres_to_json(self, levels):
+        """The report value of a ball's spheres: each element through
+        elem_to_json, a UNIVERSE sphere as itself."""
+        return [lev if lev is UNIVERSE else list(map(self.elem_to_json, lev))
+                for lev in levels]
+
     def elem_str(self, u) -> str:
         raise NotImplementedError
 
