@@ -97,10 +97,9 @@ def _h_structure_ancestry(args, bits):
         "found": chain is not None,
     }
     if chain is not None:
-        report["chain"] = [
-            {"elem": s.elem_to_json(st.elem), "op": st.op,
-             "x": None if st.x is None else s.elem_to_json(st.x)}
-            for st in chain]
+        report["chain"] = [{"elem": s.elem_to_json(st.elem), "op": st.op,
+                            "x": st.x if st.x is None else s.elem_to_json(st.x)}
+                           for st in chain]
     else:
         report["reason"] = f"element not inside B_{args.depth}"
     return report, chain is not None, None

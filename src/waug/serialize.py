@@ -10,14 +10,15 @@ canonical_json(x) walks the report x once and writes each value as it
 meets it: int, str, bool and None as themselves; list and tuple as arrays;
 dict with str keys in sorted key order; Fraction through format_rational;
 UNIVERSE as "all"; any object with a to_json method (Enclosure, QC, Element,
-Decomposition) as what that returns; a dataclass field by field.  Anything
-else, floats, sets and non-str keys included, raises TypeError.  A memo
-that lives for one call keys each Fraction by value, its reduced (numerator,
-denominator) pair, and holds its text, so a value repeated in a report (a
-block sequence repeats each of its values) is formatted once.  json.dumps
-with an indent runs the pure-Python encoder; the writer instead writes a
-list of ints with one join and strings with the C function
-encode_basestring_ascii.  tests/test_serialize.py checks its bytes against
+Decomposition) as what that returns; a callable (a free structure's ball
+spheres) as the text that x(parts, nl) appends to parts at the indentation
+nl; a dataclass field by field.  Anything else, floats, sets and non-str
+keys included, raises TypeError.  A memo that lives for one call keys each
+Fraction by value, its reduced (numerator, denominator) pair, and holds its
+text, so a value repeated in a report (a block sequence repeats each of its
+values) is formatted once.  json.dumps with an indent runs the pure-Python
+encoder; the writer instead writes a list of ints with one join and strings
+with the C function encode_basestring_ascii.  tests/test_serialize.py checks its bytes against
 json.dumps over a reference conversion to plain JSON values, as a property.
 """
 
@@ -87,6 +88,8 @@ def _write(x, parts, nl, memo):
         parts.append('"all"')
     elif callable(getattr(x, "to_json", None)):
         _write(x.to_json(), parts, nl, memo)
+    elif callable(x):
+        x(parts, nl)
     elif dataclasses.is_dataclass(x):
         _write({f.name: getattr(x, f.name) for f in dataclasses.fields(x)},
                parts, nl, memo)

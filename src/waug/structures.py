@@ -5,13 +5,21 @@ Families and element encodings:
   Z               integers; element = int
   Zd              Z^d; element = tuple of d ints
   free            free group (inverses=true) or free monoid (inverses=false)
-                  on `rank` generators; element = tuple of nonzero signed
-                  1-based generator indices, negative meaning inverse;
-                  group words are kept reduced
+                  on `rank` generators; element = int, the word packed
+                  below; group words are kept reduced
   table           finite monoid given by a row-major multiplication table;
                   element = index, 0 is the identity
   zero_adjoined   free monoid on `rank` letters with an adjoined absorbing
-                  zero; element = word tuple or the string "theta"
+                  zero; element = packed word or the string "theta"
+
+A free word is one int whose base-b digits, first letter first, are its
+letters: digits 1, 2, 3, 4, ... are a, a^-1, b, b^-1, ... in a group (b =
+2 rank + 1), a, b, c, ... in a monoid (b = rank + 1).  No digit is 0, so
+e = 0, longer words are larger and numeric order is shortlex order
+(elem_key is the identity); u b + d appends letter d, u // b drops the last
+letter and x is a suffix of u iff u % b^|x| == x.  JSON spells a word as
+its letters, nonzero signed 1-based generator indices, negative meaning
+inverse.
 
 Division is set-valued:  E . x^-1 = {u : u x in E}.  On the zero-adjoined
 monoid the set {u : u theta = theta} is the whole (infinite) monoid; such
@@ -44,7 +52,9 @@ or B_n is universal) and answers every ball question itself.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 from typing import Optional
 
@@ -53,7 +63,7 @@ from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-e
 BALL_CAP_ENV = "WAUG_BALL_CAP"
 BALL_CAP_DEFAULT = 10 ** 6
 
-THETA = "theta"  # adjoined zero; words are tuples, so no collision
+THETA = "theta"  # adjoined zero; words are ints, so no collision
 
 
 def ball_cap() -> int:
@@ -113,6 +123,10 @@ class Structure:
         """Canonical total-order key; ties everywhere break through this."""
         raise NotImplementedError
 
+    @property
+    def sort_key(self):  # elem_key for sorted(), None where it is the identity
+        return self.elem_key
+
     def word_length(self, u) -> int:
         """Length w.r.t. the family's standard generating set."""
         raise InvalidInput(f"{self.family}: no standard word length")
@@ -134,8 +148,7 @@ class Structure:
         raise NotImplementedError
 
     def spheres_to_json(self, levels):
-        """The report value of a ball's spheres: each element through
-        elem_to_json, a UNIVERSE sphere as itself."""
+        """A ball's spheres as a report value, element by element."""
         return [lev if lev is UNIVERSE else list(map(self.elem_to_json, lev))
                 for lev in levels]
 
@@ -260,7 +273,10 @@ def _letter_names(rank: int):
 
 
 class FreeStructure(Structure):
-    """Free group (inverses=True) or free monoid (inverses=False) of given rank."""
+    """Free group (inverses=True) or free monoid (inverses=False) of given
+    rank, each word packed into one int (module docstring)."""
+
+    sort_key = None  # elem_key is the identity
 
     def __init__(self, rank: int, inverses: bool = True):
         if rank < 1:
@@ -271,12 +287,18 @@ class FreeStructure(Structure):
         self.is_group = inverses
         self.family = "free"
         self.names = _letter_names(rank)
-        # elem_key's letter order: a, a^-1, b, b^-1, ... (a, b, ... in a monoid)
-        self._rank_of = {g: (2 * g - 1 if g > 0 else -2 * g) if inverses else g
-                         for g in range(-rank, rank + 1) if g}
+        # the letters by digit, 1 up: a, a^-1, b, b^-1, ... (a, b, ... in a monoid)
+        letters = [g for r in range(1, rank + 1) for g in ((r, -r) if inverses else (r,))]
+        self.base = b = len(letters) + 1
+        self._letter = [0] + letters
+        self._digit = {g: d for d, g in enumerate(letters, start=1)}
+        self._inverse = [0] + [self._digit.get(-g) for g in letters]
+        # _ones[n] = (b^n - 1)/(b - 1), the least word of length n, and
+        # _pows[n] = b^n, grown by word_length as longer words turn up
+        self._ones, self._pows = [0, 1], [1, b]
 
     def identity(self):
-        return ()
+        return 0
 
     def _check_letters(self, u):
         for g in u:
@@ -286,78 +308,112 @@ class FreeStructure(Structure):
                 raise InvalidInput("free monoid words cannot contain inverse letters")
 
     def multiply(self, u, v):
-        if not self.inverses:
-            return u + v
-        # reduced concatenation: cancel at the seam
-        i = len(u)
-        j = 0
-        while i > 0 and j < len(v) and u[i - 1] == -v[j]:
-            i -= 1
-            j += 1
-        return u[:i] + v[j:]
+        b, pows, n = self.base, self._pows, self.word_length(v)
+        # in a group, cancel at the seam: u's last letter against v's first
+        while self.inverses and n and u and self._inverse[u % b] == v // pows[n - 1]:
+            u, n = u // b, n - 1
+            v %= pows[n]
+        return u * pows[n] + v
 
     def invert(self, u):
         if not self.inverses:
             raise InvalidInput("free monoid: no inverses")
-        return tuple(-g for g in reversed(u))
+        b, inverse, w = self.base, self._inverse, 0
+        while u:
+            u, d = divmod(u, b)
+            w = w * b + inverse[d]
+        return w
 
     def default_generators(self):
-        gens = []
-        for g in range(1, self.rank + 1):
-            gens.append((g,))
-            if self.inverses:
-                gens.append((-g,))
-        return gens
+        return list(range(1, self.base))
 
     def is_standard_generators(self, gens):
         return set(gens) == set(self.default_generators())
 
     def elem_key(self, u):
-        return (len(u), tuple(map(self._rank_of.__getitem__, u)))
+        return u
 
     def word_length(self, u):
-        return len(u)
+        ones = self._ones
+        while u >= ones[-1]:
+            ones.append(ones[-1] * self.base + 1)
+            self._pows.append(self._pows[-1] * self.base)
+        return bisect_right(ones, u) - 1
 
     def right_divide_point(self, u, x):
         if self.inverses:
             return super().right_divide_point(u, x)
-        # monoid: v x = u iff x is a suffix of u
-        n = len(x)
-        if n <= len(u) and (n == 0 or u[len(u) - n:] == x):
-            return frozenset([u[:len(u) - n]])
-        return frozenset()
+        # monoid: v x = u iff x is a suffix of u, i.e. u's last |x| digits
+        p = self._pows[self.word_length(x)]
+        return frozenset([u // p]) if u % p == x else frozenset()
 
     def elem_to_json(self, u):
-        return list(u)
+        letters = []
+        while u:
+            u, d = divmod(u, self.base)
+            letters.append(self._letter[d])
+        return letters[::-1]
 
     def elem_from_json(self, obj):
         if not isinstance(obj, (list, tuple)) or not all(
                 isinstance(g, int) and not isinstance(g, bool) for g in obj):
             raise InvalidInput(f"free word must be a list of nonzero ints, got {obj!r}")
-        u = tuple(obj)
-        self._check_letters(u)
+        self._check_letters(obj)
         if self.inverses:
             # must come in reduced
-            for a, b in zip(u, u[1:]):
+            for a, b in zip(obj, obj[1:]):
                 if a == -b:
                     raise InvalidInput(f"word {obj!r} is not reduced")
+        u = 0
+        for g in obj:
+            u = u * self.base + self._digit[g]
         return u
 
     def elem_str(self, u):
-        if not u:
-            return "e"
-        parts = []
-        for g in u:
-            name = self.names[abs(g) - 1]
-            parts.append(name if g > 0 else name + "^-1")
-        return ".".join(parts)
+        return ".".join(self.names[abs(g) - 1] + ("^-1" if g < 0 else "")
+                        for g in self.elem_to_json(u)) or "e"
 
     def _read_str(self, text):
         if text == "e":
-            return ()
+            return 0
         letters = {name: g for g, name in enumerate(self.names, start=1)}
         letters.update({name + "^-1": -g for name, g in letters.items()})
         return self.elem_from_json([letters[part] for part in text.split(".")])
+
+    def spheres_to_json(self, levels):
+        return partial(self._write_spheres, levels)
+
+    def _write_spheres(self, levels, parts, nl):
+        """Append the JSON text of a ball's spheres, a list that starts on
+        the line whose newline and indentation are nl.  A word's text less
+        its closing line is its parent's (the word less its last letter,
+        u // b) plus a line for that letter, so a sphere whose parents lie
+        in the sphere before it costs one concatenation per word."""
+        b, sphere_nl, word_nl = self.base, nl + "  ", nl + "    "
+        letter_nl = word_nl + "  "
+        first = ["[" + letter_nl + str(g) for g in self._letter]
+        more = ["," + letter_nl + str(g) for g in self._letter]
+        texts = {}  # word of the last sphere -> its text less its closing line
+
+        def spelt(u):  # the text of a word u != e, letter by letter
+            return "[" + letter_nl + ("," + letter_nl).join(map(str, self.elem_to_json(u)))
+
+        sep = "[" + sphere_nl
+        for lev in levels:
+            known, texts = texts, {}
+            parts.append(sep)
+            sep, opening = "," + sphere_nl, "[" + word_nl
+            for u in lev:
+                if u:
+                    parent, d = divmod(u, b)
+                    texts[u] = t = ((known.get(parent) or spelt(parent)) + more[d]
+                                    if parent else first[d])
+                    parts += (opening, t, word_nl + "]")
+                else:
+                    parts += (opening, "[]")
+                opening = "," + word_nl
+            parts.append(sphere_nl + "]" if lev else "[]")
+        parts.append(nl + "]")
 
 
 class TableMonoid(Structure):
@@ -452,28 +508,27 @@ class ZeroAdjoinedMonoid(Structure):
         if rank < 1:
             raise InvalidInput("zero_adjoined needs rank >= 1")
         self.rank = rank
-        self.base = FreeStructure(rank, inverses=False)
-        self.names = self.base.names
+        self.free = FreeStructure(rank, inverses=False)
+        self.names = self.free.names
 
     def identity(self):
-        return ()
+        return 0
 
     def multiply(self, u, v):
         if u == THETA or v == THETA:
             return THETA
-        return u + v
+        return u * self.free._pows[self.free.word_length(v)] + v
 
     def default_generators(self):
         return [THETA]
 
     def elem_key(self, u):
-        if u == THETA:
-            return (1, (0,))
-        return (len(u), u)
+        # theta after e = 0 and before the first letter, 1
+        return 0.5 if u == THETA else u
 
     def word_length(self, u):
         # grading by letters, with theta at level 1 (its BFS level for X={theta})
-        return 1 if u == THETA else len(u)
+        return 1 if u == THETA else self.free.word_length(u)
 
     def right_divide_point(self, u, x):
         if x == THETA:
@@ -481,23 +536,23 @@ class ZeroAdjoinedMonoid(Structure):
             return UNIVERSE if u == THETA else frozenset()
         if u == THETA:
             return frozenset([THETA])
-        return self.base.right_divide_point(u, x)
+        return self.free.right_divide_point(u, x)
 
     def elem_to_json(self, u):
-        return THETA if u == THETA else list(u)
+        return THETA if u == THETA else self.free.elem_to_json(u)
 
     def elem_from_json(self, obj):
         if obj == THETA:
             return THETA
-        return self.base.elem_from_json(obj)
+        return self.free.elem_from_json(obj)
 
     def elem_str(self, u):
         if u == THETA:
             return THETA
-        return self.base.elem_str(u)
+        return self.free.elem_str(u)
 
     def _read_str(self, text):
-        return THETA if text == THETA else self.base._read_str(text)
+        return THETA if text == THETA else self.free._read_str(text)
 
 
 # ---------------------------------------------------------------------------
@@ -556,11 +611,12 @@ def structure_from_spec(spec: dict):
 @dataclass
 class BallTable:
     """Division-closure balls B_0..B_depth, kept as their spheres: levels[n]
-    is S_n sorted by elem_key (the first universal ball is the UNIVERSE
-    marker, later levels are empty) and level_of maps each element to its
-    level.  u is in B_n iff level_of[u] <= n, or B_n is universal.  Callers
-    ask `level`, `ball` (a set, built on demand), `sphere`, `divisors_below`,
-    `sizes`, `universal_at`, `whole_at` and `stable_at`."""
+    is S_n sorted by elem_key, by value on a free structure (the first
+    universal ball is the UNIVERSE marker, later levels are empty) and
+    level_of maps each element to its level.  u is in B_n iff level_of[u]
+    <= n, or B_n is universal.  Callers ask `level`, `ball` (a set, built on
+    demand), `sphere`, `divisors_below`, `sizes`, `universal_at`, `whole_at`
+    and `stable_at`."""
 
     structure: Structure
     levels: list
@@ -684,7 +740,7 @@ def division_balls(s: Structure, gens, depth: int) -> BallTable:
     spheres = _spheres(s, steps, level_of, lambda n, u, i: n, cap, too_big,
                        divide=not s.is_group)
     for _, sphere in zip(range(depth), spheres):
-        levels.append(sphere if sphere is UNIVERSE else sorted(sphere, key=s.elem_key))
+        levels.append(sphere if sphere is UNIVERSE else sorted(sphere, key=s.sort_key))
     levels.extend([] for _ in range(depth + 1 - len(levels)))
     return BallTable(s, levels, level_of)
 
@@ -770,8 +826,7 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
     chain = [AncestryStep(u, None, None)]
     current = u
     for i in range(lvl, 0, -1):
-        parent = None
-        step = None
+        parent = step = None
         for x in gens:
             picks = bt.divisors_below(current, x, i - 1)
             if picks:
@@ -824,7 +879,7 @@ def _standard_word(s: Structure, idx, u):
         std = s.default_generators()  # +e_1, -e_1, +e_2, ...
         return tuple(idx[std[2 * i + (c < 0)]]
                      for i, c in enumerate(u) for _ in range(abs(c)))
-    return tuple(idx[(g,)] for g in u)  # FreeStructure
+    return tuple(idx[s._digit[g]] for g in s.elem_to_json(u))  # FreeStructure
 
 
 def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:

@@ -279,8 +279,9 @@ def test_c14_pseudofinite_rewriting_reconvolves():
     rng = random.Random(114)
     s, _ = structure_from_spec({"family": "zero_adjoined",
                                 "params": {"rank": 2}})
-    pool = [(), "theta", (1,), (2,), (1, 1), (1, 2), (2, 1), (2, 2),
-            (1, 2, 1), (2, 1, 2), (1, 1, 2, 2)]
+    pool = [s.elem_from_json(u) for u in
+            [[], "theta", [1], [2], [1, 1], [1, 2], [2, 1], [2, 2],
+             [1, 2, 1], [2, 1, 2], [1, 1, 2, 2]]]
     for _ in range(200):
         f = random_real_element(rng, s, pool, rng.randrange(1, 7),
                                 zero_aug=True)

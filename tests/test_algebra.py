@@ -96,9 +96,10 @@ def test_convolution_identity_and_associativity():
 def test_convolution_is_noncommutative_on_free():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
-    da, db = Element.delta(s, (1,)), Element.delta(s, (2,))
+    a, b, ab = (s.elem_from_json(w) for w in ([1], [2], [1, 2]))
+    da, db = Element.delta(s, a), Element.delta(s, b)
     assert convolve(da, db) != convolve(db, da)
-    assert convolve(da, db).support() == [(1, 2)]
+    assert convolve(da, db).support() == [ab]
 
 
 def test_augmentation_is_a_character():
@@ -139,7 +140,7 @@ def test_sigma_sequence_counts_ball_mass():
         {"family": "free", "params": {"rank": 2, "inverses": False}})
     bt = division_balls(s, gens, 4)
     e = s.identity()
-    f = Element.delta(s, (1, 2)) - Element.delta(s, e)
+    f = Element.delta(s, s.elem_from_json([1, 2])) - Element.delta(s, e)
     vals, stable = sigma_sequence(f, bt)
     assert [v.re for v in vals] == [F(-1), F(-1), F(0), F(0), F(0)]
     assert stable == 2
@@ -150,7 +151,8 @@ def test_sigma_sequence_counts_ball_mass():
 def test_sigma_sequence_on_universal_ball():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
     bt = division_balls(s, ["theta"], 3)
-    f = Element.delta(s, (1, 2, 1), F(5)) + Element.delta(s, "theta", F(-2))
+    f = (Element.delta(s, s.elem_from_json([1, 2, 1]), F(5))
+         + Element.delta(s, s.elem_from_json("theta"), F(-2)))
     vals, stable = sigma_sequence(f, bt)
     # B_2 = everything, so sigma_2 = augmentation
     assert vals[2] == f.augmentation()
@@ -162,7 +164,7 @@ TRUNCATED_ADD_8 = [[min(u + v, 7) for v in range(8)] for u in range(8)]
 
 @pytest.mark.parametrize("spec,depth,pool", [
     ({"family": "free", "params": {"rank": 2, "inverses": True}}, 3,
-     [(), (1,), (-2,), (1, 2), (2, -1, 2), (1, 1, 1, 1), (-1, 2, 2, 1, -2)]),
+     [[], [1], [-2], [1, 2], [2, -1, 2], [1, 1, 1, 1], [-1, 2, 2, 1, -2]]),
     ({"family": "Zd", "params": {"d": 3}}, 3,
      [(0, 0, 0), (1, 0, 0), (0, -1, 1), (2, 1, 0), (3, 0, -1), (0, 4, 0)]),
     # truncated addition on 0..7 (7 absorbing): B_n = {0..n}, 5..7 outside
@@ -170,10 +172,11 @@ TRUNCATED_ADD_8 = [[min(u + v, 7) for v in range(8)] for u in range(8)]
       "generators": [1]}, 4, list(range(8))),
     # B_2 is universal: every point is in it, however long
     ({"family": "zero_adjoined", "params": {"rank": 2}, "generators": ["theta"]},
-     4, [(), "theta", (1,), (2, 1), (1, 2, 1), (2, 2, 2, 2, 1, 1)]),
+     4, [[], "theta", [1], [2, 1], [1, 2, 1], [2, 2, 2, 2, 1, 1]]),
 ], ids=["F2", "Z3", "table", "theta"])
 def test_sigma_sequence_matches_the_per_ball_sums(spec, depth, pool):
     s, gens = structure_from_spec(spec)
+    pool = [s.elem_from_json(p) for p in pool]
     bt = division_balls(s, gens, depth)
     balls = [bt.ball(n) for n in range(depth + 1)]
     rng = random.Random(133)
@@ -199,8 +202,8 @@ def test_sigma_sequence_matches_the_per_ball_sums(spec, depth, pool):
 def test_element_json_round_trip():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    f = (Element.delta(s, (1, 2), QC(F(1, 3), F(-2, 5)))
-         + Element.delta(s, (), F(-7)))
+    f = (Element.delta(s, s.elem_from_json([1, 2]), QC(F(1, 3), F(-2, 5)))
+         + Element.delta(s, s.elem_from_json([]), F(-7)))
     g = Element.from_json(s, f.to_json())
     assert g == f
 
@@ -229,11 +232,12 @@ def test_gaussian_convolution_multiplies_once_per_support_pair(monkeypatch):
 def test_translate_right_shift():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
-    f = Element.delta(s, (1,)) + Element.delta(s, (), F(2))
-    g = f.translate((2,))
-    assert g.support() == [(2,), (1, 2)]
-    assert g[(1, 2)] == QC(F(1))
-    assert g[(2,)] == QC(F(2))
+    e, a, b, ab = (s.elem_from_json(w) for w in ([], [1], [2], [1, 2]))
+    f = Element.delta(s, a) + Element.delta(s, e, F(2))
+    g = f.translate(b)
+    assert g.support() == [b, ab]
+    assert g[ab] == QC(F(1))
+    assert g[b] == QC(F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +249,25 @@ LAW_STRUCTURES = {
     "Z2": ({"family": "Zd", "params": {"d": 2}},
            [(0, 0), (1, 0), (0, -1), (2, 1), (-1, 3)]),
     "F2": ({"family": "free", "params": {"rank": 2, "inverses": True}},
-           [(), (1,), (-2,), (1, 2), (2, -1), (-1, -1, 2)]),
+           [[], [1], [-2], [1, 2], [2, -1], [-1, -1, 2]]),
     "FM2": ({"family": "free", "params": {"rank": 2, "inverses": False}},
-            [(), (1,), (2,), (1, 2), (2, 2, 1)]),
+            [[], [1], [2], [1, 2], [2, 2, 1]]),
     # truncated addition on 0..7: a commutative monoid that is not a group
     "table": ({"family": "table", "params": {"table": TRUNCATED_ADD_8},
                "generators": [1]}, list(range(8))),
     # theta absorbs: theta * u = u * theta = theta
     "theta": ({"family": "zero_adjoined", "params": {"rank": 2}},
-              [(), "theta", (1,), (2, 1), (1, 2, 1)]),
+              [[], "theta", [1], [2, 1], [1, 2, 1]]),
 }
-LAW_STRUCTURES = {name: (structure_from_spec(spec)[0], pool)
+
+
+def _law_structure(spec, pool):
+    """The structure of spec and the elements its JSON pool names."""
+    s = structure_from_spec(spec)[0]
+    return s, [s.elem_from_json(p) for p in pool]
+
+
+LAW_STRUCTURES = {name: _law_structure(spec, pool)
                   for name, (spec, pool) in LAW_STRUCTURES.items()}
 
 _rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 12))

@@ -18,6 +18,11 @@ from waug.structures import (InvalidInput, ResourceLimit, division_balls,
 from waug.weights import RadialExpWeight, TrivialWeight, build_lemma74
 
 
+def word(s, *letters):
+    """The free word with these signed letters."""
+    return s.elem_from_json(list(letters))
+
+
 def random_zero_aug(rng, s, pool, size, denom=8):
     f = Element.zero(s)
     for _ in range(size):
@@ -35,7 +40,7 @@ def test_telescope_two_generator_example():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     e = s.identity()
-    f = (Element.delta(s, (1,)) + Element.delta(s, (2,))
+    f = (Element.delta(s, word(s, 1)) + Element.delta(s, word(s, 2))
          - Element.delta(s, e, F(2)))
     rep = telescope(f)
     betas = {tuple(b["u"]): b["beta"].re for b in rep["betas"]}
@@ -46,7 +51,7 @@ def test_telescope_two_generator_example():
 def test_telescope_difference_of_deltas():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    f = Element.delta(s, (1, 2)) - Element.delta(s, (2,))
+    f = Element.delta(s, word(s, 1, 2)) - Element.delta(s, word(s, 2))
     rep = telescope(f)
     betas = {tuple(b["u"]): b["beta"].re for b in rep["betas"]}
     assert betas == {(1, 2): F(-1), (2,): F(1)}
@@ -77,7 +82,7 @@ def test_decompose_point_two_letter_word():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     w = RadialExpWeight(F(2), F(1))
-    rep = decompose_point(s, gens, w, (1, 2), F(1))
+    rep = decompose_point(s, gens, w, word(s, 1, 2), F(1))
     assert rep["ok"] and rep["reconvolved"]
     # u = ab: coefficient on (delta_e - delta_a) is delta_e, on
     # (delta_e - delta_b) is delta_a
@@ -85,14 +90,14 @@ def test_decompose_point_two_letter_word():
     fa = by_label["delta_e - delta_a"][0]
     fb = by_label["delta_e - delta_b"][0]
     assert fa == Element.delta(s, s.identity())
-    assert fb == Element.delta(s, (1,))
+    assert fb == Element.delta(s, word(s, 1))
     rep["decomposition"].verify()
 
 
 def test_decompose_point_single_generator():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), (2,), F(1))
+    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), word(s, 2), F(1))
     pairs = rep["decomposition"].pairs
     assert len(pairs) == 1
     assert pairs[0][0] == Element.delta(s, s.identity())
@@ -102,7 +107,8 @@ def test_decompose_point_geometric_weight_norm_equality_case():
     # u = a^6 under the 2^n weight with D = 1: ||f_a|| = 1+2+...+32 = 63 <= 64
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), (1,) * 6, F(1))
+    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), word(s, *[1] * 6),
+                          F(1))
     assert rep["norms"]["a"] == 63
     assert rep["bound"] == 64
     assert rep["norm_ok"]
@@ -114,7 +120,7 @@ def test_decompose_point_prefix_delta_invariant():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     bt = division_balls(s, gens, 4)
-    pool = [u for u in sorted(bt.ball(4), key=s.elem_key) if u != ()]
+    pool = [u for u in sorted(bt.ball(4), key=s.elem_key) if u != s.identity()]
     for u in rng.sample(pool, 25):
         rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), u, F(1))
         rep["decomposition"].verify()
@@ -129,7 +135,7 @@ def test_decompose_point_rejects_invalid_D():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     with pytest.raises(CertificateError) as exc:
-        decompose_point(s, gens, TrivialWeight(), (1, 2, 1), F(1))
+        decompose_point(s, gens, TrivialWeight(), word(s, 1, 2, 1), F(1))
     assert exc.value.report["first_violation"] == 3
 
 
@@ -137,7 +143,7 @@ def test_decompose_point_inclusive_premise_reported():
     # 2^n with D = 1 satisfies the growth premise with equality, inclusive form too
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), (1, 2), F(1))
+    rep = decompose_point(s, gens, RadialExpWeight(F(2), F(1)), word(s, 1, 2), F(1))
     assert rep["premise_growth_ok"] and rep["premise_inclusive_ok"]
 
 
@@ -195,7 +201,7 @@ def test_decompose_full_runs_one_word_bfs(monkeypatch):
 def test_decompose_full_unreachable_point_message():
     s, gens = structure_from_spec(F2_AB)
     w = RadialExpWeight(F(2), F(1))
-    near, far = (1,), (2, 2, 1, 1)  # geodesic lengths 1 and 4
+    near, far = word(s, 1), word(s, 2, 2, 1, 1)  # geodesic lengths 1 and 4
     f = (Element.delta(s, s.identity()) - Element.delta(s, near)
          + Element.delta(s, far) - Element.delta(s, s.identity()))
     with pytest.raises(ResourceLimit) as point_exc:
@@ -211,7 +217,7 @@ def test_decompose_full_rejects_nonzero_augmentation():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     with pytest.raises(InvalidInput):
-        decompose_full(s, gens, TrivialWeight(), Element.delta(s, (1,)), F(1))
+        decompose_full(s, gens, TrivialWeight(), Element.delta(s, word(s, 1)), F(1))
 
 
 # ---------------------------------------------------------------------------
@@ -290,11 +296,11 @@ def test_rewrite_zero_adjoined_one_step():
 def test_rewrite_zero_adjoined_level_two():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
     e, th = s.identity(), "theta"
-    f = Element.delta(s, (1, 2)) - Element.delta(s, e)
+    f = Element.delta(s, word(s, 1, 2)) - Element.delta(s, e)
     rep = rewrite_pseudofinite(s, [th], f)
     assert rep["ok"]
     coeff, gen = rep["decomposition"].pairs[0]
-    assert coeff == Element.delta(s, (1, 2)) - Element.delta(s, e)
+    assert coeff == Element.delta(s, word(s, 1, 2)) - Element.delta(s, e)
     rep["decomposition"].verify()
 
 
@@ -310,7 +316,8 @@ def test_rewrite_random_zero_adjoined():
     th = "theta"
     bt = division_balls(s, [th], 2)
     # B_2 is everything; sample words of length <= 3 plus theta and e
-    pool = [(), th, (1,), (2,), (1, 2), (2, 1), (1, 1), (2, 2), (1, 2, 1)]
+    pool = [s.elem_from_json(u) for u in
+            [[], th, [1], [2], [1, 2], [2, 1], [1, 1], [2, 2], [1, 2, 1]]]
     for _ in range(40):
         f = random_zero_aug(rng, s, pool, 5)
         rep = rewrite_pseudofinite(s, [th], f)
@@ -335,7 +342,7 @@ def test_rewrite_cyclic_group_two_generators():
 def test_rewrite_refuses_non_pseudofinite():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
-    f = Element.delta(s, (1,)) - Element.delta(s, ())
+    f = Element.delta(s, word(s, 1)) - Element.delta(s, word(s))
     with pytest.raises(InvalidInput):
         rewrite_pseudofinite(s, gens, f, depth=10)
 
@@ -344,7 +351,7 @@ def test_rewrite_generator_family_forms():
     # the emitted family is {p_i} + right shifts + the base chain
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 1}})
     th = "theta"
-    f = Element.delta(s, (1, 1)) - Element.delta(s, th)
+    f = Element.delta(s, word(s, 1, 1)) - Element.delta(s, th)
     rep = rewrite_pseudofinite(s, [th], f)
     rep["decomposition"].verify()
     assert all(not g.augmentation() for _, g in rep["decomposition"].pairs)
@@ -412,7 +419,7 @@ def test_witness_prop45_witness_element_shape():
     rep = witness_prop45(s, gens, 5)
     f = rep["witness"]
     assert f[s.identity()].re == basel_partial(5)
-    assert f[(1, 1, 1)].re == F(-1, 9)
+    assert f[word(s, 1, 1, 1)].re == F(-1, 9)
     assert f.augmentation() == QC(F(0))
 
 
@@ -463,7 +470,8 @@ def test_witness_nontp_geometric_weight_never_flags():
     assert not rep["exceeds_single_generator_ceiling"]
     # the chosen points attain the sphere minima
     for n, y in enumerate(rep["points"], start=1):
-        assert RadialExpWeight(F(2), F(1)).eval(s, y) == rep["taus"][n - 1]
+        assert (RadialExpWeight(F(2), F(1)).eval(s, s.elem_from_json(y))
+                == rep["taus"][n - 1])
 
 
 def test_witness_nontp_rejects_negative_alpha():

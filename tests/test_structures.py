@@ -107,7 +107,7 @@ def test_free_monoid_balls_include_divisions():
     bt = division_balls(s, gens, 4)
     # suffix-division keeps the ball equal to all words of length <= n
     assert bt.sizes() == [2 ** (n + 1) - 1 for n in range(5)]
-    assert (1, 2) in bt.ball(2)
+    assert s.elem_from_json([1, 2]) in bt.ball(2)
 
 
 _T3, _T3_CYCLE, _T3_FOLD = _transformation_monoid()
@@ -193,7 +193,7 @@ def test_balls_with_identity_and_repeated_generators(inverses):
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": inverses},
          "generators": [[1], [2]]})
-    messy = [(), (1,), (2,), (1,), ()]
+    messy = [s.elem_from_json(w) for w in ([], [1], [2], [1], [])]
     bt = division_balls(s, messy, 4)
     ref = division_balls(s, gens, 4)
     assert bt.levels == ref.levels and bt.level_of == ref.level_of
@@ -214,9 +214,10 @@ def test_zero_adjoined_universal_ball():
 def test_zero_adjoined_absorbs():
     s = ZeroAdjoinedMonoid(2)
     th = "theta"
-    assert s.multiply(th, (1,)) == th
-    assert s.multiply((1,), th) == th
-    assert s.multiply((1,), (2,)) == (1, 2)
+    a, b, ab = (s.elem_from_json(w) for w in ([1], [2], [1, 2]))
+    assert s.multiply(th, a) == th
+    assert s.multiply(a, th) == th
+    assert s.multiply(a, b) == ab
 
 
 def test_table_monoid_validation():
@@ -328,7 +329,7 @@ def test_ancestry_not_found_outside_ball():
 
 def test_ancestry_through_universal_ball():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
-    chain, _ = find_ancestry(s, ["theta"], (1, 2, 1), 3)
+    chain, _ = find_ancestry(s, ["theta"], s.elem_from_json([1, 2, 1]), 3)
     assert chain is not None
     _replay(s, chain)
 
@@ -342,9 +343,9 @@ def test_bfs_words_shortest_and_least():
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     words = bfs_words(s, gens, 3)
     # gens order [a, a^-1, b, b^-1]; ab has the unique word (0, 2)
-    assert words[(1, 2)] == (0, 2)
+    assert words[s.elem_from_json([1, 2])] == (0, 2)
     assert words[s.identity()] == ()
-    assert len(words[(1, 1, 2)]) == 3
+    assert len(words[s.elem_from_json([1, 1, 2])]) == 3
 
 
 def test_geodesic_word_closed_forms_match_bfs():
@@ -394,7 +395,8 @@ def test_geodesic_words_unreachable_and_cap_messages(monkeypatch):
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True},
          "generators": [[1], [-1], [2], [-2], [1, 2]]})
-    near, far = (1,), (2, 2, 1, 1)  # b b a a: no a b to shorten it
+    near, far, ab = (s.elem_from_json(w) for w in ([1], [2, 2, 1, 1], [1, 2]))
+    # far = b b a a: no a b to shorten it
     with pytest.raises(ResourceLimit, match="^element not reached within depth 3$"):
         geodesic_words(s, gens, [near, far], 3)
     assert geodesic_words(s, gens, [near, far], 4)[far] == (2, 2, 0, 0)
@@ -405,13 +407,13 @@ def test_geodesic_words_unreachable_and_cap_messages(monkeypatch):
         geodesic_words(s, gens, [far], 6)
     with pytest.raises(ResourceLimit, match="word BFS exceeded cap"):
         geodesic_words(s, gens, [near, far], 6)
-    assert geodesic_words(s, gens, [near, (1, 2)], 6)[(1, 2)] == (4,)
+    assert geodesic_words(s, gens, [near, ab], 6)[ab] == (4,)
 
 
 def test_word_length_closed_forms():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    assert s.word_length((1, 2, -1)) == 3
+    assert s.word_length(s.elem_from_json([1, 2, -1])) == 3
     z, _ = structure_from_spec({"family": "Z"})
     assert z.word_length(-7) == 7
     zd, _ = structure_from_spec({"family": "Zd", "params": {"d": 3}})
@@ -420,9 +422,10 @@ def test_word_length_closed_forms():
 
 def test_free_reduction_on_multiply():
     s = FreeStructure(2, True)
-    assert s.multiply((1, 2), (-2,)) == (1,)
-    assert s.multiply((1,), (-1,)) == ()
-    assert s.invert((1, 2)) == (-2, -1)
+    w = s.elem_from_json
+    assert s.multiply(w([1, 2]), w([-2])) == w([1])
+    assert s.multiply(w([1]), w([-1])) == w([])
+    assert s.invert(w([1, 2])) == w([-2, -1])
 
 
 def test_elem_json_round_trip():
@@ -430,13 +433,13 @@ def test_elem_json_round_trip():
         ({"family": "Z"}, [0, 5, -3]),
         ({"family": "Zd", "params": {"d": 2}}, [(0, 0), (1, -2)]),
         ({"family": "free", "params": {"rank": 2, "inverses": True}},
-         [(), (1, 2, -1)]),
+         [[], [1, 2, -1]]),
         ({"family": "zero_adjoined", "params": {"rank": 2}},
-         [(), (1, 2), "theta"]),
+         [[], [1, 2], "theta"]),
     ]
     for spec, elems in cases:
         s, _ = structure_from_spec(spec)
-        for u in elems:
+        for u in map(s.elem_from_json, elems):
             assert s.elem_from_json(s.elem_to_json(u)) == u
 
 
