@@ -826,7 +826,8 @@ def find_ancestry(s: Structure, gens, u, max_depth: int):
     chain = [AncestryStep(u, None, None)]
     current = u
     for i in range(lvl, 0, -1):
-        parent = step = None
+        parent = None
+        step = None
         for x in gens:
             picks = bt.divisors_below(current, x, i - 1)
             if picks:
