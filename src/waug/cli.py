@@ -37,6 +37,7 @@ import argparse
 import json
 import sys
 import time
+from fractions import Fraction
 
 from . import __version__
 from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
@@ -46,7 +47,7 @@ from .idealkit import (CertificateError, decompose_full, decompose_point,
                        rewrite_pseudofinite, telescope, witness_nontp_element,
                        witness_prop45, witness_thm75)
 from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
-                        failure_witness, growth_check, vector_to_json)
+                        failure_witness, growth_check)
 from .serialize import (canonical_json, load_json_file, load_sequence_csv,
                         load_vector_csv, sha256_file, write_csv)
 from .structures import (InvalidInput, ResourceLimit, division_balls,
@@ -55,6 +56,14 @@ from .structures import (InvalidInput, ResourceLimit, division_balls,
 from .weights import (build_lemma74, build_lemma76, estimate_radii,
                       tau_step_check, tau_and_C, verify_weight_axioms,
                       weight_from_spec)
+
+
+def _rational_rows(values):
+    """CSV rows (n, numerator, denominator), each distinct int formatted once."""
+    ints = {i for v in values for i in (v.numerator, v.denominator)}
+    text = dict(zip(ints, map(str, ints)))
+    for n, v in enumerate(values, start=1):
+        yield n, text[v.numerator], text[v.denominator]
 
 
 def _parse_point(text: str, s):
@@ -119,9 +128,7 @@ def _h_weight_tau(args, bits):
     l61 = tau_step_check(tc["taus"], tc["C"])
     tc["sphere_lipschitz"] = l61
     tc["certified"] = l61["ok"]
-    rows = [[n + 1, t.numerator, t.denominator]
-            for n, t in enumerate(tc["taus"])]
-    return tc, l61["ok"], rows
+    return tc, l61["ok"], _rational_rows(tc["taus"])
 
 
 def _h_weight_build_l74(args, bits):
@@ -149,27 +156,26 @@ def _h_tau_check(args, bits):
     if args.depth is not None:
         if args.depth < 2:
             raise InvalidInput("--depth must be >= 2 for a sequence prefix")
-        seq = PrefixSequence(seq.values[:args.depth])
+        seq = PrefixSequence(seq.nums[:args.depth], seq.den)
     rep = check_prefix_tp(seq)
-    rows = [[n + 1, r.numerator, r.denominator]
-            for n, r in enumerate(rep["ratios"])]
-    return rep, True, rows
+    return rep, True, _rational_rows(rep["ratios"])
 
 
 def _h_tau_witness(args, bits):
     rep = failure_witness(args.csv, args.target)
     if "x" in rep:
-        rep["x"] = vector_to_json(rep["x"])
+        rep["x"] = [{"n": j, "value": v} for j, v in sorted(rep["x"].items())]
     return rep, rep["found"], None
 
 
 def _h_tau_blockseq(args, bits):
     rep = build_block_sequence(parse_rational(args.rho), args.blocks)
     seq = rep.pop("sequence")
-    rep["values"] = seq.values
+    value = {a: Fraction(a, seq.den) for a in set(seq.nums)}  # one per block
+    rep["values"] = [value[a] for a in seq.nums]
     ok = rep["tau_geq_rho_pow_j"] and rep["boundary_all_ok"]
     rep["certified"] = ok
-    return rep, ok, seq.to_csv_rows()
+    return rep, ok, _rational_rows(rep["values"])
 
 
 def _h_tau_growth(args, bits):

@@ -10,12 +10,17 @@ for non-negative x the norm dominates D_hat * T(x), so a large T against a
 unit-norm x witnesses a collapsing D_hat.  Whether the *infinite* sequence is
 tail-preserving is not decidable from a prefix; the classification emitted
 here is a labeled heuristic, while D_hat, T and the witnesses are exact.
+
+A prefix is integer numerators over one positive denominator, tau_n =
+nums[n-1] / den, with the prefix sums den * P_n beside them: every test
+compares those integers, and only a reported value becomes a Fraction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import log10
+from itertools import accumulate
+from math import lcm, log10
 
 from .certify import check_digits, format_rational, parse_rational
 from .structures import InvalidInput
@@ -28,62 +33,50 @@ TP_DECAY = Fraction(19, 20)
 
 
 class PrefixSequence:
-    """tau_1..tau_N, exact rationals, all >= 1, N >= 2."""
+    """tau_1..tau_N, all >= 1, N >= 2, as tau_n = nums[n-1] / den (den > 0);
+    sums[n] = den * P_n = nums[0] + ... + nums[n-1] for n = 0..N."""
 
-    def __init__(self, values):
-        vals = [v if type(v) is Fraction else Fraction(v) for v in values]
-        if len(vals) < 2:
+    def __init__(self, nums, den: int = 1):
+        if len(nums) < 2:
             raise InvalidInput("prefix sequence needs N >= 2")
-        for i, v in enumerate(vals, start=1):
-            if v < 1:
-                raise InvalidInput(f"tau_{i} = {v} < 1")
-        self.values = vals
-
-    @property
-    def N(self):
-        return len(self.values)
+        for i, a in enumerate(nums, start=1):
+            if a < den:
+                raise InvalidInput(f"tau_{i} = {Fraction(a, den)} < 1")
+        self.nums, self.den, self.N = nums, den, len(nums)
+        self.sums = [0, *accumulate(nums)]
 
     def tau(self, n: int) -> Fraction:
         if not 1 <= n <= self.N:
             raise InvalidInput(f"index {n} outside 1..{self.N}")
-        return self.values[n - 1]
+        return Fraction(self.nums[n - 1], self.den)
 
-    def prefix_sums(self):
-        """P_n = sum_{j<=n} tau_j for n = 0..N (P_0 = 0)."""
-        sums = [Fraction(0)]
-        for v in self.values:
-            sums.append(sums[-1] + v)
-        return sums
-
-    def to_csv_rows(self):
-        """Rows (n, numerator, denominator), each distinct int formatted once."""
-        ints = {i for v in self.values for i in (v.numerator, v.denominator)}
-        text = dict(zip(ints, map(str, ints)))
-        for n, v in enumerate(self.values, start=1):
-            yield n, text[v.numerator], text[v.denominator]
-
-    @classmethod
-    def from_csv_rows(cls, rows):
-        return cls(csv_row_values(rows, "sequence"))
+    def ratio(self, n: int) -> Fraction:
+        """tau_(n+1) / P_n, for 1 <= n < N; den cancels."""
+        return Fraction(self.nums[n], self.sums[n])
 
 
-def csv_row_values(rows, what: str) -> list:
-    """Rows (index, numerator, denominator) -> [v_1..v_N]; the indices must
-    be 1..N, each once.  `what` names the file kind in error messages."""
-    vals = {}
+def csv_row_values(rows, what: str):
+    """Rows (index, numerator, denominator) -> (nums, den): v_n = nums[n-1]
+    / den for n = 1..N, den the lcm of the row denominators; the indices
+    must be 1..N, each once.  `what` names the file kind in error messages."""
+    rats = {}
     for row in rows:
         try:
-            n, num, den = int(row[0]), int(row[1]), int(row[2])
+            n, num, d = int(row[0]), int(row[1]), int(row[2])
         except (ValueError, IndexError) as exc:
             raise InvalidInput(f"bad {what} CSV row {row!r}") from exc
-        if den == 0:
+        if d == 0:
             raise InvalidInput(f"zero denominator at index {n}")
-        if n in vals:
+        if n in rats:
             raise InvalidInput(f"{what} CSV repeats index {n}")
-        vals[n] = Fraction(num, den)
-    if sorted(vals) != list(range(1, len(vals) + 1)):
+        rats[n] = num, d
+    if sorted(rats) != list(range(1, len(rats) + 1)):
         raise InvalidInput(f"{what} CSV indices must be 1..N without gaps")
-    return [vals[n] for n in range(1, len(vals) + 1)]
+    pairs = [rats[n] for n in range(1, len(rats) + 1)]
+    dens = {d for _, d in pairs}
+    den = lcm(*dens)
+    scale = {d: den // d for d in dens}  # negative for a negative d
+    return [a * scale[d] for a, d in pairs], den
 
 
 def norm_tau(seq: PrefixSequence, x: dict) -> Fraction:
@@ -96,19 +89,19 @@ def norm_tau(seq: PrefixSequence, x: dict) -> Fraction:
 
 def tail_functional(seq: PrefixSequence, x: dict) -> Fraction:
     """T(x) = sum_{n=1}^{N} tau_n |sum_{j>n} x_j|, exact."""
-    if not x:
-        return Fraction(0)
     for j in x:
         if not 1 <= j <= seq.N:
             raise InvalidInput(f"support index {j} outside 1..{seq.N}")
-    # the tail sum_{j>n} x_j is zero from n = max(x) on; build it downward
-    total = Fraction(0)
-    tail = Fraction(0)
-    for n in range(max(x), 0, -1):
-        if tail:
-            total += seq.tau(n) * abs(tail)
-        tail += Fraction(x.get(n, 0))
-    return total
+    x = {j: Fraction(v) for j, v in x.items()}
+    den = lcm(*(x[j].denominator for j in x))
+    # the tail sum_{j>n} x_j is zero from n = max(x) on; build it downward,
+    # times den, and the total times den * seq.den
+    total = tail = 0
+    for n in range(max(x, default=0), 0, -1):
+        total += seq.nums[n - 1] * abs(tail)
+        if n in x:
+            tail += x[n].numerator * (den // x[n].denominator)
+    return Fraction(total, den * seq.den)
 
 
 def check_prefix_tp(seq: PrefixSequence) -> dict:
@@ -120,8 +113,7 @@ def check_prefix_tp(seq: PrefixSequence) -> dict:
     nothing: ratios of genuinely tail-preserving sequences such as c^n
     decrease towards a positive limit.)
     """
-    P = seq.prefix_sums()
-    ratios = [seq.values[n] / P[n] for n in range(1, seq.N)]  # n = 1..N-1
+    ratios = list(map(seq.ratio, range(1, seq.N)))  # n = 1..N-1
     d_hat = min(ratios)
     argmin = ratios.index(d_hat) + 1
     quart = ratios[-(max(1, len(ratios) // 4)):]
@@ -159,11 +151,9 @@ def failure_witness(seq: PrefixSequence, target) -> dict:
     target = parse_rational(target)
     if target <= 0:
         raise InvalidInput("failure_witness needs target > 0")
-    P = seq.prefix_sums()
-    for j in range(1, seq.N + 1):
-        tval = P[j - 1] / seq.values[j - 1]
-        if tval >= target:
-            x = {j: Fraction(1) / seq.values[j - 1]}
+    for j, (a, s) in enumerate(zip(seq.nums, seq.sums), start=1):
+        if s * target.denominator >= target.numerator * a:  # P_(j-1) / tau_j >= target
+            x = {j: Fraction(seq.den, a)}
             return {"found": True, "kind": "single", "x": x,
                     "norm": norm_tau(seq, x), "T": tail_functional(seq, x),
                     "target": target}
@@ -172,13 +162,14 @@ def failure_witness(seq: PrefixSequence, target) -> dict:
 
 
 def first_growth_failure(taus: list, D):
-    """For the list tau_1..tau_n, the first index m + 1 (1 <= m < n) with
-    tau_(m+1) < D * sum_(j<=m) tau_j, or None when the growth premise holds,
-    as it does for n <= 1."""
+    """For tau_1..tau_n (rationals, or numerators over one denominator), the
+    first index m + 1 (1 <= m < n) with tau_(m+1) < D * sum_(j<=m) tau_j, or
+    None when the growth premise holds, as it does for n <= 1."""
+    p, q = D.numerator, D.denominator
     partial = 0
     for m in range(1, len(taus)):
         partial += taus[m - 1]
-        if taus[m] < D * partial:
+        if taus[m] * q < p * partial:
             return m + 1
     return None
 
@@ -189,14 +180,17 @@ def growth_check(seq: PrefixSequence, D) -> dict:
     D = parse_rational(D)
     if D <= 0:
         raise InvalidInput("growth_check needs D > 0")
-    hyp_fail = first_growth_failure(seq.values, D)
+    hyp_fail = first_growth_failure(seq.nums, D)
+    # with D = p/q: tau_(j+1) q^j < p (p+q)^(j-1) tau_1 is a failure
+    p, q = D.numerator, D.denominator
     concl_fail = None
-    power = Fraction(1)  # (D+1)^(j-1)
+    low, high = q, p * seq.nums[0]
     for j in range(1, seq.N):
-        if seq.values[j] < D * power * seq.values[0]:
+        if seq.nums[j] * low < high:
             concl_fail = j + 1
             break
-        power *= (D + 1)
+        low *= q
+        high *= p + q
     return {
         "D": D,
         "N": seq.N,
@@ -229,32 +223,28 @@ def build_block_sequence(rho, K: int) -> dict:
                  f"--blocks {K} is too large for rho = {format_rational(rho)}: "
                  f"the sequence reaches rho^{top}")
     markers = [k * (k + 1) // 2 + k - 1 for k in range(1, K + 1)]
-    # block k is tau_j = rho^e, e = n_k+1, for n_(k-1)+1 < j <= e; the prefix
-    # sums are integers over q^top (top = n_K+1), summed block by block
-    values, exponents, boundary = [], [], []
-    below = 0  # q^top times the sum of tau_j over the blocks before block k
-    for k, nk in enumerate(markers, start=1):
-        e, block_val = nk + 1, rho ** (nk + 1)
-        count = e - len(values)
-        values += [block_val] * count
+    # block k is tau_j = rho^e, e = n_k+1, for n_(k-1)+1 < j <= e, numerator
+    # p^e q^(top-e) over q^top (top = n_K+1)
+    p, q = rho.numerator, rho.denominator
+    nums, exponents = [], []
+    for nk in markers:
+        e = nk + 1
+        count = e - len(nums)
+        nums += [p ** e * q ** (top - e)] * count
         exponents += [e] * count
-        num = block_val.numerator * rho.denominator ** (top - e)
-        ratio = Fraction(num, below + (count - 1) * num)  # tau_(n_k+1) / P_(n_k)
-        below += count * num
+    seq = PrefixSequence(nums, q ** top)
+    boundary = []
+    for k, nk in enumerate(markers, start=1):
+        ratio, bound = seq.ratio(nk), Fraction(1, k)
         boundary.append({"k": k, "n_k": nk, "ratio": ratio,
-                         "bound": Fraction(1, k), "ok": ratio <= Fraction(1, k)})
+                         "bound": bound, "ok": ratio <= bound})
     return {
         "rho": rho,
         "K": K,
         "markers": markers,
-        "sequence": PrefixSequence(values),
+        "sequence": seq,
         # with rho > 1, tau_j = rho^e >= rho^j exactly when e >= j
         "tau_geq_rho_pow_j": all(e >= j for j, e in enumerate(exponents, start=1)),
         "boundary_ratios": boundary,
         "boundary_all_ok": all(b["ok"] for b in boundary),
     }
-
-
-def vector_to_json(x: dict) -> list:
-    return [{"n": j, "value": v} for j, v in sorted(x.items())]
-

@@ -132,15 +132,16 @@ def _read_csv_rows(path: str):
 
 def load_sequence_csv(path: str):
     """Sequence CSV (columns: index, numerator, denominator) -> PrefixSequence."""
-    from .sequences import PrefixSequence
-    return PrefixSequence.from_csv_rows(_read_csv_rows(path))
+    from .sequences import PrefixSequence, csv_row_values
+    return PrefixSequence(*csv_row_values(_read_csv_rows(path), "sequence"))
 
 
 def load_vector_csv(path: str):
     """Same columns as the sequence CSV, but entries are arbitrary rationals;
     returns the list [v_1..v_N] (indices must be 1..N without gaps)."""
     from .sequences import csv_row_values
-    return csv_row_values(_read_csv_rows(path), "vector")
+    nums, den = csv_row_values(_read_csv_rows(path), "vector")
+    return [Fraction(a, den) for a in nums]
 
 
 def load_json_file(path: str) -> dict:

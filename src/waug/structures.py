@@ -56,6 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
+from operator import add
 from typing import Optional
 
 from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-exported)
@@ -225,7 +226,7 @@ class IntegerLattice(Structure):
         return (0,) * self.d
 
     def multiply(self, u, v):
-        return tuple(a + b for a, b in zip(u, v))
+        return tuple(map(add, u, v))
 
     def invert(self, u):
         return tuple(-a for a in u)
@@ -239,12 +240,9 @@ class IntegerLattice(Structure):
         return set(gens) == set(self.default_generators())
 
     def elem_key(self, u):
-        # geodesic letters in generator order: +e_i before -e_i, i ascending
-        letters = []
-        for i, c in enumerate(u):
-            rank = 2 * i + 1 if c >= 0 else 2 * i + 2
-            letters.extend([rank] * abs(c))
-        return (self.word_length(u), tuple(letters))
+        # length, then the sorted geodesic letters (+e_i before -e_i, i
+        # ascending): more copies of the first letter that differs sort first
+        return (self.word_length(u), tuple((min(-c, 0), min(c, 0)) for c in u))
 
     def word_length(self, u):
         return sum(abs(a) for a in u)

@@ -60,6 +60,9 @@ class WordLengthWeight(Weight):
 
     is_radial = True
 
+    def check_domain(self, s):
+        s.word_length(s.identity())  # InvalidInput where s has no word length
+
     def eval(self, s, u, bits=DEFAULT_BITS):
         return self.radial_value(s.word_length(u), bits)
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -360,6 +361,11 @@ EXPLICIT_F2 = {"family": "explicit", "params": {"values": {"e": "1", "a": "2"}}}
 LEMMA76 = {"family": "lemma76", "params": {"rho": "2", "N": 7}}
 
 
+def golden_input(name):
+    with open(os.path.join(os.path.dirname(__file__), "golden", "inputs", name)) as fh:
+        return json.load(fh)
+
+
 @pytest.mark.parametrize("spec,weight,argv,message", [
     ({"family": "Zd", "params": {"d": "x"}}, None,
      ["structure", "ball", "--depth", "2"], "params.d must be an integer"),
@@ -417,7 +423,11 @@ _WEIGHT_CASES = {
     "weight-explicit-unknown-key": (
         F2_SPEC, {"family": "explicit", "params": {"values": {
             "e": "1", "a": "2", "a^-1": "2", "b": "2", "b^-1": "2", "zz.q": "5"}}},
-        "explicit weight key 'zz.q' names no element of this free structure")}
+        "explicit weight key 'zz.q' names no element of this free structure"),
+    # the cyclic monoid C5 as a table has no standard word length
+    "weight-radial-on-table": (
+        golden_input("c5.json"), golden_input("w_poly2.json"),
+        "table: no standard word length")}
 # case -> (the --csv file, a part of the one error line); spec and weight valid
 _CSV_CASES = {
     "csv-repeated-index": ("1,2,1\n2,3,1\n2,5,1\n3,9,1\n", "CSV repeats index 2")}

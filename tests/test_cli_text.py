@@ -16,6 +16,7 @@ import io
 import os
 import sys
 
+from test_golden import assert_same_lines
 from waug.cli import build_parser, main
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
@@ -68,7 +69,7 @@ def test_cli_text_matches_golden(monkeypatch):
     for name, argv in CASES:
         with open(_golden_path(name), "rb") as fh:
             want = fh.read()
-        assert _render(list(argv)).encode() == want, name
+        assert_same_lines(_render(list(argv)).encode(), want, name)
 
 
 def test_build_parser_without_arguments_is_the_full_tree(monkeypatch):

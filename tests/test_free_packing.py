@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from free_tuple_oracle import TupleFreeStructure
+from test_golden import assert_same_lines
 from waug.serialize import canonical_json
 from waug.structures import FreeStructure, InvalidInput, division_balls
 
@@ -92,5 +93,4 @@ def test_balls_and_their_report_text_match_the_oracle(rank, inverses, gens, dept
     bt, ref = division_balls(s, sg, depth), division_balls(o, og, depth)
     assert bt.levels == [[s.elem_from_json(w) for w in lev] for lev in ref.levels]
     text = canonical_json({"levels": s.spheres_to_json(bt.levels)})
-    assert text.splitlines() == canonical_json(
-        {"levels": o.spheres_to_json(ref.levels)}).splitlines()
+    assert_same_lines(text, canonical_json({"levels": o.spheres_to_json(ref.levels)}))

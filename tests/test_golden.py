@@ -308,6 +308,16 @@ CASES = [
 ]
 
 
+def assert_same_lines(got, want, name=""):
+    """Assert got == want, bytes or str, through the first line where they
+    differ: exactly as strict, and a failure reports one line where a diff
+    of two long reports can take pytest minutes to build."""
+    got, want = got.splitlines(keepends=True), want.splitlines(keepends=True)
+    n = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+             min(len(got), len(want)))
+    assert got[n:n + 1] == want[n:n + 1], f"{name} first difference at line {n + 1}"
+
+
 def _run(name, argv, out_dir):
     out = os.path.join(out_dir, name)
     code = main(argv + ["--out", out])
@@ -321,7 +331,7 @@ def test_report_matches_golden(name, code, argv, tmp_path, monkeypatch):
     got_code, got = _run(name, argv, str(tmp_path))
     assert got_code == code
     with open(os.path.join(GOLDEN_DIR, name), "rb") as fh:
-        assert got == fh.read()
+        assert_same_lines(got, fh.read(), name)
 
 
 def test_every_leaf_has_a_golden_case():

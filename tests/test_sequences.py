@@ -2,43 +2,64 @@
 
 import random
 from fractions import Fraction as F
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefix_fraction_oracle import FractionPrefixSequence
 from waug.sequences import (PrefixSequence, build_block_sequence,
-                            check_prefix_tp, failure_witness, growth_check,
-                            norm_tau, tail_functional)
+                            check_prefix_tp, csv_row_values, failure_witness,
+                            growth_check, norm_tau, tail_functional)
 from waug.structures import InvalidInput, ResourceLimit
 
 
 def geometric(N, base=2):
-    return PrefixSequence([F(base) ** n for n in range(1, N + 1)])
+    return PrefixSequence([base ** n for n in range(1, N + 1)])
 
 
 def ones(N):
-    return PrefixSequence([F(1)] * N)
+    return PrefixSequence([1] * N)
+
+
+def from_rows(rows):
+    return PrefixSequence(*csv_row_values(rows, "sequence"))
+
+
+def over_lcm(values):
+    """The PrefixSequence of the rationals `values`, through the CSV reader."""
+    return from_rows([(n, v.numerator, v.denominator)
+                      for n, v in enumerate(values, start=1)])
+
+
+def taus(seq):
+    return [seq.tau(n) for n in range(1, seq.N + 1)]
+
+
+def prefix_sums(seq):
+    """P_0..P_N, summed here from the taus."""
+    return list(accumulate(taus(seq), initial=F(0)))
 
 
 def test_prefix_sequence_basics():
     seq = geometric(5)
     assert seq.N == 5
     assert seq.tau(3) == 8
-    assert seq.prefix_sums()[3] == 2 + 4 + 8
+    assert prefix_sums(seq)[3] == seq.sums[3] == 2 + 4 + 8
     with pytest.raises(InvalidInput):
-        PrefixSequence([F(1)])          # need at least two entries
-    with pytest.raises(InvalidInput):
-        PrefixSequence([F(1), F(1, 2)])  # below 1
+        PrefixSequence([1])             # need at least two entries
+    with pytest.raises(InvalidInput, match="tau_2 = 1/2 < 1"):
+        PrefixSequence([2, 1], 2)       # below 1
 
 
 def test_csv_round_trip():
     seq = geometric(6, 3)
-    rows = list(seq.to_csv_rows())
-    back = PrefixSequence.from_csv_rows(rows)
-    assert back.values == seq.values
+    rows = [(n, t.numerator, t.denominator) for n, t in enumerate(taus(seq), start=1)]
+    back = from_rows(rows)
+    assert taus(back) == taus(seq)
     with pytest.raises(InvalidInput):
-        PrefixSequence.from_csv_rows([(1, 2, 1), (3, 4, 1)])  # gap in indices
+        from_rows([(1, 2, 1), (3, 4, 1)])  # gap in indices
 
 
 def test_tail_functional_on_basis_vectors():
@@ -85,7 +106,7 @@ def test_check_prefix_tp_flat_suspect():
 
 def test_check_prefix_tp_polynomial_suspect():
     # tau_n = n^2 decays like 3/n: strictly decreasing with >5% decay
-    rep = check_prefix_tp(PrefixSequence([F(n * n) for n in range(1, 41)]))
+    rep = check_prefix_tp(PrefixSequence([n * n for n in range(1, 41)]))
     assert rep["classification"] == "suspect-fail"
 
 
@@ -114,17 +135,17 @@ def test_failure_witness_not_found_for_geometric(monkeypatch):
 # tau_n >= 1 with small numerators and denominators, N = 2..8
 short_sequences = st.lists(
     st.fractions(min_value=1, max_value=40, max_denominator=7),
-    min_size=2, max_size=8).map(PrefixSequence)
+    min_size=2, max_size=8).map(over_lcm)
 
 
 def reference_failure_witness(seq, target):
     """The earlier search: singles, then uniform blocks (b ascending, a
     descending), each scored by tail_functional."""
     target = F(target)
-    P = seq.prefix_sums()
+    P = prefix_sums(seq)
     for j in range(1, seq.N + 1):
-        if P[j - 1] / seq.values[j - 1] >= target:
-            x = {j: 1 / seq.values[j - 1]}
+        if P[j - 1] / seq.tau(j) >= target:
+            x = {j: 1 / seq.tau(j)}
             return {"found": True, "kind": "single", "x": x,
                     "norm": norm_tau(seq, x), "T": tail_functional(seq, x),
                     "target": target}
@@ -162,7 +183,7 @@ def test_failure_witness_reference_covers_hits_and_misses():
             vals = [F(rng.randint(3, 7), 2) ** n for n in range(1, N + 1)]
         else:
             vals = [F(rng.randint(2, 30), rng.randint(1, 2)) for _ in range(N)]
-        seq = PrefixSequence(vals)
+        seq = over_lcm(vals)
         target = F(rng.randint(1, 40), rng.randint(1, 8))
         want = reference_failure_witness(seq, target)
         assert failure_witness(seq, target) == want
@@ -181,8 +202,8 @@ def test_no_block_beats_its_best_single(seq):
     # the unit-norm block on [a..b] is the convex combination
     # sum_j (tau_j / (P_b - P_(a-1))) e^(j)/tau_j of unit-norm singles and T
     # is convex, so a block never hits after every single has missed
-    P = seq.prefix_sums()
-    singles = [P[j - 1] / seq.values[j - 1] for j in range(1, seq.N + 1)]
+    P = prefix_sums(seq)
+    singles = [P[j - 1] / seq.tau(j) for j in range(1, seq.N + 1)]
     for b in range(2, seq.N + 1):
         for a in range(1, b):
             c = 1 / (P[b] - P[a - 1])
@@ -201,7 +222,7 @@ def test_growth_check_geometric():
 
 def test_growth_conclusion_bound():
     # tau_(j+1) >= D (D+1)^(j-1) tau_1 for sequences satisfying the hypothesis
-    seq = PrefixSequence([F(3) ** n for n in range(1, 15)])
+    seq = PrefixSequence([3 ** n for n in range(1, 15)])
     rep = growth_check(seq, F(2))
     assert rep["hypothesis_ok"] and rep["conclusion_ok"]
 
@@ -264,7 +285,7 @@ def _fraction_block_sequence(rho, K):
         block_val = rho ** (nk + 1)
         values.extend([block_val] * (nk + 1 - prev_end))
         prev_end = nk + 1
-    P = PrefixSequence(values).prefix_sums()
+    P = FractionPrefixSequence(values).prefix_sums()
     boundary = []
     for k, nk in enumerate(markers, start=1):
         ratio = values[nk] / P[nk]
@@ -284,7 +305,7 @@ def _assert_matches_the_fraction_builder(rho, K):
     rep = build_block_sequence(rho, K)
     want = _fraction_block_sequence(rho, K)
     got = {key: rep[key] for key in want if key != "values"}
-    got["values"] = rep["sequence"].values
+    got["values"] = taus(rep["sequence"])
     assert got == want
     assert all(type(b["ratio"]) is F for b in rep["boundary_ratios"])
 

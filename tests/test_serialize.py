@@ -80,12 +80,14 @@ def test_csv_uses_newline_termination():
 
 
 def test_sequence_csv_round_trip(tmp_path):
-    seq = PrefixSequence([F(1), F(3, 2), F(9, 4)])
+    seq = PrefixSequence([4, 6, 9], 4)  # 1, 3/2, 9/4
     p = tmp_path / "seq.csv"
     p.write_text(write_csv(["index", "numerator", "denominator"],
-                           seq.to_csv_rows()))
+                           [(n, seq.tau(n).numerator, seq.tau(n).denominator)
+                            for n in range(1, seq.N + 1)]))
     back = load_sequence_csv(str(p))
-    assert back.values == seq.values
+    assert (back.nums, back.den) == (seq.nums, seq.den)
+    assert [back.tau(n) for n in range(1, 4)] == [F(1), F(3, 2), F(9, 4)]
 
 
 def test_vector_csv_loading(tmp_path):

@@ -5,6 +5,8 @@ import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_acceptance import brute_transformation_monoid
 from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
@@ -509,3 +511,40 @@ def test_parse_str_inverts_elem_str(spec, bad):
     for text in bad:
         with pytest.raises(InvalidInput, match=re.escape(repr(text))):
             s.parse_str(text)
+
+
+def _letter_key(u):
+    """IntegerLattice.elem_key as it was, kept as the oracle: the length,
+    then the tuple of geodesic letters (+e_i is 2i+1, -e_i is 2i+2)."""
+    letters = []
+    for i, c in enumerate(u):
+        rank = 2 * i + 1 if c >= 0 else 2 * i + 2
+        letters.extend([rank] * abs(c))
+    return (sum(abs(c) for c in u), tuple(letters))
+
+
+@st.composite
+def _lattice_points(draw):
+    """(d, points of Z^d) for d = 1..5; each point comes with a shuffle and
+    a sign flip of its coordinates, which have its length."""
+    d = draw(st.integers(1, 5))
+    points = []
+    for u in draw(st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1, max_size=12)):
+        v = list(u)
+        draw(st.randoms(use_true_random=False)).shuffle(v)
+        flip = draw(st.integers(0, d - 1))
+        v[flip] = -v[flip]
+        points += [u, tuple(v)]
+    return d, points
+
+
+@settings(max_examples=60)
+@given(_lattice_points())
+def test_lattice_key_orders_as_the_letter_key(case):
+    d, points = case
+    s = IntegerLattice(d)
+    assert sorted(points, key=s.elem_key) == sorted(points, key=_letter_key)
+    for u in points:
+        for v in points:
+            assert (s.elem_key(u) < s.elem_key(v)) == (_letter_key(u) < _letter_key(v))
+            assert (s.elem_key(u) == s.elem_key(v)) == (u == v)
