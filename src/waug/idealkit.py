@@ -48,31 +48,33 @@ def _le_status(a, b) -> str:
 
 
 class Decomposition:
-    """f = sum_i coeff_i * gen_i, verified exactly on construction."""
+    """f = sum_i coeff_i * gen_i over the (coeff_i, gen_i, label_i) `terms`,
+    verified exactly on construction; `pairs` lists the (coeff_i, gen_i).
+    Terms are kept as given: zero coefficients and repeated generators
+    included."""
 
-    def __init__(self, structure: Structure, target: Element, pairs, labels):
+    def __init__(self, structure: Structure, target: Element, terms):
         self.structure = structure
         self.target = target
-        self.pairs = list(pairs)
-        self.labels = list(labels)
-        if len(self.labels) != len(self.pairs):
-            raise InvalidInput("decomposition labels do not match pairs")
+        self.terms = list(terms)
+        self.pairs = [(coeff, gen) for coeff, gen, _ in self.terms]
         if not self.verify():
             raise CertificateError("decomposition does not reconvolve to its target")
 
     def verify(self) -> bool:
         return convolve_sum(self.structure, self.pairs) == self.target
 
-    def __len__(self):
-        return len(self.pairs)
-
     def to_json(self) -> dict:
-        items = []
-        for (coeff, gen), label in zip(self.pairs, self.labels):
-            items.append({"coefficient": coeff.to_json(),
-                          "generator": gen.to_json(), "label": label})
+        items = [{"coefficient": coeff.to_json(), "generator": gen.to_json(),
+                  "label": label} for coeff, gen, label in self.terms]
         return {"target": self.target.to_json(), "pairs": items,
                 "reconvolves": True}
+
+
+def _difference(s: Structure, x, y=None):
+    """(delta_y - delta_x, its label "delta_y - delta_x"), y = e by default."""
+    name, y = ("e", s.identity()) if y is None else (s.elem_str(y), y)
+    return Element(s, [(y, 1), (x, -1)]), f"delta_{name} - delta_{s.elem_str(x)}"
 
 
 # ---------------------------------------------------------------------------
@@ -89,18 +91,15 @@ def telescope(f: Element) -> dict:
     if f.augmentation():
         raise InvalidInput("telescope needs augmentation 0")
     e = s.identity()
-    pairs = []
-    labels = []
+    terms = []
     betas = []
     for u in f.support():
         if u == e:
             continue
         beta = -f[u]
-        pairs.append((Element.delta(s, e, beta),
-                      Element(s, [(e, 1), (u, -1)])))
-        labels.append(f"delta_e - delta_{s.elem_str(u)}")
+        terms.append((Element.delta(s, e, beta), *_difference(s, u)))
         betas.append({"u": s.elem_to_json(u), "beta": beta})
-    decomp = Decomposition(s, f, pairs, labels)
+    decomp = Decomposition(s, f, terms)
     return {"op": "telescope", "betas": betas, "decomposition": decomp,
             "ok": True}
 
@@ -142,7 +141,6 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
         raise InvalidInput(f"{op} needs D > 0")
     if target.augmentation():
         raise InvalidInput(f"{op} needs augmentation 0")
-    e = s.identity()
     words = geodesic_words(s, gens, [u for u, _ in betas], max_depth)
     peeled = sorted(((len(words[u]), s.elem_key(u), u, beta,
                       _point_prefix_maps(s, gens, u, words[u]))
@@ -178,14 +176,12 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     sx = {i: Element.from_numerators(s, re, im, den) for i, (re, im) in sx.items()}
     bound = mass * as_enclosure(Fraction(1) / D)
 
-    pairs = []
-    labels = []
+    terms = []
     norms = {}
     status = {}
     for i in sorted(sx):
         x = gens[i]
-        pairs.append((sx[i], Element(s, [(e, 1), (x, -1)])))
-        labels.append(f"delta_e - delta_{s.elem_str(x)}")
+        terms.append((sx[i], *_difference(s, x)))
         nm = weighted_norm(sx[i], weight, bits)
         norms[s.elem_str(x)] = nm
         status[s.elem_str(x)] = _le_status(nm, bound)
@@ -196,7 +192,7 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
         "taus": taus,
         "premise_growth_ok": True,
         "premise_inclusive_ok": inclusive_ok,
-        "decomposition": Decomposition(s, target, pairs, labels),
+        "decomposition": Decomposition(s, target, terms),
         "norms": norms,
         "bound": bound if not bound.is_exact else bound.lo,
         "norm_status": status,
@@ -212,9 +208,8 @@ def decompose_point(s: Structure, gens, weight, u, D, bits: int = DEFAULT_BITS,
     with each f_x a {0,1}-sum of geodesic-prefix deltas, plus the certified
     norm bound ||f_x||_omega <= (1/D) omega(u): the one-point case of the
     decomposition core."""
-    e = s.identity()
     head = {"op": "decompose_point", "u": s.elem_to_json(u)}
-    rep, words = _decompose(s, gens, weight, Element(s, [(e, 1), (u, -1)]),
+    rep, words = _decompose(s, gens, weight, _difference(s, u)[0],
                             [(u, ONE)], D, bits, max_depth, head)
     rep["word"] = [s.elem_str(gens[i]) for i in words[u]]
     rep["n"] = len(words[u])
@@ -265,21 +260,19 @@ def divide_shift(f: Element):
             "augmentation": aug,
         }
     support = f.support()
-    if not support:
-        g = Element.zero(s)
-        divisor = Element(s, [(1, 1), (0, -1)])
-        return g, {"op": "divide_shift", "ok": True, "side": "nonneg",
-                   "divisor": divisor, "g": g, "reconvolved": True}
     has_neg = any(u < 0 for u in support)
-    has_pos = any(u > 0 for u in support)
-    if has_neg and has_pos:
+    if has_neg and any(u > 0 for u in support):
         raise InvalidInput(
             "divide_shift needs support in one half-line (all >= 0 or all <= 0)")
+    x = -1 if has_neg else 1
+    divisor = _difference(s, 0, x)[0]
+    if not support:
+        g = Element.zero(s)
+        return g, {"op": "divide_shift", "ok": True, "side": "nonneg",
+                   "divisor": divisor, "g": g, "reconvolved": True}
     lo, hi = min(support), max(support)
     # with P_n = sum_(i<=n) f(i): g(n) = -P_n (divisor delta_1 - delta_0), or
     # g(n+1) = P_n (divisor delta_(-1) - delta_0), for lo <= n < hi
-    x = -1 if has_neg else 1
-    divisor = Element(s, [(x, 1), (0, -1)])
     maps = [{n + (x < 0): -x * p for n, p in
              zip(range(lo, hi), accumulate(a.get(n, 0) for n in range(lo, hi)))}
             for a in (f.re, f.im)]
@@ -338,18 +331,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         start = max(start, lvl)
 
     base_cover = frozenset([e] + X)
-    base_gens = []
-    base_labels = []
-    prev = None
-    for x in X:
-        if prev is None:
-            base_gens.append(Element(s, [(e, 1), (x, -1)]))
-            base_labels.append(f"delta_e - delta_{s.elem_str(x)}")
-        else:
-            base_gens.append(Element(s, [(prev, 1), (x, -1)]))
-            base_labels.append(
-                f"delta_{s.elem_str(prev)} - delta_{s.elem_str(x)}")
-        prev = x
+    base_terms = [_difference(s, x, prev) for prev, x in zip([None] + X, X)]
 
     def base_telescope(g: Element, part: str):
         """g on {e} u X with augmentation 0, over delta_e - delta_(x_1) and
@@ -358,8 +340,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         partial = g[e]
         for idx, x in enumerate(X):
             if partial:
-                out.append((Element.delta(s, e, partial),
-                            base_gens[idx], base_labels[idx]))
+                out.append((Element.delta(s, e, partial), *base_terms[idx]))
             partial = partial + g[x]
         if partial:
             raise RuntimeError(f"{part} telescoping out of balance")
@@ -416,8 +397,7 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
             hi0 = hi - Element.delta(s, e, phi)
             eps.append((e, phi))
             if hi0:
-                out.append((hi0, Element(s, [(e, 1), (X[i], -1)]),
-                            f"delta_e - delta_{s.elem_str(X[i])}"))
+                out.append((hi0, *_difference(s, X[i])))
                 out.extend(rewrite_level(hi0.translate(X[i]), lower))
         eps_part = Element(s, eps)
         if eps_part:
@@ -429,24 +409,17 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         entry = acc.setdefault(gen, [Element.zero(s), label])
         entry[0] = entry[0] + coeff
 
-    pairs = []
-    labels = []
-    family = []
-    for gen, (coeff, label) in acc.items():
-        if not coeff:
-            continue
+    terms = [(coeff, gen, label) for gen, (coeff, label) in acc.items() if coeff]
+    for _, gen, label in terms:
         if gen.augmentation():
             raise RuntimeError(f"generator {label} has nonzero augmentation")
-        pairs.append((coeff, gen))
-        labels.append(label)
-        family.append({"label": label, "generator": gen})
-    decomp = Decomposition(s, f, pairs, labels)
+    decomp = Decomposition(s, f, terms)
     return {
         "op": "rewrite_pseudofinite",
         "pseudo_finite_level": n,
         "start_level": start,
         "generators": [s.elem_str(x) for x in X],
-        "family": family,
+        "family": [{"label": label, "generator": gen} for _, gen, label in terms],
         "decomposition": decomp,
         "reconvolved": True,
         "ok": True,

@@ -871,23 +871,26 @@ def bfs_words(s: Structure, gens, depth: int, targets=None) -> dict:
 
 def _standard_word(s: Structure, idx, u):
     """Closed-form least shortest word over a standard generating set, whose
-    generator -> index map is idx."""
+    generator -> first index map is idx.  A geodesic of Z^d uses the same
+    letters in any order, so the least one lists their indices sorted."""
     if isinstance(s, IntegerGroup):
         return (idx[1 if u >= 0 else -1],) * abs(u)
     if isinstance(s, IntegerLattice):
         std = s.default_generators()  # +e_1, -e_1, +e_2, ...
-        return tuple(idx[std[2 * i + (c < 0)]]
-                     for i, c in enumerate(u) for _ in range(abs(c)))
+        return tuple(sorted(idx[std[2 * i + (c < 0)]]
+                            for i, c in enumerate(u) for _ in range(abs(c))))
     return tuple(idx[s._digit[g]] for g in s.elem_to_json(u))  # FreeStructure
 
 
 def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:
     """Least shortest word over gens for each of `points`, as a dict
-    point -> tuple of generator indices.  Off the standard generating sets
+    point -> tuple of generator indices: the word bfs_words gives, read off
+    in closed form on the standard generating sets (in any order, with
+    repeats; a repeated generator goes by its first index).  Elsewhere
     one BFS serves every point: it stops once the farthest point is reached,
     so it raises the cap error exactly when that point's own BFS would."""
     if s.is_standard_generators(gens):
-        idx = {g: i for i, g in enumerate(gens)}
+        idx = {g: i for i, g in reversed(list(enumerate(gens)))}
         return {u: _standard_word(s, idx, u) for u in points}
     words = bfs_words(s, gens, max_depth, targets=points)
     if any(u not in words for u in points):

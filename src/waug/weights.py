@@ -26,9 +26,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, check_digits,
-                      format_rational, nth_root, parse_int, parse_rational,
-                      pow_mantissas, rat_pow, ratio_pow_less)
+from .certify import (DEFAULT_BITS, MAX_BITS, Enclosure, as_enclosure,
+                      check_digits, format_rational, nth_root, parse_int,
+                      parse_rational, pow_mantissas, rat_pow, ratio_pow_less)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -388,9 +388,9 @@ def _radial_submult_pair(weight, m, n, bits) -> bool:
     p, q = weight.beta.numerator, weight.beta.denominator
     if q == 1:
         return True  # exponent additive
-    # need (m+n)^beta <= m^beta + n^beta; certify with escalation
+    # need (m+n)^beta <= m^beta + n^beta; certify, escalating to MAX_BITS
     b = bits
-    while b <= (1 << 14):
+    while b <= MAX_BITS:
         tm = nth_root(Fraction(m) ** p, q, b)
         tn = nth_root(Fraction(n) ** p, q, b)
         ts = nth_root(Fraction(m + n) ** p, q, b)

@@ -205,6 +205,12 @@ CASES = [
      ["ideal", "decompose-full", "--spec", "inputs/f2_ab.json",
       "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_zero_elem.json",
       "--d", "1/2"]),
+    # f = delta_ab - delta_(ab a^-1): the contributions on a and b cancel,
+    # so their terms stay in the report with zero coefficients and norm 0
+    ("decompose_full_f2_cancel.json", 0,
+     ["ideal", "decompose-full", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_cancel_elem.json",
+      "--d", "1"]),
     ("divide_shift_z.json", 0,
      ["ideal", "divide-shift", "--spec", "inputs/z.json",
       "--element", "inputs/z_zero_elem.json"]),

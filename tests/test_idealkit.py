@@ -86,9 +86,9 @@ def test_decompose_point_two_letter_word():
     assert rep["ok"] and rep["reconvolved"]
     # u = ab: coefficient on (delta_e - delta_a) is delta_e, on
     # (delta_e - delta_b) is delta_a
-    by_label = dict(zip(rep["decomposition"].labels, rep["decomposition"].pairs))
-    fa = by_label["delta_e - delta_a"][0]
-    fb = by_label["delta_e - delta_b"][0]
+    by_label = {label: coeff for coeff, _, label in rep["decomposition"].terms}
+    fa = by_label["delta_e - delta_a"]
+    fb = by_label["delta_e - delta_b"]
     assert fa == Element.delta(s, s.identity())
     assert fb == Element.delta(s, word(s, 1))
     rep["decomposition"].verify()

@@ -393,6 +393,26 @@ def test_geodesic_words_equal_per_point_words(spec):
                 assert got[u] == bfs_words(s, gens, 6, targets=[u])[u]
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "Z"},
+    {"family": "Zd", "params": {"d": 2}},
+    {"family": "Zd", "params": {"d": 3}},
+    {"family": "free", "params": {"rank": 2, "inverses": True}},
+    {"family": "free", "params": {"rank": 2, "inverses": False}},
+], ids=["z", "z2", "z3", "f2", "fm2"])
+def test_closed_form_words_are_least_on_reordered_standard_lists(spec):
+    # the closed form serves any order of the standard generators, with
+    # repeats, and must give the BFS's least word over generator indices
+    rng = random.Random(904)
+    s, std = structure_from_spec(spec)
+    for _ in range(20):
+        gens = std + [rng.choice(std) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(gens)
+        assert s.is_standard_generators(gens)
+        words = bfs_words(s, gens, 3)
+        assert geodesic_words(s, gens, list(words), 3) == words
+
+
 def test_geodesic_words_unreachable_and_cap_messages(monkeypatch):
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True},

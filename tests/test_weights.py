@@ -111,6 +111,14 @@ def test_axioms_fail_for_bad_table():
     assert any(f["axiom"] == "submultiplicative" for f in rep["failures"])
 
 
+@pytest.mark.parametrize("bits", [16385, certify_mod.MAX_BITS])
+def test_radial_exp_pairs_decided_up_to_the_precision_ceiling(bits):
+    # every precision --precision accepts gets at least one probe
+    w = RadialExpWeight(F(2), F(1, 2))
+    for m, n in ((1, 1), (1, 3), (2, 2)):
+        assert weights_mod._radial_submult_pair(w, m, n, bits)
+
+
 def test_axioms_fail_below_one():
     s, gens = structure_from_spec({"family": "Z"})
     vals = {n: F(1) for n in range(-4, 5)}
