@@ -79,8 +79,8 @@ class QC:
         return f"QC({self.re}, {self.im})"
 
     def abs_value(self, bits: int = 128):
-        """|z|: a Fraction when exact (real/imaginary axis or a perfect
-        square modulus), otherwise a certified Enclosure."""
+        """|z|: a Fraction on the real or imaginary axis, else nth_root's
+        Enclosure of the modulus, zero-width when that is rational."""
         if self.im == 0:
             return abs(self.re)
         if self.re == 0:

@@ -230,7 +230,8 @@ def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
     The first probe is `kept`, the mantissas of r**n at scale 2**-bits that
     the caller holds, else fresh ones.  While `pow_less` leaves a probe
     undecided the precision doubles, up to MAX_BITS; past it the exact
-    comparison decides while `exact_pow_feasible`.  Meant for ratio bases
+    comparison decides while r**n has at most 2**21 bits in its numerator
+    and denominator.  Meant for ratio bases
     0 < r <= 1, whose mantissas stay small at any exponent.  r and c are
     taken as they come (Fractions or ints), with no coercion on this hot path.
     """
@@ -238,16 +239,11 @@ def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
     while (verdict := pow_less(m, c, bits, strict)) is None:
         bits *= 2
         if bits > MAX_BITS:
-            if not exact_pow_feasible(r, n):
+            if n * max(r.numerator.bit_length(), r.denominator.bit_length()) > 1 << 21:
                 raise ValueError(f"comparison r^{n} vs {c} indeterminate at {MAX_BITS} bits")
             return r ** n < c if strict else r ** n <= c
         m = pow_mantissas(r, n, bits)
     return verdict
-
-
-def exact_pow_feasible(a: Fraction, n: int) -> bool:
-    """Whether a**n has at most 2**21 bits in its numerator and denominator."""
-    return n * max(a.numerator.bit_length(), a.denominator.bit_length()) <= 1 << 21
 
 
 def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:

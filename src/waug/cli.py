@@ -47,9 +47,8 @@ from .idealkit import (CertificateError, decompose_full, decompose_point,
                        rewrite_pseudofinite, telescope, witness_nontp_element,
                        witness_prop45, witness_thm75)
 from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
-                        failure_witness, growth_check)
-from .serialize import (canonical_json, load_json_file, load_sequence_csv,
-                        load_vector_csv, sha256_file, write_csv)
+                        failure_witness, growth_check, read_csv)
+from .serialize import canonical_json, load_json_file, sha256_file, write_csv
 from .structures import (InvalidInput, ResourceLimit, division_balls,
                          find_ancestry, pseudo_finite_within,
                          structure_from_spec)
@@ -427,9 +426,10 @@ def _load_inputs(args, inputs: dict):
             inputs[f"{key}_{i}" if i else key] = {
                 "path": path, "sha256": sha256_file(path)}
             if dest == "csv":
-                loaded.append(load_sequence_csv(path))
+                loaded.append(PrefixSequence(*read_csv(path, "sequence")))
             elif dest == "alphas":
-                loaded.append(load_vector_csv(path))
+                nums, den = read_csv(path, "vector")
+                loaded.append([Fraction(a, den) for a in nums])
             elif dest == "spec":
                 loaded.append(structure_from_spec(load_json_file(path)))
             elif dest == "weight":

@@ -163,10 +163,7 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     # s_x as (re, im) numerator maps over the lcm of the betas' denominators
     den = lcm(*(x.denominator for _, beta in betas for x in (beta.re, beta.im)))
     sx = {}
-    mass = Enclosure.exact(0)  # sum |beta_u| omega(u)
-    for _, _, u, beta, maps in peeled:
-        mass = mass + as_enclosure(beta.abs_value(bits)) * as_enclosure(
-            weight.eval(s, u, bits))
+    for *_, beta, maps in peeled:
         nums = [x.numerator * (den // x.denominator) for x in (beta.re, beta.im)]
         for i, fx in maps.items():
             for acc, b in zip(sx.setdefault(i, ({}, {})), nums):
@@ -174,7 +171,9 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
                     for p, k in fx.items():
                         acc[p] = acc.get(p, 0) + k * b
     sx = {i: Element.from_numerators(s, re, im, den) for i, (re, im) in sx.items()}
-    bound = mass * as_enclosure(Fraction(1) / D)
+    # the bound (1/D) sum_u |beta_u| omega(u)
+    beta_f = Element(s, [(u, beta) for _, _, u, beta, _ in peeled])
+    bound = weighted_norm(beta_f, weight, bits) * (1 / D)
 
     terms = []
     norms = {}
@@ -194,7 +193,7 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
         "premise_inclusive_ok": inclusive_ok,
         "decomposition": Decomposition(s, target, terms),
         "norms": norms,
-        "bound": bound if not bound.is_exact else bound.lo,
+        "bound": bound,
         "norm_status": status,
         "norm_ok": norm_ok,
         "reconvolved": True,
@@ -309,10 +308,10 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
     if f.augmentation():
         raise InvalidInput("rewrite needs augmentation 0")
     pf = pseudo_finite_within(s, gens, depth)
-    if not pf.found:
+    if not pf["found"]:
         raise InvalidInput(f"structure is not pseudo-finite within depth "
-                           f"{depth}: {pf.reason}")
-    n = pf.n
+                           f"{depth}: {pf['reason']}")
+    n = pf["n"]
     bt = division_balls(s, gens, max(n, 1))
     e = s.identity()
     X = []
@@ -515,7 +514,7 @@ def witness_prop45(s: Structure, gens, K: int) -> dict:
             found = pseudo_finite_within(s, gens, K)
             raise InvalidInput(
                 "structure is pseudo-finite "
-                f"({found.reason}); every augmentation-zero element is a "
+                f"({found['reason']}); every augmentation-zero element is a "
                 "finite combination over the generators and no witness exists")
         points.append(lev[0])
     zeta = basel_partial(K)

@@ -18,6 +18,7 @@ compares those integers, and only a reported value becomes a Fraction.
 
 from __future__ import annotations
 
+import csv
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm, log10
@@ -77,6 +78,16 @@ def csv_row_values(rows, what: str):
     den = lcm(*dens)
     scale = {d: den // d for d in dens}  # negative for a negative d
     return [a * scale[d] for a, d in pairs], den
+
+
+def read_csv(path: str, what: str):
+    """csv_row_values of the CSV file at path, its blank rows dropped and a
+    first row whose index is not an integer skipped as the header."""
+    with open(path, newline="") as fh:
+        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+    if rows and not rows[0][0].strip().lstrip("-").isdigit():
+        rows = rows[1:]
+    return csv_row_values(rows, what)
 
 
 def norm_tau(seq: PrefixSequence, x: dict) -> Fraction:

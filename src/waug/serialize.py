@@ -12,27 +12,29 @@ dict with str keys in sorted key order; Fraction through format_rational;
 UNIVERSE as "all"; any object with a to_json method (Enclosure, QC, Element,
 Decomposition) as what that returns; a callable (a free structure's ball
 spheres) as the text that x(parts, nl) appends to parts at the indentation
-nl; a dataclass field by field.  Anything else, floats, sets and non-str
-keys included, raises TypeError.  A memo that lives for one call keys each
-Fraction by value, its reduced (numerator, denominator) pair, and holds its
-text, so a value repeated in a report (a block sequence repeats each of its
-values) is formatted once.  json.dumps with an indent runs the pure-Python
-encoder; the writer instead writes a list of ints with one join and strings
-with the C function encode_basestring_ascii.  tests/test_serialize.py checks its bytes against
-json.dumps over a reference conversion to plain JSON values, as a property.
+nl.  Anything else, floats, sets, dataclasses and non-str keys included,
+raises TypeError; an int past the interpreter's int->str digit limit
+raises ResourceLimit, here and in write_csv.  A memo that lives for one
+call keys each Fraction by value, its reduced (numerator, denominator)
+pair, and holds its text, so a value repeated in a report (a block
+sequence repeats each of its values) is formatted once.  json.dumps with an
+indent runs the pure-Python encoder; the writer instead writes a list of
+ints with one join and strings with the C function encode_basestring_ascii.
+tests/test_serialize.py checks its bytes against json.dumps over a reference
+conversion to plain JSON values, as a property.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 
-from .certify import format_rational
+from .certify import ResourceLimit, _digit_limit, format_rational
 from .structures import UNIVERSE, InvalidInput
 
 _INT = {int}
@@ -90,16 +92,25 @@ def _write(x, parts, nl, memo):
         _write(x.to_json(), parts, nl, memo)
     elif callable(x):
         x(parts, nl)
-    elif dataclasses.is_dataclass(x):
-        _write({f.name: getattr(x, f.name) for f in dataclasses.fields(x)},
-               parts, nl, memo)
     else:
         raise TypeError(f"cannot serialize {t.__name__}: {x!r}")
 
 
+@contextmanager
+def _within_digit_limit():
+    """Raise the writer's one ValueError, an int past the interpreter's
+    int->str digit limit, as a ResourceLimit that names the limit."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ResourceLimit(f"the report holds a number past the {_digit_limit()}-digit "
+                            "int->str limit; nothing was written") from exc
+
+
 def canonical_json(obj) -> str:
     parts = []
-    _write(obj, parts, "\n", {})
+    with _within_digit_limit():
+        _write(obj, parts, "\n", {})
     parts.append("\n")
     return "".join(parts)
 
@@ -115,33 +126,10 @@ def sha256_file(path: str) -> str:
 def write_csv(header, rows) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(row)
+    with _within_digit_limit():
+        w.writerow(header)
+        w.writerows(rows)
     return buf.getvalue()
-
-
-def _read_csv_rows(path: str):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    rows = [r for r in rows if r and any(cell.strip() for cell in r)]
-    if rows and not rows[0][0].strip().lstrip("-").isdigit():
-        rows = rows[1:]  # header line
-    return rows
-
-
-def load_sequence_csv(path: str):
-    """Sequence CSV (columns: index, numerator, denominator) -> PrefixSequence."""
-    from .sequences import PrefixSequence, csv_row_values
-    return PrefixSequence(*csv_row_values(_read_csv_rows(path), "sequence"))
-
-
-def load_vector_csv(path: str):
-    """Same columns as the sequence CSV, but entries are arbitrary rationals;
-    returns the list [v_1..v_N] (indices must be 1..N without gaps)."""
-    from .sequences import csv_row_values
-    nums, den = csv_row_values(_read_csv_rows(path), "vector")
-    return [Fraction(a, den) for a in nums]
 
 
 def load_json_file(path: str) -> dict:

@@ -55,7 +55,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add
 from typing import Optional
 
@@ -474,13 +474,12 @@ class TableMonoid(Structure):
         return (u,)
 
     def right_divide_point(self, u, x):
-        key = x
-        if key not in self._div_cache:
+        if x not in self._div_cache:
             col = {}
             for v in range(self.size):
                 col.setdefault(self.table[v][x], set()).add(v)
-            self._div_cache[key] = {w: frozenset(vs) for w, vs in col.items()}
-        return self._div_cache[key].get(u, frozenset())
+            self._div_cache[x] = {w: frozenset(vs) for w, vs in col.items()}
+        return self._div_cache[x].get(u, frozenset())
 
     def elem_to_json(self, u):
         return u
@@ -540,14 +539,10 @@ class ZeroAdjoinedMonoid(Structure):
         return THETA if u == THETA else self.free.elem_to_json(u)
 
     def elem_from_json(self, obj):
-        if obj == THETA:
-            return THETA
-        return self.free.elem_from_json(obj)
+        return THETA if obj == THETA else self.free.elem_from_json(obj)
 
     def elem_str(self, u):
-        if u == THETA:
-            return THETA
-        return self.free.elem_str(u)
+        return THETA if u == THETA else self.free.elem_str(u)
 
     def _read_str(self, text):
         return THETA if text == THETA else self.free._read_str(text)
@@ -595,10 +590,8 @@ def structure_from_spec(spec: dict):
         gens = [s.elem_from_json(g) for g in raw_gens]
         if not gens:
             raise InvalidInput("generator list is empty")
-    e = s.identity()
-    for g in gens:
-        if g == e:
-            raise InvalidInput("the identity may not appear among the generators")
+    if s.identity() in gens:
+        raise InvalidInput("the identity may not appear among the generators")
     return s, gens
 
 
@@ -685,8 +678,9 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
     for x = steps[i], i ascending, then with `divide` the quotients
     {v : v x = u}, i ascending.  Sphere 0 is {e}, already in `seen`.
     A UNIVERSE quotient takes sphere n's entries back out of `seen` and ends
-    the iteration with a UNIVERSE sphere.  With `size` > `cap` elements in
-    `seen` after sphere n, raises ResourceLimit(too_big(n, size))."""
+    the iteration with a UNIVERSE sphere, an empty sphere (the fixpoint)
+    ends it without one.  With `size` > `cap` elements in `seen` after
+    sphere n, raises ResourceLimit(too_big(n, size))."""
     frontier = [s.identity()]
     n = 0
     while True:
@@ -711,6 +705,8 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
                     if v not in seen:
                         seen[v] = label(n, u, i)
                         nxt.append(v)
+        if not nxt:
+            return
         if len(seen) > cap:
             raise ResourceLimit(too_big(n, len(seen)))
         yield nxt
@@ -722,7 +718,7 @@ def division_balls(s: Structure, gens, depth: int) -> BallTable:
     docstring), in one _spheres pass per level: a group multiplies the last
     sphere by X u X^-1, a monoid multiplies it by X and divides it by X.
     Images are kept where level_of does not know them yet; a universal
-    quotient makes the level UNIVERSE and every later level empty."""
+    quotient makes the level UNIVERSE; later levels share one empty list."""
     _check_depth(depth)
     cap = ball_cap()
 
@@ -739,7 +735,7 @@ def division_balls(s: Structure, gens, depth: int) -> BallTable:
                        divide=not s.is_group)
     for _, sphere in zip(range(depth), spheres):
         levels.append(sphere if sphere is UNIVERSE else sorted(sphere, key=s.sort_key))
-    levels.extend([] for _ in range(depth + 1 - len(levels)))
+    levels += [[]] * (depth + 1 - len(levels))
     return BallTable(s, levels, level_of)
 
 
@@ -756,53 +752,44 @@ def closed_form_ball_size(s: Structure, n: int) -> Optional[int]:
         from math import comb
         return sum((1 << k) * comb(d, k) * comb(n, k) for k in range(0, min(d, n) + 1))
     if isinstance(s, FreeStructure):
+        r = s.rank
         if s.inverses:
-            r = s.rank
             if r == 1:
                 return 2 * n + 1
             q = 2 * r - 1
             return 1 + 2 * r * (q ** n - 1) // (q - 1) if n >= 1 else 1
-        r = s.rank
         if r == 1:
             return n + 1
         return (r ** (n + 1) - 1) // (r - 1)
     return None
 
 
-@dataclass
-class PseudoFiniteReport:
-    found: bool
-    n: Optional[int]
-    depth: int
-    ball_sizes: list
-    reason: str
-
-
-def pseudo_finite_within(s: Structure, gens, depth: int) -> PseudoFiniteReport:
+def pseudo_finite_within(s: Structure, gens, depth: int) -> dict:
     """Is M = B_n for some n <= depth?  (M^0-style universal balls count.)"""
     _check_depth(depth)
+    n = None
     if s.size is not None or isinstance(s, ZeroAdjoinedMonoid):
         bt = division_balls(s, gens, depth)
-        sizes = bt.sizes()
-        n = bt.whole_at()
+        sizes, n = bt.sizes(), bt.whole_at()
         if n is not None:
-            return PseudoFiniteReport(True, n, depth, sizes[:n + 1],
-                                      f"B_{n} is the whole monoid" if s.size is None
-                                      else f"B_{n} exhausts all {s.size} elements")
-        if s.size is None:
-            return PseudoFiniteReport(False, None, depth, sizes,
-                                      "no ball reached the whole monoid")
-        stall = bt.stable_at()
-        reason = (f"balls stall at B_{stall} with {sizes[stall]} of {s.size} elements"
-                  if stall is not None else f"B_{depth} has {sizes[-1]} of {s.size} elements")
-        return PseudoFiniteReport(False, None, depth, sizes, reason)
-    # Z / Zd / free: every ball is finite while M is infinite, so no
-    # enumeration is needed (or possible at the depths this gets asked at).
-    sizes = []
-    if s.is_standard_generators(gens):
-        sizes = [closed_form_ball_size(s, n) for n in range(0, min(depth, 64) + 1)]
-    return PseudoFiniteReport(False, None, depth, sizes,
-                              "monoid is infinite but every ball is finite")
+            sizes = sizes[:n + 1]
+            reason = (f"B_{n} is the whole monoid" if s.size is None
+                      else f"B_{n} exhausts all {s.size} elements")
+        elif s.size is None:
+            reason = "no ball reached the whole monoid"
+        elif (stall := bt.stable_at()) is not None:
+            reason = f"balls stall at B_{stall} with {sizes[stall]} of {s.size} elements"
+        else:
+            reason = f"B_{depth} has {sizes[-1]} of {s.size} elements"
+    else:
+        # Z / Zd / free: every ball is finite while M is infinite, so no
+        # enumeration is needed (or possible at the depths this gets asked at).
+        sizes = []
+        if s.is_standard_generators(gens):
+            sizes = [closed_form_ball_size(s, k) for k in range(0, min(depth, 64) + 1)]
+        reason = "monoid is infinite but every ball is finite"
+    return {"found": n is not None, "n": n, "depth": depth, "ball_sizes": sizes,
+            "reason": reason}
 
 
 @dataclass
@@ -857,15 +844,16 @@ def bfs_words(s: Structure, gens, depth: int, targets=None) -> dict:
     e = s.identity()
     words = {e: ()}
     remaining = None if targets is None else set(targets) - {e}
+    if remaining is not None and not remaining:
+        return words
     spheres = _spheres(
         s, gens, words, lambda n, u, i: words[u] + (i,), cap,
         lambda n, size: f"word BFS exceeded cap {cap} (set {BALL_CAP_ENV} to raise it)")
-    for _ in range(depth):
-        if remaining is not None and not remaining:
-            break
-        nxt = next(spheres)
+    for nxt in islice(spheres, depth):
         if remaining is not None:
             remaining.difference_update(nxt)
+            if not remaining:
+                break
     return words
 
 

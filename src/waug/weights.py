@@ -329,8 +329,8 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
         # value = F(|u|); |uv| <= |u|+|v| and F is checked submultiplicative
         # on the integer lengths, which covers every pair from B_radius.
         report["method"] = "radial-lengths"
-        if weight.radial_value(0) != 1:
-            _fail(report, axiom="omega(e)=1", detail=str(weight.radial_value(0)))
+        if as_enclosure(w0 := weight.radial_value(0, bits)) != Enclosure.exact(1):
+            _fail(report, axiom="omega(e)=1", value=w0)
         for n in range(0, radius + 1):
             if as_enclosure(weight.radial_value(n, bits)).lo < 1:
                 _fail(report, axiom="omega>=1", n=n)

@@ -259,17 +259,17 @@ def test_c13_pseudo_finiteness_decisions():
     s0, _ = structure_from_spec({"family": "zero_adjoined",
                                  "params": {"rank": 2}})
     r0 = pseudo_finite_within(s0, ["theta"], 6)
-    assert r0.found and r0.n == 2
+    assert r0["found"] and r0["n"] == 2
 
     s1, gens1 = structure_from_spec(FREE_MONOID_2)
     r1 = pseudo_finite_within(s1, gens1, 50)
-    assert not r1.found and r1.depth == 50 and r1.reason
+    assert not r1["found"] and r1["depth"] == 50 and r1["reason"]
 
     T5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     s2, gens2 = structure_from_spec(
         {"family": "table", "params": {"table": T5}, "generators": [1, 4]})
     r2 = pseudo_finite_within(s2, gens2, 6)
-    assert r2.found and r2.n == 2 and r2.ball_sizes == [1, 3, 5]
+    assert r2["found"] and r2["n"] == 2 and r2["ball_sizes"] == [1, 3, 5]
 
 
 def test_c14_pseudofinite_rewriting_reconvolves():

@@ -431,12 +431,38 @@ _WEIGHT_CASES = {
 # case -> (the --csv file, a part of the one error line); spec and weight valid
 _CSV_CASES = {
     "csv-repeated-index": ("1,2,1\n2,3,1\n2,5,1\n3,9,1\n", "CSV repeats index 2")}
+_Z = {"family": "Z"}
+
+
+def _exp(c, beta="1"):
+    return {"family": "radial_exp", "params": {"c": c, "beta": beta}}
+
+
+def _delta(n):
+    return {"terms": [{"elem": n, "re": "1", "im": "0"}]}
+
+
+# case -> (leaf, spec, weight, element, flags after the required ones, a
+# part of the one error line): values too large to compute or to print,
+# refused after the inputs load
+_SIZE_CASES = {
+    "norm-past-digit-limit": (("element", "norm"), _Z, _exp("2"), _delta(14500), [],
+                              "-digit int->str limit; nothing was written"),
+    "tau-csv-past-digit-limit": (
+        ("weight", "tau"), _Z, _exp("1000000000"), None,
+        ["--depth", "500", "--format", "csv"], "-digit int->str limit; nothing was written"),
+    "radial-exp-too-large": (("element", "norm"), _Z, _exp("2"), _delta(300000), [],
+                             "radial_exp value at n=300000 is too large to materialize"),
+    "radial-exp-half-too-large": (
+        ("element", "norm"), _Z, _exp("3/2", "1/2"), _delta(10 ** 11), [],
+        f"radial_exp value at n={10 ** 11} is too large to materialize")}
 _INPUT_CASES = [
     (key, case)
     for key, (_, _, flags, *_) in COMMANDS.items()
     for case in [*(_SPEC_CASES if SPEC in flags else ()),
                  *(_WEIGHT_CASES if WEIGHT in flags else ()),
-                 *(_CSV_CASES if any(name == "--csv" for name, _ in flags) else ())]]
+                 *(_CSV_CASES if any(name == "--csv" for name, _ in flags) else ())]
+] + [(key, case) for case, (key, *_) in _SIZE_CASES.items()]
 
 
 def _write_input(path, obj):
@@ -450,23 +476,25 @@ def _write_input(path, obj):
 @pytest.mark.parametrize("key,case", _INPUT_CASES,
                          ids=[f"{g}-{c}-{case}" for (g, c), case in _INPUT_CASES])
 def test_input_errors_exit_two_on_one_line(capsys, tmp_path, key, case):
+    text, element, extra = "1,1,1\n2,1,1\n", None, []
     if case in _CSV_CASES:
         spec, weight = F2_SPEC, {"family": "trivial"}
         text, message = _CSV_CASES[case]
+    elif case in _SIZE_CASES:
+        _, spec, weight, element, extra, message = _SIZE_CASES[case]
     else:
         spec, weight, message = {**_SPEC_CASES, **_WEIGHT_CASES}[case]
-        text = "1,1,1\n2,1,1\n"
     csv = tmp_path / "v.csv"
     csv.write_text(text)
     files = {"--spec": _write_input(tmp_path / "s.json", spec),
              "--weight": _write_input(tmp_path / "w.json", weight or {}),
-             "--element": write_json(tmp_path / "e.json", {"terms": []}),
+             "--element": write_json(tmp_path / "e.json", element or {"terms": []}),
              "--csv": str(csv)}
     argv = list(key)
     for name, kw in COMMANDS[key][2]:
         if kw.get("required"):
             argv += [name, files.get(name) or _FILLERS[name]]
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, *extra)
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err

@@ -230,6 +230,21 @@ CASES = [
       "--weight", "inputs/w_explicit_c5.json", "--csv", "inputs/alpha2.csv"]),
     ("witness_75_r2_k5.json", 0,
      ["ideal", "witness-75", "--rho", "2", "--blocks", "5"]),
+    # alphas that are all zero leave no witness: the empty report
+    ("witness_65_f2_zero.json", 0,
+     ["ideal", "witness-65", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--csv", "inputs/alpha_zero.csv"]),
+    # a fractional alpha makes radial_poly values nth_root enclosures, and
+    # omega(e) the zero-width enclosure of 1
+    ("weight_verify_f2_poly_half.json", 0,
+     ["weight", "verify", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_poly_half.json", "--radius", "6"]),
+    ("radii_z_poly_half.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_poly_half.json", "--depth", "6"]),
+    ("norm_f2_poly_half.json", 0,
+     ["element", "norm", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_poly_half.json", "--element", "inputs/f2_elem.json"]),
     # division-ball branches: coverage through a universal ball, an
     # unbounded structure, a zero-adjoined monoid that never becomes
     # universal, and a support point outside B_depth

@@ -241,22 +241,53 @@ def test_cyclic_group_pseudofinite():
     s, gens = structure_from_spec(
         {"family": "table", "params": {"table": T5}, "generators": [1, 4]})
     rep = pseudo_finite_within(s, gens, 5)
-    assert rep.found and rep.n == 2
-    assert rep.ball_sizes == [1, 3, 5]
+    assert rep["found"] and rep["n"] == 2
+    assert rep["ball_sizes"] == [1, 3, 5]
 
 
 def test_free_monoid_not_pseudofinite_within_50():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
     rep = pseudo_finite_within(s, gens, 50)
-    assert not rep.found
-    assert rep.reason  # explains why without enumerating 2^51 words
+    assert not rep["found"]
+    assert rep["reason"]  # explains why without enumerating 2^51 words
 
 
 def test_zero_adjoined_pseudofinite_at_2():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
     rep = pseudo_finite_within(s, ["theta"], 4)
-    assert rep.found and rep.n == 2
+    assert rep["found"] and rep["n"] == 2
+
+
+def test_ball_walks_stop_at_their_fixpoint(monkeypatch):
+    # C5 as a table (tests/golden/inputs/c5.json) is B_2: past that fixpoint
+    # a deeper walk multiplies, divides and yields no more spheres
+    import waug.structures as structures
+    T5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+    s, gens = structure_from_spec(
+        {"family": "table", "params": {"table": T5}, "generators": [1, 4]})
+    calls, spheres = [], []
+    for name in ("multiply", "right_divide_point"):
+        real = getattr(type(s), name)
+        monkeypatch.setattr(type(s), name, lambda self, *a, real=real:
+                            calls.append(name) or real(self, *a))
+    walk = structures._spheres
+
+    def counted(*args, **kw):
+        for sphere in walk(*args, **kw):
+            spheres.append(sphere)
+            yield sphere
+
+    monkeypatch.setattr(structures, "_spheres", counted)
+    work = []
+    for depth in (10, 10 ** 5):
+        calls.clear()
+        spheres.clear()
+        bt = division_balls(s, gens, depth)
+        assert bt.stable_at() == 3 and bt.sizes()[:4] == [1, 3, 5, 5]
+        work.append((len(calls), len(spheres)))
+    assert work[0] == work[1]
+    assert bfs_words(s, gens, 10 ** 5) == bfs_words(s, gens, 10)
 
 
 @pytest.mark.parametrize("spec", [
@@ -274,8 +305,8 @@ def test_closed_form_sizes_check_the_generators_once(spec, monkeypatch):
                         lambda self: calls.append(1) or real(self))
     rep = pseudo_finite_within(s, gens, 64)
     assert len(calls) <= 1
-    assert len(rep.ball_sizes) == 65
-    assert rep.ball_sizes[:5] == division_balls(s, gens, 4).sizes()
+    assert len(rep["ball_sizes"]) == 65
+    assert rep["ball_sizes"][:5] == division_balls(s, gens, 4).sizes()
     calls.clear()
     tc = tau_and_C(s, gens, RadialPolyWeight(F(1)), 30)
     assert len(calls) <= 1 and len(tc["taus"]) == 30
