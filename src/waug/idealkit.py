@@ -105,32 +105,49 @@ def telescope(f: Element) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# geodesic point decomposition: delta_e - delta_u over {delta_e - delta_x}
+# the decomposition core: delta_e - delta_u over {delta_e - delta_x}
 # ---------------------------------------------------------------------------
 
-def _point_prefix_maps(s: Structure, gens, u, word):
-    """For a geodesic word u = y_1...y_n over the generator alphabet, the map
-    x -> f_x = sum of prefix deltas delta_(y_1...y_(j-1)) over positions j
-    with y_j = x, each f_x as a {prefix: multiplicity} int map.  Peeling the
-    first letter of the word gives
-        delta_e - delta_u = sum_j delta_(prefix_j) * (delta_e - delta_(y_j)).
-    """
-    maps = {}
+def _word_steps(s: Structure, gens, u, word):
+    """Peeling the first letter of a geodesic word u = y_1...y_n over the
+    generator alphabet, one letter at a time, gives
+        delta_e - delta_u = sum_j delta_(p_j) * (delta_e - delta_(y_j)),
+    p_j = y_1...y_(j-1): the steps (index of y_j, p_j, +1), in word order."""
+    steps = []
     prefix = s.identity()
     for i in word:
-        fx = maps.setdefault(i, {})
-        fx[prefix] = fx.get(prefix, 0) + 1
+        steps.append((i, prefix, 1))
         prefix = s.multiply(prefix, gens[i])
     if prefix != u:
         raise RuntimeError("geodesic word does not multiply back to its element")
-    return maps
+    return steps
+
+
+def _coefficients(s: Structure, gens, peeled):
+    """The coefficient accumulator.  Each (beta_u, steps_u) of `peeled`
+    writes delta_e - delta_u as the sum over its steps (i, p, sign) of
+    sign * delta_p * (delta_e - delta_(x_i)), x_i = gens[i]; so
+    sum_u beta_u (delta_e - delta_u) = sum_i s_i * (delta_e - delta_(x_i))
+    with s_i summed as (re, im) numerator maps over the lcm of the betas'
+    denominators.  Returns the pairs (x_i, s_i) for every i some step names
+    (zero s_i included), in index order."""
+    den = lcm(*(x.denominator for beta, _ in peeled for x in (beta.re, beta.im)))
+    sx = {}
+    for beta, steps in peeled:
+        nums = [x.numerator * (den // x.denominator) for x in (beta.re, beta.im)]
+        for i, p, sign in steps:
+            for acc, b in zip(sx.setdefault(i, ({}, {})), nums):
+                if b:
+                    acc[p] = acc.get(p, 0) + sign * b
+    return [(gens[i], Element.from_numerators(s, re, im, den))
+            for i, (re, im) in sorted(sx.items())]
 
 
 def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
                max_depth, head: dict):
     """The decomposition core.  target = sum_u beta_u (delta_e - delta_u) over
     the pairs (u, beta_u) of `betas`; peeling each delta_e - delta_u along its
-    geodesic word (_point_prefix_maps) gives
+    geodesic word (_word_steps, _coefficients) gives
         target = sum_x s_x * (delta_e - delta_x),   s_x = sum_u beta_u f_x^(u),
     with the certified bound ||s_x||_omega <= (1/D) sum_u |beta_u| omega(u).
     `head` opens the report and the CertificateError report.  Returns
@@ -143,7 +160,7 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
         raise InvalidInput(f"{op} needs augmentation 0")
     words = geodesic_words(s, gens, [u for u, _ in betas], max_depth)
     peeled = sorted(((len(words[u]), s.elem_key(u), u, beta,
-                      _point_prefix_maps(s, gens, u, words[u]))
+                      _word_steps(s, gens, u, words[u]))
                      for u, beta in betas), key=lambda t: t[:2])
     n_max = max((t[0] for t in peeled), default=0)
 
@@ -160,30 +177,14 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     # the growth premise does not imply (tau = (1, D)); both are reported
     inclusive_ok = not taus or taus[-1] >= D * (1 + sum(taus[:-1]))
 
-    # s_x as (re, im) numerator maps over the lcm of the betas' denominators
-    den = lcm(*(x.denominator for _, beta in betas for x in (beta.re, beta.im)))
-    sx = {}
-    for *_, beta, maps in peeled:
-        nums = [x.numerator * (den // x.denominator) for x in (beta.re, beta.im)]
-        for i, fx in maps.items():
-            for acc, b in zip(sx.setdefault(i, ({}, {})), nums):
-                if b:
-                    for p, k in fx.items():
-                        acc[p] = acc.get(p, 0) + k * b
-    sx = {i: Element.from_numerators(s, re, im, den) for i, (re, im) in sx.items()}
+    coeffs = _coefficients(s, gens, [(beta, steps) for *_, beta, steps in peeled])
     # the bound (1/D) sum_u |beta_u| omega(u)
     beta_f = Element(s, [(u, beta) for _, _, u, beta, _ in peeled])
     bound = weighted_norm(beta_f, weight, bits) * (1 / D)
 
-    terms = []
-    norms = {}
-    status = {}
-    for i in sorted(sx):
-        x = gens[i]
-        terms.append((sx[i], *_difference(s, x)))
-        nm = weighted_norm(sx[i], weight, bits)
-        norms[s.elem_str(x)] = nm
-        status[s.elem_str(x)] = _le_status(nm, bound)
+    terms = [(sx, *_difference(s, x)) for x, sx in coeffs]
+    norms = {s.elem_str(x): weighted_norm(sx, weight, bits) for x, sx in coeffs}
+    status = {x: _le_status(nm, bound) for x, nm in norms.items()}
     norm_ok = all(v == "proved" for v in status.values())
     return {
         **head,
@@ -285,25 +286,20 @@ def divide_shift(f: Element):
 
 
 # ---------------------------------------------------------------------------
-# pseudo-finite rewriting (level induction over the division balls)
+# pseudo-finite rewriting: the decomposition core along ancestry chains
 # ---------------------------------------------------------------------------
 
 def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dict:
     """Exact rewriting of an augmentation-zero f over a pseudo-finite monoid
-    (M = B_n) as a combination of right-shifted copies of delta_e - delta_x.
+    (M = B_n) as f = sum_x s_x * (delta_e - delta_x), x in X (the
+    non-identity generators, first occurrences).
 
-    Level induction: a support point u of level k is reached either as
-    u = u' x_i with u' in B_(k-1) (collect g'_i at the least such u') or by
-    u x_i in B_(k-1) (collect h_i), each point going to the first covering
-    set in the order g_1..g_r, h_1..h_r.  Then
-        f  =  sum_i s_i * delta_(x_i)                (s_i = g'_i - phi(g'_i) delta_e)
-            + sum_i (h_i - phi(h_i) delta_e) * (delta_e - delta_(x_i))
-            + sum_i (h_i - phi(h_i) delta_e) * delta_(x_i)
-            + [e-and-generator mass]
-    where the first sum recurses one level down and re-emerges with its
-    generators right-multiplied by delta_(x_i), the third recurses directly,
-    and the bracketed part (supported on {e} u X, augmentation 0) telescopes
-    over delta_e - delta_(x_1) and the chain delta_(x_i) - delta_(x_(i+1)).
+    f = sum_u (-f(u)) (delta_e - delta_u), and each delta_e - delta_u is
+    peeled along its ancestry chain u = z_1, ..., z_m = e (BallTable.ancestry):
+    a step z = z'.x gives delta_z' - delta_z = delta_z' * (delta_e - delta_x),
+    a step z.x = z' gives delta_z' - delta_z = -delta_z * (delta_e - delta_x).
+    The decomposition core sums the s_x (_coefficients); zero ones are
+    dropped.
     """
     if f.augmentation():
         raise InvalidInput("rewrite needs augmentation 0")
@@ -312,114 +308,30 @@ def rewrite_pseudofinite(s: Structure, gens, f: Element, depth: int = 16) -> dic
         raise InvalidInput(f"structure is not pseudo-finite within depth "
                            f"{depth}: {pf['reason']}")
     n = pf["n"]
-    bt = division_balls(s, gens, max(n, 1))
+    bt = division_balls(s, gens, n)
     e = s.identity()
-    X = []
-    for x in gens:
-        if x != e and x not in X:
-            X.append(x)
-    if not X and f:
-        raise InvalidInput("rewrite needs at least one non-identity generator")
+    X = list(dict.fromkeys(x for x in gens if x != e))
+    idx = {x: i for i, x in enumerate(X)}
 
     start = 0
+    peeled = []
     for u in f.support():
-        lvl = bt.level(u)
-        if lvl is None or lvl > n:
-            raise InvalidInput(
-                f"support point {s.elem_str(u)} escapes B_{n}")
-        start = max(start, lvl)
-
-    base_cover = frozenset([e] + X)
-    base_terms = [_difference(s, x, prev) for prev, x in zip([None] + X, X)]
-
-    def base_telescope(g: Element, part: str):
-        """g on {e} u X with augmentation 0, over delta_e - delta_(x_1) and
-        the chain delta_(x_i) - delta_(x_(i+1))."""
-        out = []
-        partial = g[e]
-        for idx, x in enumerate(X):
-            if partial:
-                out.append((Element.delta(s, e, partial), *base_terms[idx]))
-            partial = partial + g[x]
-        if partial:
-            raise RuntimeError(f"{part} telescoping out of balance")
-        return out
-
-    def shift_right(triples, x):
-        dx = Element.delta(s, x)
-        sx = s.elem_str(x)
-        return [(coeff, convolve(gen, dx), f"({label})*delta_{sx}")
-                for coeff, gen, label in triples]
-
-    def rewrite_level(g: Element, k: int):
-        """Returns (coeff, gen, label) triples; supp(g) in B_k, aug 0."""
-        if not g:
-            return []
-        if set(g.support()) <= base_cover:
-            return base_telescope(g, "base")
-        if k <= 0:
-            raise RuntimeError("augmentation-zero mass stuck at level 0")
-        lower = k - 1
-        gs = {}
-        hs = {}
-        eps = [(e, g[e])]  # (point, coefficient) terms, summed by Element
-        for u in g.support():
-            if u == e:
-                continue
-            routed = False
-            for i, x in enumerate(X):
-                pre = bt.divisors_below(u, x, lower)
-                if pre:
-                    gs.setdefault(i, []).append((min(pre, key=s.elem_key), g[u]))
-                    routed = True
-                    break
-            if not routed:
-                for i, x in enumerate(X):
-                    lvl = bt.level(s.multiply(u, x))
-                    if lvl is not None and lvl <= lower:
-                        hs.setdefault(i, []).append((u, g[u]))
-                        routed = True
-                        break
-            if not routed:
-                raise RuntimeError(
-                    f"support point {s.elem_str(u)} not covered at level {k}")
-        out = []
-        for i in sorted(gs):
-            gi = Element(s, gs[i])
-            phi = gi.augmentation()
-            si = gi - Element.delta(s, e, phi)
-            eps.append((X[i], phi))
-            out.extend(shift_right(rewrite_level(si, lower), X[i]))
-        for i in sorted(hs):
-            hi = Element(s, hs[i])
-            phi = hi.augmentation()
-            hi0 = hi - Element.delta(s, e, phi)
-            eps.append((e, phi))
-            if hi0:
-                out.append((hi0, *_difference(s, X[i])))
-                out.extend(rewrite_level(hi0.translate(X[i]), lower))
-        eps_part = Element(s, eps)
-        if eps_part:
-            out.extend(base_telescope(eps_part, "epsilon-part"))
-        return out
-
-    acc = {}  # generator -> [coeff, label], in first-appearance order
-    for coeff, gen, label in rewrite_level(f, start):
-        entry = acc.setdefault(gen, [Element.zero(s), label])
-        entry[0] = entry[0] + coeff
-
-    terms = [(coeff, gen, label) for gen, (coeff, label) in acc.items() if coeff]
-    for _, gen, label in terms:
-        if gen.augmentation():
-            raise RuntimeError(f"generator {label} has nonzero augmentation")
-    decomp = Decomposition(s, f, terms)
+        chain = bt.ancestry(u, gens)
+        if chain is None:
+            raise InvalidInput(f"support point {s.elem_str(u)} escapes B_{n}")
+        start = max(start, len(chain) - 1)
+        peeled.append((-f[u], [(idx[st.x], st.elem, 1) if st.op == "mul"
+                               else (idx[st.x], z.elem, -1)
+                               for z, st in zip(chain, chain[1:])]))
+    terms = [(sx, *_difference(s, x))
+             for x, sx in _coefficients(s, X, peeled) if sx]
     return {
         "op": "rewrite_pseudofinite",
         "pseudo_finite_level": n,
         "start_level": start,
         "generators": [s.elem_str(x) for x in X],
         "family": [{"label": label, "generator": gen} for _, gen, label in terms],
-        "decomposition": decomp,
+        "decomposition": Decomposition(s, f, terms),
         "reconvolved": True,
         "ok": True,
     }

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, islice
 from operator import add
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-exported)
 
@@ -599,6 +599,12 @@ def structure_from_spec(spec: dict):
 # balls, spheres, ancestry
 # ---------------------------------------------------------------------------
 
+class AncestryStep(NamedTuple):
+    elem: object
+    op: Optional[str]   # None for z_1=u; then "mul" (z = z_prev.x) or "div" (z.x = z_prev)
+    x: Optional[object]
+
+
 @dataclass
 class BallTable:
     """Division-closure balls B_0..B_depth, kept as their spheres: levels[n]
@@ -606,8 +612,8 @@ class BallTable:
     universal ball is the UNIVERSE marker, later levels are empty) and
     level_of maps each element to its level.  u is in B_n iff level_of[u]
     <= n, or B_n is universal.  Callers ask `level`, `ball` (a set, built on
-    demand), `sphere`, `divisors_below`, `sizes`, `universal_at`, `whole_at`
-    and `stable_at`."""
+    demand), `sphere`, `divisors_below`, `ancestry`, `sizes`, `universal_at`,
+    `whole_at` and `stable_at`."""
 
     structure: Structure
     levels: list
@@ -639,6 +645,31 @@ class BallTable:
             # every v solves v x = u
             return [v for lev in self.levels[:k + 1] for v in lev]
         return [v for v in cands if self.level_of.get(v, k + 1) <= k]
+
+    def ancestry(self, u, gens):
+        """Chain z_1=u, ..., z_n=e of AncestrySteps down the levels, each
+        step by the first x of `gens` that leads one level down: as a
+        divisor (the least by elem_key), else as the product z.x.  None if u
+        lies outside the table."""
+        lvl = self.level(u)
+        if lvl is None:
+            return None
+        s = self.structure
+        chain = [AncestryStep(u, None, None)]
+        for i in range(lvl, 0, -1):
+            current = chain[-1].elem
+            for x in gens:
+                picks = self.divisors_below(current, x, i - 1)
+                if picks:
+                    chain.append(AncestryStep(min(picks, key=s.elem_key), "mul", x))
+                    break
+                w = s.multiply(current, x)
+                if self.level_of.get(w, i) <= i - 1:
+                    chain.append(AncestryStep(w, "div", x))
+                    break
+            else:
+                raise RuntimeError("ancestry backtrack failed (ball recursion broken)")
+        return chain
 
     def sizes(self):
         sizes = list(accumulate(map(len, self.levels[:self.universal_at()])))
@@ -792,43 +823,10 @@ def pseudo_finite_within(s: Structure, gens, depth: int) -> dict:
             "reason": reason}
 
 
-@dataclass
-class AncestryStep:
-    elem: object
-    op: Optional[str]   # None for z_1=u; then "mul" (z_prev = z.x) or "div" (z = z_prev.x)
-    x: Optional[object]
-
-
 def find_ancestry(s: Structure, gens, u, max_depth: int):
-    """Chain z_1=u, ..., z_n=e with each step a multiplication or division
-    by a generator, read off the ball recursion.  Returns (chain, ball_table)
-    or (None, ball_table) if u is outside B_max_depth.
-    """
+    """(BallTable.ancestry(u, gens), the ball table) over B_0..B_max_depth."""
     bt = division_balls(s, gens, max_depth)
-    lvl = bt.level(u)
-    if lvl is None:
-        return None, bt
-    chain = [AncestryStep(u, None, None)]
-    current = u
-    for i in range(lvl, 0, -1):
-        parent = None
-        step = None
-        for x in gens:
-            picks = bt.divisors_below(current, x, i - 1)
-            if picks:
-                parent = min(picks, key=s.elem_key)
-                step = ("mul", x)
-                break
-            w = s.multiply(current, x)
-            if bt.level_of.get(w, i) <= i - 1:
-                parent = w
-                step = ("div", x)
-                break
-        if parent is None:
-            raise RuntimeError("ancestry backtrack failed (ball recursion broken)")
-        chain.append(AncestryStep(parent, step[0], step[1]))
-        current = parent
-    return chain, bt
+    return bt.ancestry(u, gens), bt
 
 
 # ---------------------------------------------------------------------------
@@ -877,6 +875,8 @@ def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:
     repeats; a repeated generator goes by its first index).  Elsewhere
     one BFS serves every point: it stops once the farthest point is reached,
     so it raises the cap error exactly when that point's own BFS would."""
+    if max_depth < 0:
+        raise InvalidInput(f"geodesic search depth must be >= 0, got {max_depth}")
     if s.is_standard_generators(gens):
         idx = {g: i for i, g in reversed(list(enumerate(gens)))}
         return {u: _standard_word(s, idx, u) for u in points}

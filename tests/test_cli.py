@@ -323,6 +323,10 @@ _NEGATIVE_DEPTH_COMMANDS = {
     "pseudofinite": (["structure", "pseudofinite"], "--depth"),
     "sigma": (["element", "sigma", "--element", "ELEMENT"], "--depth"),
     "necessity": (["ideal", "necessity", "--element", "ELEMENT"], "--depth"),
+    "decompose-point": (["ideal", "decompose-point", "--weight", "WEIGHT",
+                         "--target", "POINT", "--d", "1"], "--depth"),
+    "decompose-full": (["ideal", "decompose-full", "--weight", "WEIGHT",
+                        "--element", "ELEMENT", "--d", "1"], "--depth"),
     "weight-verify": (["weight", "verify", "--weight", "WEIGHT"], "--radius"),
     "weight-tau": (["weight", "tau", "--weight", "WEIGHT"], "--depth"),
 }

@@ -217,6 +217,10 @@ CASES = [
     ("rewrite_pf_theta.json", 0,
      ["ideal", "rewrite-pf", "--spec", "inputs/theta.json",
       "--element", "inputs/theta_elem.json"]),
+    # X = {a, theta}: f over delta_e - delta_a and delta_e - delta_theta
+    ("rewrite_pf_a_theta.json", 0,
+     ["ideal", "rewrite-pf", "--spec", "inputs/a_theta.json",
+      "--element", "inputs/a_theta_elem.json"]),
     ("necessity_klein_a.json", 1,
      ["ideal", "necessity", "--spec", "inputs/klein_a.json",
       "--element", "inputs/klein_elem.json", "--depth", "4"]),

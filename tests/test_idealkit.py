@@ -1,5 +1,7 @@
 """Augmentation-ideal decompositions, divisors, and witnesses."""
 
+import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -13,9 +15,14 @@ from waug.idealkit import (CertificateError, decompose_full, decompose_point,
                            witness_nontp_element, witness_prop45,
                            witness_thm75)
 import waug.structures as structures_mod
-from waug.structures import (InvalidInput, ResourceLimit, division_balls,
+from waug.structures import (InvalidInput, ResourceLimit, TableMonoid,
+                             division_balls, pseudo_finite_within,
                              structure_from_spec)
 from waug.weights import RadialExpWeight, TrivialWeight, build_lemma74
+
+from test_acceptance import brute_transformation_monoid
+
+GOLDEN_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
 
 
 def word(s, *letters):
@@ -348,14 +355,103 @@ def test_rewrite_refuses_non_pseudofinite():
 
 
 def test_rewrite_generator_family_forms():
-    # the emitted family is {p_i} + right shifts + the base chain
+    # the emitted family is delta_e - delta_x over the generators
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 1}})
     th = "theta"
     f = Element.delta(s, word(s, 1, 1)) - Element.delta(s, th)
     rep = rewrite_pseudofinite(s, [th], f)
     rep["decomposition"].verify()
-    assert all(not g.augmentation() for _, g in rep["decomposition"].pairs)
-    assert rep["generators"]
+    assert [t["label"] for t in rep["family"]] == ["delta_e - delta_theta"]
+    assert rep["generators"] == ["theta"]
+
+
+def test_rewrite_over_theta_is_the_closed_form():
+    """X = {theta}: f = s (delta_e - delta_theta) with s = f - f(theta)
+    delta_theta, as one term, over 200 seeded real and Gaussian elements of
+    ranks 1-3."""
+    rng = random.Random(2020)
+    for trial in range(200):
+        rank = 1 + trial % 3
+        s, _ = structure_from_spec(
+            {"family": "zero_adjoined", "params": {"rank": rank}})
+        e, th = s.identity(), "theta"
+        pool = [e, th] + [word(s, *(rng.randrange(1, rank + 1)
+                                    for _ in range(rng.randrange(1, 4))))
+                          for _ in range(5)]
+        f = Element(s, [(rng.choice(pool),
+                         QC(F(rng.randrange(-5, 6), rng.randrange(1, 8)),
+                            F(rng.randrange(-5, 6), rng.randrange(1, 8))
+                            if trial % 2 else 0))
+                        for _ in range(rng.randrange(1, 6))])
+        f = f - Element.delta(s, e, f.augmentation())
+        rep = rewrite_pseudofinite(s, [th], f)
+        closed = f - Element.delta(s, th, f[th])
+        gen = Element.delta(s, e) - Element.delta(s, th)
+        assert rep["decomposition"].pairs == ([(closed, gen)] if f else [])
+        assert [t["label"] for t in rep["family"]] == (
+            ["delta_e - delta_theta"] if f else [])
+
+
+KLEIN = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
+TRUNCATED_ADDITION = [[min(i + j, 4) for j in range(5)] for i in range(5)]
+
+
+def _rewrite_emits_identity_differences(s, gens, f):
+    """rewrite-pf writes f over delta_e - delta_x, x a non-identity
+    generator, each x at most once, and the terms reconvolve to f."""
+    e = s.identity()
+    X = [x for x in dict.fromkeys(gens) if x != e]
+    rep = rewrite_pseudofinite(s, gens, f)
+    labels = [t["label"] for t in rep["family"]]
+    assert len(labels) == len(set(labels)) <= len(X)
+    allowed = {f"delta_e - delta_{s.elem_str(x)}": x for x in X}
+    total = Element.zero(s)
+    for coeff, gen, label in rep["decomposition"].terms:
+        assert label in allowed
+        assert gen == Element.delta(s, e) - Element.delta(s, allowed[label])
+        assert coeff
+        total = total + convolve(coeff, gen)
+    assert total == f
+
+
+@pytest.mark.parametrize("spec", [
+    "c5.json",
+    {"family": "table", "params": {"table": KLEIN}, "generators": [1, 2]},
+    {"family": "table", "params": {"table": TRUNCATED_ADDITION}, "generators": [1]},
+    {"family": "table", "params": {"table": TRUNCATED_ADDITION},
+     "generators": [2, 1]},
+    "a_theta.json",
+    "theta_b.json",
+], ids=["c5", "klein_12", "truncated_1", "truncated_21", "a_theta", "theta_b"])
+def test_rewrite_emits_only_identity_differences(spec):
+    if isinstance(spec, str):
+        with open(os.path.join(GOLDEN_INPUTS, spec)) as fh:
+            spec = json.load(fh)
+    s, gens = structure_from_spec(spec)
+    if s.size is not None:
+        pool = list(range(s.size))
+    else:
+        pool = [s.identity(), "theta"] + [word(s, *w) for w in
+                                          [[1], [2], [1, 2], [2, 1], [2, 2, 1]]]
+    rng = random.Random(2021)
+    for _ in range(40):
+        _rewrite_emits_identity_differences(s, gens, random_zero_aug(rng, s, pool, 5))
+
+
+def test_rewrite_emits_only_identity_differences_on_random_tables():
+    rng = random.Random(2022)
+    rewritten = 0
+    for _ in range(40):
+        table = brute_transformation_monoid(rng)
+        s = TableMonoid(table)
+        gens = rng.sample(range(len(table)), rng.randrange(1, len(table) + 1))
+        if not pseudo_finite_within(s, gens, len(table))["found"]:
+            continue
+        rewritten += 1
+        for _ in range(5):
+            f = random_zero_aug(rng, s, range(len(table)), 4)
+            _rewrite_emits_identity_differences(s, gens, f)
+    assert rewritten >= 10
 
 
 # ---------------------------------------------------------------------------
