@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import isqrt, log10
+from math import gcd, isqrt, log10
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
 MAX_BITS = 1 << 16  # the precision ratio_pow_less escalates to, and --precision's ceiling
+EXACT_RATIO_BITS = 1 << 21  # past MAX_BITS, the largest r**n ratio_pow_less compares exactly
+EXACT_POW_CAP = 1 << 18  # max exponent for exact big-Fraction powers
+L74_EXACT_BITS = 1 << 13  # lemma 7.4's powers stay exact while n * bit lengths fit this
 INT_DIGIT_CAP = 4300  # CPython's default int->str limit, used when none is set
 
 
@@ -192,14 +195,15 @@ def nth_root(x, n: int, bits: int = DEFAULT_BITS) -> Enclosure:
     return Enclosure(Fraction(a, 1 << bits), Fraction(a + 1, 1 << bits))
 
 
-def pow_mantissas(base: Fraction, n: int, bits: int) -> tuple:
-    """Integer mantissas (lo, hi), lo * 2**-bits <= base**n <= hi * 2**-bits,
-    for base >= 0 and n >= 0 by square-and-multiply, lo rounded down and hi
-    up after every step.  Mantissa size tracks the magnitude of the value, so
-    huge-power inequalities should be phrased with a ratio base < 1."""
+def pow_mantissas(r: tuple, n: int, bits: int) -> tuple:
+    """Integer mantissas (lo, hi), lo * 2**-bits <= x**n <= hi * 2**-bits,
+    for x = r[0]/r[1] >= 0, an integer pair in any scaling, and n >= 0, by
+    square-and-multiply, lo rounded down and hi up after every step.
+    Mantissa size tracks the magnitude of the value, so huge-power
+    inequalities should be phrased with a ratio x < 1."""
     if n == 0:
         return 1 << bits, 1 << bits
-    p, q = base.numerator, base.denominator
+    p, q = r
     mask = (1 << bits) - 1
     b_lo = (p << bits) // q
     b_hi = -((-p << bits) // q)
@@ -213,35 +217,40 @@ def pow_mantissas(base: Fraction, n: int, bits: int) -> tuple:
     return lo, hi
 
 
-def pow_less(m: tuple, c: Fraction, bits: int, strict: bool = True) -> Optional[bool]:
+def pow_less(m: tuple, c: tuple, bits: int, strict: bool = True) -> Optional[bool]:
     """x < c (<= with strict=False) for the x that mantissas m = (lo, hi) at
-    scale 2**-bits enclose, on integers: True, False, or None if m straddles c."""
-    num, den = c.numerator << bits, c.denominator
+    scale 2**-bits enclose and c = c[0]/c[1], an integer pair in any scaling,
+    on integers: True, False, or None if m straddles c."""
+    num, den = c[0] << bits, c[1]
     if m[1] * den < num + (not strict):  # on integers, hi <= c iff hi < c + 1
         return True
     return False if m[0] * den > num - strict else None  # lo >= c iff lo > c - 1
 
 
-def ratio_pow_less(r: Fraction, n: int, c: Fraction, strict: bool = True,
+def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
                    bits: int = DEFAULT_BITS, kept: Optional[tuple] = None) -> bool:
-    """Certified decision of  r**n < c  (or <= with strict=False) for
-    rationals r >= 0 and c: the package's one certified power comparison.
+    """Certified decision of  x**n < c  (or <= with strict=False) for
+    x = r[0]/r[1] >= 0 and c = c[0]/c[1], integer pairs in any scaling
+    (second entries > 0): the package's one certified power comparison.
 
-    The first probe is `kept`, the mantissas of r**n at scale 2**-bits that
-    the caller holds, else fresh ones.  While `pow_less` leaves a probe
-    undecided the precision doubles, up to MAX_BITS; past it the exact
-    comparison decides while r**n has at most 2**21 bits in its numerator
-    and denominator.  Meant for ratio bases
-    0 < r <= 1, whose mantissas stay small at any exponent.  r and c are
-    taken as they come (Fractions or ints), with no coercion on this hot path.
+    The first probe is `kept`, mantissas enclosing x**n at scale 2**-bits
+    that the caller holds (fresh, or derived and rounded outward), else
+    fresh ones.  While `pow_less` leaves a probe undecided the precision
+    doubles, with fresh mantissas, up to MAX_BITS; past it the integers
+    r0**n c1 and c0 r1**n decide while n times the bit length of x reduced
+    is at most EXACT_RATIO_BITS, and ResourceLimit refuses it beyond.
+    Meant for ratios 0 < x <= 1, whose mantissas stay small at any exponent.
     """
     m = kept or pow_mantissas(r, n, bits)
     while (verdict := pow_less(m, c, bits, strict)) is None:
         bits *= 2
         if bits > MAX_BITS:
-            if n * max(r.numerator.bit_length(), r.denominator.bit_length()) > 1 << 21:
-                raise ValueError(f"comparison r^{n} vs {c} indeterminate at {MAX_BITS} bits")
-            return r ** n < c if strict else r ** n <= c
+            g = gcd(*r)
+            if n * max((r[0] // g).bit_length(), (r[1] // g).bit_length()) > EXACT_RATIO_BITS:
+                raise ResourceLimit(f"a power comparison at exponent {n} is undecided at "
+                                    f"{MAX_BITS} bits and too large to decide exactly")
+            lhs, rhs = r[0] ** n * c[1], c[0] * r[1] ** n
+            return lhs < rhs if strict else lhs <= rhs
         m = pow_mantissas(r, n, bits)
     return verdict
 
@@ -280,7 +289,7 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     bounds = []
     for side, integral, k, m in ends:  # an integral end has m = 0: no roots
         scale = bits if integral else w
-        total = pow_mantissas(c, k, scale)[side]
+        total = pow_mantissas((p, q), k, scale)[side]
         for i, root in enumerate(chain, start=1):
             if m >> (w - i) & 1:
                 total = (total * root[side] + side * mask) >> w

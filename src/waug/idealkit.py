@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm, log10
+from math import gcd, lcm, log10
 
 from .algebra import (Element, ONE, convolve, convolve_sum,
                       sigma_sequence, weighted_norm)
@@ -568,27 +568,34 @@ def witness_thm75(rho, K: int, bits: int = DEFAULT_BITS) -> dict:
     sum_(k<=K) (1/(k omega_(n_k))) omega_(n_k) = H_K - the weight factors
     cancel, so the divergence scale is the harmonic series.
 
-    The norm enclosure's sums stay exact until their denominators outgrow
-    `bits`, and are then rounded outward to dyadics, so they stay small.
+    The norm enclosure's ends, each a pair (N, E) for N / (E 2**bits), stay
+    exact until either's reduced denominator outgrows `bits`; then both are
+    rounded outward to dyadics (E = 1), so they stay small.
     """
     rho = parse_rational(rho)
     if K < 1:
         raise InvalidInput("witness needs K >= 1")
     weight, brep = build_lemma74(rho, K, bits)
     markers = brep["markers"]
-    norm_enc = Enclosure.exact(0)
+    p, q = rho.numerator, rho.denominator
+    ends = [(0, 1), (0, 1)]
     sites = []
     alpha_symbolic = []
     for k in range(1, K + 1):
-        ratio = as_enclosure(weight.step_ratio(k))
-        norm_enc = Enclosure(norm_enc.lo + ratio.lo / k, norm_enc.hi + ratio.hi / k)
-        if max(norm_enc.lo.denominator, norm_enc.hi.denominator).bit_length() > bits:
-            norm_enc = norm_enc.rounded(bits)
+        _, lo, hi, d = weight.step_ratio_ints(k)
+        d *= k  # the ratio / k lies in [lo, hi] / (d 2**bits)
+        sums = [(n * d + x * e, e * d) for (n, e), x in zip(ends, (lo, hi))]
+        if any(((e << bits) // gcd(n, e << bits)).bit_length() > bits for n, e in sums):
+            (n_lo, e_lo), (n_hi, e_hi) = sums
+            ends = [(n_lo // e_lo, 1), (-(-n_hi // e_hi), 1)]
+        else:
+            ends = [(n // g, e // g) for n, e in sums for g in (gcd(n, e),)]
         nk = markers[k - 1]
         sites.append(nk + 1)
         alpha_symbolic.append({
             "k": k, "site": nk + 1, "inv_scale": k,
-            "omega_base": weight.rho + weight.eps[k - 1], "omega_exponent": nk})
+            "omega_base": Fraction(p * k + q, q * k), "omega_exponent": nk})
+    norm_enc = Enclosure(*(Fraction(n, e << bits) for n, e in ends))
     steps_ok = brep["step_bounds_all_ok"]
     basel = basel_partial(K)
     norm_bound = (rho + 1) * basel if steps_ok else None

@@ -26,13 +26,12 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .certify import (DEFAULT_BITS, MAX_BITS, Enclosure, as_enclosure,
-                      check_digits, format_rational, nth_root, parse_int,
-                      parse_rational, pow_mantissas, rat_pow, ratio_pow_less)
+from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, MAX_BITS,
+                      Enclosure, as_enclosure, check_digits, format_rational,
+                      nth_root, parse_int, parse_rational, pow_mantissas,
+                      rat_pow, ratio_pow_less)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
-
-EXACT_POW_CAP = 1 << 18  # max exponent for exact big-Fraction powers
 
 
 class Weight:
@@ -203,16 +202,24 @@ class Lemma74Weight(WordLengthWeight):
 
     def step_ratio(self, k: int):
         """omega_(n_k+1) / omega_(n_k) as a Fraction (exact when feasible)
-        or a certified Enclosure; this is the quantity bounded by
-        (rho+1)/k.  The enclosure is (B/A)^(n_k) B, with the power the
-        build kept in pows[k-1] at its `bits`; nothing recomputes it."""
-        nk = self.markers[k - 1]
-        A = self.rho + self.eps[k - 1]   # base on block ending at n_k
-        B = self.rho + self.eps[k]       # base from n_k + 1 on
-        if _l74_exact(A, B, nk + 1):
-            return B ** (nk + 1) / A ** nk
-        q = B.denominator << self.bits
-        return Enclosure(*(Fraction(x * B.numerator, q) for x in self.pows[k - 1]))
+        or a certified Enclosure; this is the quantity bounded by (rho+1)/k."""
+        exact, *ends, d = self.step_ratio_ints(k)
+        ends = [Fraction(x, d << self.bits) for x in ends]
+        return ends[0] if exact else Enclosure(*ends)
+
+    def step_ratio_ints(self, k: int):
+        """(exact, lo, hi, d) with lo <= 2**bits d omega_(n_k+1)/omega_(n_k)
+        <= hi, for the bases A = (pk+q)/(qk) on the block ending at n_k and
+        B = A_(k+1) from n_k + 1 on, rho = p/q.  Exact, with lo == hi, while
+        B^(n_k+1) and A^(n_k) are small; else lo and hi are the power
+        (B/A)^(n_k) the build kept in pows[k-1] at its `bits`, times B."""
+        p, q, nk = self.rho.numerator, self.rho.denominator, self.markers[k - 1]
+        a, b = p * k + q, p * (k + 1) + q
+        if _l74_exact(a // math.gcd(a, q * k), b // math.gcd(b, q * (k + 1)), nk + 1):
+            num = b ** (nk + 1) * (q * k) ** nk << self.bits
+            return True, num, num, (q * (k + 1)) ** (nk + 1) * a ** nk
+        lo, hi = self.pows[k - 1]
+        return False, lo * b, hi * b, q * (k + 1)
 
 
 class Lemma76Weight(Weight):
@@ -550,32 +557,40 @@ def estimate_radii(s: Structure, weight: Weight, N: int,
 # Stepped-exponent weight builder: summable step ratios by construction
 # ---------------------------------------------------------------------------
 
-def _l74_exact(A: Fraction, B: Fraction, n: int) -> bool:
-    """Whether lemma 7.4 handles A^n and B^n exactly: only while they are small,
-    as their product or gcd is the whole runtime once n reaches ~1e4."""
-    return n * (A.numerator.bit_length() + B.numerator.bit_length()) <= (1 << 13)
+def _l74_exact(a: int, b: int, n: int) -> bool:
+    """Whether lemma 7.4 handles A^n and B^n exactly, for the reduced
+    numerators a of A and b of B: only while they are small, as their
+    product or gcd is the whole runtime once n reaches ~1e4."""
+    return n * (a.bit_length() + b.bit_length()) <= L74_EXACT_BITS
 
 
-def _lemma74_predicate(r: Fraction, n: int, bits: int, seen: dict) -> bool:
-    """Certified  A^n > n B^n,  i.e.  r^n < 1/n for r = B/A: `ratio_pow_less`
-    with the mantissas of r^n at `bits` as its first probe, which go to seen[n]."""
-    seen[n] = m = pow_mantissas(r, n, bits)
-    return ratio_pow_less(r, n, Fraction(1, n), True, bits, m)
+def _lemma74_predicate(r: tuple, n: int, bits: int, seen: dict) -> bool:
+    """Certified  A^n > n B^n,  i.e.  x^n < 1/n for x = B/A = r[0]/r[1]:
+    `ratio_pow_less` with a first probe at `bits`, derived from seen[n+1]
+    by one multiplication by A/B rounded outward, else fresh mantissas of
+    x^n, which go to seen[n]: seen holds only fresh mantissas."""
+    up = seen.get(n + 1)
+    if up is None:
+        seen[n] = m = pow_mantissas(r, n, bits)
+    else:
+        m = up[0] * r[1] // r[0], -(-up[1] * r[1] // r[0])
+    return ratio_pow_less(r, n, (1, n), True, bits, m)
 
 
-def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int):
-    """Least n > lo with A^n > n B^n (1 < A/B <= 9/8), certified by its bracket,
-    and the mantissas of (B/A)^n at `bits` that its probe kept.
+def _lemma74_marker(r: tuple, lo: int, bits: int):
+    """Least n > lo with A^n > n B^n for the pair r = B/A (8/9 <= B/A < 1),
+    certified by its bracket, and fresh mantissas of (B/A)^n at `bits`.
 
     n log(A/B) - log n is convex, positive at n = 1 and negative at n = 2, so
     past n = 1 the predicate turns true once, at the larger real root: "true
     at n, false at n-1 (or n-1 == lo)" means "least n".  Newton guesses the
     root in floats on the rate log1p((A-B)/B) (two logs near log(rho) would
     cancel); only the certified predicate decides, and a wrong guess costs
-    O(log error) calls: the stride doubles away from it, then halves.
+    O(log error) calls: the stride doubles away from it, then halves.  The
+    guess is mostly the marker, and the probe at n-1 derived from n's.
     """
-    seen, r = {}, B / A
-    lr = math.log1p(float((A - B) / B))
+    seen = {}
+    lr = math.log1p((r[1] - r[0]) / r[0])
     if lr < 1e-300:  # the root, about log(1/lr)/lr, overflows a float
         raise ResourceLimit("lemma74 block search diverged")
     x = 2 / lr * math.log(2 / lr)  # above the root, where Newton is monotone
@@ -597,7 +612,7 @@ def _lemma74_marker(A: Fraction, B: Fraction, lo: int, bits: int):
         else:  # halve the certified bracket
             n = (false_at + true_at) // 2
         stride *= 2
-    return true_at, seen[true_at]
+    return true_at, seen.get(true_at) or pow_mantissas(r, true_at, bits)
 
 
 def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
@@ -608,8 +623,12 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     block then satisfies the step-ratio bound
         omega_(n_k+1)/omega_(n_k) <= (rho+1)/k,
     which is certified per block: exactly while the numbers materialize, else
-    by `ratio_pow_less` from the marker search's mantissas of (B/A)^(n_k),
-    which `step_ratio` reuses.
+    by `ratio_pow_less` from the fresh mantissas of (B/A)^(n_k) that the
+    marker search returns, which `step_ratio` reuses.  All on integer pairs:
+    with rho = p/q, block k has A = (pk+q)/(qk), B = A_(k+1), the ratio
+    B/A = (p(k+1)+q)k / ((pk+q)(k+1)) and the step bound
+    (rho+1)/(kB) = (p+q)(k+1) / (k(p(k+1)+q)); the marker search derives its
+    probe at n-1 from its fresh one at n (see `_lemma74_predicate`).
 
     Returns (Lemma74Weight, report).
     """
@@ -621,19 +640,22 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
     eps = [Fraction(1)] + [Fraction(1, k + 1) for k in range(1, K + 1)]
     # n_1 = 1: the defining inequality at n = 1 is (rho+1)^1 > 1*(rho+1/2)^1, exact.
     assert rho + eps[0] > 1 * (rho + eps[1])
+    p, q = rho.numerator, rho.denominator
     markers, pows, step_bounds = [], [], []
-    r1, B = rho + 1, rho + eps[0]
+    b_red = p + q  # the reduced numerator of B, here of A_1 = (p+q)/q
     for k in range(1, K + 1):
-        A, B = B, rho + eps[k]
-        nk, m = (_lemma74_marker(A, B, markers[-1], bits) if k > 1
-                 else (1, pow_mantissas(B / A, 1, bits)))
+        a, b = p * k + q, p * (k + 1) + q
+        r = (b * k, a * (k + 1))  # B/A
+        a_red, b_red = b_red, b // math.gcd(b, q * (k + 1))
+        nk, m = (_lemma74_marker(r, markers[-1], bits) if k > 1
+                 else (1, pow_mantissas(r, 1, bits)))
         # step-ratio certificate:  k omega_(n_k+1) <= (rho+1) omega_(n_k)
-        if _l74_exact(A, B, nk):
-            ok = k * B ** (nk + 1) <= r1 * A ** nk
+        c = ((p + q) * (k + 1), k * b)  # <=>  (B/A)^nk <= (rho+1)/(k B) = c
+        if _l74_exact(a_red, b_red, nk):
+            ok = r[0] ** nk * c[1] <= c[0] * r[1] ** nk
             method = "exact"
         else:
-            # k B^(nk+1) <= (rho+1) A^nk  <=>  (B/A)^nk <= (rho+1)/(k B)
-            ok = ratio_pow_less(B / A, nk, r1 / (k * B), False, bits, m)
+            ok = ratio_pow_less(r, nk, c, False, bits, m)
             method = "certified-dyadic"
         markers.append(nk)
         pows.append(m)

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import waug.certify as certify_mod
 from waug.certify import (Enclosure, ResourceLimit, basel_partial,
                           check_digits, format_rational, harmonic_number,
                           int_nth_root, nth_root, parse_rational,
@@ -73,29 +74,34 @@ def test_pow_mantissas_brackets_exact_power():
         if base == 0:
             continue
         n = rng.randrange(0, 40)
-        lo, hi = pow_mantissas(base, n, 64)
+        lo, hi = pow_mantissas((base.numerator, base.denominator), n, 64)
         assert lo <= base**n * 2**64 <= hi
 
 
 def test_pow_mantissas_huge_exponent_is_cheap():
     # (1001/1000)^(10^9) has ~1.4e9 bits exactly; the enclosure is instant
-    lo, hi = pow_mantissas(F(1001, 1000), 10**9, 64)
+    lo, hi = pow_mantissas((1001, 1000), 10**9, 64)
     assert lo > 0
     assert lo <= hi
 
 
 def test_ratio_pow_less_decides_correctly():
     # (1/2)^10 = 1/1024 < 1/1000, and not < 1/2048
-    assert ratio_pow_less(F(1, 2), 10, F(1, 1000), strict=True)
-    assert not ratio_pow_less(F(1, 2), 10, F(1, 2048), strict=True)
+    assert ratio_pow_less((1, 2), 10, (1, 1000), strict=True)
+    assert not ratio_pow_less((1, 2), 10, (1, 2048), strict=True)
     # equality case, non-strict vs strict
-    assert ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=False)
-    assert not ratio_pow_less(F(1, 2), 10, F(1, 1024), strict=True)
+    assert ratio_pow_less((1, 2), 10, (1, 1024), strict=False)
+    assert not ratio_pow_less((1, 2), 10, (1, 1024), strict=True)
+    # any scaling of either pair gives the same verdicts
+    assert ratio_pow_less((3, 6), 10, (7, 7000), strict=True)
+    assert not ratio_pow_less((5, 10), 10, (3, 3072), strict=True)
+    assert ratio_pow_less((5, 10), 10, (3, 3072), strict=False)
 
 
-@pytest.mark.parametrize("r, n, c", [(F(1, 2), 10, F(1, 1024)),
-                                     (F(1, 3), 2, F(1, 9)),
-                                     (F(2, 3), 3, F(8, 27))])
+@pytest.mark.parametrize("r, n, c", [((1, 2), 10, (1, 1024)),
+                                     ((1, 3), 2, (1, 9)),
+                                     ((2, 3), 3, (8, 27)),
+                                     ((4, 6), 3, (16, 54))])
 @pytest.mark.parametrize("bits", [8, 64])
 def test_ratio_pow_less_at_equality(r, n, c, bits):
     # r^n == c: a probe decides it only once the mantissas are exact, as for
@@ -109,7 +115,7 @@ def test_ratio_pow_less_at_equality(r, n, c, bits):
 
 def test_pow_less_decides_on_integers_at_the_boundaries():
     # mantissas (lo, hi) at scale 2**-3 enclose x in [lo/8, hi/8]
-    c = F(1, 2)
+    c = (1, 2)
     assert pow_less((4, 4), c, 3, strict=False) is True    # x = c
     assert pow_less((4, 4), c, 3, strict=True) is False
     assert pow_less((3, 4), c, 3, strict=False) is True    # x <= c
@@ -117,9 +123,31 @@ def test_pow_less_decides_on_integers_at_the_boundaries():
     assert pow_less((4, 5), c, 3, strict=True) is False    # x >= c
     assert pow_less((4, 5), c, 3, strict=False) is None
     # a c that is no dyadic: 1/4 <= x <= 3/8 against 2/5 and 3/10
-    assert pow_less((2, 3), F(2, 5), 3) is True
-    assert pow_less((2, 3), F(3, 10), 3) is None
-    assert pow_less((4, 4), F(2, 5), 3, strict=False) is False
+    assert pow_less((2, 3), (2, 5), 3) is True
+    assert pow_less((2, 3), (3, 10), 3) is None
+    assert pow_less((4, 4), (2, 5), 3, strict=False) is False
+    assert pow_less((4, 4), (6, 15), 3, strict=False) is False
+
+
+def test_pow_mantissas_ignore_the_scaling_of_the_pair():
+    for (p, q), n in (((5, 6), 7), ((1001, 1000), 300), ((2, 3), 0), ((0, 9), 4)):
+        want = pow_mantissas((p, q), n, 32)
+        for t in (2, 3, 1024):
+            assert pow_mantissas((t * p, t * q), n, 32) == want
+
+
+def test_ratio_pow_less_too_large_to_decide_exactly(monkeypatch):
+    # (1/3)^3 == 1/27 straddles at every precision; past MAX_BITS the exact
+    # comparison would need more bits than the cap allows: a resource error
+    monkeypatch.setattr(certify_mod, "MAX_BITS", 32)
+    monkeypatch.setattr(certify_mod, "EXACT_RATIO_BITS", 5)
+    with pytest.raises(ResourceLimit, match="exponent 3 is undecided at 32 bits"):
+        ratio_pow_less((1, 3), 3, (1, 27), strict=True, bits=8)
+    with pytest.raises(ResourceLimit):  # the cap reads the reduced pair
+        ratio_pow_less((2, 6), 3, (1, 27), strict=False, bits=8)
+    monkeypatch.setattr(certify_mod, "EXACT_RATIO_BITS", 6)
+    assert not ratio_pow_less((2, 6), 3, (1, 27), strict=True, bits=8)
+    assert ratio_pow_less((2, 6), 3, (1, 27), strict=False, bits=8)
 
 
 def test_rat_pow_integer_and_fractional():

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+import waug.certify as certify_mod
 from waug.certify import basel_partial, harmonic_number
 from waug.cli import COMMANDS, SPEC, WEIGHT, main
 
@@ -136,6 +137,18 @@ def test_precision_at_its_ceiling_is_accepted(capsys):
     code, out, _ = run(capsys, *argv)
     want = json.loads(out)["result"]
     assert (top["markers"], top["step_bounds"]) == (want["markers"], want["step_bounds"])
+
+
+def test_undecided_power_comparison_exits_two_on_one_line(capsys, monkeypatch):
+    # with the escalation ceiling and the exact cap shrunk, an 8-bit build's
+    # first straddling probe runs out of both: a resource error on one line
+    monkeypatch.setattr(certify_mod, "MAX_BITS", 8)
+    monkeypatch.setattr(certify_mod, "EXACT_RATIO_BITS", 1)
+    code, out, err = run(capsys, "weight", "build-l74", "--rho", "2",
+                         "--blocks", "300", "--precision", "8")
+    assert code == 2 and out == "" and err.count("\n") == 1
+    assert err.startswith("waug: error: a power comparison at exponent ")
+    assert err.endswith(" is undecided at 8 bits and too large to decide exactly\n")
 
 
 def test_exit_two_on_unknown_structure_family(capsys, tmp_path):

@@ -295,10 +295,11 @@ def test_lemma74_markers_are_certified_brackets(rho, monkeypatch):
     pred = weights_mod._lemma74_predicate
     for k in range(2, K + 1):
         A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
+        r = ((B / A).numerator, (B / A).denominator)
         nk = markers[k - 1]
         assert nk > markers[k - 2]
-        assert pred(B / A, nk, 128, {})
-        assert nk - 1 == markers[k - 2] or not pred(B / A, nk - 1, 128, {})
+        assert pred(r, nk, 128, {})
+        assert nk - 1 == markers[k - 2] or not pred(r, nk - 1, 128, {})
 
 
 @pytest.mark.parametrize("bias", [0.9, 0.999, 1.001, 1.2])
@@ -393,8 +394,10 @@ def test_lemma74_step_ratio_reads_the_kept_power(bits):
 
 @pytest.mark.parametrize("bits", [8, 128])
 def test_lemma74_computes_each_power_once(bits, monkeypatch):
-    # the marker probe's power serves the step certificate and step_ratio;
-    # only an escalation, at a higher precision, computes a power again
+    # the marker probe's power serves the step certificate and step_ratio,
+    # and the probe below the marker is derived from it; only an escalation,
+    # at a higher precision, computes a power again.  Every kept power is a
+    # fresh one at `bits`, none is derived.
     computed = []
     real = weights_mod.pow_mantissas
 
@@ -408,8 +411,13 @@ def test_lemma74_computes_each_power_once(bits, monkeypatch):
     w, rep = build_lemma74(F(2), 300, bits)
     for k in range(1, 301):
         w.step_ratio(k)
-    assert len(computed) > 300
+    assert 300 <= len(computed) < 2 * 299  # one fresh power a block, not two
     assert len(set(computed)) == len(computed)
+    fresh_at = {n for _, n, _ in computed}
+    for k, nk in enumerate(rep["markers"], start=1):
+        ratio = (F(2) + rep["eps"][k]) / (F(2) + rep["eps"][k - 1])
+        assert nk in fresh_at
+        assert w.pows[k - 1] == real((ratio.numerator, ratio.denominator), nk, bits)
 
 
 def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
@@ -437,9 +445,10 @@ def test_lemma74_undecided_step_certificates_escalate(monkeypatch):
         if c["method"] == "exact":
             continue
         A, B = rho + rep["eps"][k - 1], rho + rep["eps"][k]
-        m = real_pow(B / A, nk, bits)
+        r, c = B / A, (rho + 1) / (k * B)
+        m = real_pow((r.numerator, r.denominator), nk, bits)
         assert w.pows[k - 1] == m
-        if pow_less(m, (rho + 1) / (k * B), bits, strict=False) is None:
+        if pow_less(m, (c.numerator, c.denominator), bits, strict=False) is None:
             straddling.append(nk)
     assert straddling and fresh == straddling
 
