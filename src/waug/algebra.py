@@ -19,7 +19,7 @@ from collections.abc import Mapping
 from math import gcd, lcm
 from types import MappingProxyType
 
-from .certify import Enclosure, as_enclosure, format_rational, nth_root, parse_rational
+from .certify import REQUIRED, Enclosure, as_enclosure, format_rational, nth_root, read_as
 from .structures import InvalidInput, Structure
 
 
@@ -29,8 +29,8 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = re if type(re) is Fraction else Fraction(re)
+        self.im = im if type(im) is Fraction else Fraction(im)
 
     @classmethod
     def coerce(cls, x) -> "QC":
@@ -90,12 +90,10 @@ class QC:
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "QC":
-        return cls(parse_rational(obj.get("re", 0)), parse_rational(obj.get("im", 0)))
-
 
 ONE = QC(1)
+TERM = {"elem": (object, REQUIRED), "re": (Fraction, 0), "im": (Fraction, 0)}
+ELEMENT_FILE = {"terms": ([TERM], REQUIRED)}
 
 
 class Element:
@@ -222,13 +220,10 @@ class Element:
 
     @classmethod
     def from_json(cls, structure, obj) -> "Element":
-        if not isinstance(obj, dict) or "terms" not in obj:
-            raise InvalidInput("element JSON must be an object with a 'terms' list")
-        coeffs = []
-        for t in obj["terms"]:
-            u = structure.elem_from_json(t["elem"])
-            coeffs.append((u, QC.from_json(t)))
-        return cls(structure, coeffs)
+        """The element an element file holds: terms at points, re and im
+        rationals that default to 0, a repeated point's terms summed."""
+        terms, = read_as(obj, ELEMENT_FILE, "element")
+        return cls(structure, ((structure.elem_from_json(u), QC(re, im)) for u, re, im in terms))
 
 
 def _convolve_into(re, im, mul, f, g, m):

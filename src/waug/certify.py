@@ -5,7 +5,8 @@ moduli, huge-exponent power comparisons) is handled through *enclosures*:
 pairs ``lo <= value <= hi`` of rationals whose validity rests on integer
 comparisons only.  No floating point is ever trusted for a verdict; floats may
 appear as search accelerators but the final inequality is always re-certified
-exactly or through directed rounding.
+exactly or through directed rounding.  The typed reader of the JSON input
+files (read_as, read_family) sits here too, beside parse_rational.
 """
 
 from __future__ import annotations
@@ -31,25 +32,68 @@ class ResourceLimit(RuntimeError):
     """Computation would exceed the configured size limits (CLI exit code 2)."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q' or 'p' (also accepts ints)."""
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, int):
-        return Fraction(text)
-    s = str(text).strip()
+def parse_rational(text) -> Fraction:
+    """A string 'p/q', 'p' or a decimal, spaces around it allowed, as an
+    exact Fraction (an int or a Fraction passes as its value)."""
     try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational: {text!r}") from exc
 
 
-def parse_int(value, name: str) -> int:
-    """An integer spec parameter; a value int() refuses is an input error."""
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{name} must be an integer, got {value!r}") from exc
+REQUIRED = object()  # the default of a record field that must be present
+_KIND_NAMES = {int: "an integer", bool: "true or false", str: "a string", list: "a list",
+               dict: "an object", Fraction: "a rational: an integer, or a 'p/q' or decimal string"}
+
+
+def _at(what: str, path: tuple) -> str:
+    """'spec: params.table[2]' for what 'spec' and path ('params', 'table', 2)."""
+    text = "".join(f"[{k}]" if type(k) is int else f".{k}" for k in path)
+    return f"{what}: {text[1:]}" if text else what
+
+
+def read_as(value, kind, what: str, path: tuple = ()):
+    """value, at `path` (keys and list indices) in a `what` input file, read
+    as kind on exact JSON types: int (never a bool), bool, str, list, dict;
+    Fraction, a JSON integer or a string in parse_rational's grammar (never
+    a float); object, any value; [k], a list of k; {key: (k, default), ...},
+    a record: an object with these keys only, as the list of their values,
+    default for an absent one unless that is REQUIRED.  Anything else raises
+    InvalidInput: 'spec: params.rank must be an integer, got 1.5'."""
+    t = type(value)
+    if t is kind or kind is object:
+        return value
+    if kind is Fraction and (t is int or t is str):
+        try:
+            return parse_rational(value)
+        except InvalidInput:
+            pass
+    elif t is list and type(kind) is list:
+        if all(type(v) is kind[0] for v in value):
+            return value
+        return [read_as(v, kind[0], what, path + (i,)) for i, v in enumerate(value)]
+    elif t is dict and type(kind) is dict:
+        for key in [*value, *kind]:  # unknown keys first, then missing ones
+            if key not in kind:
+                raise InvalidInput(f"{_at(what, path + (key,))} is an unknown key")
+            if key not in value and kind[key][1] is REQUIRED:
+                raise InvalidInput(f"{_at(what, path + (key,))} is missing")
+        return [read_as(value[key], k, what, path + (key,)) if key in value else default
+                for key, (k, default) in kind.items()]
+    name = _KIND_NAMES[kind if isinstance(kind, type) else type(kind)]
+    raise InvalidInput(f"{_at(what, path)} must be {name}, got {value!r}")
+
+
+def read_family(obj, families: dict, what: str, more: dict = None) -> list:
+    """[the object a `what` file describes, *the values of the record more]:
+    the file is {"family": name, "params": {...}, **more}, and families maps
+    each name to (constructor, the record of its params, in argument order)."""
+    family, params, *rest = read_as(
+        obj, {"family": (str, REQUIRED), "params": (dict, {}), **(more or {})}, what)
+    if family not in families:
+        raise InvalidInput(f"{what}: unknown family {family!r}")
+    make, fields = families[family]
+    return [make(*read_as(params, fields, what, ("params",))), *rest]
 
 
 def format_rational(q: Fraction) -> str:

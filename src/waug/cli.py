@@ -68,8 +68,8 @@ def _rational_rows(values):
 def _parse_point(text: str, s):
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = text  # bare strings like theta
+    except ValueError:  # not JSON (bare strings like theta), or an int past the digit limit
+        obj = text
     return s.elem_from_json(obj)
 
 
@@ -463,9 +463,10 @@ def _emit(text: str, out_path):
 
 def _error_line(exc: Exception) -> str:
     """The one stderr line of a run that failed with exc: the message of an
-    input, resource or file error, the type and message of anything else."""
+    input, resource or file error (an input file not in UTF-8 included), the
+    type and message of anything else."""
     text = str(exc)
-    if not isinstance(exc, (InvalidInput, ResourceLimit, OSError)):
+    if not isinstance(exc, (InvalidInput, ResourceLimit, OSError, UnicodeDecodeError)):
         text = f"{type(exc).__name__}: {text}"
     return " ".join(text.splitlines())
 

@@ -136,6 +136,5 @@ def load_json_file(path: str) -> dict:
     try:
         with open(path) as fh:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InvalidInput(f"{path}: JSON parse error at line {exc.lineno}, "
-                           f"column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # also not UTF-8, huge ints, deep nesting
+        raise InvalidInput(f"{path}: JSON parse error: {exc}") from exc

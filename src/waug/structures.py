@@ -59,7 +59,7 @@ from itertools import accumulate, islice
 from operator import add
 from typing import NamedTuple, Optional
 
-from .certify import InvalidInput, ResourceLimit, parse_int  # noqa: F401  (re-exported)
+from .certify import REQUIRED, InvalidInput, ResourceLimit, read_as, read_family
 
 BALL_CAP_ENV = "WAUG_BALL_CAP"
 BALL_CAP_DEFAULT = 10 ** 6
@@ -199,9 +199,7 @@ class IntegerGroup(Structure):
         return u
 
     def elem_from_json(self, obj):
-        if not isinstance(obj, int) or isinstance(obj, bool):
-            raise InvalidInput(f"Z element must be an int, got {obj!r}")
-        return obj
+        return read_as(obj, int, "Z element")
 
     def elem_str(self, u):
         return str(u)
@@ -298,13 +296,6 @@ class FreeStructure(Structure):
     def identity(self):
         return 0
 
-    def _check_letters(self, u):
-        for g in u:
-            if g == 0 or abs(g) > self.rank:
-                raise InvalidInput(f"letter {g} out of range for rank {self.rank}")
-            if g < 0 and not self.inverses:
-                raise InvalidInput("free monoid words cannot contain inverse letters")
-
     def multiply(self, u, v):
         b, pows, n = self.base, self._pows, self.word_length(v)
         # in a group, cancel at the seam: u's last letter against v's first
@@ -354,14 +345,11 @@ class FreeStructure(Structure):
 
     def elem_from_json(self, obj):
         if not isinstance(obj, (list, tuple)) or not all(
-                isinstance(g, int) and not isinstance(g, bool) for g in obj):
-            raise InvalidInput(f"free word must be a list of nonzero ints, got {obj!r}")
-        self._check_letters(obj)
-        if self.inverses:
-            # must come in reduced
-            for a, b in zip(obj, obj[1:]):
-                if a == -b:
-                    raise InvalidInput(f"word {obj!r} is not reduced")
+                type(g) is int and g in self._digit for g in obj):
+            raise InvalidInput(f"free word must be a list of letters 1..{self.rank}"
+                               f"{' or their negatives' if self.inverses else ''}, got {obj!r}")
+        if any(a == -b for a, b in zip(obj, obj[1:])):  # a group word comes in reduced
+            raise InvalidInput(f"word {obj!r} is not reduced")
         u = 0
         for g in obj:
             u = u * self.base + self._digit[g]
@@ -426,10 +414,8 @@ class TableMonoid(Structure):
             raise InvalidInput("empty multiplication table")
         self.size = n
         self.names = list(names) if names else [f"m{i}" for i in range(n)]
-        if names and len(self.names) != n:
-            raise InvalidInput("names length does not match table size")
-        if not all(isinstance(a, str) for a in self.names) or len(set(self.names)) < n:
-            raise InvalidInput("table params.names must be distinct strings")
+        if len(set(self.names)) != n:
+            raise InvalidInput("table params.names must be distinct strings, one per element")
         self._validate()
         self.is_group = all(
             any(self.table[i][j] == 0 and self.table[j][i] == 0 for j in range(n))
@@ -442,7 +428,7 @@ class TableMonoid(Structure):
             if len(row) != n:
                 raise InvalidInput(f"table row {i} has length {len(row)}, expected {n}")
             for v in row:
-                if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                if not 0 <= v < n:
                     raise InvalidInput(f"table entry {v!r} out of range")
         for j in range(n):
             if self.table[0][j] != j or self.table[j][0] != j:
@@ -485,7 +471,7 @@ class TableMonoid(Structure):
         return u
 
     def elem_from_json(self, obj):
-        if not isinstance(obj, int) or isinstance(obj, bool) or not 0 <= obj < self.size:
+        if not 0 <= read_as(obj, int, "table element") < self.size:
             raise InvalidInput(f"table element must be an index in [0,{self.size}), got {obj!r}")
         return obj
 
@@ -552,44 +538,22 @@ class ZeroAdjoinedMonoid(Structure):
 # loading / spec parsing
 # ---------------------------------------------------------------------------
 
-def structure_from_spec(spec: dict):
-    """Build (structure, generators) from a spec dict.
+STRUCTURES = {
+    "Z": (IntegerGroup, {}),
+    "Zd": (IntegerLattice, {"d": (int, REQUIRED)}),
+    "free": (FreeStructure, {"rank": (int, REQUIRED), "inverses": (bool, True)}),
+    "table": (TableMonoid, {"table": ([[int]], REQUIRED), "names": ([str], None)}),
+    "zero_adjoined": (ZeroAdjoinedMonoid, {"rank": (int, 1)}),
+}
 
-    Shape: {"family": ..., "params": {...}, "generators": [elem, ...]}
-    Generators are optional where the family has a standard set.
-    """
-    if not isinstance(spec, dict):
-        raise InvalidInput("structure spec must be a JSON object")
-    family = spec.get("family")
-    params = spec.get("params", {}) or {}
-    if family == "Z":
-        s = IntegerGroup()
-    elif family == "Zd":
-        if "d" not in params:
-            raise InvalidInput("Zd needs params.d")
-        s = IntegerLattice(parse_int(params["d"], "params.d"))
-    elif family == "free":
-        if "rank" not in params:
-            raise InvalidInput("free needs params.rank")
-        inverses = params.get("inverses", True)
-        if not isinstance(inverses, bool):
-            raise InvalidInput(f"params.inverses must be true or false, got {inverses!r}")
-        s = FreeStructure(parse_int(params["rank"], "params.rank"), inverses)
-    elif family == "table":
-        if "table" not in params:
-            raise InvalidInput("table needs params.table")
-        s = TableMonoid(params["table"], params.get("names"))
-    elif family == "zero_adjoined":
-        s = ZeroAdjoinedMonoid(parse_int(params.get("rank", 1), "params.rank"))
-    else:
-        raise InvalidInput(f"unknown structure family {family!r}")
-    raw_gens = spec.get("generators")
-    if raw_gens is None:
-        gens = s.default_generators()
-    else:
-        gens = [s.elem_from_json(g) for g in raw_gens]
-        if not gens:
-            raise InvalidInput("generator list is empty")
+
+def structure_from_spec(spec: dict):
+    """(structure, generators) from a spec {"family", "params", "generators"};
+    the generators default to the family's standard set, where it has one."""
+    s, raw = read_family(spec, STRUCTURES, "spec", {"generators": (list, None)})
+    gens = s.default_generators() if raw is None else list(map(s.elem_from_json, raw))
+    if not gens:
+        raise InvalidInput("generator list is empty")
     if s.identity() in gens:
         raise InvalidInput("the identity may not appear among the generators")
     return s, gens

@@ -27,9 +27,9 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, MAX_BITS,
-                      Enclosure, as_enclosure, check_digits, format_rational,
-                      nth_root, parse_int, parse_rational, pow_mantissas,
-                      rat_pow, ratio_pow_less)
+                      REQUIRED, Enclosure, as_enclosure, check_digits,
+                      format_rational, nth_root, pow_mantissas, rat_pow,
+                      ratio_pow_less, read_as, read_family)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -96,6 +96,9 @@ class RadialPolyWeight(WordLengthWeight):
         self.alpha = Fraction(alpha)
         if self.alpha < 0:
             raise InvalidInput("radial_poly needs alpha >= 0")
+        if self.alpha.numerator > EXACT_POW_CAP:
+            raise ResourceLimit(f"radial_poly alpha has a numerator over {EXACT_POW_CAP}: "
+                                "its values are too large to materialize")
 
     def radial_value(self, n, bits=DEFAULT_BITS):
         p, q = self.alpha.numerator, self.alpha.denominator
@@ -141,7 +144,8 @@ class ExplicitWeight(Weight):
     family = "explicit"
 
     def __init__(self, values: dict):
-        self.values = {str(k): parse_rational(v) for k, v in values.items()}
+        self.values = {str(k): read_as(v, Fraction, "weight", ("params", "values", k))
+                       for k, v in values.items()}
         for k, v in self.values.items():
             if v <= 0:
                 raise InvalidInput(f"explicit weight value at {k!r} must be positive")
@@ -175,7 +179,7 @@ class Lemma74Weight(WordLengthWeight):
         self.rho = Fraction(rho)
         self.blocks = blocks
         self.markers = list(markers)   # n_1 < n_2 < ... < n_K
-        self.eps = [Fraction(e) for e in eps]  # eps_0 .. eps_K
+        self.eps = list(eps)  # eps_0 .. eps_K, Fractions
         self.pows, self.bits = pows, bits
         if len(self.markers) != blocks or len(self.eps) != blocks + 1:
             raise InvalidInput("lemma74 weight: inconsistent block data")
@@ -253,33 +257,20 @@ class Lemma76Weight(Weight):
         return w if u >= 0 else self.C ** n * w
 
 
+WEIGHTS = {
+    "trivial": (TrivialWeight, {}),
+    "radial_poly": (RadialPolyWeight, {"alpha": (Fraction, 0)}),
+    "radial_exp": (RadialExpWeight, {"c": (Fraction, 1), "beta": (Fraction, 1)}),
+    "explicit": (ExplicitWeight, {"values": (dict, REQUIRED)}),
+    "lemma74": (lambda rho, blocks: build_lemma74(rho, blocks)[0],
+                {"rho": (Fraction, REQUIRED), "blocks": (int, REQUIRED)}),
+    "lemma76": (lambda rho, N: build_lemma76(rho, N)[0],
+                {"rho": (Fraction, REQUIRED), "N": (int, REQUIRED)}),
+}
+
+
 def weight_from_spec(spec: dict) -> Weight:
-    if not isinstance(spec, dict):
-        raise InvalidInput("weight spec must be a JSON object")
-    family = spec.get("family")
-    params = spec.get("params", {}) or {}
-    if family == "trivial":
-        return TrivialWeight()
-    if family == "radial_poly":
-        return RadialPolyWeight(parse_rational(params.get("alpha", 0)))
-    if family == "radial_exp":
-        return RadialExpWeight(parse_rational(params.get("c", 1)),
-                               parse_rational(params.get("beta", 1)))
-    if family == "explicit":
-        if "values" not in params:
-            raise InvalidInput("explicit weight needs params.values")
-        return ExplicitWeight(params["values"])
-    if family == "lemma74":
-        if "rho" not in params or "blocks" not in params:
-            raise InvalidInput("lemma74 weight needs params.rho and params.blocks")
-        w, _ = build_lemma74(parse_rational(params["rho"]), parse_int(params["blocks"], "params.blocks"))
-        return w
-    if family == "lemma76":
-        if "rho" not in params or "N" not in params:
-            raise InvalidInput("lemma76 weight needs params.rho and params.N")
-        w, _ = build_lemma76(parse_rational(params["rho"]), parse_int(params["N"], "params.N"))
-        return w
-    raise InvalidInput(f"unknown weight family {family!r}")
+    return read_family(spec, WEIGHTS, "weight")[0]
 
 
 # ---------------------------------------------------------------------------
@@ -666,8 +657,10 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
         "blocks": K,
         "markers": markers,
         "eps": eps,
-        "eps_monotone": all(eps[i + 1] <= eps[i] for i in range(K)),
-        "eps_below_1_over_k": all(eps[k] < Fraction(1, k) for k in range(1, K + 1)),
+        "eps_monotone": all(b.numerator * a.denominator <= a.numerator * b.denominator
+                            for a, b in zip(eps, eps[1:])),
+        "eps_below_1_over_k": all(e.numerator * k < e.denominator
+                                  for k, e in enumerate(eps[1:], start=1)),
         "step_bounds": step_bounds,
         "step_bounds_all_ok": all(c["ok"] for c in step_bounds),
         "top_index": markers[-1] + 1,

@@ -410,9 +410,15 @@ def golden_input(name):
     ({"family": "free", "params": {"rank": 2, "inverses": "false"}}, None,
      ["structure", "ball", "--depth", "2"],
      "params.inverses must be true or false, got 'false'"),
+    # a misspelt key would otherwise leave its field at the default: the
+    # free group for `inverse`, c = 1 for `C`
+    ({"family": "free", "params": {"rank": 2, "inverse": False}}, None,
+     ["structure", "ball", "--depth", "2"], "spec: params.inverse is an unknown key"),
+    ({"family": "Z"}, {"family": "radial_exp", "params": {"C": "3"}},
+     ["weight", "verify", "--radius", "2"], "weight: params.C is an unknown key"),
 ], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2",
         "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2", "table-names",
-        "free-inverses"])
+        "free-inverses", "free-misspelt-key", "radial-exp-misspelt-key"])
 def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
                                            argv, message):
     argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]
@@ -422,6 +428,24 @@ def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha,code", [("100000000", 2), ("1e400", 2),
+                                        (str(1 << 18), 0)])
+def test_radial_poly_exponent_is_capped_at_load(capsys, tmp_path, zline, alpha, code):
+    # an alpha numerator past EXACT_POW_CAP is refused before any value is
+    # computed, as a radial_exp value is; 2^18 itself still verifies
+    wfile = write_json(tmp_path / "w.json",
+                       {"family": "radial_poly", "params": {"alpha": alpha}})
+    started = time.monotonic()
+    got, out, err = run(capsys, "weight", "verify", "--spec", zline,
+                        "--weight", wfile, "--radius", "3")
+    assert time.monotonic() - started < 1
+    assert got == code
+    if code == 2:
+        assert out == "" and err == ("waug: error: radial_poly alpha has a numerator "
+                                     "over 262144: its values are too large to "
+                                     "materialize\n")
 
 
 # every leaf that reads --spec or --weight, with a valid value for each of
