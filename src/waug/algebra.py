@@ -279,6 +279,16 @@ def weighted_norm(f: Element, weight=None, bits: int = 128):
     return Enclosure(Fraction(lo, f.den), Fraction(hi, f.den))
 
 
+def norm_terms(f: Element, weight, scale=1) -> list:
+    """The pairs (scale omega(u) / den, |den f(u)|^2), u in the support, whose
+    sum r sqrt(q) is scale ||f||_omega, for a weight exact there."""
+    terms = [(weight.eval(f.structure, u), f.re.get(u, 0) ** 2 + f.im.get(u, 0) ** 2)
+             for u in f._points()]
+    if any(isinstance(w, Enclosure) for w, _ in terms):
+        raise InvalidInput("an exact norm needs exact weight values")
+    return [(scale * w / f.den, q) for w, q in terms]
+
+
 def sigma_sequence(f: Element, ball_table):
     """sigma_n(f) = sum_{u in B_n} f(u) for n = 0..depth.
 

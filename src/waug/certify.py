@@ -17,7 +17,7 @@ from math import gcd, isqrt, log10
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
-MAX_BITS = 1 << 16  # the precision ratio_pow_less escalates to, and --precision's ceiling
+MAX_BITS = 1 << 16  # where escalate stops doubling, and --precision's ceiling
 EXACT_RATIO_BITS = 1 << 21  # past MAX_BITS, the largest r**n ratio_pow_less compares exactly
 EXACT_POW_CAP = 1 << 18  # max exponent for exact big-Fraction powers
 L74_EXACT_BITS = 1 << 13  # lemma 7.4's powers stay exact while n * bit lengths fit this
@@ -34,7 +34,12 @@ class ResourceLimit(RuntimeError):
 
 def parse_rational(text) -> Fraction:
     """A string 'p/q', 'p' or a decimal, spaces around it allowed, as an
-    exact Fraction (an int or a Fraction passes as its value)."""
+    exact Fraction (an int or a Fraction passes as its value); a decimal
+    exponent at the int->str digit limit or past it is a ResourceLimit."""
+    if type(text) is str and ("e" in text or "E" in text):
+        exp = text.lower().partition("e")[2].strip(" +-").replace("_", "").lstrip("0")
+        if exp.isdigit() and int(exp[:10]) >= _digit_limit():  # 10 digits pass any limit
+            raise ResourceLimit(f"{text[:40]!r}: its decimal exponent reaches the digit limit")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -162,8 +167,7 @@ class Enclosure(NamedTuple):
 
     @classmethod
     def exact(cls, x) -> "Enclosure":
-        q = Fraction(x)
-        return cls(q, q)
+        return cls(q := Fraction(x), q)
 
     @property
     def is_exact(self) -> bool:
@@ -176,13 +180,7 @@ class Enclosure(NamedTuple):
     __radd__ = __add__
 
     def __mul__(self, other):
-        other = as_enclosure(other)
-        products = (
-            self.lo * other.lo,
-            self.lo * other.hi,
-            self.hi * other.lo,
-            self.hi * other.hi,
-        )
+        products = [x * y for y in as_enclosure(other) for x in self]
         return Enclosure(min(products), max(products))
 
     __rmul__ = __mul__
@@ -271,6 +269,37 @@ def pow_less(m: tuple, c: tuple, bits: int, strict: bool = True) -> Optional[boo
     return False if m[0] * den > num - strict else None  # lo >= c iff lo > c - 1
 
 
+def escalate(probe, bits: int, what: str = "") -> Optional[bool]:
+    """The package's one precision loop: the first True or False of probe(b) for
+    b = bits, 2 bits, ... <= MAX_BITS (read per call), else None, or ResourceLimit if `what`."""
+    while bits <= MAX_BITS:
+        if (verdict := probe(bits)) is not None:
+            return verdict
+        bits *= 2
+    if what:
+        raise ResourceLimit(f"{what} is undecided at {MAX_BITS} bits")
+    return None
+
+
+def sqrt_sum_sign(terms, bits: int = DEFAULT_BITS) -> int:
+    """The sign, -1, 0 or 1, of sum r sqrt(q) over rational pairs (r, q > 0).
+    A term joins the first square class q1 with q q1 a rational square, as
+    (r sqrt(q q1) / q1) sqrt(q1).  Roots of distinct classes are independent
+    over Q (Besicovitch 1940): the sum is 0 iff every class's coefficient is."""
+    merged = {}  # a square class's first q -> its coefficient
+    for r, q in terms:
+        q1 = next((q1 for q1 in merged if nth_root(q * q1, 2).is_exact), q)
+        merged[q1] = merged.get(q1, 0) + r * nth_root(q * q1, 2).lo / q1
+    merged = [(r, q) for q, r in merged.items() if r]
+    if not merged:
+        return 0
+
+    def probe(b):
+        total = sum(r * nth_root(q, 2, b) for r, q in merged)
+        return None if total.lo <= 0 <= total.hi else total.lo > 0
+    return 1 if escalate(probe, bits, "a sum of square roots") else -1
+
+
 def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
                    bits: int = DEFAULT_BITS, kept: Optional[tuple] = None) -> bool:
     """Certified decision of  x**n < c  (or <= with strict=False) for
@@ -279,24 +308,23 @@ def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
 
     The first probe is `kept`, mantissas enclosing x**n at scale 2**-bits
     that the caller holds (fresh, or derived and rounded outward), else
-    fresh ones.  While `pow_less` leaves a probe undecided the precision
-    doubles, with fresh mantissas, up to MAX_BITS; past it the integers
+    fresh ones.  If `pow_less` leaves it undecided, escalate probes fresh
+    mantissas at 2*bits, 4*bits, ... up to MAX_BITS; past it the integers
     r0**n c1 and c0 r1**n decide while n times the bit length of x reduced
     is at most EXACT_RATIO_BITS, and ResourceLimit refuses it beyond.
     Meant for ratios 0 < x <= 1, whose mantissas stay small at any exponent.
     """
-    m = kept or pow_mantissas(r, n, bits)
-    while (verdict := pow_less(m, c, bits, strict)) is None:
-        bits *= 2
-        if bits > MAX_BITS:
-            g = gcd(*r)
-            if n * max((r[0] // g).bit_length(), (r[1] // g).bit_length()) > EXACT_RATIO_BITS:
-                raise ResourceLimit(f"a power comparison at exponent {n} is undecided at "
-                                    f"{MAX_BITS} bits and too large to decide exactly")
-            lhs, rhs = r[0] ** n * c[1], c[0] * r[1] ** n
-            return lhs < rhs if strict else lhs <= rhs
-        m = pow_mantissas(r, n, bits)
-    return verdict
+    verdict = pow_less(kept or pow_mantissas(r, n, bits), c, bits, strict)
+    if verdict is None:
+        verdict = escalate(lambda b: pow_less(pow_mantissas(r, n, b), c, b, strict), 2 * bits)
+    if verdict is not None:
+        return verdict
+    g = gcd(*r)
+    if n * max((r[0] // g).bit_length(), (r[1] // g).bit_length()) > EXACT_RATIO_BITS:
+        raise ResourceLimit(f"a power comparison at exponent {n} is undecided at "
+                            f"{MAX_BITS} bits and too large to decide exactly")
+    lhs, rhs = r[0] ** n * c[1], c[0] * r[1] ** n
+    return lhs < rhs if strict else lhs <= rhs
 
 
 def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:

@@ -16,10 +16,10 @@ from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm, log10
 
-from .algebra import (Element, ONE, convolve, convolve_sum,
+from .algebra import (Element, ONE, convolve, convolve_sum, norm_terms,
                       sigma_sequence, weighted_norm)
 from .certify import (DEFAULT_BITS, Enclosure, as_enclosure, basel_partial,
-                      check_digits, harmonic_number, parse_rational)
+                      check_digits, harmonic_number, parse_rational, sqrt_sum_sign)
 from .sequences import first_growth_failure
 from .structures import (InvalidInput, UNIVERSE, division_balls,
                          geodesic_words, pseudo_finite_within,
@@ -36,15 +36,13 @@ class CertificateError(RuntimeError):
         self.report = report or {}
 
 
-def _le_status(a, b) -> str:
-    """'proved' / 'violated' / 'indeterminate' for a <= b with exact or
-    enclosure operands."""
+def _le_status(a, b, terms, bits: int = DEFAULT_BITS) -> str:
+    """'proved' or 'violated' for a <= b, exact or enclosed: by the enclosures
+    where they do not overlap, else by sqrt_sum_sign on a - b = sum r sqrt(q)
+    over the pairs terms() returns, where a tie is 'proved'."""
     ea, eb = as_enclosure(a), as_enclosure(b)
-    if ea.hi <= eb.lo:
-        return "proved"
-    if ea.lo > eb.hi:
-        return "violated"
-    return "indeterminate"
+    le = True if ea.hi <= eb.lo else False if ea.lo > eb.hi else sqrt_sum_sign(terms(), bits) <= 0
+    return "proved" if le else "violated"
 
 
 class Decomposition:
@@ -183,8 +181,11 @@ def _decompose(s: Structure, gens, weight, target: Element, betas, D, bits,
     bound = weighted_norm(beta_f, weight, bits) * (1 / D)
 
     terms = [(sx, *_difference(s, x)) for x, sx in coeffs]
-    norms = {s.elem_str(x): weighted_norm(sx, weight, bits) for x, sx in coeffs}
-    status = {x: _le_status(nm, bound) for x, nm in norms.items()}
+    norms, status = {}, {}
+    for x, sx in coeffs:  # ||s_x|| - bound = sum r sqrt(q) over the exact terms
+        nm = norms[s.elem_str(x)] = weighted_norm(sx, weight, bits)
+        status[s.elem_str(x)] = _le_status(nm, bound, lambda: (
+            norm_terms(sx, weight) + norm_terms(beta_f, weight, -1 / D)), bits)
     norm_ok = all(v == "proved" for v in status.values())
     return {
         **head,

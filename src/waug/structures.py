@@ -80,12 +80,14 @@ def ball_cap() -> int:
     return cap
 
 
-def _check_spec_size(what: str, size: int):
-    """Refuse a spec whose standard generators, built at load, would hold
-    `size` entries past the cap."""
+def _check_spec_size(what: str, n: int, size: int):
+    """Refuse a spec whose generators, built at load, would hold `size` entries
+    past the cap; `what` shows n at '{}', and a number past 64 bits by a power of 2."""
     cap = ball_cap()
     if size > cap:
-        raise ResourceLimit(f"{what} = {size} generator entries, over the cap "
+        n, size = (x if x.bit_length() <= 64 else f"at least 2^{x.bit_length() - 1}"
+                   for x in (n, size))
+        raise ResourceLimit(f"{what.format(n)} = {size} generator entries, over the cap "
                             f"{cap} (set {BALL_CAP_ENV} to raise it)")
 
 
@@ -217,7 +219,7 @@ class IntegerLattice(Structure):
     def __init__(self, d: int):
         if d < 1:
             raise InvalidInput("Zd needs d >= 1")
-        _check_spec_size(f"params.d = {d} needs 2*d^2", 2 * d * d)
+        _check_spec_size("params.d = {} needs 2*d^2", d, 2 * d * d)
         self.d = d
 
     def identity(self):
@@ -277,7 +279,7 @@ class FreeStructure(Structure):
     def __init__(self, rank: int, inverses: bool = True):
         if rank < 1:
             raise InvalidInput("free structure needs rank >= 1")
-        _check_spec_size(f"params.rank = {rank} needs 2*rank", 2 * rank)
+        _check_spec_size("params.rank = {} needs 2*rank", rank, 2 * rank)
         self.rank = rank
         self.inverses = inverses
         self.is_group = inverses

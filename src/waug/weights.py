@@ -26,10 +26,9 @@ import math
 from bisect import bisect_left
 from fractions import Fraction
 
-from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, MAX_BITS,
-                      REQUIRED, Enclosure, as_enclosure, check_digits,
-                      format_rational, nth_root, pow_mantissas, rat_pow,
-                      ratio_pow_less, read_as, read_family)
+from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, REQUIRED, Enclosure,
+                      as_enclosure, check_digits, escalate, format_rational, nth_root,
+                      pow_mantissas, rat_pow, ratio_pow_less, read_as, read_family)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, closed_form_ball_size, division_balls)
 
@@ -334,13 +333,10 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
                 _fail(report, axiom="omega>=1", n=n)
                 break
         pairs = 0
-        for m in range(1, radius + 1):
-            for n in range(m, radius + 1):
-                if m + n > radius:
-                    break
-                ok = _radial_submult_pair(weight, m, n, bits)
+        for m in range(1, radius // 2 + 1):
+            for n in range(m, radius - m + 1):  # m <= n, m + n <= radius
                 pairs += 1
-                if not ok:
+                if not _radial_submult_pair(weight, m, n, bits):
                     _fail(report, axiom="submultiplicative", m=m, n=n)
         report["pairs_checked"] = pairs
         return report
@@ -386,18 +382,11 @@ def _radial_submult_pair(weight, m, n, bits) -> bool:
     p, q = weight.beta.numerator, weight.beta.denominator
     if q == 1:
         return True  # exponent additive
-    # need (m+n)^beta <= m^beta + n^beta; certify, escalating to MAX_BITS
-    b = bits
-    while b <= MAX_BITS:
-        tm = nth_root(Fraction(m) ** p, q, b)
-        tn = nth_root(Fraction(n) ** p, q, b)
-        ts = nth_root(Fraction(m + n) ** p, q, b)
-        if ts.hi <= tm.lo + tn.lo:
-            return True
-        if ts.lo > tm.hi + tn.hi:
-            return False
-        b *= 2
-    raise ResourceLimit(f"radial_exp submultiplicativity at ({m},{n}) indeterminate")
+
+    def probe(b):  # (m+n)^beta <= m^beta + n^beta, certified at b bits
+        tm, tn, ts = (nth_root(Fraction(k) ** p, q, b) for k in (m, n, m + n))
+        return True if ts.hi <= tm.lo + tn.lo else False if ts.lo > tm.hi + tn.hi else None
+    return escalate(probe, bits, f"radial_exp submultiplicativity at ({m},{n})")
 
 
 def _exponent_submult_failures(e, N: int):

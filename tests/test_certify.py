@@ -11,7 +11,7 @@ from waug.certify import (Enclosure, ResourceLimit, basel_partial,
                           check_digits, format_rational, harmonic_number,
                           int_nth_root, nth_root, parse_rational,
                           pow_less, pow_mantissas, printable, rat_pow,
-                          ratio_pow_less, round_down, round_up)
+                          ratio_pow_less, round_down, round_up, sqrt_sum_sign)
 from waug.idealkit import _le_status
 
 
@@ -170,16 +170,55 @@ def test_harmonic_and_basel_partials():
 
 
 def test_enclosure_comparisons_are_conservative():
-    # a <= b is proved only when it holds at every point of both enclosures
+    # a <= b is decided on the enclosures only when it holds at every point
+    # of both; otherwise the exact sum a - b = sum r sqrt(q) decides it, and
+    # the terms are never built while the enclosures decide
+    def unused():
+        raise AssertionError("terms built although the enclosures decide")
+
     a = Enclosure(F(1), F(2))
     b = Enclosure(F(3), F(4))
-    assert _le_status(a, b) == "proved"
-    assert _le_status(b, a) == "violated"
+    assert _le_status(a, b, unused) == "proved"
+    assert _le_status(b, a, unused) == "violated"
     c = Enclosure(F(2), F(3))
-    # touching: a <= c everywhere, c <= a only at the shared point
-    assert _le_status(a, c) == "proved"
-    assert _le_status(c, a) == "indeterminate"
-    assert _le_status(F(2), a) == "indeterminate"
+    # touching: a <= c everywhere, c <= a only at the shared point, so the
+    # values decide: c = sqrt 4 and a = sqrt 16 / 2 tie there
+    assert _le_status(a, c, unused) == "proved"
+    assert _le_status(c, a, lambda: [(1, 4), (F(-1, 2), 16)]) == "proved"
+    # 2 <= a, for a = sqrt 3 inside [1, 2]: the exact sum 2 - sqrt 3 > 0
+    assert _le_status(F(2), a, lambda: [(2, 1), (-1, 3)]) == "violated"
+    # overlapping enclosures of sqrt 8 and 2 sqrt 2: a tie, proved
+    assert _le_status(c, Enclosure(F(5, 2), F(3)), lambda: [(1, 8), (-2, 2)]) == "proved"
+
+
+def test_square_class_sums_are_exact():
+    assert sqrt_sum_sign([(1, 8), (-2, 2)]) == 0  # sqrt 8 - 2 sqrt 2
+    assert sqrt_sum_sign([(1, 2), (1, 3), (-1, 5)]) == 1  # sqrt 2 + sqrt 3 - sqrt 5
+    assert sqrt_sum_sign([(-1, 2), (-1, 3), (1, 5)]) == -1
+    assert sqrt_sum_sign([(F(1, 2), F(1, 2)), (-1, F(1, 8)), (3, 7), (-1, 63)]) == 0
+    assert sqrt_sum_sign([(F(2, 3), F(9, 4)), (-1, 1)]) == 0  # rational roots
+    assert sqrt_sum_sign([]) == 0
+    # sqrt 2 < sqrt(2 + 2^-200) by about 2^-202: decided by escalating past
+    # the 8-bit first probe, and a resource error once MAX_BITS stops it first
+    close = [(1, 2), (-1, 2 + F(1, 1 << 200))]
+    assert sqrt_sum_sign(close, 8) == -1
+
+
+def test_undecided_square_class_sum_is_a_resource_error(monkeypatch):
+    monkeypatch.setattr(certify_mod, "MAX_BITS", 128)
+    with pytest.raises(ResourceLimit, match="a sum of square roots is undecided at 128 bits"):
+        sqrt_sum_sign([(1, 2), (-1, 2 + F(1, 1 << 200))], 8)
+    assert sqrt_sum_sign([(1, 8), (-2, 2)], 8) == 0  # a tie needs no probe
+
+
+def test_escalate_doubles_up_to_max_bits(monkeypatch):
+    monkeypatch.setattr(certify_mod, "MAX_BITS", 64)
+    seen = []
+    assert certify_mod.escalate(lambda b: seen.append(b), 8) is None
+    assert seen == [8, 16, 32, 64]
+    assert certify_mod.escalate(lambda b: b >= 32 or None, 8) is True
+    with pytest.raises(ResourceLimit, match="^x is undecided at 64 bits$"):
+        certify_mod.escalate(lambda b: None, 8, "x")
 
 
 def test_printable_rounds_outward_only_at_the_digit_limit(monkeypatch):

@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import math
 import os
+import tempfile
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import waug.certify as certify_mod
 from waug.certify import basel_partial, harmonic_number
@@ -198,6 +202,79 @@ def test_decompose_point_cli(capsys, tmp_path, f2):
     rep = json.loads(out)
     assert rep["result"]["bound"] == "4"
     assert rep["result"]["norm_ok"]
+
+
+def test_huge_decimal_exponents_are_refused_at_parse(capsys, tmp_path, zline):
+    # Fraction would build 10^(10^8) in full; the exponent alone refuses it
+    wfile = write_json(tmp_path / "w.json",
+                       {"family": "radial_exp", "params": {"c": "1e100000000"}})
+    for argv in (["tau", "blockseq", "--rho", "1e100000000", "--blocks", "2"],
+                 ["weight", "verify", "--spec", zline, "--weight", wfile, "--radius", "2"]):
+        started = time.monotonic()
+        code, out, err = run(capsys, *argv)
+        assert time.monotonic() - started < 1
+        assert code == 2 and out == ""
+        assert err == ("waug: error: '1e100000000': its decimal exponent reaches "
+                       "the digit limit\n")
+    # 1e400 stays a rational, 10^400, whose blocks grow by rho
+    code, out, _ = run(capsys, "tau", "blockseq", "--rho", "1e400", "--blocks", "2")
+    assert code == 0 and json.loads(out)["result"]["boundary_all_ok"]
+
+
+def _gaussian_element(terms):
+    """An element file's object from (word, z) pairs, z a Gaussian integer."""
+    return {"terms": [{"elem": u, "re": str(int(z.real)), "im": str(int(z.imag))}
+                      for u, z in terms]}
+
+
+def test_undecided_decomposition_bound_exits_two(capsys, tmp_path, f2, monkeypatch):
+    # f = (z1 + z2) delta_e - z1 delta_a - z2 delta_b with z1 = 1+i, z2 = 1+2i
+    # on w_exp2: ||s_a|| = sqrt 2 against the bound 2 (sqrt 2 + sqrt 5) / D,
+    # and D just below 2 + sqrt 10 leaves a nonzero gap below 2^-41
+    z1, z2 = 1 + 1j, 1 + 2j
+    efile = write_json(tmp_path / "e.json",
+                       _gaussian_element([([], z1 + z2), ([1], -z1), ([2], -z2)]))
+    wfile = write_json(tmp_path / "w.json", {"family": "radial_exp", "params": {"c": "2"}})
+    D = Fraction(2 * 2 ** 40 + math.isqrt(10 * 2 ** 80), 2 ** 40)
+    argv = ["ideal", "decompose-full", "--spec", f2, "--weight", wfile,
+            "--element", efile, "--d", str(D), "--precision", "8"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1  # b's bound fails; a's holds, decided past 8 bits
+    assert json.loads(out)["result"]["norm_status"] == {"a": "proved", "b": "violated"}
+    monkeypatch.setattr(certify_mod, "MAX_BITS", 16)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "waug: error: a sum of square roots is undecided at 16 bits\n"
+
+
+_WORDS = [[1], [2], [-1], [1, 2], [2, 2], [-2, 1], [1, -2, 1]]
+_INPUTS = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+F2_GOLDEN, W_EXP2 = (os.path.join(_INPUTS, name) for name in ("f2.json", "w_exp2.json"))
+
+
+@settings(max_examples=60)
+@given(coeffs=st.lists(st.tuples(st.sampled_from(_WORDS), st.integers(-4, 4)),
+                       min_size=1, max_size=4),
+       z=st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any),
+       d=st.sampled_from(["1/2", "1", "2", "3", "4"]))
+def test_gaussian_scalars_keep_the_decomposition_verdicts(coeffs, z, d):
+    # s_x and the bound are linear in f, so z f scales both sides of every
+    # norm comparison by |z|: the verdicts and the exit code stay those of
+    # the real f, ties included (f = c (delta_e - delta_a) ties at D = 2)
+    z = complex(*z)
+    f = [([], -sum(c for _, c in coeffs)), *coeffs]
+    got = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for k, scale in enumerate((1, z)):
+            efile = os.path.join(tmp, f"e{k}.json")
+            with open(efile, "w") as fh:
+                json.dump(_gaussian_element([(u, scale * c) for u, c in f]), fh)
+            out = os.path.join(tmp, f"out{k}.json")
+            code = main(["ideal", "decompose-full", "--spec", F2_GOLDEN, "--weight", W_EXP2,
+                         "--element", efile, "--d", d, "--out", out])
+            with open(out) as fh:
+                got.append((code, json.load(fh)["result"].get("norm_status")))
+    assert got[0] == got[1]
 
 
 def test_witness_45_cli(capsys, tmp_path):
@@ -416,9 +493,14 @@ def golden_input(name):
      ["structure", "ball", "--depth", "2"], "spec: params.inverse is an unknown key"),
     ({"family": "Z"}, {"family": "radial_exp", "params": {"C": "3"}},
      ["weight", "verify", "--radius", "2"], "weight: params.C is an unknown key"),
+    # 2*d^2 has 4,401 digits, past the int->str limit: named by a power of 2
+    ({"family": "Zd", "params": {"d": 10 ** 2200}}, None,
+     ["structure", "ball", "--depth", "2"],
+     "params.d = at least 2^7308 needs 2*d^2 = at least 2^14617 generator entries"),
 ], ids=["zd-d", "free-rank", "theta-rank", "lemma74-blocks", "radii-explicit-f2",
         "verify-lemma74-z", "radii-lemma76-f2", "verify-lemma76-z2", "table-names",
-        "free-inverses", "free-misspelt-key", "radial-exp-misspelt-key"])
+        "free-inverses", "free-misspelt-key", "radial-exp-misspelt-key",
+        "zd-d-past-digit-limit"])
 def test_crashes_are_one_line_input_errors(capsys, tmp_path, spec, weight,
                                            argv, message):
     argv = argv + ["--spec", write_json(tmp_path / "s.json", spec)]

@@ -211,6 +211,12 @@ CASES = [
      ["ideal", "decompose-full", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_cancel_elem.json",
       "--d", "1"]),
+    # f = (1+i)(delta_e - delta_a): at D = 2 the norm of s_a and the bound
+    # are both sqrt 2, an exact tie, so the bound is proved
+    ("decompose_full_f2_tie.json", 0,
+     ["ideal", "decompose-full", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_tie_elem.json",
+      "--d", "2"]),
     ("divide_shift_z.json", 0,
      ["ideal", "divide-shift", "--spec", "inputs/z.json",
       "--element", "inputs/z_zero_elem.json"]),
