@@ -6,6 +6,13 @@ per producer, '\n' line endings.  Identical inputs and tool version must
 yield byte-identical bytes, so nothing time- or locale-dependent belongs
 here.
 
+write_csv(header, rows) joins each row's fields with "," and the rows with
+"\n", and returns the text with a final "\n".  A field is an int or a
+non-empty str with no ',', '"', '\r' or '\n': exactly the fields that
+csv.writer(lineterminator="\n") writes unquoted, so the bytes are the
+same and no quoting code is needed.  Any other field, a bool, a float or
+an empty str among them, raises TypeError.
+
 canonical_json(x) walks the report x once and writes each value as it
 meets it: int, str, bool and None as themselves; list and tuple as arrays;
 dict with str keys in sorted key order; Fraction through format_rational;
@@ -26,9 +33,7 @@ conversion to plain JSON values, as a property.
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 from contextlib import contextmanager
 from fractions import Fraction
@@ -123,13 +128,22 @@ def sha256_file(path: str) -> str:
     return h.hexdigest()
 
 
+def _csv_field(v) -> str:
+    """The text of an int, or a str that csv.writer would write unquoted."""
+    t = type(v)
+    if t is int:
+        return int.__repr__(v)
+    if t is str and v and "," not in v and '"' not in v and "\r" not in v and "\n" not in v:
+        return v
+    raise TypeError("a CSV field is an int or a non-empty str with no comma, "
+                    f"quote or line break, got {v!r}")
+
+
 def write_csv(header, rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
     with _within_digit_limit():
-        w.writerow(header)
-        w.writerows(rows)
-    return buf.getvalue()
+        lines = [",".join(map(_csv_field, row)) for row in (header, *rows)]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def load_json_file(path: str) -> dict:

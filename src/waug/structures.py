@@ -56,7 +56,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, islice
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
 from .certify import REQUIRED, InvalidInput, ResourceLimit, read_as, read_family
@@ -419,9 +419,11 @@ class TableMonoid(Structure):
         if len(set(self.names)) != n:
             raise InvalidInput("table params.names must be distinct strings, one per element")
         self._validate()
-        self.is_group = all(
-            any(self.table[i][j] == 0 and self.table[j][i] == 0 for j in range(n))
-            for i in range(n))
+        self._inverse = [None] * n  # u's inverse: the first v with u v = 0, if v u = 0
+        for u, row in enumerate(self.table):
+            if 0 in row and self.table[row.index(0)][u] == 0:
+                self._inverse[u] = row.index(0)
+        self.is_group = None not in self._inverse
         self._div_cache = {}
 
     def _validate(self):
@@ -429,22 +431,46 @@ class TableMonoid(Structure):
         for i, row in enumerate(self.table):
             if len(row) != n:
                 raise InvalidInput(f"table row {i} has length {len(row)}, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise InvalidInput(f"table entry {v!r} out of range")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise InvalidInput(f"table entry {v!r} out of range")
         for j in range(n):
             if self.table[0][j] != j or self.table[j][0] != j:
                 raise InvalidInput("element 0 is not a two-sided identity")
+        # Light's test: the a with (x a) y = x (a y) for all x, y are closed
+        # under the product, so checking a generating set A checks them all
         t = self.table
-        for i in range(n):
-            ti = t[i]
-            for j in range(n):
-                tij = ti[j]
-                tj = t[j]
-                for k in range(n):
-                    if t[tij][k] != ti[tj[k]]:
-                        raise InvalidInput(
-                            f"table is not associative at ({i},{j},{k})")
+        for a in self._magma_generators():
+            ta = t[a]
+            row_x_ay = itemgetter(*ta)  # row_x_ay(t[x]): x (a y) for each y
+            for x, tx in enumerate(t):
+                if row_x_ay(tx) != tuple(t[tx[a]]):
+                    y = next(y for y in range(n) if t[tx[a]][y] != tx[ta[y]])
+                    raise InvalidInput(f"table is not associative at ({x},{a},{y})")
+
+    def _magma_generators(self):
+        """A list A that, with 0, generates the table's elements under its
+        product, whether or not it is associative: each member is the least
+        element outside the closure of those before it.  The closure meets
+        each pair of its elements at most once, both ways round, so this is
+        O(n^2)."""
+        t = self.table
+        seen, closed, gens = {0}, [0], []
+        for g in range(1, self.size):
+            if g in seen:
+                continue
+            gens.append(g)
+            seen.add(g)
+            fresh = [g]
+            while fresh and len(seen) < self.size:
+                u = fresh.pop()
+                closed.append(u)
+                new = {*map(t[u].__getitem__, closed),
+                       *map(itemgetter(u), map(t.__getitem__, closed))}
+                new -= seen
+                seen |= new
+                fresh += new
+        return gens
 
     def identity(self):
         return 0
@@ -453,10 +479,10 @@ class TableMonoid(Structure):
         return self.table[u][v]
 
     def invert(self, u):
-        for j in range(self.size):
-            if self.table[u][j] == 0 and self.table[j][u] == 0:
-                return j
-        raise InvalidInput(f"element {u} has no inverse")
+        v = self._inverse[u]
+        if v is None:
+            raise InvalidInput(f"element {u} has no inverse")
+        return v
 
     def elem_key(self, u):
         return (u,)

@@ -305,31 +305,36 @@ def test_c15_ball_sum_witness_tail_values():
         assert rep["sigma"][k - 1] >= F(1, k) - F(1, 101)
 
 
+def transformation_monoid(base, gens):
+    """The monoid of maps on range(base) generated by gens, as a table with
+    the identity map as element 0 and the others in sorted order."""
+    ident = tuple(range(base))
+    funcs = {ident, *gens}
+    frontier = list(funcs)
+    while frontier:
+        a = frontier.pop()
+        for b in list(funcs):
+            for c in (tuple(a[b[i]] for i in range(base)),
+                      tuple(b[a[i]] for i in range(base))):
+                if c not in funcs:
+                    funcs.add(c)
+                    frontier.append(c)
+    elems = [ident] + sorted(funcs - {ident})
+    idx = {f: i for i, f in enumerate(elems)}
+    return [[idx[tuple(a[b[i]] for i in range(base))] for b in elems]
+            for a in elems]
+
+
 def brute_transformation_monoid(rng):
     """A random monoid of functions on a small set, closed under composition,
     identity adjoined; retried until it has at most 12 elements."""
     while True:
         base = rng.randrange(2, 4)
-        ident = tuple(range(base))
         gens = [tuple(rng.randrange(base) for _ in range(base))
                 for _ in range(rng.randrange(1, 4))]
-        funcs = {ident, *gens}
-        frontier = list(funcs)
-        while frontier and len(funcs) <= 12:
-            a = frontier.pop()
-            for b in list(funcs):
-                for c in (tuple(a[b[i]] for i in range(base)),
-                          tuple(b[a[i]] for i in range(base))):
-                    if c not in funcs:
-                        funcs.add(c)
-                        frontier.append(c)
-        if len(funcs) > 12:
-            continue
-        elems = [ident] + sorted(funcs - {ident})
-        idx = {f: i for i, f in enumerate(elems)}
-        table = [[idx[tuple(a[b[i]] for i in range(base))] for b in elems]
-                 for a in elems]
-        return table
+        table = transformation_monoid(base, gens)
+        if len(table) <= 12:
+            return table
 
 
 def test_c16_closure_of_the_pseudo_generated_set():

@@ -1,6 +1,8 @@
 """Byte-stable JSON/CSV serialization and polymorphic file loading."""
 
+import csv
 import hashlib
+import io
 import json
 from fractions import Fraction as F
 
@@ -79,6 +81,30 @@ def test_sequence_csv_round_trip(tmp_path):
     back = PrefixSequence(*read_csv(str(p), "sequence"))
     assert (back.nums, back.den) == (seq.nums, seq.den)
     assert [back.tau(n) for n in range(1, 4)] == [F(1), F(3, 2), F(9, 4)]
+
+
+_csv_fields = st.one_of(
+    st.integers(), st.integers(min_value=-10 ** 60, max_value=10 ** 60),
+    st.text(min_size=1).filter(lambda v: not set(v) & set(',"\r\n')))
+
+
+@given(st.lists(_csv_fields, min_size=1, max_size=5),
+       st.lists(st.lists(_csv_fields, max_size=5), max_size=8))
+def test_csv_equals_csv_writer(header, rows):
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    assert write_csv(header, rows) == buf.getvalue()
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(True, id="bool"), pytest.param(1.5, id="float"),
+    pytest.param(None, id="None"), pytest.param(F(1, 2), id="Fraction"),
+    pytest.param("", id="empty"), pytest.param("1,2", id="comma"),
+    pytest.param('"x"', id="quote"), pytest.param("a\rb", id="CR"),
+    pytest.param("a\nb", id="LF")])
+def test_csv_refuses_a_field_it_would_have_to_quote(field):
+    with pytest.raises(TypeError, match="a CSV field is an int or a non-empty str"):
+        write_csv(["n", "value"], [[1, "x"], [2, field]])
 
 
 def test_vector_csv_loading(tmp_path):
