@@ -37,16 +37,23 @@ lie in B_(n-1) by the recursion one level down.  The same holds for UNIVERSE:
 were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
 comes from an element of the last sphere (theta, on the zero-adjoined
 monoid).  Each level thus costs in proportion to its frontier, not to the
-whole ball.  One frontier loop (_spheres) computes it for every family.  On a
-group, E.x^-1 is E multiplied by x^-1, so a level is one multiplication pass,
+whole ball.  One frontier loop (_spheres) computes it for every family, and
+maps a whole sphere S through one generator x at a time with the family's two
+batched maps: right_images(S, x) is the list S.x, right_quotients(S, x) the
+v with v x in S (or UNIVERSE), each a list comprehension over S (digit
+arithmetic on free words, one per letter of x in a group; sums on Z and
+Z^d; one column of a table).  The one-element division
+right_divide_point(u, x) reads right_quotients([u], x).
+On a group, E.x^-1 is E multiplied by x^-1, so a level is one multiplication
+pass,
     B_n = B_(n-1)  u  S_(n-1).(X u X^-1),
 the same pass that finds geodesic words (bfs_words).  On a monoid the pass
-multiplies each sphere element u by each x in X and divides it by x, entering
-u.x and {v : v x = u} together; a universal quotient ends the loop, and that
-ball and every later one is UNIVERSE.  Every deterministic choice ("least"
-element, term order) is made against elem_key, a canonical total order.
-A BallTable keeps the spheres alone (u is in B_n iff its level is at most n,
-or B_n is universal) and answers every ball question itself.
+maps the sphere through each x in X, then divides it by each x; a universal
+quotient ends the loop, and that ball and every later one is UNIVERSE.  Every
+deterministic choice ("least" element, term order) is made against elem_key,
+a canonical total order.  A BallTable keeps the spheres alone (u is in B_n
+iff its level is at most n, or B_n is universal) and answers every ball
+question itself.
 """
 
 from __future__ import annotations
@@ -137,10 +144,19 @@ class Structure:
     def is_standard_generators(self, gens) -> bool:
         return False
 
+    def right_images(self, us, x):
+        """[u x for u in us], in one pass over the list."""
+        raise NotImplementedError
+
+    def right_quotients(self, us, x):
+        """Every v with v x in us, as a list (each v once if us has no
+        repeats), or UNIVERSE; on a group, us x^-1 (non-groups override this)."""
+        return self.right_images(us, self.invert(x))
+
     def right_divide_point(self, u, x):
-        """{v : v x = u} as a frozenset (or UNIVERSE); on a group, the one
-        solution u x^-1 (non-groups override this)."""
-        return frozenset([self.multiply(u, self.invert(x))])
+        """{v : v x = u} as a frozenset, or UNIVERSE."""
+        vs = self.right_quotients([u], x)
+        return vs if vs is UNIVERSE else frozenset(vs)
 
     # --- encoding -----------------------------------------------------
 
@@ -181,6 +197,9 @@ class IntegerGroup(Structure):
 
     def multiply(self, u, v):
         return u + v
+
+    def right_images(self, us, x):
+        return [u + x for u in us]
 
     def invert(self, u):
         return -u
@@ -228,6 +247,9 @@ class IntegerLattice(Structure):
     def multiply(self, u, v):
         return tuple(map(add, u, v))
 
+    def right_images(self, us, x):
+        return [tuple(map(add, u, x)) for u in us]
+
     def invert(self, u):
         return tuple(-a for a in u)
 
@@ -242,10 +264,10 @@ class IntegerLattice(Structure):
     def elem_key(self, u):
         # length, then the sorted geodesic letters (+e_i before -e_i, i
         # ascending): more copies of the first letter that differs sort first
-        return (self.word_length(u), tuple((min(-c, 0), min(c, 0)) for c in u))
+        return (sum(map(abs, u)), tuple([(-c, 0) if c > 0 else (0, c) for c in u]))
 
     def word_length(self, u):
-        return sum(abs(a) for a in u)
+        return sum(map(abs, u))
 
     def elem_to_json(self, u):
         return list(u)
@@ -306,6 +328,28 @@ class FreeStructure(Structure):
             v %= pows[n]
         return u * pows[n] + v
 
+    def right_images(self, us, x):
+        b = self.base
+        if not self.inverses:
+            p = self._pows[self.word_length(x)]
+            return [u * p + x for u in us]
+        digits = []  # x's letters, last first
+        while x:
+            x, d = divmod(x, b)
+            digits.append(d)
+        # one letter at a time, first first: cancel u's last letter or append
+        for d in reversed(digits):
+            inv = self._inverse[d]
+            us = [u // b if u % b == inv else u * b + d for u in us]
+        return us
+
+    def right_quotients(self, us, x):
+        if self.inverses:
+            return super().right_quotients(us, x)
+        # monoid: v x = u iff x is a suffix of u, i.e. u's last |x| digits
+        p = self._pows[self.word_length(x)]
+        return [u // p for u in us if u % p == x]
+
     def invert(self, u):
         if not self.inverses:
             raise InvalidInput("free monoid: no inverses")
@@ -330,13 +374,6 @@ class FreeStructure(Structure):
             ones.append(ones[-1] * self.base + 1)
             self._pows.append(self._pows[-1] * self.base)
         return bisect_right(ones, u) - 1
-
-    def right_divide_point(self, u, x):
-        if self.inverses:
-            return super().right_divide_point(u, x)
-        # monoid: v x = u iff x is a suffix of u, i.e. u's last |x| digits
-        p = self._pows[self.word_length(x)]
-        return frozenset([u // p]) if u % p == x else frozenset()
 
     def elem_to_json(self, u):
         letters = []
@@ -424,7 +461,7 @@ class TableMonoid(Structure):
             if 0 in row and self.table[row.index(0)][u] == 0:
                 self._inverse[u] = row.index(0)
         self.is_group = None not in self._inverse
-        self._div_cache = {}
+        self._columns = {}  # x -> (column x of the table, {w: [v : v x = w]})
 
     def _validate(self):
         n = self.size
@@ -478,6 +515,21 @@ class TableMonoid(Structure):
     def multiply(self, u, v):
         return self.table[u][v]
 
+    def _column(self, x):
+        if x not in self._columns:
+            col, solutions = [row[x] for row in self.table], {}
+            for v, w in enumerate(col):
+                solutions.setdefault(w, []).append(v)
+            self._columns[x] = col, solutions
+        return self._columns[x]
+
+    def right_images(self, us, x):
+        return list(map(self._column(x)[0].__getitem__, us))
+
+    def right_quotients(self, us, x):
+        solutions = self._column(x)[1]
+        return [v for u in us for v in solutions.get(u, ())]
+
     def invert(self, u):
         v = self._inverse[u]
         if v is None:
@@ -486,14 +538,6 @@ class TableMonoid(Structure):
 
     def elem_key(self, u):
         return (u,)
-
-    def right_divide_point(self, u, x):
-        if x not in self._div_cache:
-            col = {}
-            for v in range(self.size):
-                col.setdefault(self.table[v][x], set()).add(v)
-            self._div_cache[x] = {w: frozenset(vs) for w, vs in col.items()}
-        return self._div_cache[x].get(u, frozenset())
 
     def elem_to_json(self, u):
         return u
@@ -530,6 +574,21 @@ class ZeroAdjoinedMonoid(Structure):
             return THETA
         return u * self.free._pows[self.free.word_length(v)] + v
 
+    def right_images(self, us, x):
+        if x == THETA:
+            return [THETA] * len(us)
+        p = self.free._pows[self.free.word_length(x)]
+        return [THETA if u == THETA else u * p + x for u in us]
+
+    def right_quotients(self, us, x):
+        if x == THETA:
+            # v theta = theta for every v
+            return UNIVERSE if THETA in us else []
+        words = [u for u in us if u != THETA]
+        quotients = self.free.right_quotients(words, x)
+        # theta x = theta, and no word times x is theta
+        return quotients + [THETA] if len(words) < len(us) else quotients
+
     def default_generators(self):
         return [THETA]
 
@@ -540,14 +599,6 @@ class ZeroAdjoinedMonoid(Structure):
     def word_length(self, u):
         # grading by letters, with theta at level 1 (its BFS level for X={theta})
         return 1 if u == THETA else self.free.word_length(u)
-
-    def right_divide_point(self, u, x):
-        if x == THETA:
-            # v theta = theta for every v
-            return UNIVERSE if u == THETA else frozenset()
-        if u == THETA:
-            return frozenset([THETA])
-        return self.free.right_divide_point(u, x)
 
     def elem_to_json(self, u):
         return THETA if u == THETA else self.free.elem_to_json(u)
@@ -602,9 +653,11 @@ class BallTable:
     """Division-closure balls B_0..B_depth, kept as their spheres: levels[n]
     is S_n sorted by elem_key, by value on a free structure (the first
     universal ball is the UNIVERSE marker, later levels are empty) and
-    level_of maps each element to its level.  u is in B_n iff level_of[u]
-    <= n, or B_n is universal.  Callers ask `level`, `ball` (a set, built on
-    demand), `sphere`, `divisors_below`, `ancestry`, `sizes`, `universal_at`,
+    level_of maps each element to its level, in the order the walk found
+    them (on a monoid, a level's products before its quotients), which no
+    answer depends on.  u is in B_n iff level_of[u] <= n, or B_n is
+    universal.  Callers ask `level`, `ball` (a set, built on demand),
+    `sphere`, `divisors_below`, `ancestry`, `sizes`, `universal_at`,
     `whole_at` and `stable_at`."""
 
     structure: Structure
@@ -696,38 +749,39 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
              divide: bool = False):
     """Right multiplication by `steps` (and, with `divide`, right division),
     one sphere per `next`: sphere n is the images of sphere n-1 that `seen`
-    lacks, each once, in order of first finding, entered into `seen` as
-    label(n, u, i).  The images of u, taken in its sphere's order, are u.x
-    for x = steps[i], i ascending, then with `divide` the quotients
-    {v : v x = u}, i ascending.  Sphere 0 is {e}, already in `seen`.
-    A UNIVERSE quotient takes sphere n's entries back out of `seen` and ends
-    the iteration with a UNIVERSE sphere, an empty sphere (the fixpoint)
-    ends it without one.  With `size` > `cap` elements in `seen` after
-    sphere n, raises ResourceLimit(too_big(n, size))."""
+    lacks, each once, in order of first finding.  Each level maps the whole
+    of sphere n-1 through each step at once (right_images), then visits
+    the images u-major: u in its sphere's order, then u.x for x = steps[i],
+    i ascending, each new one entered into `seen` as label(n, u, i).  With
+    `divide`, the quotients {v : v x in sphere n-1} (right_quotients) are
+    entered after them, step by step, as label(n, None, i); division_balls
+    alone divides, and it labels by n and sorts every sphere.  Sphere 0 is
+    {e}, already in `seen`.  A UNIVERSE quotient takes sphere n's entries
+    back out of `seen` and ends the iteration with a UNIVERSE sphere, an
+    empty sphere (the fixpoint) ends it without one.  With `size` > `cap`
+    elements in `seen` after sphere n, raises ResourceLimit(too_big(n, size))."""
     frontier = [s.identity()]
     n = 0
     while True:
         n += 1
         nxt = []
-        for u in frontier:
-            for i, x in enumerate(steps):
-                v = s.multiply(u, x)
+        images = [s.right_images(frontier, x) for x in steps]
+        for u, row in zip(frontier, zip(*images)):
+            for i, v in enumerate(row):
                 if v not in seen:
                     seen[v] = label(n, u, i)
                     nxt.append(v)
-            if not divide:
-                continue
-            for i, x in enumerate(steps):
-                quotients = s.right_divide_point(u, x)
-                if quotients is UNIVERSE:
-                    for v in nxt:
-                        del seen[v]
-                    yield UNIVERSE
-                    return
-                for v in quotients:
-                    if v not in seen:
-                        seen[v] = label(n, u, i)
-                        nxt.append(v)
+        for i, x in enumerate(steps if divide else ()):
+            quotients = s.right_quotients(frontier, x)
+            if quotients is UNIVERSE:
+                for v in nxt:
+                    del seen[v]
+                yield UNIVERSE
+                return
+            for v in quotients:
+                if v not in seen:
+                    seen[v] = label(n, None, i)
+                    nxt.append(v)
         if not nxt:
             return
         if len(seen) > cap:

@@ -67,12 +67,8 @@ class WordLengthWeight(Weight):
     def sphere_values(self, s, points, bits=DEFAULT_BITS):
         # one value per distinct length, met in the order eval would meet
         # them, so a length that cannot be evaluated raises the same error
-        by_length = {}
-        for u in points:
-            n = s.word_length(u)
-            if n not in by_length:
-                by_length[n] = self.radial_value(n, bits)
-        return list(by_length.values())
+        lengths = dict.fromkeys(map(s.word_length, points))
+        return [self.radial_value(n, bits) for n in lengths]
 
 
 class TrivialWeight(Weight):

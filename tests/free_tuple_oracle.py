@@ -76,6 +76,15 @@ class TupleFreeStructure(Structure):
     def word_length(self, u):
         return len(u)
 
+    # the batched maps of the Structure interface, element by element
+    def right_images(self, us, x):
+        return [self.multiply(u, x) for u in us]
+
+    def right_quotients(self, us, x):
+        if self.inverses:
+            return super().right_quotients(us, x)
+        return [v for u in us for v in self.right_divide_point(u, x)]
+
     def right_divide_point(self, u, x):
         if self.inverses:
             return super().right_divide_point(u, x)

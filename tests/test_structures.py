@@ -261,13 +261,14 @@ def test_zero_adjoined_pseudofinite_at_2():
 
 def test_ball_walks_stop_at_their_fixpoint(monkeypatch):
     # C5 as a table (tests/golden/inputs/c5.json) is B_2: past that fixpoint
-    # a deeper walk multiplies, divides and yields no more spheres
+    # a deeper walk calls right_images and right_quotients no more and
+    # yields no more spheres
     import waug.structures as structures
     T5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
     s, gens = structure_from_spec(
         {"family": "table", "params": {"table": T5}, "generators": [1, 4]})
     calls, spheres = [], []
-    for name in ("multiply", "right_divide_point"):
+    for name in ("right_images", "right_quotients"):
         real = getattr(type(s), name)
         monkeypatch.setattr(type(s), name, lambda self, *a, real=real:
                             calls.append(name) or real(self, *a))
@@ -286,7 +287,7 @@ def test_ball_walks_stop_at_their_fixpoint(monkeypatch):
         bt = division_balls(s, gens, depth)
         assert bt.stable_at() == 3 and bt.sizes()[:4] == [1, 3, 5, 5]
         work.append((len(calls), len(spheres)))
-    assert work[0] == work[1]
+    assert work[0] == work[1] and work[0][0] > 0
     assert bfs_words(s, gens, 10 ** 5) == bfs_words(s, gens, 10)
 
 
@@ -599,3 +600,15 @@ def test_lattice_key_orders_as_the_letter_key(case):
         for v in points:
             assert (s.elem_key(u) < s.elem_key(v)) == (_letter_key(u) < _letter_key(v))
             assert (s.elem_key(u) == s.elem_key(v)) == (u == v)
+
+
+@settings(max_examples=60)
+@given(_lattice_points())
+def test_lattice_key_equals_its_genexpr_form(case):
+    # the key as a list comprehension returns the tuples of its former
+    # genexpr/min form, value for value
+    d, points = case
+    s = IntegerLattice(d)
+    for u in points:
+        assert s.elem_key(u) == (sum(abs(a) for a in u),
+                                 tuple((min(-c, 0), min(c, 0)) for c in u))
