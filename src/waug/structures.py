@@ -29,7 +29,12 @@ genuinely differ here, as they must.
 
 Balls use the division-closure recursion
     B_0 = {e},   B_n = B_(n-1)  u  U_x B_(n-1).x  u  U_x B_(n-1).x^-1
-and spheres are S_n = B_n \\ B_(n-1).  It is computed in frontier form,
+and spheres are S_n = B_n \\ B_(n-1).  Over the standard generating set of
+Z, Z^d or a free structure (a Graded family), in any order and with
+repeats, B_n is the word-length ball, so those balls are graded, not
+walked: the family writes the spheres, |B_n| and least geodesic words in
+closed form, and u's level is word_length(u).  Every other ball is walked.
+The walk computes the recursion in frontier form,
     B_n = B_(n-1)  u  U_x S_(n-1).x  u  U_x S_(n-1).x^-1,
 which is the same set: B_(n-1) = B_(n-2) u S_(n-1), multiplication and
 division by x distribute over unions, and B_(n-2).x and B_(n-2).x^-1 already
@@ -37,7 +42,7 @@ lie in B_(n-1) by the recursion one level down.  The same holds for UNIVERSE:
 were B_(n-2).x^-1 universal, B_(n-1) would be, so a universal quotient first
 comes from an element of the last sphere (theta, on the zero-adjoined
 monoid).  Each level thus costs in proportion to its frontier, not to the
-whole ball.  One frontier loop (_spheres) computes it for every family, and
+whole ball.  One frontier loop (_spheres) walks it for every family, and
 maps a whole sphere S through one generator x at a time with the family's two
 batched maps: right_images(S, x) is the list S.x, right_quotients(S, x) the
 v with v x in S (or UNIVERSE), each a list comprehension over S (digit
@@ -60,9 +65,9 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate, islice
+from math import comb
 from operator import add, itemgetter
 from typing import NamedTuple, Optional
 
@@ -186,7 +191,25 @@ class Structure:
         return u
 
 
-class IntegerGroup(Structure):
+class Graded(Structure):
+    """A family with a standard generating set (default_generators), over
+    which B_n is the word-length ball {u : word_length(u) <= n}.  Over that
+    set, in any order and with repeats (is_graded), its balls are graded,
+    not walked, from three closed forms: spheres(n) lists S_0..S_n, each in
+    elem_key order; ball_size(n) is |B_n|; least_word(idx, u) is the least
+    shortest word for u, as generator indices, over a list of the standard
+    generators whose generator -> first index map is idx."""
+
+    def is_standard_generators(self, gens):
+        return set(gens) == set(self.default_generators())
+
+
+def is_graded(s: Structure, gens) -> bool:
+    """Is gens the standard generating set of a Graded family?"""
+    return isinstance(s, Graded) and s.is_standard_generators(gens)
+
+
+class IntegerGroup(Graded):
     """(Z, +)."""
 
     family = "Z"
@@ -207,14 +230,20 @@ class IntegerGroup(Structure):
     def default_generators(self):
         return [1, -1]
 
-    def is_standard_generators(self, gens):
-        return set(gens) == {1, -1}
-
     def elem_key(self, u):
         return (abs(u), 0 if u >= 0 else 1)
 
     def word_length(self, u):
         return abs(u)
+
+    def spheres(self, n):
+        return [[0]] + [[k, -k] for k in range(1, n + 1)]
+
+    def ball_size(self, n):
+        return 2 * n + 1
+
+    def least_word(self, idx, u):
+        return (idx[1 if u >= 0 else -1],) * abs(u)
 
     def elem_to_json(self, u):
         return u
@@ -229,7 +258,7 @@ class IntegerGroup(Structure):
         return int(text)
 
 
-class IntegerLattice(Structure):
+class IntegerLattice(Graded):
     """(Z^d, +)."""
 
     family = "Zd"
@@ -258,9 +287,6 @@ class IntegerLattice(Structure):
         return [tuple(c if j == i else 0 for j in range(self.d))
                 for i in range(self.d) for c in (1, -1)]
 
-    def is_standard_generators(self, gens):
-        return set(gens) == set(self.default_generators())
-
     def elem_key(self, u):
         # length, then the sorted geodesic letters (+e_i before -e_i, i
         # ascending): more copies of the first letter that differs sort first
@@ -268,6 +294,27 @@ class IntegerLattice(Structure):
 
     def word_length(self, u):
         return sum(map(abs, u))
+
+    def spheres(self, n):
+        # the spheres of Z^j from those of Z^(j-1), j = 1..d: a point of S_m
+        # is its first coordinate c, in elem_key's order +m..+1, -m..-1, 0,
+        # then a point of S_(m-|c|)
+        spheres = [[()]] + [[]] * n
+        for _ in range(self.d):
+            spheres = [[(c,) + r for c in (*range(m, 0, -1), *range(-m, 0), 0)
+                        for r in spheres[m - abs(c)]] for m in range(n + 1)]
+        return spheres
+
+    def ball_size(self, n):
+        # l1 ball: sum_k 2^k C(d,k) C(n,k)
+        return sum((1 << k) * comb(self.d, k) * comb(n, k) for k in range(min(self.d, n) + 1))
+
+    def least_word(self, idx, u):
+        # a geodesic uses the same letters in any order, so the least one
+        # lists their indices sorted
+        std = self.default_generators()  # +e_1, -e_1, +e_2, ...
+        return tuple(sorted(idx[std[2 * i + (c < 0)]]
+                            for i, c in enumerate(u) for _ in range(abs(c))))
 
     def elem_to_json(self, u):
         return list(u)
@@ -292,7 +339,7 @@ def _letter_names(rank: int):
     return [f"g{i + 1}" for i in range(rank)]
 
 
-class FreeStructure(Structure):
+class FreeStructure(Graded):
     """Free group (inverses=True) or free monoid (inverses=False) of given
     rank, each word packed into one int (module docstring)."""
 
@@ -362,9 +409,6 @@ class FreeStructure(Structure):
     def default_generators(self):
         return list(range(1, self.base))
 
-    def is_standard_generators(self, gens):
-        return set(gens) == set(self.default_generators())
-
     def elem_key(self, u):
         return u
 
@@ -374,6 +418,25 @@ class FreeStructure(Structure):
             ones.append(ones[-1] * self.base + 1)
             self._pows.append(self._pows[-1] * self.base)
         return bisect_right(ones, u) - 1
+
+    def spheres(self, n):
+        # S_m is S_(m-1) with a letter d appended, u b + d, in numeric
+        # order; in a group d is not the inverse of u's last letter
+        b, inverse = self.base, self._inverse
+        after = [[d for d in range(1, b) if d != inverse[last]] for last in range(b)]
+        spheres = [[0]]
+        for _ in range(n):
+            spheres.append([ub + d for u in spheres[-1] for ub in (u * b,)
+                            for d in after[u % b]])
+        return spheres
+
+    def ball_size(self, n):
+        # |S_m| = k q^(m-1) for m >= 1: k first letters, then q for each next
+        k, q = self.base - 1, self.base - 1 - self.inverses
+        return 1 + k * (q ** n - 1) // (q - 1) if q > 1 else 1 + k * n
+
+    def least_word(self, idx, u):
+        return tuple(idx[self._digit[g]] for g in self.elem_to_json(u))
 
     def elem_to_json(self, u):
         letters = []
@@ -648,26 +711,37 @@ class AncestryStep(NamedTuple):
     x: Optional[object]
 
 
-@dataclass
 class BallTable:
     """Division-closure balls B_0..B_depth, kept as their spheres: levels[n]
     is S_n sorted by elem_key, by value on a free structure (the first
-    universal ball is the UNIVERSE marker, later levels are empty) and
-    level_of maps each element to its level, in the order the walk found
-    them (on a monoid, a level's products before its quotients), which no
-    answer depends on.  u is in B_n iff level_of[u] <= n, or B_n is
-    universal.  Callers ask `level`, `ball` (a set, built on demand),
-    `sphere`, `divisors_below`, `ancestry`, `sizes`, `universal_at`,
-    `whole_at` and `stable_at`."""
+    universal ball is the UNIVERSE marker, later levels are empty).  Over a
+    standard generating set (is_graded) the balls are graded, not walked:
+    the family writes the spheres, level_of is None and u's level is its
+    word length.  Elsewhere the walk fills level_of, which maps each
+    element it found to its level, in the order it found them (on a monoid,
+    a level's products before its quotients), which no answer depends on.
+    u is in B_n iff its level is at most n, or B_n is universal.  Callers
+    ask `level`, `ball` (a set, built on demand), `sphere`,
+    `divisors_below`, `ancestry`, `sizes`, `universal_at`, `whole_at` and
+    `stable_at`."""
 
-    structure: Structure
-    levels: list
-    level_of: dict = field(default_factory=dict)
+    def __init__(self, structure: Structure, levels: list, level_of: Optional[dict] = None):
+        self.structure = structure
+        self.levels = levels
+        self.level_of = level_of
 
     def level(self, u) -> Optional[int]:
         """Least n with u in B_n, or None if u lies outside B_depth."""
+        if self.level_of is None:
+            n = self.structure.word_length(u)
+            return n if n < len(self.levels) else None
         lvl = self.level_of.get(u)
         return self.universal_at() if lvl is None else lvl
+
+    def _within(self, u, k) -> bool:
+        """Is u in B_k?  For k below any universal level."""
+        lvl = self.level(u)
+        return lvl is not None and lvl <= k
 
     def ball(self, n):
         """B_n as a frozenset, or UNIVERSE."""
@@ -683,13 +757,12 @@ class BallTable:
         return lev
 
     def divisors_below(self, u, x, k) -> list:
-        """{v in B_k : v x = u} as a list, for k below any universal level,
-        where level_of alone decides membership."""
+        """{v in B_k : v x = u} as a list, for k below any universal level."""
         cands = self.structure.right_divide_point(u, x)
         if cands is UNIVERSE:
             # every v solves v x = u
             return [v for lev in self.levels[:k + 1] for v in lev]
-        return [v for v in cands if self.level_of.get(v, k + 1) <= k]
+        return [v for v in cands if self._within(v, k)]
 
     def ancestry(self, u, gens):
         """Chain z_1=u, ..., z_n=e of AncestrySteps down the levels, each
@@ -709,7 +782,7 @@ class BallTable:
                     chain.append(AncestryStep(min(picks, key=s.elem_key), "mul", x))
                     break
                 w = s.multiply(current, x)
-                if self.level_of.get(w, i) <= i - 1:
+                if self._within(w, i - 1):
                     chain.append(AncestryStep(w, "div", x))
                     break
             else:
@@ -791,11 +864,14 @@ def _spheres(s: Structure, steps, seen: dict, label, cap: int, too_big,
 
 
 def division_balls(s: Structure, gens, depth: int) -> BallTable:
-    """Balls B_0..B_depth by the frontier form of the recursion (module
+    """Balls B_0..B_depth.  Over a standard generating set the family writes
+    them (Graded); otherwise by the frontier form of the recursion (module
     docstring), in one _spheres pass per level: a group multiplies the last
     sphere by X u X^-1, a monoid multiplies it by X and divides it by X.
     Images are kept where level_of does not know them yet; a universal
-    quotient makes the level UNIVERSE; later levels share one empty list."""
+    quotient makes the level UNIVERSE; later levels share one empty list.
+    Either way a ball over the cap, or more levels than the cap, raises
+    ResourceLimit."""
     _check_depth(depth)
     cap = ball_cap()
 
@@ -803,6 +879,17 @@ def division_balls(s: Structure, gens, depth: int) -> BallTable:
         return (f"ball B_{n} has {size} elements, over the cap "
                 f"{cap} (set {BALL_CAP_ENV} to raise it)")
 
+    if is_graded(s, gens):
+        # the walk stops at the least n <= depth with |B_n| over the cap
+        # (n <= cap, as |B_n| > n); doubling, then bisection, find it from
+        # sizes |B_m| with m < 2 n alone, small even where |B_n| is b^n
+        top = 1
+        while top < depth and s.ball_size(top) <= cap:
+            top *= 2
+        n = bisect_right(range(min(top, depth) + 1), cap, key=s.ball_size)
+        if n <= depth:
+            raise ResourceLimit(too_big(n, s.ball_size(n)))
+        return BallTable(s, s.spheres(depth))
     e = s.identity()
     levels = [[e]]
     level_of = {e: 0}
@@ -812,33 +899,11 @@ def division_balls(s: Structure, gens, depth: int) -> BallTable:
                        divide=not s.is_group)
     for _, sphere in zip(range(depth), spheres):
         levels.append(sphere if sphere is UNIVERSE else sorted(sphere, key=s.sort_key))
+    if depth >= cap and len(levels) <= depth:  # stopped: a fixpoint or UNIVERSE
+        raise ResourceLimit(f"balls B_0..B_{depth} hold one level per n, over the cap "
+                            f"{cap} (set {BALL_CAP_ENV} to raise it)")
     levels += [[]] * (depth + 1 - len(levels))
     return BallTable(s, levels, level_of)
-
-
-def closed_form_ball_size(s: Structure, n: int) -> Optional[int]:
-    """|B_n| over the family's standard generators, without enumeration
-    (None for a family with no formula).  Callers check
-    `is_standard_generators` once, not per n: on Zd and free it builds the
-    standard set."""
-    if isinstance(s, IntegerGroup):
-        return 2 * n + 1
-    if isinstance(s, IntegerLattice):
-        d = s.d
-        # l1 ball: sum_k 2^k C(d,k) C(n,k)
-        from math import comb
-        return sum((1 << k) * comb(d, k) * comb(n, k) for k in range(0, min(d, n) + 1))
-    if isinstance(s, FreeStructure):
-        r = s.rank
-        if s.inverses:
-            if r == 1:
-                return 2 * n + 1
-            q = 2 * r - 1
-            return 1 + 2 * r * (q ** n - 1) // (q - 1) if n >= 1 else 1
-        if r == 1:
-            return n + 1
-        return (r ** (n + 1) - 1) // (r - 1)
-    return None
 
 
 def pseudo_finite_within(s: Structure, gens, depth: int) -> dict:
@@ -862,8 +927,8 @@ def pseudo_finite_within(s: Structure, gens, depth: int) -> dict:
         # Z / Zd / free: every ball is finite while M is infinite, so no
         # enumeration is needed (or possible at the depths this gets asked at).
         sizes = []
-        if s.is_standard_generators(gens):
-            sizes = [closed_form_ball_size(s, k) for k in range(0, min(depth, 64) + 1)]
+        if is_graded(s, gens):
+            sizes = [s.ball_size(k) for k in range(min(depth, 64) + 1)]
         reason = "monoid is infinite but every ball is finite"
     return {"found": n is not None, "n": n, "depth": depth, "ball_sizes": sizes,
             "reason": reason}
@@ -901,19 +966,6 @@ def bfs_words(s: Structure, gens, depth: int, targets=None) -> dict:
     return words
 
 
-def _standard_word(s: Structure, idx, u):
-    """Closed-form least shortest word over a standard generating set, whose
-    generator -> first index map is idx.  A geodesic of Z^d uses the same
-    letters in any order, so the least one lists their indices sorted."""
-    if isinstance(s, IntegerGroup):
-        return (idx[1 if u >= 0 else -1],) * abs(u)
-    if isinstance(s, IntegerLattice):
-        std = s.default_generators()  # +e_1, -e_1, +e_2, ...
-        return tuple(sorted(idx[std[2 * i + (c < 0)]]
-                            for i, c in enumerate(u) for _ in range(abs(c))))
-    return tuple(idx[s._digit[g]] for g in s.elem_to_json(u))  # FreeStructure
-
-
 def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:
     """Least shortest word over gens for each of `points`, as a dict
     point -> tuple of generator indices: the word bfs_words gives, read off
@@ -923,9 +975,9 @@ def geodesic_words(s: Structure, gens, points, max_depth: int) -> dict:
     so it raises the cap error exactly when that point's own BFS would."""
     if max_depth < 0:
         raise InvalidInput(f"geodesic search depth must be >= 0, got {max_depth}")
-    if s.is_standard_generators(gens):
+    if is_graded(s, gens):
         idx = {g: i for i, g in reversed(list(enumerate(gens)))}
-        return {u: _standard_word(s, idx, u) for u in points}
+        return {u: s.least_word(idx, u) for u in points}
     words = bfs_words(s, gens, max_depth, targets=points)
     if any(u not in words for u in points):
         raise ResourceLimit(f"element not reached within depth {max_depth}")

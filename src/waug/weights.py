@@ -30,7 +30,7 @@ from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, REQUIRED, Enc
                       as_enclosure, check_digits, escalate, format_rational, nth_root,
                       pow_mantissas, rat_pow, ratio_pow_less, read_as, read_family)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
-                         UNIVERSE, closed_form_ball_size, division_balls)
+                         UNIVERSE, division_balls, is_graded)
 
 
 class Weight:
@@ -452,17 +452,14 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
     integer alpha / beta = 1 radial weights, or table weights)."""
     if N < 0:
         raise InvalidInput(f"depth N must be >= 0, got {N}")
-    radial_fast = (weight.is_radial and s.is_standard_generators(gens)
-                   and s.size is None
-                   and closed_form_ball_size(s, 1) is not None)
+    radial_fast = weight.is_radial and is_graded(s, gens)
     bt = None if radial_fast else division_balls(s, gens, N)
     taus = []
     sphere_sizes = []
     for n in range(1, N + 1):
         if radial_fast:
             vals = [weight.radial_value(n, bits)]
-            sphere_sizes.append(closed_form_ball_size(s, n)
-                                - closed_form_ball_size(s, n - 1))
+            sphere_sizes.append(s.ball_size(n) - s.ball_size(n - 1))
         else:
             lev = bt.levels[n]
             if lev is UNIVERSE:

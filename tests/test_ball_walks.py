@@ -2,20 +2,23 @@
 (ball_walk_oracle), under Hypothesis, on all five families: the same
 spheres, levels, universal ball and geodesic words, the same cap errors,
 and right_images and right_quotients agree with multiply and division
-element by element."""
+element by element.  Balls over a standard generating set, which the
+family writes in closed form, against the same walk."""
 
 import os
 from contextlib import contextmanager
+from fractions import Fraction
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ball_walk_oracle as oracle
 from test_acceptance import transformation_monoid
+from waug.algebra import Element, sigma_sequence
 from waug.structures import (BALL_CAP_ENV, THETA, UNIVERSE, FreeStructure,
                              IntegerGroup, IntegerLattice, ResourceLimit,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
-                             division_balls)
+                             division_balls, geodesic_words)
 
 
 def _free_word(s, digits):
@@ -92,6 +95,15 @@ def _outcome(f, *args, **kw):
         return "ResourceLimit: " + str(exc)
 
 
+def _assert_same_levels(bt, ref, s, gens, depth):
+    """bt.level gives each point of the reference table its reference
+    level, and None to each point of the next sphere, outside B_depth."""
+    assert all(bt.level(u) == n for u, n in ref.level_of.items())
+    more = _outcome(oracle.division_balls, s, gens, depth + 1)
+    if not isinstance(more, str) and more.levels[-1] is not UNIVERSE:
+        assert all(bt.level(u) is None for u in more.levels[-1])
+
+
 @settings(max_examples=300)
 @given(walks(), st.sampled_from([2000, 40]), st.randoms(use_true_random=False))
 def test_batched_walks_match_the_per_element_walk(walk, cap, rng):
@@ -103,7 +115,7 @@ def test_batched_walks_match_the_per_element_walk(walk, cap, rng):
             assert bt == ref
         else:
             assert bt.levels == ref.levels
-            assert bt.level_of == ref.level_of
+            _assert_same_levels(bt, ref, s, gens, depth)
             assert bt.universal_at() == ref.universal_at()
         words = _outcome(bfs_words, s, gens, depth)
         assert words == _outcome(oracle.bfs_words, s, gens, depth)
@@ -130,3 +142,46 @@ def test_kernels_match_the_element_wise_operations(case):
     else:
         assert len(quotients) == len(set(quotients))  # each v once
         assert set(quotients) == set().union(*points)
+
+
+STANDARD = st.one_of(st.just(IntegerGroup()), st.integers(1, 4).map(IntegerLattice),
+                     st.integers(1, 4).map(FreeStructure),
+                     st.integers(1, 4).map(lambda r: FreeStructure(r, inverses=False)))
+
+
+@st.composite
+def standard_walks(draw):
+    """(structure, generators, depth): the standard set of Z, Z^1..Z^4, F1..F4
+    or a free monoid of rank 1..4, shuffled, some generators repeated."""
+    s = draw(STANDARD)
+    std = s.default_generators()
+    gens = std + draw(st.lists(st.sampled_from(std), max_size=2))
+    return s, draw(st.permutations(gens)), draw(st.integers(0, 6))
+
+
+@settings(max_examples=200)
+@given(standard_walks(), st.sampled_from([2000, 40]), st.randoms(use_true_random=False))
+def test_graded_balls_match_the_walk(walk, cap, rng):
+    s, gens, depth = walk
+    with _cap(cap):
+        bt, ref = _outcome(division_balls, s, gens, depth), _outcome(
+            oracle.division_balls, s, gens, depth)
+        if isinstance(ref, str):
+            assert bt == ref  # the cap refuses the same ball, with the same message
+            return
+        assert bt.level_of is None  # graded, not walked
+        assert bt.levels == ref.levels
+        assert bt.sizes() == ref.sizes() == list(map(s.ball_size, range(depth + 1)))
+        _assert_same_levels(bt, ref, s, gens, depth)
+        words = _outcome(oracle.bfs_words, s, gens, depth)
+    inside = sorted(ref.level_of, key=s.elem_key)
+    outside = sorted({s.multiply(u, x) for u in ref.levels[depth] for x in gens}
+                     - set(inside), key=s.elem_key)
+    points = rng.sample(inside, min(4, len(inside))) + outside[:2]
+    assert [bt.level(u) for u in outside] == [None] * len(outside)
+    for u in points:
+        assert bt.ancestry(u, gens) == ref.ancestry(u, gens)
+    f = Element(s, {u: Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for u in points})
+    assert sigma_sequence(f, bt) == sigma_sequence(f, ref)
+    if not isinstance(words, str):
+        assert geodesic_words(s, gens, inside, depth) == {u: words[u] for u in inside}

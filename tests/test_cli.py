@@ -460,6 +460,23 @@ def golden_input(name):
         return json.load(fh)
 
 
+@pytest.mark.parametrize("command", ["ball", "pseudofinite", "ancestry"])
+@pytest.mark.parametrize("name,target", [("c5.json", "1"), ("theta.json", '"theta"')])
+def test_depth_past_a_stopped_walk_is_refused(capsys, command, name, target):
+    # the walk stops at a fixpoint (c5) or a universal ball (theta); the
+    # empty levels after it, one per n up to the depth, count against the cap
+    depth = str(10 ** 19)
+    spec = os.path.join(os.path.dirname(__file__), "golden", "inputs", name)
+    argv = ["structure", command, "--spec", spec, "--depth", depth]
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, *(["--target", target] if command == "ancestry" else []))
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1 and err.startswith("waug: error: ")
+    assert f"B_0..B_{depth}" in err and "over the cap" in err
+    assert "Error" not in err and "ResourceLimit" not in err
+
+
 @pytest.mark.parametrize("spec,weight,argv,message", [
     ({"family": "Zd", "params": {"d": "x"}}, None,
      ["structure", "ball", "--depth", "2"], "params.d must be an integer"),

@@ -12,7 +12,7 @@ from test_acceptance import brute_transformation_monoid
 from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
                              FreeStructure, IntegerGroup, IntegerLattice,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
-                             closed_form_ball_size, division_balls,
+                             division_balls,
                              find_ancestry, geodesic_words,
                              pseudo_finite_within, structure_from_spec)
 
@@ -84,7 +84,7 @@ def test_integer_group_balls():
     bt = division_balls(s, gens, 6)
     assert bt.sizes() == [2 * n + 1 for n in range(7)]
     assert sorted(bt.ball(2)) == [-2, -1, 0, 1, 2]
-    assert closed_form_ball_size(s, 5) == 11
+    assert s.ball_size(5) == 11
 
 
 def test_integer_lattice_balls():
@@ -92,7 +92,7 @@ def test_integer_lattice_balls():
     bt = division_balls(s, gens, 4)
     # l1 balls in Z^2: 1, 5, 13, 25, 41
     assert bt.sizes() == [1, 5, 13, 25, 41]
-    assert closed_form_ball_size(s, 4) == 41
+    assert s.ball_size(4) == 41
 
 
 def test_free_group_balls():
@@ -100,7 +100,7 @@ def test_free_group_balls():
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     bt = division_balls(s, gens, 5)
     assert bt.sizes() == [2 * 3**n - 1 for n in range(6)]
-    assert closed_form_ball_size(s, 6) == 2 * 3**6 - 1
+    assert s.ball_size(6) == 2 * 3**6 - 1
 
 
 def test_free_monoid_balls_include_divisions():
@@ -154,7 +154,10 @@ def test_balls_match_brute_force(spec, depth):
         assert bt.ball(n) == brute[n]
         expect = brute[0] if n == 0 else brute[n] - brute[n - 1]
         assert bt.levels[n] == sorted(expect, key=s.elem_key)
-    assert bt.level_of == {u: n for n in range(finite) for u in bt.levels[n]}
+        assert all(bt.level(u) == n for u in expect)
+    more = brute_division_balls(s, gens, depth + 1)
+    if len(more) > depth + 1:  # the next sphere lies outside B_depth
+        assert all(bt.level(u) is None for u in more[depth + 1] - more[depth])
     if finite <= depth:
         # theta entered at level finite - 1; dividing by it gives everything
         assert "theta" in bt.levels[finite - 1]
@@ -198,7 +201,9 @@ def test_balls_with_identity_and_repeated_generators(inverses):
     messy = [s.elem_from_json(w) for w in ([], [1], [2], [1], [])]
     bt = division_balls(s, messy, 4)
     ref = division_balls(s, gens, 4)
-    assert bt.levels == ref.levels and bt.level_of == ref.level_of
+    assert bt.levels == ref.levels
+    assert all(bt.level(u) == n for n, lev in enumerate(ref.levels) for u in lev)
+    assert all(bt.level(u) is None for u in division_balls(s, gens, 5).levels[5])
     assert [bt.ball(n) for n in range(5)] == brute_division_balls(s, messy, 4)
 
 
