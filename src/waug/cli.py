@@ -16,10 +16,10 @@ leaf before it starts, loads the leaf's input files once (--spec, --weight,
 --element, --csv), hashes them into the envelope and hands the handler the
 loaded objects in place of the paths; the handler returns (report, ok, CSV
 rows or None) and `main` writes the report envelope or the CSV.
-`build_parser(argv)` always registers the five groups but, when argv[:2]
-names a leaf, only that leaf with its flags: a command run pays for one
-leaf parser, not 25.  Help, --version and unknown names get the full tree,
-so every text argparse prints is that of the full parser.
+`parse_command(argv)` builds only the parser of the leaf argv[:2] names,
+with the prog the full tree gives it.  Help, --version, unknown names,
+"--=..." and the refusal of what a leaf leaves over go to the full tree,
+`build_parser()`, so every text argparse prints is that of the full tree.
 
 Exit codes: 0 = run completed and every certified check passed; 1 = a
 property or certificate failed (the report carries the witness), or a
@@ -379,15 +379,16 @@ COMMANDS = {
 }
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The argument parser for argv (default sys.argv[1:]).  Every group is
-    registered; when argv[:2] names a leaf, that leaf is the only one, and
-    otherwise (help, --version, unknown names) every leaf is."""
-    if argv is None:
-        argv = sys.argv[1:]
-    only = tuple(argv[:2])
-    if only not in COMMANDS:
-        only = None
+def _add_flags(p: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
+    """Add IO_FLAGS, then flags, to p; the tree and parse_command share it."""
+    for name, kw in IO_FLAGS + flags:
+        p.add_argument(name, **kw)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full argument tree: every group and every leaf.  It parses help,
+    --version and unknown names, and refuses what a leaf leaves over."""
     ap = argparse.ArgumentParser(
         prog="waug",
         description="workbench for weighted l1 algebras on finitely "
@@ -397,13 +398,25 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     commands = {name: groups.add_parser(name, help=text).add_subparsers(
                     dest="command", required=True)
                 for name, text in GROUPS.items()}
-    for key, (text, _, flags, *_) in COMMANDS.items():
-        if only is not None and key != only:
-            continue
-        p = commands[key[0]].add_parser(key[1], help=text)
-        for name, kw in IO_FLAGS + flags:
-            p.add_argument(name, **kw)
+    for (group, command), (text, _, flags, *_) in COMMANDS.items():
+        _add_flags(commands[group].add_parser(command, help=text), flags)
     return ap
+
+
+def parse_command(argv) -> argparse.Namespace:
+    """build_parser().parse_args(argv), building only the parser of the leaf
+    argv[:2] names when it names one; the tree refuses what that leaves over."""
+    key = tuple(argv[:2])
+    # the tree's top level refuses "--=..." as ambiguous (--help or --version)
+    if key not in COMMANDS or any(a.startswith("--=") for a in argv):
+        return build_parser().parse_args(argv)
+    leaf = _add_flags(argparse.ArgumentParser(prog=f"waug {key[0]} {key[1]}"),
+                      COMMANDS[key][2])
+    args, extra = leaf.parse_known_args(argv[2:])
+    if extra:
+        build_parser().error("unrecognized arguments: " + " ".join(extra))
+    args.group, args.command = key
+    return args
 
 
 # the flags (by dest) that name an input file, in the order they are loaded
@@ -473,7 +486,7 @@ def _error_line(exc: Exception) -> str:
 
 def main(argv=None) -> int:
     started = time.monotonic()
-    args = build_parser(argv).parse_args(argv)
+    args = parse_command(sys.argv[1:] if argv is None else argv)
     bits = args.precision
     if not 8 <= bits <= MAX_BITS:
         print(f"waug: --precision must be between 8 and {MAX_BITS} bits", file=sys.stderr)

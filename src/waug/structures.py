@@ -958,7 +958,8 @@ def bfs_words(s: Structure, gens, depth: int, targets=None) -> dict:
     spheres = _spheres(
         s, gens, words, lambda n, u, i: words[u] + (i,), cap,
         lambda n, size: f"word BFS exceeded cap {cap} (set {BALL_CAP_ENV} to raise it)")
-    for nxt in islice(spheres, depth):
+    # each sphere adds to words, so the cap or the fixpoint comes before cap + 1
+    for nxt in islice(spheres, min(depth, cap + 1)):
         if remaining is not None:
             remaining.difference_update(nxt)
             if not remaining:

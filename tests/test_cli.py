@@ -477,6 +477,27 @@ def test_depth_past_a_stopped_walk_is_refused(capsys, command, name, target):
     assert "Error" not in err and "ResourceLimit" not in err
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("decompose-point", "--target", "[1,2]"),
+    ("decompose-full", "--element", "f2_zero_elem.json")])
+def test_geodesic_depth_past_sys_maxsize(capsys, command, flag, value):
+    # over non-standard generators the word BFS runs to the cap or a
+    # fixpoint, never to a depth past what islice accepts
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    if flag == "--element":
+        value = os.path.join(inputs, value)
+    argv = ["ideal", command, "--spec", os.path.join(inputs, "f2_ab.json"),
+            "--weight", os.path.join(inputs, "w_exp2.json"), flag, value, "--d", "1"]
+    code, out, err = run(capsys, *argv, "--depth", str(10 ** 19))
+    assert "Error" not in err and "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("waug: error: ") and err.count("\n") == 1
+    else:
+        assert code == 0
+        _, out64, _ = run(capsys, *argv, "--depth", "64")
+        assert json.loads(out)["result"] == json.loads(out64)["result"]
+
+
 @pytest.mark.parametrize("spec,weight,argv,message", [
     ({"family": "Zd", "params": {"d": "x"}}, None,
      ["structure", "ball", "--depth", "2"], "params.d must be an integer"),

@@ -1,6 +1,7 @@
 """Golden CLI text: help, version and parse errors pinned byte for byte.
 
-Each case runs `waug.cli.main(argv)` with `COLUMNS=80` and compares its
+Each case runs `waug.cli.main(argv)` with `COLUMNS=80` (the NARROW_CASES
+with `COLUMNS=40`, where argparse wraps usage and help) and compares its
 exit code, stdout and stderr with `tests/golden/cli/<name>.txt`.  These are
 the texts argparse writes, so they pin the shape of the parser: every group,
 every leaf and every flag with its help.  A change that alters them on
@@ -46,8 +47,18 @@ CASES = (
     + [(f"{g}_{c}_missing", [g, c]) for g, c in LEAVES]
     + [("ideal_bogus", ["ideal", "bogus"]),
        ("ball_unrecognized", ["structure", "ball", "--spec", "s.json",
-                              "--depth", "2", "--bogus", "1"])]
+                              "--depth", "2", "--bogus", "1"]),
+       ("ball_version", ["structure", "ball", "--version"]),
+       ("ball_abbreviated_unrecognized", ["structure", "ball", "--spe", "s.json",
+                                          "--dep", "2", "--bogus", "1"])]
 )
+NARROW_CASES = [
+    ("narrow_ideal_decompose-point_help", ["ideal", "decompose-point", "-h"]),
+    ("narrow_ideal_decompose-point_missing", ["ideal", "decompose-point"]),
+]
+# (name, argv, COLUMNS)
+ALL_CASES = ([(name, argv, "80") for name, argv in CASES]
+             + [(name, argv, "40") for name, argv in NARROW_CASES])
 
 
 def _render(argv) -> str:
@@ -65,17 +76,17 @@ def _golden_path(name):
 
 
 def test_cli_text_matches_golden(monkeypatch):
-    monkeypatch.setenv("COLUMNS", "80")
-    for name, argv in CASES:
+    for name, argv, columns in ALL_CASES:
+        monkeypatch.setenv("COLUMNS", columns)
         with open(_golden_path(name), "rb") as fh:
             want = fh.read()
         assert_same_lines(_render(list(argv)).encode(), want, name)
 
 
 def test_build_parser_without_arguments_is_the_full_tree(monkeypatch):
-    # with no argv the parser reads sys.argv[1:]; a bare program name must
-    # still give every group and every leaf
-    monkeypatch.setattr(sys, "argv", ["waug"])
+    # build_parser reads no argv: even when sys.argv names a leaf, it gives
+    # every group and every leaf
+    monkeypatch.setattr(sys, "argv", ["waug", "structure", "ball"])
     ap = build_parser()
     groups = ap._subparsers._group_actions[0].choices
     assert list(groups) == GROUPS
@@ -85,8 +96,8 @@ def test_build_parser_without_arguments_is_the_full_tree(monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ["COLUMNS"] = "80"
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for name, argv in CASES:
+    for name, argv, columns in ALL_CASES:
+        os.environ["COLUMNS"] = columns
         with open(_golden_path(name), "wb") as fh:
             fh.write(_render(list(argv)).encode())
