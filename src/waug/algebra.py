@@ -213,9 +213,13 @@ class Element:
 
     def to_json(self) -> dict:
         s, re, im, den = self.structure, self.re, self.im, self.den
-        return {"terms": [{"elem": s.elem_to_json(u),
-                           "re": format_rational(Fraction(re.get(u, 0), den)),
-                           "im": format_rational(Fraction(im.get(u, 0), den))}
+
+        def text(a):  # format_rational(Fraction(a, den)), from one gcd
+            g = gcd(a, den)
+            return str(a // g) if g == den else f"{a // g}/{den // g}"
+
+        return {"terms": [{"elem": s.elem_to_json(u), "re": text(re.get(u, 0)),
+                           "im": text(im.get(u, 0))}
                           for u in self.support()]}
 
     @classmethod

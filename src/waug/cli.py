@@ -48,9 +48,9 @@ from .idealkit import (CertificateError, decompose_full, decompose_point,
                        witness_prop45, witness_thm75)
 from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
                         failure_witness, growth_check, read_csv)
-from .serialize import canonical_json, load_json_file, sha256_file, write_csv
-from .structures import (InvalidInput, ResourceLimit, division_balls,
-                         find_ancestry, pseudo_finite_within,
+from .serialize import canonical_json, load_json, read_input, write_csv
+from .structures import (InvalidInput, ResourceLimit, check_size,
+                         division_balls, find_ancestry, pseudo_finite_within,
                          structure_from_spec)
 from .weights import (build_lemma74, build_lemma76, estimate_radii,
                       tau_step_check, tau_and_C, verify_weight_axioms,
@@ -117,12 +117,21 @@ def _h_structure_pseudofinite(args, bits):
     return pseudo_finite_within(*args.spec, args.depth), True, None
 
 
+def _check_depth_levels(depth):
+    """Refuse a per-n loop over n = 0..depth at or past the cap."""
+    check_size("--depth {} asks for n = 0..depth", depth, depth + 1, "levels")
+
+
 def _h_weight_verify(args, bits):
+    k = max(args.radius, 0) // 2  # m = 1..k, n = m..radius - m
+    check_size("--radius {} checks the length pairs m <= n, m + n <= radius",
+               args.radius, k * (args.radius - k), "pairs")
     rep = verify_weight_axioms(*args.spec, args.weight, args.radius, bits)
     return rep, rep["ok"], None
 
 
 def _h_weight_tau(args, bits):
+    _check_depth_levels(args.depth)
     tc = tau_and_C(*args.spec, args.weight, args.depth, bits)
     l61 = tau_step_check(tc["taus"], tc["C"])
     tc["sphere_lipschitz"] = l61
@@ -147,6 +156,7 @@ def _h_weight_build_l76(args, bits):
 
 
 def _h_weight_radii(args, bits):
+    _check_depth_levels(args.depth)
     return estimate_radii(args.spec[0], args.weight, args.depth, bits), True, None
 
 
@@ -426,9 +436,9 @@ INPUTS = ("spec", "weight", "element", "csv", "alphas")
 def _load_inputs(args, inputs: dict):
     """Replace each input path in args by the object its file holds: the
     (structure, generators) pair, the weight (checked against the structure),
-    the element or list of elements, the sequence or alpha vector.  Every
-    file is hashed into `inputs` for the envelope, the k-th repeat of
-    --element as element_k."""
+    the element or list of elements, the sequence or alpha vector.  Each
+    file is read once, hashed into `inputs` for the envelope (the k-th
+    repeat of --element as element_k) and parsed from those bytes."""
     for dest in INPUTS:
         paths = getattr(args, dest, None)
         if paths is None:
@@ -436,21 +446,21 @@ def _load_inputs(args, inputs: dict):
         key = "csv" if dest == "alphas" else dest
         loaded = []
         for i, path in enumerate(paths if isinstance(paths, list) else [paths]):
-            inputs[f"{key}_{i}" if i else key] = {
-                "path": path, "sha256": sha256_file(path)}
+            data, digest = read_input(path)
+            inputs[f"{key}_{i}" if i else key] = {"path": path, "sha256": digest}
             if dest == "csv":
-                loaded.append(PrefixSequence(*read_csv(path, "sequence")))
+                loaded.append(PrefixSequence(*read_csv(data, "sequence")))
             elif dest == "alphas":
-                nums, den = read_csv(path, "vector")
+                nums, den = read_csv(data, "vector")
                 loaded.append([Fraction(a, den) for a in nums])
             elif dest == "spec":
-                loaded.append(structure_from_spec(load_json_file(path)))
+                loaded.append(structure_from_spec(load_json(data, path)))
             elif dest == "weight":
-                w = weight_from_spec(load_json_file(path))
+                w = weight_from_spec(load_json(data, path))
                 w.check_domain(args.spec[0])
                 loaded.append(w)
             else:
-                loaded.append(Element.from_json(args.spec[0], load_json_file(path)))
+                loaded.append(Element.from_json(args.spec[0], load_json(data, path)))
         setattr(args, dest, loaded if isinstance(paths, list) else loaded[0])
 
 

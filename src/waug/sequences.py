@@ -19,6 +19,7 @@ compares those integers, and only a reported value becomes a Fraction.
 from __future__ import annotations
 
 import csv
+import io
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm, log10
@@ -80,11 +81,13 @@ def csv_row_values(rows, what: str):
     return [a * scale[d] for a, d in pairs], den
 
 
-def read_csv(path: str, what: str):
-    """csv_row_values of the CSV file at path, its blank rows dropped and a
-    first row whose index is not an integer skipped as the header."""
-    with open(path, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if any(cell.strip() for cell in r)]
+def read_csv(data: bytes, what: str):
+    """csv_row_values of the bytes of a CSV file, read as open(path,
+    newline="") reads them (UTF-8, decoded a chunk at a time, so a decoding
+    error names the same position), its blank rows dropped and a first row
+    whose index is not an integer skipped as the header."""
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    rows = [r for r in csv.reader(text) if any(cell.strip() for cell in r)]
     if rows and not rows[0][0].strip().lstrip("-").isdigit():
         rows = rows[1:]
     return csv_row_values(rows, what)

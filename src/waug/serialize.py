@@ -13,22 +13,28 @@ csv.writer(lineterminator="\n") writes unquoted, so the bytes are the
 same and no quoting code is needed.  Any other field, a bool, a float or
 an empty str among them, raises TypeError.
 
-canonical_json(x) walks the report x once and writes each value as it
-meets it: int, str, bool and None as themselves; list and tuple as arrays;
-dict with str keys in sorted key order; Fraction through format_rational;
-UNIVERSE as "all"; any object with a to_json method (Enclosure, QC, Element,
-Decomposition) as what that returns; a callable (a free structure's ball
-spheres) as the text that x(parts, nl) appends to parts at the indentation
-nl.  Anything else, floats, sets, dataclasses and non-str keys included,
-raises TypeError; an int past the interpreter's int->str digit limit
-raises ResourceLimit, here and in write_csv.  A memo that lives for one
-call keys each Fraction by value, its reduced (numerator, denominator)
-pair, and holds its text, so a value repeated in a report (a block
-sequence repeats each of its values) is formatted once.  json.dumps with an
-indent runs the pure-Python encoder; the writer instead writes a list of
-ints with one join and strings with the C function encode_basestring_ascii.
-tests/test_serialize.py checks its bytes against json.dumps over a reference
-conversion to plain JSON values, as a property.
+canonical_json(x) walks the report x once and writes each value as it meets
+it: int, str, bool and None as themselves; list and tuple as arrays; dict
+with str keys in sorted key order; Fraction through format_rational;
+UNIVERSE as "all"; any object with a to_json method (Enclosure, QC,
+Element, Decomposition) as what that returns; a callable as the text that
+x(parts, nl) appends to parts at the indentation nl: the spheres of a ball
+on Z^d or a free structure (structures._write_spheres) are such a value,
+written a sphere at a time, one str.join per sphere.  Anything else,
+floats, sets, dataclasses and non-str keys included, raises TypeError; an
+int past the interpreter's int->str digit limit raises ResourceLimit, here
+and in write_csv.  A memo that lives for one call keys each Fraction by
+value, its reduced (numerator, denominator) pair, and holds its text, so a
+value repeated in a report (a block sequence repeats each of its values) is
+formatted once.  json.dumps with an indent runs the pure-Python encoder;
+the writer instead writes a list of ints with one join and strings with the
+C function encode_basestring_ascii.  tests/test_serialize.py checks its
+bytes against json.dumps over a reference conversion to plain JSON values,
+as a property.
+
+read_input(path) reads an input file once, for its bytes and their sha256;
+load_json parses those bytes as json.load(open(path)) would, with the same
+error texts.
 """
 
 from __future__ import annotations
@@ -120,12 +126,11 @@ def canonical_json(obj) -> str:
     return "".join(parts)
 
 
-def sha256_file(path: str) -> str:
-    h = hashlib.sha256()
+def read_input(path: str):
+    """The bytes of the input file at path, read once, and their sha256."""
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
+        data = fh.read()
+    return data, hashlib.sha256(data).hexdigest()
 
 
 def _csv_field(v) -> str:
@@ -146,9 +151,13 @@ def write_csv(header, rows) -> str:
     return "\n".join(lines)
 
 
-def load_json_file(path: str) -> dict:
+def load_json(data: bytes, path: str):
+    """The JSON value of the bytes of the input file at path, decoded as
+    open(path).read() decodes them: UTF-8, with universal newlines."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        text = data.decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except (ValueError, RecursionError) as exc:  # also not UTF-8, huge ints, deep nesting
         raise InvalidInput(f"{path}: JSON parse error: {exc}") from exc

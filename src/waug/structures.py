@@ -92,14 +92,15 @@ def ball_cap() -> int:
     return cap
 
 
-def _check_spec_size(what: str, n: int, size: int):
-    """Refuse a spec whose generators, built at load, would hold `size` entries
-    past the cap; `what` shows n at '{}', and a number past 64 bits by a power of 2."""
+def check_size(what: str, n: int, size: int, unit: str = "generator entries"):
+    """Refuse up front a spec field or flag n that asks for `size` units of
+    work past the cap (a spec's generators, built at load, by default);
+    `what` shows n at '{}', and a number past 64 bits by a power of 2."""
     cap = ball_cap()
     if size > cap:
         n, size = (x if x.bit_length() <= 64 else f"at least 2^{x.bit_length() - 1}"
                    for x in (n, size))
-        raise ResourceLimit(f"{what.format(n)} = {size} generator entries, over the cap "
+        raise ResourceLimit(f"{what.format(n)} = {size} {unit}, over the cap "
                             f"{cap} (set {BALL_CAP_ENV} to raise it)")
 
 
@@ -172,7 +173,8 @@ class Structure:
         raise NotImplementedError
 
     def spheres_to_json(self, levels):
-        """A ball's spheres as a report value, element by element."""
+        """A ball's spheres as a report value, element by element (Z^d and
+        the free structures write theirs a sphere at a time, Graded)."""
         return [lev if lev is UNIVERSE else list(map(self.elem_to_json, lev))
                 for lev in levels]
 
@@ -203,10 +205,37 @@ class Graded(Structure):
     def is_standard_generators(self, gens):
         return set(gens) == set(self.default_generators())
 
+    def spheres_to_json(self, levels):
+        """The spheres as a value that writes itself, _write_spheres over
+        the family's _sphere_texts (Z^d and the free structures)."""
+        return partial(_write_spheres, levels, self._sphere_texts)
+
 
 def is_graded(s: Structure, gens) -> bool:
     """Is gens the standard generating set of a Graded family?"""
     return isinstance(s, Graded) and s.is_standard_generators(gens)
+
+
+def _write_spheres(levels, sphere_texts, parts, nl):
+    """Append the JSON text of a ball's spheres, a list that starts on the
+    line whose newline and indentation are nl: the report value that Z^d
+    and the free structures give for it, called by canonical_json.
+    sphere_texts(levels, word_nl) yields, for each non-empty sphere in
+    turn, the text of its elements at the indentation word_nl, as a few
+    strings: one str.join per sphere, not one step per element."""
+    sphere_nl = nl + "  "
+    word_nl = sphere_nl + "  "
+    texts = sphere_texts(levels, word_nl)
+    sep, opening, closing = "[" + sphere_nl, "[" + word_nl, sphere_nl + "]"
+    for lev in levels:
+        if lev:
+            parts.append(sep + opening)
+            parts += next(texts)
+            parts.append(closing)
+        else:
+            parts.append(sep + "[]")
+        sep = "," + sphere_nl
+    parts.append(nl + "]")
 
 
 class IntegerGroup(Graded):
@@ -248,6 +277,8 @@ class IntegerGroup(Graded):
     def elem_to_json(self, u):
         return u
 
+    spheres_to_json = Structure.spheres_to_json  # a sphere of ints is one join already
+
     def elem_from_json(self, obj):
         return read_as(obj, int, "Z element")
 
@@ -267,7 +298,7 @@ class IntegerLattice(Graded):
     def __init__(self, d: int):
         if d < 1:
             raise InvalidInput("Zd needs d >= 1")
-        _check_spec_size("params.d = {} needs 2*d^2", d, 2 * d * d)
+        check_size("params.d = {} needs 2*d^2", d, 2 * d * d)
         self.d = d
 
     def identity(self):
@@ -319,6 +350,14 @@ class IntegerLattice(Graded):
     def elem_to_json(self, u):
         return list(u)
 
+    def _sphere_texts(self, levels, word_nl):
+        """_write_spheres' texts: each point through one %d template."""
+        coord_nl = word_nl + "  "
+        point = ("[" + coord_nl + ("," + coord_nl).join(["%d"] * self.d)
+                 + word_nl + "]").__mod__
+        between = "," + word_nl
+        return ((between.join(map(point, lev)),) for lev in levels if lev)
+
     def elem_from_json(self, obj):
         if (not isinstance(obj, (list, tuple)) or len(obj) != self.d
                 or not all(isinstance(a, int) and not isinstance(a, bool) for a in obj)):
@@ -348,7 +387,7 @@ class FreeStructure(Graded):
     def __init__(self, rank: int, inverses: bool = True):
         if rank < 1:
             raise InvalidInput("free structure needs rank >= 1")
-        _check_spec_size("params.rank = {} needs 2*rank", rank, 2 * rank)
+        check_size("params.rank = {} needs 2*rank", rank, 2 * rank)
         self.rank = rank
         self.inverses = inverses
         self.is_group = inverses
@@ -468,40 +507,29 @@ class FreeStructure(Graded):
         letters.update({name + "^-1": -g for name, g in letters.items()})
         return self.elem_from_json([letters[part] for part in text.split(".")])
 
-    def spheres_to_json(self, levels):
-        return partial(self._write_spheres, levels)
-
-    def _write_spheres(self, levels, parts, nl):
-        """Append the JSON text of a ball's spheres, a list that starts on
-        the line whose newline and indentation are nl.  A word's text less
-        its closing line is its parent's (the word less its last letter,
-        u // b) plus a line for that letter, so a sphere whose parents lie
-        in the sphere before it costs one concatenation per word."""
-        b, sphere_nl, word_nl = self.base, nl + "  ", nl + "    "
-        letter_nl = word_nl + "  "
+    def _sphere_texts(self, levels, word_nl):
+        """_write_spheres' texts: a word's text less its closing line is its
+        parent's (the word less its last letter, u // b) plus a line for
+        that letter, so a sphere whose parents lie in the sphere before it
+        costs one concatenation per word, and its words are joined with the
+        closing line of each but the last between them."""
+        b, letter_nl, between = self.base, word_nl + "  ", word_nl + "]," + word_nl
         first = ["[" + letter_nl + str(g) for g in self._letter]
         more = ["," + letter_nl + str(g) for g in self._letter]
-        texts = {}  # word of the last sphere -> its text less its closing line
+        close = word_nl + "]"
+        known = {}  # word of the last sphere -> its text less its closing line
 
         def spelt(u):  # the text of a word u != e, letter by letter
             return "[" + letter_nl + ("," + letter_nl).join(map(str, self.elem_to_json(u)))
 
-        sep = "[" + sphere_nl
-        for lev in levels:
-            known, texts = texts, {}
-            parts.append(sep)
-            sep, opening = "," + sphere_nl, "[" + word_nl
-            for u in lev:
-                if u:
-                    parent, d = divmod(u, b)
-                    texts[u] = t = ((known.get(parent) or spelt(parent)) + more[d]
-                                    if parent else first[d])
-                    parts += (opening, t, word_nl + "]")
-                else:
-                    parts += (opening, "[]")
-                opening = "," + word_nl
-            parts.append(sphere_nl + "]" if lev else "[]")
-        parts.append(nl + "]")
+        for lev in filter(None, levels):
+            if not lev[0]:  # S_0 = {e}, the only sphere that holds e
+                yield ("[]",)
+                continue
+            texts = [first[u] if u < b else (known.get(u // b) or spelt(u // b)) + more[u % b]
+                     for u in lev]
+            yield between.join(texts), close
+            known = dict(zip(lev, texts))
 
 
 class TableMonoid(Structure):

@@ -715,3 +715,76 @@ def test_size_refusals_exit_two_on_one_line(capsys, zline, argv):
     assert code == 2 and out == ""
     assert err.startswith("waug: error: ") and err.count("\n") == 1
     assert "-digit limit" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,argv,flag", [
+    ("z", ["weight", "tau", "--depth", str(10 ** 19)], "--depth"),
+    ("f2", ["weight", "tau", "--depth", str(10 ** 19)], "--depth"),
+    ("f2", ["weight", "tau", "--depth", "2000000"], "--depth"),
+    ("z", ["weight", "radii", "--depth", str(10 ** 19)], "--depth"),
+    ("f2", ["weight", "radii", "--depth", str(10 ** 19)], "--depth"),
+    ("z", ["weight", "verify", "--radius", str(10 ** 19)], "--radius"),
+    ("f2", ["weight", "verify", "--radius", "2001"], "--radius"),
+], ids=["tau-z", "tau-f2", "tau-f2-2e6", "radii-z", "radii-f2", "verify-z",
+        "verify-f2-2001"])
+def test_per_n_loops_on_infinite_structures_are_capped(capsys, spec, argv, flag):
+    # the radial loops of weight tau, radii and verify read no ball, so the
+    # flag itself is held to the ball cap, before any work
+    spec = os.path.join(os.path.dirname(__file__), "golden", "inputs",
+                        {"z": "z.json", "f2": "f2.json"}[spec])
+    weight = os.path.join(os.path.dirname(__file__), "golden", "inputs", "w_exp2.json")
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, "--spec", spec, "--weight", weight)
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err.startswith(f"waug: error: {flag} ") and err.count("\n") == 1
+    assert err.endswith("over the cap 1000000 (set WAUG_BALL_CAP to raise it)\n")
+
+
+def test_radius_cap_counts_length_pairs(capsys, monkeypatch):
+    # radius R checks k (R - k) pairs, k = R // 2: 9 at R = 6, 12 at R = 7
+    monkeypatch.setenv("WAUG_BALL_CAP", "10")
+    inputs = os.path.join(os.path.dirname(__file__), "golden", "inputs")
+    argv = ["weight", "verify", "--spec", os.path.join(inputs, "z.json"),
+            "--weight", os.path.join(inputs, "w_exp2.json"), "--radius"]
+    code, out, _ = run(capsys, *argv, "6")
+    assert code == 0 and json.loads(out)["result"]["pairs_checked"] == 9
+    code, out, err = run(capsys, *argv, "7")
+    assert code == 2 and out == ""
+    assert err == ("waug: error: --radius 7 checks the length pairs m <= n, "
+                   "m + n <= radius = 12 pairs, over the cap 10 (set WAUG_BALL_CAP "
+                   "to raise it)\n")
+
+
+def test_input_files_are_read_once_with_the_texts_of_open(capsys, tmp_path, zline):
+    # a CSV is decoded a chunk at a time, as open(path, newline="") does, so a
+    # bad byte past the first 8 KiB is named at its offset in its chunk
+    rows = b"".join(b"%d,%d,1\r\n" % (n, 2 ** n) for n in range(1, 1200))
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"index,num,den\r\n" + rows + b"1200,\xff,1\r\n")
+    code, out, err = run(capsys, "tau", "check", "--csv", str(bad))
+    assert code == 2 and out == ""
+    assert err == ("waug: error: 'utf-8' codec can't decode byte 0xff in position "
+                   "5681: invalid start byte\n")
+    # CRLF rows and a blank CRLF row read as the LF file does
+    crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
+    crlf.write_bytes(b"index,num,den\r\n1,1,1\r\n2,3,1\r\n\r\n3,9,1\r\n")
+    lf.write_bytes(b"index,num,den\n1,1,1\n2,3,1\n3,9,1\n")
+    reports = []
+    for path in (crlf, lf):
+        code, out, _ = run(capsys, "tau", "check", "--csv", str(path))
+        assert code == 0
+        reports.append(json.loads(out)["result"])
+    assert reports[0] == reports[1]
+    # JSON: not UTF-8, and a parse error placed after universal newlines
+    spec = tmp_path / "s.json"
+    spec.write_bytes(b'{"family": "Z",\r\n "x": "\xe9"}')
+    code, out, err = run(capsys, "structure", "ball", "--spec", str(spec), "--depth", "1")
+    assert code == 2 and err == (
+        f"waug: error: {spec}: JSON parse error: 'utf-8' codec can't decode byte "
+        "0xe9 in position 24: invalid continuation byte\n")
+    spec.write_bytes(b'{"family": "Z",\r\n\r\n "x": 1,}')
+    code, out, err = run(capsys, "structure", "ball", "--spec", str(spec), "--depth", "1")
+    assert code == 2 and err == (
+        f"waug: error: {spec}: JSON parse error: Expecting property name enclosed "
+        "in double quotes: line 3 column 9 (char 25)\n")

@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from test_golden import assert_same_lines
 from waug.algebra import QC, Element
 from waug.certify import Enclosure, format_rational, parse_rational
 from waug.sequences import PrefixSequence, read_csv
-from waug.serialize import canonical_json, load_json_file, sha256_file, write_csv
+from waug.serialize import canonical_json, load_json, read_input, write_csv
 from waug.structures import UNIVERSE, InvalidInput, ResourceLimit
 
 
@@ -64,7 +65,7 @@ def test_sha256_matches_file_and_bytes(tmp_path):
     data = canonical_json({"k": F(5, 3)}).encode()
     p = tmp_path / "r.json"
     p.write_bytes(data)
-    assert sha256_file(str(p)) == hashlib.sha256(data).hexdigest()
+    assert read_input(str(p)) == (data, hashlib.sha256(data).hexdigest())
 
 
 def test_csv_uses_newline_termination():
@@ -78,7 +79,7 @@ def test_sequence_csv_round_trip(tmp_path):
     p.write_text(write_csv(["index", "numerator", "denominator"],
                            [(n, seq.tau(n).numerator, seq.tau(n).denominator)
                             for n in range(1, seq.N + 1)]))
-    back = PrefixSequence(*read_csv(str(p), "sequence"))
+    back = PrefixSequence(*read_csv(p.read_bytes(), "sequence"))
     assert (back.nums, back.den) == (seq.nums, seq.den)
     assert [back.tau(n) for n in range(1, 4)] == [F(1), F(3, 2), F(9, 4)]
 
@@ -110,24 +111,24 @@ def test_csv_refuses_a_field_it_would_have_to_quote(field):
 def test_vector_csv_loading(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("index,numerator,denominator\n1,-1,2\n2,0,1\n3,5,3\n")
-    assert read_csv(str(p), "vector") == ([-3, 0, 10], 6)
+    assert read_csv(p.read_bytes(), "vector") == ([-3, 0, 10], 6)
 
 
 def test_vector_csv_rejects_gaps_and_zero_denominator(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("1,1,1\n3,1,1\n")
     with pytest.raises(InvalidInput):
-        read_csv(str(p), "vector")
+        read_csv(p.read_bytes(), "vector")
     p.write_text("1,1,0\n")
     with pytest.raises(InvalidInput):
-        read_csv(str(p), "vector")
+        read_csv(p.read_bytes(), "vector")
 
 
 def test_json_parse_error_reports_location(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"family": "Z",}')
     with pytest.raises(InvalidInput) as exc:
-        load_json_file(str(p))
+        load_json(p.read_bytes(), str(p))
     assert "line 1" in str(exc.value)
 
 
@@ -239,3 +240,35 @@ def test_int_string_digit_limit_still_raises():
         canonical_json([10 ** 4400])
     with pytest.raises(ResourceLimit, match="-digit int->str limit"):
         write_csv(["n"], [[10 ** 4400]])
+
+
+_GRADED = ([{"family": "Zd", "params": {"d": d}} for d in range(1, 5)]
+           + [{"family": "free", "params": {"rank": r, "inverses": g}}
+              for r in (1, 2, 3) for g in (True, False)])
+_WALKED = [  # non-standard sets: their spheres hold words of any parent
+    ({"family": "free", "params": {"rank": 2, "inverses": True}}, [[1, 2]]),
+    ({"family": "free", "params": {"rank": 2, "inverses": True}}, [[1, 2], [-2]]),
+    ({"family": "free", "params": {"rank": 2, "inverses": False}}, [[1, 2], [2, 2, 1]]),
+    ({"family": "Zd", "params": {"d": 2}}, [[1, 1]]),
+    ({"family": "Zd", "params": {"d": 3}}, [[1, 1, 0], [0, -1, 2]])]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=st.one_of(st.tuples(st.sampled_from(_GRADED), st.none()),
+                      st.sampled_from(_WALKED)),
+       depth=st.integers(0, 4), nested=st.booleans())
+def test_sphere_writers_equal_json_dumps(case, depth, nested):
+    # Z^d and the free structures write a ball's spheres a sphere at a time;
+    # the text is that of their elements' values, at either indentation
+    from waug.structures import division_balls, structure_from_spec
+    spec, gens = case
+    s, std = structure_from_spec(spec)
+    gens = std if gens is None else [s.elem_from_json(g) for g in gens]
+    levels = division_balls(s, gens, depth).levels
+    value = [list(map(s.elem_to_json, lev)) for lev in levels]
+
+    def wrap(x):
+        return {"result": {"levels": x, "ok": True}} if nested else x
+
+    expect = json.dumps(wrap(value), sort_keys=True, indent=2) + "\n"
+    assert_same_lines(canonical_json(wrap(s.spheres_to_json(levels))), expect)
