@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, isqrt, log10
+from math import gcd, isqrt, log2, log10
 from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
@@ -139,16 +139,20 @@ def round_up(x: Fraction, bits: int) -> Fraction:
 
 
 def int_nth_root(a: int, n: int) -> int:
-    """floor(a ** (1/n)) for integers a >= 0, n >= 1 (exact)."""
+    """floor(a ** (1/n)) for integers a >= 0, n >= 1 (exact).  Newton decreases
+    on integers from a start above the root: the float guess 2**(log2(a)/n),
+    raised by 2**(2**-20), then doubled until x**n > a; the float saves steps."""
     if a < 0 or n < 1:
         raise ValueError("int_nth_root needs a >= 0 and n >= 1")
     if a in (0, 1) or n == 1:
         return a
     if n == 2:
         return isqrt(a)
-    # Newton iteration on integers; the initial guess from bit length
-    # overshoots, and the sequence is decreasing once above the root.
-    x = 1 << (a.bit_length() // n + 1)
+    e = log2(a) / n  # math.log2 takes an int of any size
+    s = max(int(e) - 52, 0)  # the guess is a 53-bit float times 2**s
+    x = (int(2.0 ** (e - s + 2.0 ** -20)) + 1) << s
+    while x ** n <= a:
+        x *= 2
     while True:
         y = ((n - 1) * x + a // x ** (n - 1)) // n
         if y >= x:
@@ -327,7 +331,7 @@ def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
     return lhs < rhs if strict else lhs <= rhs
 
 
-def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
+def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS, chain: Optional[list] = None) -> Enclosure:
     """Certified enclosure of c**t for rational c >= 1 and t >= 0 rational
     or enclosure.  Monotonicity in t does the interval bookkeeping.
 
@@ -335,7 +339,9 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     a dyadic m * 2**-w <= f at the lower end and >= f at the upper one: the
     product of the square roots c**(2**-i) over the set bits i of m.  It runs
     on integer mantissas at scale 2**-w, every step rounded toward its end,
-    and both ends read one chain of square roots.
+    and both ends read one chain of square roots: `chain`, a list that a
+    caller with many powers of one c at one `bits` keeps, extended in place
+    when t needs more roots; a root is the same integer in any chain.
     """
     c = Fraction(c)
     if c < 1:
@@ -351,9 +357,11 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
         m = -((-r << w) // x.denominator) if side else (r << w) // x.denominator
         ends.append((side, x.denominator == 1, k + (m >> w), m & mask))  # m = 2**w carries
     p, q = c.numerator, c.denominator
-    lo, hi = (p << 2 * w) // q, -((-p << 2 * w) // q)  # c at scale 2**-2w
-    chain = []  # c**(2**-i) for i = 1, 2, ... up to the lowest set bit of either m
-    for _ in range(max((w + 1 - (m & -m).bit_length() for *_, m in ends if m), default=0)):
+    chain = [] if chain is None else chain  # c**(2**-i) for i = 1, 2, ...
+    need = max((w + 1 - (m & -m).bit_length() for *_, m in ends if m), default=0)
+    lo, hi = ((chain[-1][0] << w, chain[-1][1] << w) if chain  # the next root's square
+              else ((p << 2 * w) // q, -((-p << 2 * w) // q)))  # c at scale 2**-2w
+    for _ in range(need - len(chain)):  # up to the lowest set bit of either m
         lo, a = isqrt(lo), isqrt(hi)
         hi = a if a * a == hi else a + 1  # the root itself only when it is exact
         chain.append((lo, hi))
@@ -362,7 +370,7 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS) -> Enclosure:
     for side, integral, k, m in ends:  # an integral end has m = 0: no roots
         scale = bits if integral else w
         total = pow_mantissas((p, q), k, scale)[side]
-        for i, root in enumerate(chain, start=1):
+        for i, root in enumerate(chain[:need], start=1):
             if m >> (w - i) & 1:
                 total = (total * root[side] + side * mask) >> w
         bounds.append(Fraction(total, 1 << scale))

@@ -449,9 +449,9 @@ def _load_inputs(args, inputs: dict):
             data, digest = read_input(path)
             inputs[f"{key}_{i}" if i else key] = {"path": path, "sha256": digest}
             if dest == "csv":
-                loaded.append(PrefixSequence(*read_csv(data, "sequence")))
+                loaded.append(PrefixSequence(*read_csv(data, "sequence", path)))
             elif dest == "alphas":
-                nums, den = read_csv(data, "vector")
+                nums, den = read_csv(data, "vector", path)
                 loaded.append([Fraction(a, den) for a in nums])
             elif dest == "spec":
                 loaded.append(structure_from_spec(load_json(data, path)))
@@ -486,10 +486,9 @@ def _emit(text: str, out_path):
 
 def _error_line(exc: Exception) -> str:
     """The one stderr line of a run that failed with exc: the message of an
-    input, resource or file error (an input file not in UTF-8 included), the
-    type and message of anything else."""
+    input, resource or file error, the type and message of anything else."""
     text = str(exc)
-    if not isinstance(exc, (InvalidInput, ResourceLimit, OSError, UnicodeDecodeError)):
+    if not isinstance(exc, (InvalidInput, ResourceLimit, OSError)):
         text = f"{type(exc).__name__}: {text}"
     return " ".join(text.splitlines())
 

@@ -81,13 +81,18 @@ def csv_row_values(rows, what: str):
     return [a * scale[d] for a, d in pairs], den
 
 
-def read_csv(data: bytes, what: str):
-    """csv_row_values of the bytes of a CSV file, read as open(path,
-    newline="") reads them (UTF-8, decoded a chunk at a time, so a decoding
-    error names the same position), its blank rows dropped and a first row
-    whose index is not an integer skipped as the header."""
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
-    rows = [r for r in csv.reader(text) if any(cell.strip() for cell in r)]
+def read_csv(data: bytes, what: str, path: str):
+    """csv_row_values of the bytes of the CSV file at path, read as
+    open(path, newline="") reads them (UTF-8, no newline translation), its
+    blank rows dropped and a first row whose index is not an integer skipped
+    as the header.  Bytes that are not UTF-8 are an InvalidInput that names
+    the file and the offset of the bad byte in it."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInput(f"{path}: CSV decode error: {exc}") from exc
+    rows = [r for r in csv.reader(io.StringIO(text, newline=""))
+            if any(cell.strip() for cell in r)]
     if rows and not rows[0][0].strip().lstrip("-").isdigit():
         rows = rows[1:]
     return csv_row_values(rows, what)

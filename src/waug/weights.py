@@ -27,8 +27,8 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, REQUIRED, Enclosure,
-                      as_enclosure, check_digits, escalate, format_rational, nth_root,
-                      pow_mantissas, rat_pow, ratio_pow_less, read_as, read_family)
+                      _digit_limit, as_enclosure, check_digits, escalate, format_rational,
+                      nth_root, pow_mantissas, rat_pow, ratio_pow_less, read_as, read_family)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
                          UNIVERSE, division_balls, is_graded)
 
@@ -105,13 +105,15 @@ class RadialPolyWeight(WordLengthWeight):
 
 class RadialExpWeight(WordLengthWeight):
     """c^(|u|^beta) with c >= 1 and 0 < beta <= 1 (so the exponent is
-    subadditive and the weight submultiplicative)."""
+    subadditive and the weight submultiplicative); its values share one
+    rat_pow chain of roots of c per precision, which lives with the weight."""
 
     family = "radial_exp"
 
     def __init__(self, c, beta=1):
         self.c = Fraction(c)
         self.beta = Fraction(beta)
+        self.chains = {}  # bits -> rat_pow's chain of roots of c
         if self.c < 1:
             raise InvalidInput("radial_exp needs c >= 1")
         if not (0 < self.beta <= 1):
@@ -130,7 +132,7 @@ class RadialExpWeight(WordLengthWeight):
             raise ResourceLimit(f"radial_exp value at n={n} is too large to materialize")
         if t.is_exact and t.lo.denominator == 1:
             return self.c ** t.lo.numerator
-        return rat_pow(self.c, t, bits)
+        return rat_pow(self.c, t, bits, self.chains.setdefault(bits, []))
 
 
 class ExplicitWeight(Weight):
@@ -328,11 +330,11 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
             if as_enclosure(weight.radial_value(n, bits)).lo < 1:
                 _fail(report, axiom="omega>=1", n=n)
                 break
-        pairs = 0
+        pairs, roots = 0, {}  # (k, bits) -> k**beta, shared by the pairs
         for m in range(1, radius // 2 + 1):
             for n in range(m, radius - m + 1):  # m <= n, m + n <= radius
                 pairs += 1
-                if not _radial_submult_pair(weight, m, n, bits):
+                if not _radial_submult_pair(weight, m, n, bits, roots):
                     _fail(report, axiom="submultiplicative", m=m, n=n)
         report["pairs_checked"] = pairs
         return report
@@ -369,9 +371,10 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
     return report
 
 
-def _radial_submult_pair(weight, m, n, bits) -> bool:
+def _radial_submult_pair(weight, m, n, bits, roots=None) -> bool:
     """Certified F(m+n) <= F(m) F(n) for a radial_poly or radial_exp weight
-    (verify_weight_axioms settles the other radial families before)."""
+    (verify_weight_axioms settles the other radial families before), with
+    the enclosures of k**beta kept in `roots` by (k, bits)."""
     if isinstance(weight, RadialPolyWeight):
         # (1+m+n)^alpha <= ((1+m)(1+n))^alpha <=> 1+m+n <= (1+m)(1+n): exact
         return 1 + m + n <= (1 + m) * (1 + n)
@@ -379,8 +382,13 @@ def _radial_submult_pair(weight, m, n, bits) -> bool:
     if q == 1:
         return True  # exponent additive
 
+    roots = {} if roots is None else roots
+
     def probe(b):  # (m+n)^beta <= m^beta + n^beta, certified at b bits
-        tm, tn, ts = (nth_root(Fraction(k) ** p, q, b) for k in (m, n, m + n))
+        for k in (m, n, m + n):
+            if (k, b) not in roots:
+                roots[k, b] = nth_root(Fraction(k) ** p, q, b)
+        tm, tn, ts = (roots[k, b] for k in (m, n, m + n))
         return True if ts.hi <= tm.lo + tn.lo else False if ts.lo > tm.hi + tn.hi else None
     return escalate(probe, bits, f"radial_exp submultiplicativity at ({m},{n})")
 
@@ -449,9 +457,13 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
               bits: int = DEFAULT_BITS) -> dict:
     """tau_n = min over the sphere S_n of omega, for n = 1..N, plus
     C = max over the generators of omega.  Exact Fractions required (use
-    integer alpha / beta = 1 radial weights, or table weights)."""
+    integer alpha / beta = 1 radial weights, or table weights).  The first
+    tau_n with a numerator or denominator of more digits than the int->str
+    limit, which no report could print, stops the loop with ResourceLimit."""
     if N < 0:
         raise InvalidInput(f"depth N must be >= 0, got {N}")
+    limit = _digit_limit()
+    top = 10 ** limit  # an int below it prints, one at or above it does not
     radial_fast = weight.is_radial and is_graded(s, gens)
     bt = None if radial_fast else division_balls(s, gens, N)
     taus = []
@@ -473,7 +485,10 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
         if any(isinstance(v, Enclosure) for v in vals):
             raise InvalidInput(
                 "tau_and_C needs exact weight values (integer alpha or beta=1)")
-        taus.append(min(vals))
+        taus.append(tau := min(vals))
+        if max(abs(tau.numerator), tau.denominator) >= top:
+            raise ResourceLimit(f"--depth {N} reaches tau_{n}, a number past the "
+                                f"{limit}-digit int->str limit; nothing was written")
     cvals = [weight.eval(s, x, bits) for x in gens]
     if any(isinstance(v, Enclosure) for v in cvals):
         raise InvalidInput("tau_and_C needs exact weight values on the generators")

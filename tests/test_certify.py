@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import waug.certify as certify_mod
 from waug.certify import (Enclosure, ResourceLimit, basel_partial,
@@ -43,6 +45,43 @@ def test_int_nth_root_floor():
         n = rng.randrange(1, 9)
         r = int_nth_root(a, n)
         assert r**n <= a < (r + 1) ** n
+
+
+@st.composite
+def _roots_cases(draw):
+    """(a, n): a up to 2**40000, n = 2..800, a any integer or a perfect
+    power k**n, or one off it."""
+    n = draw(st.integers(2, 800))
+    if draw(st.booleans()):
+        return draw(st.integers(0, 2 ** 40000)), n
+    k = draw(st.integers(1, 2 ** (40000 // n)))
+    return max(k ** n + draw(st.sampled_from([-1, 0, 1])), 0), n
+
+
+@settings(max_examples=300)
+@given(_roots_cases())
+@example((2 ** (1100 * 3) + 12345, 3))  # roots past the float range
+@example(((2 ** 1100 + 1) ** 36, 36))
+@example(((2 ** 1100 + 1) ** 36 - 1, 36))
+@example((3 ** (1100 * 7), 7))
+def test_int_nth_root_floor_at_large_sizes(case):
+    a, n = case
+    r = int_nth_root(a, n)
+    assert r ** n <= a < (r + 1) ** n
+
+
+def test_int_nth_root_needs_no_float_guess(monkeypatch):
+    # the float guess only saves steps: from log2(a) = 1, a guess of 2, the
+    # doubling alone passes the root, and Newton gives the same floors
+    rng = random.Random(415)
+    cases = [(rng.randrange(2 ** rng.randrange(2, 6000)), rng.randrange(3, 200))
+             for _ in range(60)]
+    cases += [(k ** n + d, n) for k, n in [(2 ** 1100 + 3, 5), (7, 800), (2, 3)]
+              for d in (-1, 0, 1)]
+    want = [int_nth_root(a, n) for a, n in cases]
+    monkeypatch.setattr(certify_mod, "log2", lambda a: 1.0)
+    assert [int_nth_root(a, n) for a, n in cases] == want
+    assert all(r ** n <= a < (r + 1) ** n for r, (a, n) in zip(want, cases))
 
 
 def test_enclosure_arithmetic_contains_truth():

@@ -756,16 +756,48 @@ def test_radius_cap_counts_length_pairs(capsys, monkeypatch):
                    "to raise it)\n")
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_weight_tau_refuses_a_tau_past_the_digit_limit_before_the_rest(
+        capsys, tmp_path, zline, fmt):
+    # tau_n = 2^n first passes the 4300-digit int->str limit at n = 14285:
+    # the loop stops there, and neither form is written
+    weight = os.path.join(os.path.dirname(__file__), "golden", "inputs", "w_exp2.json")
+    out = tmp_path / f"tau.{fmt}"
+    argv = ["weight", "tau", "--spec", zline, "--format", fmt, "--out", str(out)]
+    started = time.monotonic()
+    code, _, err = run(capsys, *argv, "--weight", weight, "--depth", "20000")
+    assert time.monotonic() - started < 1
+    assert code == 2 and not out.exists()
+    assert err == ("waug: error: --depth 20000 reaches tau_14285, a number past the "
+                   "4300-digit int->str limit; nothing was written\n")
+    # the serializer's boundary: with c = 10^1433, tau_3 = 10^4299 has exactly
+    # 4300 digits and is written, and tau_4 is refused
+    weight = write_json(tmp_path / "w.json",
+                        {"family": "radial_exp", "params": {"c": str(10 ** 1433)}})
+    code, _, err = run(capsys, *argv, "--weight", weight, "--depth", "3")
+    assert code == 0
+    text = out.read_text()
+    last = (json.loads(text)["result"]["taus"][-1] if fmt == "json"
+            else text.splitlines()[-1].split(",")[1])
+    assert last == str(10 ** 4299) and len(last) == 4300
+    out.unlink()
+    code, _, err = run(capsys, *argv, "--weight", weight, "--depth", "4")
+    assert code == 2 and not out.exists()
+    assert err == ("waug: error: --depth 4 reaches tau_4, a number past the "
+                   "4300-digit int->str limit; nothing was written\n")
+
+
 def test_input_files_are_read_once_with_the_texts_of_open(capsys, tmp_path, zline):
-    # a CSV is decoded a chunk at a time, as open(path, newline="") does, so a
-    # bad byte past the first 8 KiB is named at its offset in its chunk
+    # a CSV that is not UTF-8 is named with the offset of its bad byte in the
+    # whole file, also past the first 8 KiB
     rows = b"".join(b"%d,%d,1\r\n" % (n, 2 ** n) for n in range(1, 1200))
     bad = tmp_path / "bad.csv"
     bad.write_bytes(b"index,num,den\r\n" + rows + b"1200,\xff,1\r\n")
+    offset = bad.read_bytes().index(b"\xff")
     code, out, err = run(capsys, "tau", "check", "--csv", str(bad))
-    assert code == 2 and out == ""
-    assert err == ("waug: error: 'utf-8' codec can't decode byte 0xff in position "
-                   "5681: invalid start byte\n")
+    assert code == 2 and out == "" and offset == 226865
+    assert err == (f"waug: error: {bad}: CSV decode error: 'utf-8' codec can't decode "
+                   f"byte 0xff in position {offset}: invalid start byte\n")
     # CRLF rows and a blank CRLF row read as the LF file does
     crlf, lf = tmp_path / "crlf.csv", tmp_path / "lf.csv"
     crlf.write_bytes(b"index,num,den\r\n1,1,1\r\n2,3,1\r\n\r\n3,9,1\r\n")

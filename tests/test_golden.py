@@ -142,6 +142,17 @@ CASES = [
     ("radii_z_exp_half_c7_2.json", 0,
      ["weight", "radii", "--spec", "inputs/z.json",
       "--weight", "inputs/w_exp_half_c7_2.json", "--depth", "20"]),
+    # acceptance scale: the lemma 7.6 table to n = 255 (both radii) and
+    # radial_exp beta = 1/2 to depth 128 and radius 64
+    ("radii_z_l76_r3_n255.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_l76_r3_n255.json", "--depth", "255"]),
+    ("radii_z_exp_half_c7_2_d128.json", 0,
+     ["weight", "radii", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half_c7_2.json", "--depth", "128"]),
+    ("weight_verify_z_exp_half_r64.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_exp_half.json", "--radius", "64"]),
     ("radii_z_l76.json", 0,
      ["weight", "radii", "--spec", "inputs/z.json",
       "--weight", "inputs/w_l76.json", "--depth", "6"]),

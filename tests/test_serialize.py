@@ -79,7 +79,7 @@ def test_sequence_csv_round_trip(tmp_path):
     p.write_text(write_csv(["index", "numerator", "denominator"],
                            [(n, seq.tau(n).numerator, seq.tau(n).denominator)
                             for n in range(1, seq.N + 1)]))
-    back = PrefixSequence(*read_csv(p.read_bytes(), "sequence"))
+    back = PrefixSequence(*read_csv(p.read_bytes(), "sequence", str(p)))
     assert (back.nums, back.den) == (seq.nums, seq.den)
     assert [back.tau(n) for n in range(1, 4)] == [F(1), F(3, 2), F(9, 4)]
 
@@ -111,17 +111,17 @@ def test_csv_refuses_a_field_it_would_have_to_quote(field):
 def test_vector_csv_loading(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("index,numerator,denominator\n1,-1,2\n2,0,1\n3,5,3\n")
-    assert read_csv(p.read_bytes(), "vector") == ([-3, 0, 10], 6)
+    assert read_csv(p.read_bytes(), "vector", str(p)) == ([-3, 0, 10], 6)
 
 
 def test_vector_csv_rejects_gaps_and_zero_denominator(tmp_path):
     p = tmp_path / "v.csv"
     p.write_text("1,1,1\n3,1,1\n")
     with pytest.raises(InvalidInput):
-        read_csv(p.read_bytes(), "vector")
+        read_csv(p.read_bytes(), "vector", str(p))
     p.write_text("1,1,0\n")
     with pytest.raises(InvalidInput):
-        read_csv(p.read_bytes(), "vector")
+        read_csv(p.read_bytes(), "vector", str(p))
 
 
 def test_json_parse_error_reports_location(tmp_path):
