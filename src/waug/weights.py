@@ -463,7 +463,6 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
     if N < 0:
         raise InvalidInput(f"depth N must be >= 0, got {N}")
     limit = _digit_limit()
-    top = 10 ** limit  # an int below it prints, one at or above it does not
     radial_fast = weight.is_radial and is_graded(s, gens)
     bt = None if radial_fast else division_balls(s, gens, N)
     taus = []
@@ -486,7 +485,8 @@ def tau_and_C(s: Structure, gens, weight: Weight, N: int,
             raise InvalidInput(
                 "tau_and_C needs exact weight values (integer alpha or beta=1)")
         taus.append(tau := min(vals))
-        if max(abs(tau.numerator), tau.denominator) >= top:
+        big = max(abs(tau.numerator), tau.denominator)  # prints iff big < 10**limit
+        if big.bit_length() > 3.3219 * limit and big >= 10 ** limit:  # 2**3.3219 < 10
             raise ResourceLimit(f"--depth {N} reaches tau_{n}, a number past the "
                                 f"{limit}-digit int->str limit; nothing was written")
     cvals = [weight.eval(s, x, bits) for x in gens]

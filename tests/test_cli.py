@@ -771,7 +771,7 @@ def test_weight_tau_refuses_a_tau_past_the_digit_limit_before_the_rest(
     assert err == ("waug: error: --depth 20000 reaches tau_14285, a number past the "
                    "4300-digit int->str limit; nothing was written\n")
     # the serializer's boundary: with c = 10^1433, tau_3 = 10^4299 has exactly
-    # 4300 digits and is written, and tau_4 is refused
+    # 4300 digits and is written; with c = 10^1075, tau_4 = 10^4300 has 4301
     weight = write_json(tmp_path / "w.json",
                         {"family": "radial_exp", "params": {"c": str(10 ** 1433)}})
     code, _, err = run(capsys, *argv, "--weight", weight, "--depth", "3")
@@ -781,6 +781,8 @@ def test_weight_tau_refuses_a_tau_past_the_digit_limit_before_the_rest(
             else text.splitlines()[-1].split(",")[1])
     assert last == str(10 ** 4299) and len(last) == 4300
     out.unlink()
+    weight = write_json(tmp_path / "w.json",
+                        {"family": "radial_exp", "params": {"c": str(10 ** 1075)}})
     code, _, err = run(capsys, *argv, "--weight", weight, "--depth", "4")
     assert code == 2 and not out.exists()
     assert err == ("waug: error: --depth 4 reaches tau_4, a number past the "

@@ -120,6 +120,31 @@ def test_radial_exp_pairs_decided_up_to_the_precision_ceiling(bits):
         assert weights_mod._radial_submult_pair(w, m, n, bits)
 
 
+def test_radial_exp_pairs_share_roots_per_precision():
+    # beta near 1 leaves some pairs open at 8 bits: each escalated probe
+    # reads the roots of its own precision from the shared dict
+    s, gens = structure_from_spec({"family": "Z"})
+    w = RadialExpWeight(F(2), F(999, 1000))
+    roots = {}
+    assert all(weights_mod._radial_submult_pair(w, m, n, 8, roots)
+               for m in range(1, 6) for n in range(m, 12 - m))
+    assert {b for _, b in roots} == {8, 16}
+    assert all(enc == nth_root(F(k) ** 999, 1000, b) for (k, b), enc in roots.items())
+    rep = verify_weight_axioms(s, gens, w, 11, bits=8)
+    assert rep["ok"] and rep["pairs_checked"] == 30
+
+
+def test_radial_exp_keeps_one_root_chain_per_precision():
+    # one weight read at several precisions in turn gives the values a
+    # fresh weight gives at each
+    w = RadialExpWeight(F(5, 2), F(1, 2))
+    for bits in (128, 64, 256, 128, 8):
+        for n in (1, 2, 7, 40, 3):
+            fresh = RadialExpWeight(F(5, 2), F(1, 2))
+            assert w.radial_value(n, bits) == fresh.radial_value(n, bits)
+    assert sorted(w.chains) == [8, 64, 128, 256]
+
+
 def test_axioms_fail_below_one():
     s, gens = structure_from_spec({"family": "Z"})
     vals = {n: F(1) for n in range(-4, 5)}
