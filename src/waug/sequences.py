@@ -83,16 +83,17 @@ def csv_row_values(rows, what: str):
 
 def read_csv(data: bytes, what: str, path: str):
     """csv_row_values of the bytes of the CSV file at path, read as
-    open(path, newline="") reads them (UTF-8, no newline translation), its
-    blank rows dropped and a first row whose index is not an integer skipped
-    as the header.  Bytes that are not UTF-8 are an InvalidInput that names
-    the file and the offset of the bad byte in it."""
+    open(path, newline="") reads them (UTF-8, a chunk at a time, no newline
+    translation), its blank rows dropped and a first row whose index is not
+    an integer skipped as the header.  Bytes that are not UTF-8 are refused
+    first, by one decode of the whole file, so that the InvalidInput names
+    the file and the offset of the bad byte in it, not in its chunk."""
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InvalidInput(f"{path}: CSV decode error: {exc}") from exc
-    rows = [r for r in csv.reader(io.StringIO(text, newline=""))
-            if any(cell.strip() for cell in r)]
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
+    rows = [r for r in csv.reader(text) if any(cell.strip() for cell in r)]
     if rows and not rows[0][0].strip().lstrip("-").isdigit():
         rows = rows[1:]
     return csv_row_values(rows, what)
