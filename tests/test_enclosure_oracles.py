@@ -169,7 +169,6 @@ def test_rat_pow_equals_frozen_enclosure_loop(c, bits):
         assert rat_pow(c, t, bits) == _frozen_rat_pow(c, t, bits), (c, t, bits)
 
 
-
 def _chain_exponents(bits):
     """sqrt(n) enclosures, n = 1..40, as radial_exp reads them, then
     rational exponents, an integer one and a wide enclosure."""
