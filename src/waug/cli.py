@@ -16,10 +16,14 @@ leaf before it starts, loads the leaf's input files once (--spec, --weight,
 --element, --csv), hashes them into the envelope and hands the handler the
 loaded objects in place of the paths; the handler returns (report, ok, CSV
 rows or None) and `main` writes the report envelope or the CSV.
-`parse_command(argv)` builds only the parser of the leaf argv[:2] names,
-with the prog the full tree gives it.  Help, --version, unknown names,
-"--=..." and the refusal of what a leaf leaves over go to the full tree,
-`build_parser()`, so every text argparse prints is that of the full tree.
+`parse_command(argv)` reads a leaf command straight off its row of
+COMMANDS when argv[:2] names a leaf and every word after it is a flag
+spelled out in full followed by one value that does not start with "-",
+converts with the flag's type and is among its choices, with every required
+flag given.  Anything else (help, --version, abbreviations, "--flag=value",
+"--", negative values, bad or missing values, unknown words) goes to the
+full argparse tree, `build_parser()`, which parses it or prints its usage,
+help or error text; argparse is imported only there.
 
 Exit codes: 0 = run completed and every certified check passed; 1 = a
 property or certificate failed (the report carries the witness), or a
@@ -33,11 +37,11 @@ into the report.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
@@ -122,6 +126,12 @@ def _check_depth_levels(depth):
     check_size("--depth {} asks for n = 0..depth", depth, depth + 1, "levels")
 
 
+def _check_blocks(blocks):
+    """Refuse K blocks at or past the cap: the builder keeps eps_0..eps_K."""
+    check_size("--blocks {} asks for eps_k, k = 0..blocks", blocks, blocks + 1,
+               "values")
+
+
 def _h_weight_verify(args, bits):
     k = max(args.radius, 0) // 2  # m = 1..k, n = m..radius - m
     check_size("--radius {} checks the length pairs m <= n, m + n <= radius",
@@ -140,6 +150,7 @@ def _h_weight_tau(args, bits):
 
 
 def _h_weight_build_l74(args, bits):
+    _check_blocks(args.blocks)
     _, rep = build_lemma74(parse_rational(args.rho), args.blocks, bits)
     ok = rep["step_bounds_all_ok"] and rep["eps_monotone"] and rep["eps_below_1_over_k"]
     rep["certified"] = ok
@@ -260,6 +271,7 @@ def _h_ideal_witness_65(args, bits):
 
 
 def _h_ideal_witness_75(args, bits):
+    _check_blocks(args.blocks)
     rep = witness_thm75(parse_rational(args.rho), args.blocks, bits)
     for key in ("norm_upper_bound_exact", "divisor_partial_norm"):
         if rep[key] is not None:  # exact sums pass the digit limit near K = 5000
@@ -389,16 +401,15 @@ COMMANDS = {
 }
 
 
-def _add_flags(p: argparse.ArgumentParser, flags) -> argparse.ArgumentParser:
-    """Add IO_FLAGS, then flags, to p; the tree and parse_command share it."""
-    for name, kw in IO_FLAGS + flags:
-        p.add_argument(name, **kw)
-    return p
+def _dest(name, kw) -> str:
+    """The attribute flag `name` sets, as argparse names it."""
+    return kw.get("dest", name[2:].replace("-", "_"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The full argument tree: every group and every leaf.  It parses help,
-    --version and unknown names, and refuses what a leaf leaves over."""
+def build_parser():
+    """The full argparse tree: every group and every leaf.  It parses what
+    `parse_command` leaves to it and prints every usage, help and error."""
+    import argparse
     ap = argparse.ArgumentParser(
         prog="waug",
         description="workbench for weighted l1 algebras on finitely "
@@ -409,24 +420,51 @@ def build_parser() -> argparse.ArgumentParser:
                     dest="command", required=True)
                 for name, text in GROUPS.items()}
     for (group, command), (text, _, flags, *_) in COMMANDS.items():
-        _add_flags(commands[group].add_parser(command, help=text), flags)
+        leaf = commands[group].add_parser(command, help=text)
+        for name, kw in IO_FLAGS + flags:
+            leaf.add_argument(name, **kw)
     return ap
 
 
-def parse_command(argv) -> argparse.Namespace:
-    """build_parser().parse_args(argv), building only the parser of the leaf
-    argv[:2] names when it names one; the tree refuses what that leaves over."""
-    key = tuple(argv[:2])
-    # the tree's top level refuses "--=..." as ambiguous (--help or --version)
-    if key not in COMMANDS or any(a.startswith("--=") for a in argv):
-        return build_parser().parse_args(argv)
-    leaf = _add_flags(argparse.ArgumentParser(prog=f"waug {key[0]} {key[1]}"),
-                      COMMANDS[key][2])
-    args, extra = leaf.parse_known_args(argv[2:])
-    if extra:
-        build_parser().error("unrecognized arguments: " + " ".join(extra))
-    args.group, args.command = key
+def _parse_leaf(key, words):
+    """The namespace of leaf `key` for words read off COMMANDS, or None
+    unless words are full flag names, each followed by one value that does
+    not start with '-', converts with the flag's type and is among its
+    choices, and every required flag is given.  An append flag collects its
+    values; another repeated flag keeps the last, as argparse does."""
+    if len(words) % 2:
+        return None
+    flags = dict(IO_FLAGS + COMMANDS[key][2])
+    args = SimpleNamespace(group=key[0], command=key[1], **{
+        _dest(name, kw): kw.get("default") for name, kw in flags.items()})
+    given = set()
+    for name, text in zip(words[::2], words[1::2]):
+        kw = flags.get(name)
+        if kw is None or text.startswith("-"):
+            return None
+        try:
+            value = kw.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in kw.get("choices", [value]):
+            return None
+        dest = _dest(name, kw)
+        if kw.get("action") == "append":
+            value = [*(getattr(args, dest) or []), value]
+        setattr(args, dest, value)
+        given.add(name)
+    if any(kw.get("required") and name not in given for name, kw in flags.items()):
+        return None
     return args
+
+
+def parse_command(argv):
+    """The namespace of a command: `_parse_leaf` of the leaf argv[:2] names,
+    else build_parser().parse_args(argv), which exits on help, --version or
+    an error; both give the same attributes for every argv the first reads."""
+    key = tuple(argv[:2])
+    args = _parse_leaf(key, argv[2:]) if key in COMMANDS else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 # the flags (by dest) that name an input file, in the order they are loaded
@@ -469,7 +507,7 @@ def _parameters_of(args, flags) -> dict:
     input files, when set."""
     out = {}
     for name, kw in flags:
-        key = kw.get("dest", name[2:])
+        key = _dest(name, kw)
         val = getattr(args, key)
         if key != "out" and key not in INPUTS and val is not None:
             out[key] = val
