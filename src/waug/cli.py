@@ -16,13 +16,10 @@ leaf before it starts, loads the leaf's input files once (--spec, --weight,
 --element, --csv), hashes them into the envelope and hands the handler the
 loaded objects in place of the paths; the handler returns (report, ok, CSV
 rows or None) and `main` writes the report envelope or the CSV.
-`parse_command(argv)` reads a leaf command straight off its row of
-COMMANDS when argv[:2] names a leaf and every word after it is a flag
-spelled out in full followed by one value that does not start with "-",
-converts with the flag's type and is among its choices, with every required
-flag given.  Anything else (help, --version, abbreviations, "--flag=value",
-"--", negative values, bad or missing values, unknown words) goes to the
-full argparse tree, `build_parser()`, which parses it or prints its usage,
+`parse_command(argv)` reads a leaf command straight off its COMMANDS row
+when every flag is spelled out in full and followed by one plain value
+(`_parse_leaf`).  Help, --version and every other form go to the full
+argparse tree, `build_parser()`, which parses them or prints its usage,
 help or error text; argparse is imported only there.
 
 Exit codes: 0 = run completed and every certified check passed; 1 = a
@@ -427,17 +424,18 @@ def build_parser():
 
 
 def _parse_leaf(key, words):
-    """The namespace of leaf `key` for words read off COMMANDS, or None
-    unless words are full flag names, each followed by one value that does
-    not start with '-', converts with the flag's type and is among its
-    choices, and every required flag is given.  An append flag collects its
-    values; another repeated flag keeps the last, as argparse does."""
-    if len(words) % 2:
-        return None
+    """The namespace of leaf `key` read off COMMANDS, or None unless words
+    are full flag names, each followed by one value that does not start with
+    '-', converts with the flag's type and is among its choices, and every
+    required flag is given.  An append flag collects its values; another
+    repeated flag keeps the last, as argparse does."""
     flags = dict(IO_FLAGS + COMMANDS[key][2])
+    given = set(words[::2])
+    if len(words) % 2 or any(kw.get("required") and name not in given
+                             for name, kw in flags.items()):
+        return None
     args = SimpleNamespace(group=key[0], command=key[1], **{
         _dest(name, kw): kw.get("default") for name, kw in flags.items()})
-    given = set()
     for name, text in zip(words[::2], words[1::2]):
         kw = flags.get(name)
         if kw is None or text.startswith("-"):
@@ -452,9 +450,6 @@ def _parse_leaf(key, words):
         if kw.get("action") == "append":
             value = [*(getattr(args, dest) or []), value]
         setattr(args, dest, value)
-        given.add(name)
-    if any(kw.get("required") and name not in given for name, kw in flags.items()):
-        return None
     return args
 
 

@@ -756,6 +756,28 @@ def test_radius_cap_counts_length_pairs(capsys, monkeypatch):
                    "to raise it)\n")
 
 
+@pytest.mark.parametrize("command", [["weight", "build-l74"], ["ideal", "witness-75"]],
+                         ids=["build-l74", "witness-75"])
+def test_blocks_are_capped_before_the_builder(capsys, monkeypatch, command):
+    # the builder keeps eps_0..eps_K, K + 1 values: K = cap - 1 is the largest
+    argv = [*command, "--rho", "2", "--blocks"]
+    monkeypatch.setenv("WAUG_BALL_CAP", "5")
+    code, out, _ = run(capsys, *argv, "4")
+    assert code == 0 and json.loads(out)["result"]["markers"][:1] == [1]
+    code, out, err = run(capsys, *argv, "5")
+    assert code == 2 and out == ""
+    assert err == ("waug: error: --blocks 5 asks for eps_k, k = 0..blocks = 6 "
+                   "values, over the cap 5 (set WAUG_BALL_CAP to raise it)\n")
+    monkeypatch.delenv("WAUG_BALL_CAP")
+    started = time.monotonic()
+    code, out, err = run(capsys, *argv, str(10 ** 19))
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err == ("waug: error: --blocks 10000000000000000000 asks for eps_k, "
+                   "k = 0..blocks = 10000000000000000001 values, over the cap "
+                   "1000000 (set WAUG_BALL_CAP to raise it)\n")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_weight_tau_refuses_a_tau_past_the_digit_limit_before_the_rest(
         capsys, tmp_path, zline, fmt):
