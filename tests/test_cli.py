@@ -762,8 +762,7 @@ def test_blocks_are_capped_before_the_builder(capsys, monkeypatch, command):
     # the builder keeps eps_0..eps_K, K + 1 values: K = cap - 1 is the largest
     argv = [*command, "--rho", "2", "--blocks"]
     monkeypatch.setenv("WAUG_BALL_CAP", "5")
-    code, out, _ = run(capsys, *argv, "4")
-    assert code == 0 and json.loads(out)["result"]["markers"][:1] == [1]
+    assert run(capsys, *argv, "4")[0] == 0
     code, out, err = run(capsys, *argv, "5")
     assert code == 2 and out == ""
     assert err == ("waug: error: --blocks 5 asks for eps_k, k = 0..blocks = 6 "

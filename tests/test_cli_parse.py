@@ -19,7 +19,6 @@ import sys
 from unittest import mock
 
 import pytest
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
