@@ -6,8 +6,10 @@ empty while every coefficient is real), kept canonical: no zero numerators
 and gcd(den, numerators) = 1, so equal elements have equal maps.  Scalars
 cross the boundary as `QC` Gaussian rationals (f[u], augmentations, ball
 sums).  Convolution, augmentation and the ball partial-sum functionals
-sigma_n are exact; weighted norms are exact whenever the weight and the
-scalar moduli are rational, and certified enclosures otherwise.
+sigma_n are exact.  Weighted norms are summed on the numerators, as integers
+at scale 2**bits (a square root bracketed as nth_root brackets it), and are
+exact whenever the weight and the scalar moduli are rational, certified
+enclosures otherwise.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
 from collections.abc import Mapping
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 
-from .certify import REQUIRED, Enclosure, as_enclosure, format_rational, nth_root, read_as
+from .certify import REQUIRED, Enclosure, format_rational, read_as
 from .structures import InvalidInput, Structure
 
 
@@ -77,15 +79,6 @@ class QC:
         if not self.im:
             return f"QC({self.re})"
         return f"QC({self.re}, {self.im})"
-
-    def abs_value(self, bits: int = 128):
-        """|z|: a Fraction on the real or imaginary axis, else nth_root's
-        Enclosure of the modulus, zero-width when that is rational."""
-        if self.im == 0:
-            return abs(self.re)
-        if self.re == 0:
-            return abs(self.im)
-        return nth_root(self.re * self.re + self.im * self.im, 2, bits)
 
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
@@ -265,22 +258,33 @@ def convolve_many(*elems) -> Element:
 
 
 def weighted_norm(f: Element, weight=None, bits: int = 128):
-    """||f||_omega = sum |f(u)| omega(u).
-
-    `weight` is any object with eval(structure, u) -> Fraction | Enclosure
-    (None = trivial weight).  Returns a Fraction when every factor is exact,
-    otherwise a certified Enclosure.
-    """
-    lo = hi = 0                  # bounds on den * ||f||_omega
+    """||f||_omega = sum |f(u)| omega(u), summed on integers: lo <= den 2**bits
+    ||f||_omega <= hi.  |den f(u)| is |re[u]| at a real point; at a Gaussian
+    one, with N = re[u]^2 + im[u]^2, it is isqrt(N) if N is a square, else
+    between a den and (a + 1) den at scale 2**-bits, a = isqrt((N << 2 bits) //
+    den^2): nth_root's bracket of the rational |f(u)|^2 = N / den^2, which is
+    a square exactly when N is, and has the same scaled floor a.  `weight` has
+    eval(structure, u) -> Fraction | Enclosure (None = trivial weight); a
+    whole-number value enters as its numerator.  Returns a Fraction when
+    lo == hi, otherwise a certified Enclosure."""
+    s, re, im, den = f.structure, f.re, f.im, f.den
+    lo = hi = 0
     for u in f._points():
-        w = as_enclosure(1 if weight is None else weight.eval(f.structure, u, bits=bits))
-        # |den f(u)|: the numerator itself at a real point
-        c = as_enclosure(f[u].abs_value(bits) * f.den if u in f.im else abs(f.re[u]))
-        lo += c.lo * w.lo
-        hi += c.hi * w.hi
+        if u not in im:
+            c_lo = c_hi = abs(re[u]) << bits
+        elif (c := isqrt(n := re.get(u, 0) ** 2 + im[u] ** 2)) ** 2 == n:
+            c_lo = c_hi = c << bits
+        else:
+            c_lo = isqrt((n << 2 * bits) // (den * den)) * den
+            c_hi = c_lo + den
+        w = 1 if weight is None else weight.eval(s, u, bits=bits)
+        w_lo, w_hi = w if isinstance(w, Enclosure) else (w, w)
+        lo += c_lo * (w_lo.numerator if w_lo.denominator == 1 else w_lo)
+        hi += c_hi * (w_hi.numerator if w_hi.denominator == 1 else w_hi)
+    den <<= bits
     if lo == hi:
-        return Fraction(lo, f.den)
-    return Enclosure(Fraction(lo, f.den), Fraction(hi, f.den))
+        return Fraction(lo, den)
+    return Enclosure(Fraction(lo, den), Fraction(hi, den))
 
 
 def norm_terms(f: Element, weight, scale=1) -> list:

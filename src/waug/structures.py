@@ -64,7 +64,7 @@ question itself.
 from __future__ import annotations
 
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from functools import partial
 from itertools import accumulate, islice
 from math import comb
@@ -146,6 +146,11 @@ class Structure:
     def word_length(self, u) -> int:
         """Length w.r.t. the family's standard generating set."""
         raise InvalidInput(f"{self.family}: no standard word length")
+
+    def sphere_lengths(self, level) -> list:
+        """The distinct word lengths on `level`, a list in elem_key order (a
+        BallTable level), in the order they are first met."""
+        return list(dict.fromkeys(map(self.word_length, level)))
 
     def is_standard_generators(self, gens) -> bool:
         return False
@@ -457,6 +462,16 @@ class FreeStructure(Graded):
             ones.append(ones[-1] * self.base + 1)
             self._pows.append(self._pows[-1] * self.base)
         return bisect_right(ones, u) - 1
+
+    def sphere_lengths(self, level):
+        """Ascending: elem_key order is numeric and _ones[n] <= u < _ones[n+1]
+        on words of length n, so each length costs one word_length and one
+        bisection of `level` to the first longer word."""
+        lengths, i = [], 0
+        while i < len(level):
+            lengths.append(n := self.word_length(level[i]))
+            i = bisect_left(level, self._ones[n + 1], i)
+        return lengths
 
     def spheres(self, n):
         # S_m is S_(m-1) with a letter d appended, u b + d, in numeric

@@ -44,7 +44,8 @@ class Weight:
         raise InvalidInput(f"{self.family}: not a radial weight")
 
     def sphere_values(self, s: Structure, points, bits: int = DEFAULT_BITS):
-        """The values omega takes on `points`, each at least once."""
+        """The values omega takes on `points`, a list in elem_key order (a
+        BallTable level), each at least once."""
         return [self.eval(s, u, bits) for u in points]
 
     def check_domain(self, s: Structure):
@@ -67,8 +68,7 @@ class WordLengthWeight(Weight):
     def sphere_values(self, s, points, bits=DEFAULT_BITS):
         # one value per distinct length, met in the order eval would meet
         # them, so a length that cannot be evaluated raises the same error
-        lengths = dict.fromkeys(map(s.word_length, points))
-        return [self.radial_value(n, bits) for n in lengths]
+        return [self.radial_value(n, bits) for n in s.sphere_lengths(points)]
 
 
 class TrivialWeight(Weight):

@@ -1,5 +1,7 @@
 """Finitely supported elements: convolution, norms, ball sums."""
 
+import json
+import os
 import random
 from fractions import Fraction as F
 
@@ -7,12 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import norm_enclosure_oracle as norm_oracle
 from waug.algebra import (QC, Element, convolve, convolve_many,
                           sigma_sequence, weighted_norm)
-from waug.certify import Enclosure, as_enclosure, format_rational
+from waug.certify import Enclosure, format_rational
 from waug.serialize import canonical_json
 from waug.structures import UNIVERSE, division_balls, structure_from_spec
-from waug.weights import RadialExpWeight, TrivialWeight
+from waug.weights import (RadialExpWeight, RadialPolyWeight, TrivialWeight,
+                          weight_from_spec)
 
 
 def random_element(rng, s, pool, size, denom=12):
@@ -35,13 +39,13 @@ def test_qc_arithmetic():
 
 
 def test_qc_abs_value():
-    # |3 + 4i| = 5 exactly
-    v = QC(F(3), F(4)).abs_value()
+    # |3 + 4i| = 5 exactly, by the oracle's frozen QC.abs_value
+    v = norm_oracle.abs_value(QC(F(3), F(4)))
     if hasattr(v, "lo"):
         assert v.lo <= 5 <= v.hi
     else:
         assert v == 5
-    assert QC(F(-7, 2)).abs_value() == F(7, 2)
+    assert norm_oracle.abs_value(QC(F(-7, 2))) == F(7, 2)
 
 
 def test_element_zero_coefficients_dropped():
@@ -365,18 +369,69 @@ def test_convolution_matches_the_fraction_double_loop(name, data):
             == _oracle_convolve(Element.delta(s, s.identity(), k), f))
 
 
+def _assert_norm_is_the_oracles(f, weight, bits):
+    """weighted_norm equals the frozen enclosure sum, and is a Fraction
+    exactly when its two ends meet."""
+    got = weighted_norm(f, weight, bits)
+    assert got == norm_oracle.weighted_norm(f, weight, bits)
+    if isinstance(got, Enclosure):
+        assert got.lo < got.hi
+    else:
+        assert type(got) is F
+
+
 # the table monoid has no standard word length for a radial weight
 @pytest.mark.parametrize("name", [n for n in LAW_NAMES if n != "table"])
 @_laws
 @given(data=st.data())
 def test_weighted_norm_matches_the_per_point_enclosure_sum(name, data):
     f = data.draw(_elements(name))
-    for weight in (None, RadialExpWeight(F(2), F(1)), RadialExpWeight(F(2), F(1, 2))):
-        want = Enclosure.exact(0)
-        for u in f.support():
-            w = 1 if weight is None else weight.eval(f.structure, u, bits=64)
-            want = want + as_enclosure(f[u].abs_value(64)) * as_enclosure(w)
-        assert weighted_norm(f, weight, 64) == (want.lo if want.is_exact else want)
+    bits = data.draw(st.sampled_from([8, 64, 128]))
+    for weight in (None, RadialExpWeight(F(2), F(1)), RadialExpWeight(F(2), F(1, 2)),
+                   RadialPolyWeight(F(3, 2))):
+        _assert_norm_is_the_oracles(f, weight, bits)
+
+
+_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+
+def _input(name):
+    with open(os.path.join(_INPUTS, name)) as fh:
+        return json.load(fh)
+
+
+# every kind of point |den f(u)| meets, as (point, re, im) terms: a 3+4i
+# point over a denominator (a square modulus), an imaginary-only and a
+# real-only point, the zero element, and points whose modulus is irrational
+_NORM_EDGES = {
+    "3+4i/7": [(0, "3/7", "4/7")],
+    "imaginary": [(1, 0, "-4/7")],
+    "real": [(2, "-5/2", 0)],
+    "zero": [],
+    "irrational": [(1, "1/3", "2/3"), (3, 5, -2)],
+    "mixed": [(0, "3/7", "4/7"), (1, 0, "-4/7"), (2, "-3/7", 0), (3, "1/6", "-5/4")],
+}
+_F2, _C5 = (structure_from_spec(_input(n))[0] for n in ("f2.json", "c5.json"))
+_F2_POINTS = [_F2.elem_from_json(w) for w in ([1, 2], [-1], [], [2, -1, -1])]
+_C5_POINTS = [1, 2, 0, 4]
+_NORM_WEIGHTS = [
+    (_F2, _F2_POINTS, None),
+    (_F2, _F2_POINTS, weight_from_spec(_input("w_exp2.json"))),       # whole numbers
+    (_F2, _F2_POINTS, weight_from_spec(_input("w_exp_half.json"))),   # enclosures
+    (_F2, _F2_POINTS, weight_from_spec(_input("w_poly_half.json"))),  # enclosures
+    (_C5, _C5_POINTS, weight_from_spec(_input("w_explicit_c5.json"))),
+    (_C5, _C5_POINTS, weight_from_spec(                               # fractions
+        {"family": "explicit",
+         "params": {"values": {"m0": "1", "m1": "5/2", "m2": "7/3", "m4": "9/8"}}})),
+]
+
+
+@pytest.mark.parametrize("bits", [8, 64, 128, 256])
+@pytest.mark.parametrize("edge", sorted(_NORM_EDGES))
+def test_weighted_norm_matches_the_per_point_enclosure_sum_at_the_edges(edge, bits):
+    for s, points, weight in _NORM_WEIGHTS:
+        f = Element(s, [(points[i], QC(F(re), F(im))) for i, re, im in _NORM_EDGES[edge]])
+        _assert_norm_is_the_oracles(f, weight, bits)
 
 
 def test_basel_element_json_matches_the_fraction_path():

@@ -127,6 +127,13 @@ CASES = [
     ("weight_tau_f2_exp2.csv", 0,
      ["weight", "tau", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--depth", "5", "--format", "csv"]),
+    # a non-standard free set walked through tau_and_C's sphere lengths
+    ("weight_tau_f2_ab_exp2.json", 0,
+     ["weight", "tau", "--spec", "inputs/f2_ab.json",
+      "--weight", "inputs/w_exp2.json", "--depth", "5"]),
+    ("weight_tau_f2_ab_exp2.csv", 0,
+     ["weight", "tau", "--spec", "inputs/f2_ab.json",
+      "--weight", "inputs/w_exp2.json", "--depth", "5", "--format", "csv"]),
     ("weight_tau_c5_explicit.json", 0,
      ["weight", "tau", "--spec", "inputs/c5.json",
       "--weight", "inputs/w_explicit_c5.json", "--depth", "2"]),
@@ -185,6 +192,14 @@ CASES = [
     ("norm_f2_exp2.json", 0,
      ["element", "norm", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_elem.json"]),
+    # a 3+4i point over 7, an imaginary-only point and a real point, under
+    # enclosure weight values and under whole-number ones
+    ("norm_f2_gauss_exp_half.json", 0,
+     ["element", "norm", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp_half.json", "--element", "inputs/f2_gauss_elem.json"]),
+    ("norm_f2_gauss_exp2.json", 0,
+     ["element", "norm", "--spec", "inputs/f2.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_gauss_elem.json"]),
     ("norm_z_l76.json", 0,
      ["element", "norm", "--spec", "inputs/z.json",
       "--weight", "inputs/w_l76.json", "--element", "inputs/z_elem_norm.json"]),
@@ -215,6 +230,10 @@ CASES = [
     ("decompose_full_f2_ab.json", 0,
      ["ideal", "decompose-full", "--spec", "inputs/f2_ab.json",
       "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_zero_elem.json",
+      "--d", "1/2"]),
+    ("decompose_full_f2_ab_gauss.json", 0,
+     ["ideal", "decompose-full", "--spec", "inputs/f2_ab.json",
+      "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_gauss_elem.json",
       "--d", "1/2"]),
     # f = delta_ab - delta_(ab a^-1): the contributions on a and b cancel,
     # so their terms stay in the report with zero coefficients and norm 0

@@ -1,11 +1,15 @@
 """Weights: axioms, sphere minima, and the two staircase constructions."""
 
 import hashlib
+import json
 import math
+import os
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ball_walk_oracle
 import waug.certify as certify_mod
@@ -183,6 +187,65 @@ def test_tau_enumeration_agrees_with_radial_fast_path():
     bt = ball_walk_oracle.division_balls(s, gens, 4)  # walked, not closed form
     slow = [min(w.eval(s, u) for u in bt.sphere(n)) for n in range(1, 5)]
     assert fast["taus"] == slow
+
+
+_INPUTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "inputs")
+
+# non-standard free generating sets, whose balls are walked: F2 over
+# {a, a^-1, b, b^-1, ab}, F3 with one two-letter generator, and the rank-2
+# free monoid over {a, b, ab} and over {a, b, bba}
+_FREE_SETS = {
+    "f2-ab": (2, True, [[1], [-1], [2], [-2], [1, 2]]),
+    "f3-bc": (3, True, [[1], [-1], [2], [-2], [3], [-3], [2, 3]]),
+    "fm2-ab": (2, False, [[1], [2], [1, 2]]),
+    "fm2-bba": (2, False, [[1], [2], [2, 2, 1]]),
+}
+
+
+def _weight_input(name):
+    with open(os.path.join(_INPUTS, name)) as fh:
+        return weight_from_spec(json.load(fh))
+
+
+_TAU_WEIGHTS = [_weight_input(name) for name in ("w_exp2.json", "w_poly2.json")]
+
+
+@st.composite
+def _free_set(draw):
+    """A free structure, a generating set with reduced words of length 2 or 3
+    beside the letters (so it is not the standard one), and a depth that
+    keeps the ball small."""
+    rank, inverses = draw(st.integers(1, 3)), draw(st.booleans())
+    letters = [g for r in range(1, rank + 1) for g in ((r, -r) if inverses else (r,))]
+    extra = st.lists(st.sampled_from(letters), min_size=2, max_size=3).filter(
+        lambda w: all(a != -b for a, b in zip(w, w[1:])))
+    gens = [[g] for g in letters] + draw(st.lists(extra, min_size=1, max_size=2))
+    return rank, inverses, gens, draw(st.integers(1, 6 - rank))
+
+
+@settings(max_examples=60)
+@given(case=_free_set())
+@example(case=(*_FREE_SETS["f2-ab"], 5))
+@example(case=(*_FREE_SETS["f3-bc"], 3))
+@example(case=(*_FREE_SETS["fm2-ab"], 6))
+@example(case=(*_FREE_SETS["fm2-bba"], 6))
+def test_sphere_lengths_and_minima_on_walked_free_levels(case):
+    # the bisected lengths are the per-point ones in the order first met,
+    # and tau_and_C is the brute-force minimum over the oracle's spheres
+    rank, inverses, words, depth = case
+    s, gens = structure_from_spec({"family": "free", "generators": words,
+                                   "params": {"rank": rank, "inverses": inverses}})
+    bt = division_balls(s, gens, depth)
+    for level in bt.levels:
+        assert s.sphere_lengths(level) == list(dict.fromkeys(map(s.word_length, level)))
+    walked = ball_walk_oracle.division_balls(s, gens, depth)
+    for weight in _TAU_WEIGHTS:
+        tc = tau_and_C(s, gens, weight, depth)
+        assert tc["method"] == "enumeration"
+        assert tc["taus"] == [min(weight.eval(s, u) for u in walked.levels[n])
+                              for n in range(1, depth + 1)]
+        assert tc["C"] == max(weight.eval(s, x) for x in gens)
+        assert tc["sphere_sizes"] == [len(walked.levels[n]) for n in range(1, depth + 1)]
 
 
 def _cyclic_spec(n):
