@@ -42,43 +42,11 @@ class QC:
             return cls(x)
         raise InvalidInput(f"cannot use {x!r} as a scalar")
 
-    def __add__(self, other):
-        other = QC.coerce(other)
-        return QC(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = QC.coerce(other)
-        return QC(self.re - other.re, self.im - other.im)
-
     def __neg__(self):
         return QC(-self.re, -self.im)
 
-    def __mul__(self, other):
-        other = QC.coerce(other)
-        return QC(self.re * other.re - self.im * other.im,
-                  self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = QC(other)
-        if not isinstance(other, QC):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
-
-    def __hash__(self):
-        return hash((self.re, self.im))
-
     def __bool__(self):
         return bool(self.re) or bool(self.im)
-
-    def __repr__(self):
-        if not self.im:
-            return f"QC({self.re})"
-        return f"QC({self.re}, {self.im})"
 
     def to_json(self) -> dict:
         return {"re": format_rational(self.re), "im": format_rational(self.im)}
@@ -160,10 +128,6 @@ class Element:
                 and self.structure is other.structure and self.den == other.den
                 and self.re == other.re and self.im == other.im)
 
-    def __hash__(self):
-        return hash((self.den, frozenset(self.re.items()),
-                     frozenset(self.im.items())))
-
     def __add__(self, other, sign=1):
         """self + sign * other over the lcm of the two denominators."""
         g = gcd(self.den, other.den)
@@ -179,30 +143,10 @@ class Element:
     def __sub__(self, other):
         return self.__add__(other, -1)
 
-    def __neg__(self):
-        return self.scale(-1)
-
-    def scale(self, a) -> "Element":
-        """a * f = (a delta_e) * f for an int, Fraction or QC scalar a."""
-        s = self.structure
-        a = Element.delta(s, s.identity(), a)
-        re, im = {}, {}
-        _convolve_into(re, im, lambda _, v: v, a, self, 1)   # e v = v
-        return Element.from_numerators(s, re, im, a.den * self.den)
-
-    def translate(self, x) -> "Element":
-        """Right translation f * delta_x."""
-        return convolve(self, Element.delta(self.structure, x))
-
     def augmentation(self) -> QC:
         """phi_0(f) = sum of all coefficients."""
         return QC(Fraction(sum(self.re.values()), self.den),
                   Fraction(sum(self.im.values()), self.den))
-
-    def __repr__(self):
-        parts = [f"{self[u]!r}*d[{self.structure.elem_str(u)}]"
-                 for u in self.support()]
-        return "Element(" + " + ".join(parts) + ")" if parts else "Element(0)"
 
     def to_json(self) -> dict:
         s, re, im, den = self.structure, self.re, self.im, self.den

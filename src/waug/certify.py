@@ -12,9 +12,9 @@ files (read_as, read_family) sits here too, beside parse_rational.
 from __future__ import annotations
 
 import sys
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, isqrt, log2, log10
-from typing import NamedTuple, Optional
 
 DEFAULT_BITS = 128
 MAX_BITS = 1 << 16  # where escalate stops doubling, and --precision's ceiling
@@ -163,11 +163,10 @@ def int_nth_root(a: int, n: int) -> int:
     return x
 
 
-class Enclosure(NamedTuple):
+class Enclosure(namedtuple("Enclosure", "lo hi")):
     """Certified bracket lo <= value <= hi (both rationals)."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
     @classmethod
     def exact(cls, x) -> "Enclosure":
@@ -263,7 +262,7 @@ def pow_mantissas(r: tuple, n: int, bits: int) -> tuple:
     return lo, hi
 
 
-def pow_less(m: tuple, c: tuple, bits: int, strict: bool = True) -> Optional[bool]:
+def pow_less(m: tuple, c: tuple, bits: int, strict: bool = True) -> bool | None:
     """x < c (<= with strict=False) for the x that mantissas m = (lo, hi) at
     scale 2**-bits enclose and c = c[0]/c[1], an integer pair in any scaling,
     on integers: True, False, or None if m straddles c."""
@@ -273,7 +272,7 @@ def pow_less(m: tuple, c: tuple, bits: int, strict: bool = True) -> Optional[boo
     return False if m[0] * den > num - strict else None  # lo >= c iff lo > c - 1
 
 
-def escalate(probe, bits: int, what: str = "") -> Optional[bool]:
+def escalate(probe, bits: int, what: str = "") -> bool | None:
     """The package's one precision loop: the first True or False of probe(b) for
     b = bits, 2 bits, ... <= MAX_BITS (read per call), else None, or ResourceLimit if `what`."""
     while bits <= MAX_BITS:
@@ -305,7 +304,7 @@ def sqrt_sum_sign(terms, bits: int = DEFAULT_BITS) -> int:
 
 
 def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
-                   bits: int = DEFAULT_BITS, kept: Optional[tuple] = None) -> bool:
+                   bits: int = DEFAULT_BITS, kept: tuple | None = None) -> bool:
     """Certified decision of  x**n < c  (or <= with strict=False) for
     x = r[0]/r[1] >= 0 and c = c[0]/c[1], integer pairs in any scaling
     (second entries > 0): the package's one certified power comparison.
@@ -331,7 +330,7 @@ def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
     return lhs < rhs if strict else lhs <= rhs
 
 
-def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS, chain: Optional[list] = None) -> Enclosure:
+def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS, chain: list | None = None) -> Enclosure:
     """Certified enclosure of c**t for rational c >= 1 and t >= 0 rational
     or enclosure.  Monotonicity in t does the interval bookkeeping.
 

@@ -65,11 +65,11 @@ from __future__ import annotations
 
 import os
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from functools import partial
 from itertools import accumulate, islice
 from math import comb
 from operator import add, itemgetter
-from typing import NamedTuple, Optional
 
 from .certify import REQUIRED, InvalidInput, ResourceLimit, read_as, read_family
 
@@ -121,7 +121,7 @@ UNIVERSE = _Universe()
 class Structure:
     family = "?"
     is_group = False
-    size: Optional[int] = None  # None = infinite
+    size: int | None = None  # None = infinite
 
     def identity(self):
         raise NotImplementedError
@@ -748,10 +748,8 @@ def structure_from_spec(spec: dict):
 # balls, spheres, ancestry
 # ---------------------------------------------------------------------------
 
-class AncestryStep(NamedTuple):
-    elem: object
-    op: Optional[str]   # None for z_1=u; then "mul" (z = z_prev.x) or "div" (z.x = z_prev)
-    x: Optional[object]
+# op: None for z_1=u; then "mul" (z = z_prev.x) or "div" (z.x = z_prev)
+AncestryStep = namedtuple("AncestryStep", "elem op x")
 
 
 class BallTable:
@@ -768,12 +766,12 @@ class BallTable:
     `divisors_below`, `ancestry`, `sizes`, `universal_at`, `whole_at` and
     `stable_at`."""
 
-    def __init__(self, structure: Structure, levels: list, level_of: Optional[dict] = None):
+    def __init__(self, structure: Structure, levels: list, level_of: dict | None = None):
         self.structure = structure
         self.levels = levels
         self.level_of = level_of
 
-    def level(self, u) -> Optional[int]:
+    def level(self, u) -> int | None:
         """Least n with u in B_n, or None if u lies outside B_depth."""
         if self.level_of is None:
             n = self.structure.word_length(u)
@@ -836,17 +834,17 @@ class BallTable:
         sizes = list(accumulate(map(len, self.levels[:self.universal_at()])))
         return sizes + ["all"] * (len(self.levels) - len(sizes))
 
-    def universal_at(self) -> Optional[int]:
+    def universal_at(self) -> int | None:
         return next((n for n, lev in enumerate(self.levels) if lev is UNIVERSE), None)
 
-    def whole_at(self) -> Optional[int]:
+    def whole_at(self) -> int | None:
         """First n with B_n the whole structure (all of a finite one, or
         universal)."""
         whole = "all" if self.structure.size is None else self.structure.size
         sizes = self.sizes()
         return sizes.index(whole) if whole in sizes else None
 
-    def stable_at(self) -> Optional[int]:
+    def stable_at(self) -> int | None:
         """First n >= 1 with B_n == B_(n-1) (fixpoint of the recursion):
         the first empty level, which after a universal ball is the next one."""
         for n in range(1, len(self.levels)):

@@ -201,13 +201,6 @@ class Lemma74Weight(WordLengthWeight):
                 "use the ratio certificates instead")
         return self.base_at(n) ** n
 
-    def step_ratio(self, k: int):
-        """omega_(n_k+1) / omega_(n_k) as a Fraction (exact when feasible)
-        or a certified Enclosure; this is the quantity bounded by (rho+1)/k."""
-        exact, *ends, d = self.step_ratio_ints(k)
-        ends = [Fraction(x, d << self.bits) for x in ends]
-        return ends[0] if exact else Enclosure(*ends)
-
     def step_ratio_ints(self, k: int):
         """(exact, lo, hi, d) with lo <= 2**bits d omega_(n_k+1)/omega_(n_k)
         <= hi, for the bases A = (pk+q)/(qk) on the block ending at n_k and
@@ -612,7 +605,7 @@ def build_lemma74(rho, K: int, bits: int = DEFAULT_BITS):
         omega_(n_k+1)/omega_(n_k) <= (rho+1)/k,
     which is certified per block: exactly while the numbers materialize, else
     by `ratio_pow_less` from the fresh mantissas of (B/A)^(n_k) that the
-    marker search returns, which `step_ratio` reuses.  All on integer pairs:
+    marker search returns, which `step_ratio_ints` reuses.  All on integer pairs:
     with rho = p/q, block k has A = (pk+q)/(qk), B = A_(k+1), the ratio
     B/A = (p(k+1)+q)k / ((pk+q)(k+1)) and the step bound
     (rho+1)/(kB) = (p+q)(k+1) / (k(p(k+1)+q)); the marker search derives its

@@ -28,14 +28,24 @@ def random_element(rng, s, pool, size, denom=12):
     return f
 
 
-def test_qc_arithmetic():
-    a = QC(F(1, 2), F(1, 3))
-    b = QC(F(1, 4), F(-1, 3))
-    assert (a + b).re == F(3, 4) and (a + b).im == 0
-    # (1/2 + i/3)(1/4 - i/3) = 1/8 + 1/9 + i(1/12 - 1/6)
-    p = a * b
-    assert p.re == F(1, 8) + F(1, 9)
-    assert p.im == F(1, 12) - F(1, 6)
+def _pair(q):
+    """A QC scalar as its (re, im) pair of Fractions."""
+    return q.re, q.im
+
+
+def _times(a, b):
+    """The Gaussian product of two QC scalars, as an (re, im) pair."""
+    return a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re
+
+
+def _plus(a, b, sign=1):
+    """a + sign * b for two QC scalars, as an (re, im) pair."""
+    return a.re + sign * b.re, a.im + sign * b.im
+
+
+def _coeff_pairs(h):
+    """{w: (re, im)} over the support of h."""
+    return {w: _pair(h[w]) for w in h.support()}
 
 
 def test_qc_abs_value():
@@ -70,15 +80,8 @@ def test_convolution_on_integers_is_polynomial_product():
     for _ in range(50):
         f = random_element(rng, s, range(-5, 6), 4)
         g = random_element(rng, s, range(-5, 6), 4)
-        h = convolve(f, g)
         # oracle: direct double loop
-        acc = {}
-        for u in f.support():
-            for v in g.support():
-                acc[u + v] = acc.get(u + v, QC()) + f[u] * g[v]
-        for w, c in acc.items():
-            assert h[w] == c
-        assert all(h[w] == acc.get(w, QC()) for w in h.support())
+        assert _coeff_pairs(convolve(f, g)) == _oracle_convolve(f, g)
 
 
 def test_convolution_identity_and_associativity():
@@ -114,8 +117,9 @@ def test_augmentation_is_a_character():
     for _ in range(30):
         f = random_element(rng, s, pool, 4)
         g = random_element(rng, s, pool, 4)
-        assert convolve(f, g).augmentation() == f.augmentation() * g.augmentation()
-        assert (f + g).augmentation() == f.augmentation() + g.augmentation()
+        fa, ga = f.augmentation(), g.augmentation()
+        assert _pair(convolve(f, g).augmentation()) == _times(fa, ga)
+        assert _pair((f + g).augmentation()) == _plus(fa, ga)
 
 
 def test_weighted_norm_unweighted_and_weighted():
@@ -149,7 +153,7 @@ def test_sigma_sequence_counts_ball_mass():
     assert [v.re for v in vals] == [F(-1), F(-1), F(0), F(0), F(0)]
     assert stable == 2
     # sigma of the whole support equals the augmentation from there on
-    assert vals[-1] == f.augmentation()
+    assert _pair(vals[-1]) == _pair(f.augmentation())
 
 
 def test_sigma_sequence_on_universal_ball():
@@ -159,7 +163,7 @@ def test_sigma_sequence_on_universal_ball():
          + Element.delta(s, s.elem_from_json("theta"), F(-2)))
     vals, stable = sigma_sequence(f, bt)
     # B_2 = everything, so sigma_2 = augmentation
-    assert vals[2] == f.augmentation()
+    assert _pair(vals[2]) == _pair(f.augmentation())
     assert stable <= 2
 
 
@@ -193,14 +197,15 @@ def test_sigma_sequence_matches_the_per_ball_sums(spec, depth, pool):
         supp = f.support()
         expect = []
         for ball in balls:
-            total = QC(0)
+            total = (F(0), F(0))
             for u in supp:
                 if ball is UNIVERSE or u in ball:
-                    total = total + f[u]
+                    total = (total[0] + f[u].re, total[1] + f[u].im)
             expect.append(total)
         stable = next((n for n, ball in enumerate(balls)
                        if all(ball is UNIVERSE or u in ball for u in supp)), None)
-        assert sigma_sequence(f, bt) == (expect, stable)
+        vals, got_stable = sigma_sequence(f, bt)
+        assert ([_pair(v) for v in vals], got_stable) == (expect, stable)
 
 
 def test_element_json_round_trip():
@@ -228,20 +233,6 @@ def test_gaussian_convolution_multiplies_once_per_support_pair(monkeypatch):
     g = Element(s, {(1, 1): QC(F(1, 2), -1), (2, 0): 5})
     convolve(f, g)
     assert len(calls) == 6
-    f.scale(QC(2, F(1, 3)))
-    -f
-    assert len(calls) == 6
-
-
-def test_translate_right_shift():
-    s, _ = structure_from_spec(
-        {"family": "free", "params": {"rank": 2, "inverses": False}})
-    e, a, b, ab = (s.elem_from_json(w) for w in ([], [1], [2], [1, 2]))
-    f = Element.delta(s, a) + Element.delta(s, e, F(2))
-    g = f.translate(b)
-    assert g.support() == [b, ab]
-    assert g[ab] == QC(F(1))
-    assert g[b] == QC(F(2))
 
 
 # ---------------------------------------------------------------------------
@@ -294,13 +285,11 @@ def _oracle_convolve(f, g):
     mul = f.structure.multiply
     out = {}
     for u in f.support():
-        a = f[u]
         for v in g.support():
-            b = g[v]
             w = mul(u, v)
             re, im = out.get(w, (F(0), F(0)))
-            out[w] = (re + a.re * b.re - a.im * b.im,
-                      im + a.re * b.im + a.im * b.re)
+            p_re, p_im = _times(f[u], g[v])
+            out[w] = (re + p_re, im + p_im)
     return {w: c for w, c in out.items() if c != (0, 0)}
 
 
@@ -338,19 +327,10 @@ def test_self_difference_is_the_empty_zero(name, data):
 @given(data=st.data())
 def test_augmentation_additive_and_multiplicative(name, data):
     f, g = data.draw(_elements(name)), data.draw(_elements(name))
-    assert (f + g).augmentation() == f.augmentation() + g.augmentation()
-    assert (f - g).augmentation() == f.augmentation() - g.augmentation()
-    assert convolve(f, g).augmentation() == f.augmentation() * g.augmentation()
-
-
-@pytest.mark.parametrize("name", LAW_NAMES)
-@_laws
-@given(data=st.data())
-def test_translate_is_convolution_by_a_delta(name, data):
-    s, pool = LAW_STRUCTURES[name]
-    f = data.draw(_elements(name))
-    x = data.draw(st.sampled_from(pool))
-    assert f.translate(x) == convolve(f, Element.delta(s, x))
+    fa, ga = f.augmentation(), g.augmentation()
+    assert _pair((f + g).augmentation()) == _plus(fa, ga)
+    assert _pair((f - g).augmentation()) == _plus(fa, ga, -1)
+    assert _pair(convolve(f, g).augmentation()) == _times(fa, ga)
 
 
 @pytest.mark.parametrize("name", LAW_NAMES)
@@ -361,12 +341,10 @@ def test_convolution_matches_the_fraction_double_loop(name, data):
     want = _oracle_convolve(f, g)
     h = convolve(f, g)
     assert set(h.support()) == set(want)
-    assert {w: (h[w].re, h[w].im) for w in h.support()} == want
+    assert _coeff_pairs(h) == want
     s = f.structure
-    k = data.draw(_scalars)
-    fk = f.scale(k)
-    assert ({w: (fk[w].re, fk[w].im) for w in fk.support()}
-            == _oracle_convolve(Element.delta(s, s.identity(), k), f))
+    k = Element.delta(s, s.identity(), data.draw(_scalars))
+    assert _coeff_pairs(convolve(k, f)) == _oracle_convolve(k, f)
 
 
 def _assert_norm_is_the_oracles(f, weight, bits):
@@ -447,4 +425,4 @@ def test_basel_element_json_matches_the_fraction_path():
     want = {"terms": [{"elem": u, "re": format_rational(coeffs[u]), "im": "0"}
                       for u in sorted(coeffs, key=s.elem_key)]}
     assert canonical_json(f.to_json()) == canonical_json(want)
-    assert f.augmentation() == QC(0)
+    assert _pair(f.augmentation()) == (0, 0)

@@ -188,13 +188,24 @@ def test_every_flag_has_the_dest_of_the_tree():
             assert cli._dest(name, kw) == actions[name].dest, (group, command, name)
 
 
+def _run_python(*args):
+    """The stdout of a fresh interpreter run with `args`, waug importable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                       "src")
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src}).stdout
+
+
 def test_a_leaf_parse_imports_no_argparse():
     code = ("import sys, waug.cli\n"
             "waug.cli.parse_command(['structure', 'ball', '--spec', 's.json',"
             " '--depth', '3'])\n"
             "print(sorted({'argparse', 'gettext'} & set(sys.modules)))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                       "src")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout == "[]\n"
+    assert _run_python("-c", code) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_typing_dataclasses_or_argparse():
+    # -S: without site, whose start-up may load typing itself
+    code = ("import sys, waug.cli\n"
+            "print(sorted({'typing', 'dataclasses', 'argparse'} & set(sys.modules)))")
+    assert _run_python("-S", "-c", code) == "[]\n"

@@ -106,6 +106,14 @@ CASES = [
     ("weight_verify_c5_explicit.json", 0,
      ["weight", "verify", "--spec", "inputs/c5.json",
       "--weight", "inputs/w_explicit_c5.json", "--radius", "3"]),
+    # explicit weights that fail an axiom: omega(m2) > omega(m1)^2, and
+    # values below 1 (which then fail submultiplicativity too)
+    ("weight_verify_c5_not_submult.json", 1,
+     ["weight", "verify", "--spec", "inputs/c5.json",
+      "--weight", "inputs/w_explicit_c5_not_submult.json", "--radius", "3"]),
+    ("weight_verify_c5_below_one.json", 1,
+     ["weight", "verify", "--spec", "inputs/c5.json",
+      "--weight", "inputs/w_explicit_c5_below_one.json", "--radius", "3"]),
     ("weight_verify_fm1_l74.json", 0,
      ["weight", "verify", "--spec", "inputs/fm1.json",
       "--weight", "inputs/w_l74.json", "--radius", "8"]),
@@ -137,6 +145,17 @@ CASES = [
     ("weight_tau_c5_explicit.json", 0,
      ["weight", "tau", "--spec", "inputs/c5.json",
       "--weight", "inputs/w_explicit_c5.json", "--depth", "2"]),
+    # lemma 7.4's radial values on the rank-1 free monoid; Z^3 graded, and
+    # walked over a non-standard set (the base Structure's sphere lengths)
+    ("weight_tau_fm1_l74.json", 0,
+     ["weight", "tau", "--spec", "inputs/fm1.json",
+      "--weight", "inputs/w_l74.json", "--depth", "6"]),
+    ("weight_tau_z3_poly2.csv", 0,
+     ["weight", "tau", "--spec", "inputs/z3.json",
+      "--weight", "inputs/w_poly2.json", "--depth", "4", "--format", "csv"]),
+    ("weight_tau_z3_diag_poly2.json", 0,
+     ["weight", "tau", "--spec", "inputs/z3_diag.json",
+      "--weight", "inputs/w_poly2.json", "--depth", "4"]),
     ("build_l74_r2_k5.json", 0,
      ["weight", "build-l74", "--rho", "2", "--blocks", "5"]),
     ("build_l76_r2_n15.json", 0,
@@ -223,6 +242,13 @@ CASES = [
     ("decompose_point_f2_d_too_large.json", 1,
      ["ideal", "decompose-point", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--target", "[1, 2, -1]", "--d", "3"]),
+    # geodesic words on Z and Z^3 (their least_word)
+    ("decompose_point_z_poly2.json", 0,
+     ["ideal", "decompose-point", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_poly2.json", "--target", "3", "--d", "1/2"]),
+    ("decompose_point_z3_poly2.json", 0,
+     ["ideal", "decompose-point", "--spec", "inputs/z3.json",
+      "--weight", "inputs/w_poly2.json", "--target", "[2,-1,1]", "--d", "1/2"]),
     ("decompose_full_f2.json", 0,
      ["ideal", "decompose-full", "--spec", "inputs/f2.json",
       "--weight", "inputs/w_exp2.json", "--element", "inputs/f2_zero_elem.json",

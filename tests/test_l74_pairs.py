@@ -11,7 +11,7 @@ import pytest
 import l74_fraction_oracle as oracle
 import waug.certify as certify_mod
 import waug.weights as weights_mod
-from waug.certify import pow_less, pow_mantissas, ratio_pow_less
+from waug.certify import as_enclosure, pow_less, pow_mantissas, ratio_pow_less
 from waug.idealkit import witness_thm75
 from waug.serialize import canonical_json
 from waug.weights import build_lemma74
@@ -32,8 +32,10 @@ def test_reports_match_the_fraction_form(rho, bits):
         assert canonical_json(rep) == canonical_json(built[1])
         assert w.pows == built[0].pows
         for k in range(1, K + 1):
-            got, ref = w.step_ratio(k), built[0].step_ratio(k)
-            assert type(got) is type(ref) and got == ref
+            exact, lo, hi, d = w.step_ratio_ints(k)
+            ref = built[0].step_ratio(k)
+            assert exact == isinstance(ref, F)
+            assert (F(lo, d << w.bits), F(hi, d << w.bits)) == as_enclosure(ref)
         assert (canonical_json(witness_thm75(rho, K, bits))
                 == canonical_json(oracle.witness_thm75(rho, K, bits, built)))
 

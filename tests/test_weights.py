@@ -403,6 +403,13 @@ def test_lemma74_bad_float_guess_costs_calls_not_markers(bias, monkeypatch):
     assert 2 * 59 < len(calls) <= 59 * (2 * want[-1].bit_length() + 2)
 
 
+def _step_ends(w, k):
+    """(exact, lo, hi): step_ratio_ints(k) with its ends read as Fractions,
+    lo <= omega_(n_k+1) / omega_(n_k) <= hi."""
+    exact, lo, hi, d = w.step_ratio_ints(k)
+    return exact, F(lo, d << w.bits), F(hi, d << w.bits)
+
+
 def test_lemma74_values_and_ratios():
     w, rep = build_lemma74(F(2), 4)
     eps, markers = rep["eps"], rep["markers"]
@@ -413,7 +420,7 @@ def test_lemma74_values_and_ratios():
     assert w.radial_value(n1) == (F(2) + eps[0]) ** n1
     assert w.radial_value(n1 + 1) == (F(2) + eps[1]) ** (n1 + 1)
     # step ratio at k = 1 with rho = 2: omega_2/omega_1 = (5/2)^2 / 3 = 25/12
-    assert w.step_ratio(1) == F(25, 12)
+    assert _step_ends(w, 1) == (True, F(25, 12), F(25, 12))
     assert rep["step_bounds_all_ok"]
     # step-bound recheck from first principles: k omega_(n_k+1) <= (rho+1) omega_(n_k)
     for k in (1, 2, 3, 4):
@@ -438,8 +445,8 @@ def test_lemma74_huge_value_refuses_materialization():
     with pytest.raises(ResourceLimit):
         w.radial_value(rep["markers"][-1])
     # but the step ratio is still available as an enclosure
-    r = w.step_ratio(300)
-    assert isinstance(r, Enclosure) and r.lo > 0
+    exact, lo, _ = _step_ends(w, 300)
+    assert not exact and lo > 0
 
 
 def _frozen_step_ratio(w, k, bits):
@@ -475,15 +482,15 @@ def test_lemma74_low_precision_keeps_markers_and_verdicts(rho):
 @pytest.mark.parametrize("bits", [16, 128])
 def test_lemma74_step_ratio_reads_the_kept_power(bits):
     w, rep = build_lemma74(F(5, 2), 300, bits)
-    dyadic = [k for k in range(1, 301) if not isinstance(w.step_ratio(k), F)]
+    dyadic = [k for k in range(1, 301) if not _step_ends(w, k)[0]]
     assert len(dyadic) > 250
     for k in dyadic:
-        assert w.step_ratio(k) == _frozen_step_ratio(w, k, bits)
+        assert _step_ends(w, k)[1:] == _frozen_step_ratio(w, k, bits)
 
 
 @pytest.mark.parametrize("bits", [8, 128])
 def test_lemma74_computes_each_power_once(bits, monkeypatch):
-    # the marker probe's power serves the step certificate and step_ratio,
+    # the marker probe's power serves the step certificate and step_ratio_ints,
     # and the probe below the marker is derived from it; only an escalation,
     # at a higher precision, computes a power again.  Every kept power is a
     # fresh one at `bits`, none is derived.
@@ -499,7 +506,7 @@ def test_lemma74_computes_each_power_once(bits, monkeypatch):
     monkeypatch.setattr(certify_mod, "pow_mantissas", spy)  # ratio_pow_less's probes
     w, rep = build_lemma74(F(2), 300, bits)
     for k in range(1, 301):
-        w.step_ratio(k)
+        w.step_ratio_ints(k)
     assert 300 <= len(computed) < 2 * 299  # one fresh power a block, not two
     assert len(set(computed)) == len(computed)
     fresh_at = {n for _, n, _ in computed}
