@@ -15,11 +15,9 @@ enclosures otherwise.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import accumulate
 from collections.abc import Mapping
 from math import gcd, isqrt, lcm
-from types import MappingProxyType
 
 from .certify import REQUIRED, Enclosure, format_rational, read_as
 from .structures import InvalidInput, Structure
@@ -118,30 +116,10 @@ class Element:
         return QC(Fraction(self.re.get(u, 0), self.den),
                   Fraction(self.im.get(u, 0), self.den))
 
-    @property
-    def coeffs(self):
-        """Read-only {u: QC} view, built on demand (the boundary only)."""
-        return MappingProxyType({u: self[u] for u in self.support()})
-
     def __eq__(self, other):
         return (isinstance(other, Element)
                 and self.structure is other.structure and self.den == other.den
                 and self.re == other.re and self.im == other.im)
-
-    def __add__(self, other, sign=1):
-        """self + sign * other over the lcm of the two denominators."""
-        g = gcd(self.den, other.den)
-        m, n = other.den // g, sign * (self.den // g)
-        maps = []
-        for a, b in ((self.re, other.re), (self.im, other.im)):
-            out = {u: c * m for u, c in a.items()}
-            for u, c in b.items():
-                out[u] = out.get(u, 0) + c * n
-            maps.append(out)
-        return Element.from_numerators(self.structure, *maps, self.den // g * other.den)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
 
     def augmentation(self) -> QC:
         """phi_0(f) = sum of all coefficients."""
@@ -195,22 +173,16 @@ def convolve(f: Element, g: Element) -> Element:
     return convolve_sum(f.structure, [(f, g)])
 
 
-def convolve_many(*elems) -> Element:
-    if not elems:
-        raise InvalidInput("convolve_many needs at least one element")
-    return reduce(convolve, elems)
-
-
-def weighted_norm(f: Element, weight=None, bits: int = 128):
+def weighted_norm(f: Element, weight, bits: int = 128):
     """||f||_omega = sum |f(u)| omega(u), summed on integers: lo <= den 2**bits
     ||f||_omega <= hi.  |den f(u)| is |re[u]| at a real point; at a Gaussian
     one, with N = re[u]^2 + im[u]^2, it is isqrt(N) if N is a square, else
     between a den and (a + 1) den at scale 2**-bits, a = isqrt((N << 2 bits) //
     den^2): nth_root's bracket of the rational |f(u)|^2 = N / den^2, which is
     a square exactly when N is, and has the same scaled floor a.  `weight` has
-    eval(structure, u) -> Fraction | Enclosure (None = trivial weight); a
-    whole-number value enters as its numerator.  Returns a Fraction when
-    lo == hi, otherwise a certified Enclosure."""
+    eval(structure, u) -> Fraction | Enclosure; a whole-number value enters as
+    its numerator.  Returns a Fraction when lo == hi, otherwise a certified
+    Enclosure."""
     s, re, im, den = f.structure, f.re, f.im, f.den
     lo = hi = 0
     for u in f._points():
@@ -221,7 +193,7 @@ def weighted_norm(f: Element, weight=None, bits: int = 128):
         else:
             c_lo = isqrt((n << 2 * bits) // (den * den)) * den
             c_hi = c_lo + den
-        w = 1 if weight is None else weight.eval(s, u, bits=bits)
+        w = weight.eval(s, u, bits=bits)
         w_lo, w_hi = w if isinstance(w, Enclosure) else (w, w)
         lo += c_lo * (w_lo.numerator if w_lo.denominator == 1 else w_lo)
         hi += c_hi * (w_hi.numerator if w_hi.denominator == 1 else w_hi)

@@ -330,7 +330,7 @@ def ratio_pow_less(r: tuple, n: int, c: tuple, strict: bool = True,
     return lhs < rhs if strict else lhs <= rhs
 
 
-def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS, chain: list | None = None) -> Enclosure:
+def rat_pow(c: Fraction, t, bits: int, chain: list) -> Enclosure:
     """Certified enclosure of c**t for rational c >= 1 and t >= 0 rational
     or enclosure.  Monotonicity in t does the interval bookkeeping.
 
@@ -356,7 +356,6 @@ def rat_pow(c: Fraction, t, bits: int = DEFAULT_BITS, chain: list | None = None)
         m = -((-r << w) // x.denominator) if side else (r << w) // x.denominator
         ends.append((side, x.denominator == 1, k + (m >> w), m & mask))  # m = 2**w carries
     p, q = c.numerator, c.denominator
-    chain = [] if chain is None else chain  # c**(2**-i) for i = 1, 2, ...
     need = max((w + 1 - (m & -m).bit_length() for *_, m in ends if m), default=0)
     lo, hi = ((chain[-1][0] << w, chain[-1][1] << w) if chain  # the next root's square
               else ((p << 2 * w) // q, -((-p << 2 * w) // q)))  # c at scale 2**-2w

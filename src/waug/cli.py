@@ -38,10 +38,11 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import reduce
 from types import SimpleNamespace
 
 from . import __version__
-from .algebra import Element, convolve_many, sigma_sequence, weighted_norm
+from .algebra import Element, convolve, sigma_sequence, weighted_norm
 from .certify import DEFAULT_BITS, MAX_BITS, parse_rational, printable
 from .idealkit import (CertificateError, decompose_full, decompose_point,
                        divide_shift, pseudo_generation_necessity,
@@ -51,7 +52,7 @@ from .sequences import (PrefixSequence, build_block_sequence, check_prefix_tp,
                         failure_witness, growth_check, read_csv)
 from .serialize import canonical_json, load_json, read_input, write_csv
 from .structures import (InvalidInput, ResourceLimit, check_size,
-                         division_balls, find_ancestry, pseudo_finite_within,
+                         division_balls, pseudo_finite_within,
                          structure_from_spec)
 from .weights import (build_lemma74, build_lemma76, estimate_radii,
                       tau_step_check, tau_and_C, verify_weight_axioms,
@@ -98,7 +99,8 @@ def _h_structure_ball(args, bits):
 def _h_structure_ancestry(args, bits):
     s, gens = args.spec
     u = _parse_point(args.target, s)
-    chain, bt = find_ancestry(s, gens, u, args.depth)
+    bt = division_balls(s, gens, args.depth)
+    chain = bt.ancestry(u, gens)
     report = {
         "target": s.elem_to_json(u),
         "depth": args.depth,
@@ -203,7 +205,7 @@ def _h_tau_growth(args, bits):
 def _h_element_convolve(args, bits):
     if len(args.element) < 2:
         raise InvalidInput("convolve needs --element at least twice")
-    prod = convolve_many(*args.element)
+    prod = reduce(convolve, args.element)
     return {"factors": len(args.element), "product": prod}, True, None
 
 

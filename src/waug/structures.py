@@ -47,8 +47,7 @@ maps a whole sphere S through one generator x at a time with the family's two
 batched maps: right_images(S, x) is the list S.x, right_quotients(S, x) the
 v with v x in S (or UNIVERSE), each a list comprehension over S (digit
 arithmetic on free words, one per letter of x in a group; sums on Z and
-Z^d; one column of a table).  The one-element division
-right_divide_point(u, x) reads right_quotients([u], x).
+Z^d; one column of a table).
 On a group, E.x^-1 is E multiplied by x^-1, so a level is one multiplication
 pass,
     B_n = B_(n-1)  u  S_(n-1).(X u X^-1),
@@ -152,9 +151,6 @@ class Structure:
         BallTable level), in the order they are first met."""
         return list(dict.fromkeys(map(self.word_length, level)))
 
-    def is_standard_generators(self, gens) -> bool:
-        return False
-
     def right_images(self, us, x):
         """[u x for u in us], in one pass over the list."""
         raise NotImplementedError
@@ -163,11 +159,6 @@ class Structure:
         """Every v with v x in us, as a list (each v once if us has no
         repeats), or UNIVERSE; on a group, us x^-1 (non-groups override this)."""
         return self.right_images(us, self.invert(x))
-
-    def right_divide_point(self, u, x):
-        """{v : v x = u} as a frozenset, or UNIVERSE."""
-        vs = self.right_quotients([u], x)
-        return vs if vs is UNIVERSE else frozenset(vs)
 
     # --- encoding -----------------------------------------------------
 
@@ -799,7 +790,7 @@ class BallTable:
 
     def divisors_below(self, u, x, k) -> list:
         """{v in B_k : v x = u} as a list, for k below any universal level."""
-        cands = self.structure.right_divide_point(u, x)
+        cands = self.structure.right_quotients([u], x)
         if cands is UNIVERSE:
             # every v solves v x = u
             return [v for lev in self.levels[:k + 1] for v in lev]
@@ -973,12 +964,6 @@ def pseudo_finite_within(s: Structure, gens, depth: int) -> dict:
         reason = "monoid is infinite but every ball is finite"
     return {"found": n is not None, "n": n, "depth": depth, "ball_sizes": sizes,
             "reason": reason}
-
-
-def find_ancestry(s: Structure, gens, u, max_depth: int):
-    """(BallTable.ancestry(u, gens), the ball table) over B_0..B_max_depth."""
-    bt = division_balls(s, gens, max_depth)
-    return bt.ancestry(u, gens), bt
 
 
 # ---------------------------------------------------------------------------

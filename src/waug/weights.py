@@ -30,7 +30,7 @@ from .certify import (DEFAULT_BITS, EXACT_POW_CAP, L74_EXACT_BITS, REQUIRED, Enc
                       _digit_limit, as_enclosure, check_digits, escalate, format_rational,
                       nth_root, pow_mantissas, rat_pow, ratio_pow_less, read_as, read_family)
 from .structures import (FreeStructure, InvalidInput, ResourceLimit, Structure,
-                         UNIVERSE, division_balls, is_graded)
+                         UNIVERSE, check_size, division_balls, is_graded)
 
 
 class Weight:
@@ -186,20 +186,12 @@ class Lemma74Weight(WordLengthWeight):
             raise InvalidInput("lemma74 weight lives on the one-letter free "
                                f"monoid, not on this {s.family} structure")
 
-    def eps_at(self, n: int) -> Fraction:
-        if n < 0:
-            raise InvalidInput("lemma74 weight is graded by n >= 0")
-        return self.eps[bisect_left(self.markers, n)]
-
-    def base_at(self, n: int) -> Fraction:
-        return self.rho + self.eps_at(n)
-
     def radial_value(self, n, bits=DEFAULT_BITS):
         if n > EXACT_POW_CAP:
             raise ResourceLimit(
                 f"lemma74 weight value at n={n} is too large to materialize; "
                 "use the ratio certificates instead")
-        return self.base_at(n) ** n
+        return (self.rho + self.eps[bisect_left(self.markers, n)]) ** n
 
     def step_ratio_ints(self, k: int):
         """(exact, lo, hi, d) with lo <= 2**bits d omega_(n_k+1)/omega_(n_k)
@@ -234,17 +226,22 @@ class Lemma76Weight(Weight):
         if s.family != "Z":
             raise InvalidInput(f"lemma76 weight lives on Z, not on {s.family}")
 
-    def omega_pos(self, n: int) -> Fraction:
-        return self.rho ** n * self.gamma[n]
-
     def eval(self, s, u, bits=DEFAULT_BITS):
         if not isinstance(u, int):
             raise InvalidInput("lemma76 weight lives on Z")
         n = abs(u)
         if n > self.N:
             raise InvalidInput(f"lemma76 weight table only reaches |n| <= {self.N}")
-        w = self.omega_pos(n)
+        w = self.rho ** n * self.gamma[n]
         return w if u >= 0 else self.C ** n * w
+
+
+def _lemma74_from_spec(rho, blocks):
+    """The weight of a lemma74 file, its blocks refused at the cap as
+    build-l74 refuses --blocks: the builder keeps eps_0..eps_K."""
+    check_size("params.blocks = {} asks for eps_k, k = 0..blocks", blocks, blocks + 1,
+               "values")
+    return build_lemma74(rho, blocks)[0]
 
 
 WEIGHTS = {
@@ -252,7 +249,7 @@ WEIGHTS = {
     "radial_poly": (RadialPolyWeight, {"alpha": (Fraction, 0)}),
     "radial_exp": (RadialExpWeight, {"c": (Fraction, 1), "beta": (Fraction, 1)}),
     "explicit": (ExplicitWeight, {"values": (dict, REQUIRED)}),
-    "lemma74": (lambda rho, blocks: build_lemma74(rho, blocks)[0],
+    "lemma74": (_lemma74_from_spec,
                 {"rho": (Fraction, REQUIRED), "blocks": (int, REQUIRED)}),
     "lemma76": (lambda rho, N: build_lemma76(rho, N)[0],
                 {"rho": (Fraction, REQUIRED), "N": (int, REQUIRED)}),
@@ -364,7 +361,7 @@ def verify_weight_axioms(s: Structure, gens, weight: Weight, radius: int,
     return report
 
 
-def _radial_submult_pair(weight, m, n, bits, roots=None) -> bool:
+def _radial_submult_pair(weight, m, n, bits, roots) -> bool:
     """Certified F(m+n) <= F(m) F(n) for a radial_poly or radial_exp weight
     (verify_weight_axioms settles the other radial families before), with
     the enclosures of k**beta kept in `roots` by (k, bits)."""
@@ -374,8 +371,6 @@ def _radial_submult_pair(weight, m, n, bits, roots=None) -> bool:
     p, q = weight.beta.numerator, weight.beta.denominator
     if q == 1:
         return True  # exponent additive
-
-    roots = {} if roots is None else roots
 
     def probe(b):  # (m+n)^beta <= m^beta + n^beta, certified at b bits
         for k in (m, n, m + n):

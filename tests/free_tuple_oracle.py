@@ -87,7 +87,7 @@ class TupleFreeStructure(Structure):
 
     def right_divide_point(self, u, x):
         if self.inverses:
-            return super().right_divide_point(u, x)
+            return frozenset(super().right_quotients([u], x))
         # monoid: v x = u iff x is a suffix of u
         n = len(x)
         if n <= len(u) and (n == 0 or u[len(u) - n:] == x):

@@ -190,9 +190,9 @@ def test_ratio_pow_less_too_large_to_decide_exactly(monkeypatch):
 
 
 def test_rat_pow_integer_and_fractional():
-    e = rat_pow(F(4), F(3, 2))  # 4^(3/2) = 8
+    e = rat_pow(F(4), F(3, 2), 128, [])  # 4^(3/2) = 8
     assert e.lo <= 8 <= e.hi
-    e = rat_pow(F(9), F(1, 2))
+    e = rat_pow(F(9), F(1, 2), 128, [])
     assert e.lo <= 3 <= e.hi
 
 

@@ -568,6 +568,49 @@ def test_radial_poly_exponent_is_capped_at_load(capsys, tmp_path, zline, alpha, 
                                      "materialize\n")
 
 
+@pytest.mark.parametrize("blocks", [3_000_000, 10 ** 19])
+def test_lemma74_file_blocks_are_capped_at_load(capsys, tmp_path, blocks):
+    # the builder keeps eps_0..eps_K, so a file's blocks count against the
+    # cap before anything is built, as build-l74's --blocks does
+    spec = write_json(tmp_path / "fm1.json", golden_input("fm1.json"))
+    wfile = write_json(tmp_path / "w.json",
+                       {"family": "lemma74", "params": {"rho": "2", "blocks": blocks}})
+    started = time.monotonic()
+    code, out, err = run(capsys, "weight", "tau", "--spec", spec, "--weight", wfile,
+                         "--depth", "3")
+    assert time.monotonic() - started < 1
+    assert code == 2 and out == ""
+    assert err == (f"waug: error: params.blocks = {blocks} asks for eps_k, k = 0..blocks "
+                   f"= {blocks + 1} values, over the cap 1000000 (set WAUG_BALL_CAP "
+                   "to raise it)\n")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["element", "convolve", "--spec", "z.json", "--element", "z_e1.json"],
+     "convolve needs --element at least twice"),
+    (["tau", "check", "--csv", "seq_pow2.csv", "--depth", "1"],
+     "--depth must be >= 2 for a sequence prefix"),
+    (["ideal", "divide-shift", "--spec", "f2.json", "--element", "f2_zero_elem.json"],
+     "divide_shift works on the integer line"),
+    (["ideal", "divide-shift", "--spec", "z.json", "--element", "z_both_sides_elem.json"],
+     "divide_shift needs support in one half-line (all >= 0 or all <= 0)"),
+    (["ideal", "witness-45", "--spec", "c5.json", "--depth", "3"],
+     "structure is pseudo-finite (B_2 exhausts all 5 elements); every "
+     "augmentation-zero element is a finite combination over the generators "
+     "and no witness exists"),
+    (["ideal", "rewrite-pf", "--spec", "z.json", "--element", "z_ez0.json"],
+     "structure is not pseudo-finite within depth 16: monoid is infinite but "
+     "every ball is finite"),
+], ids=["convolve-one-element", "tau-check-depth-1", "divide-shift-on-f2",
+        "divide-shift-both-sides", "witness-45-pseudofinite", "rewrite-pf-on-z"])
+def test_leaf_refusals_are_one_input_error_line(capsys, monkeypatch, argv, message):
+    # the file arguments name inputs of the golden corpus
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), "golden", "inputs"))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == f"waug: error: {message}\n"
+
+
 # every leaf that reads --spec or --weight, with a valid value for each of
 # its other required flags, so that only the input under test can fail
 _FILLERS = {"--depth": "2", "--radius": "2", "--target": "1", "--d": "1"}

@@ -49,7 +49,7 @@ def _assert_encloses(enc, truth, prec):
 @settings(max_examples=150)
 @given(c=rationals(1, 12, 60), t=rationals(0, 8, 50), bits=BITS)
 def test_rat_pow_encloses_rational_exponent(c, t, bits):
-    enc = rat_pow(c, t, bits)
+    enc = rat_pow(c, t, bits, [])
     assert enc.lo <= enc.hi
     prec = 4 * bits
     with mpmath.workprec(prec):
@@ -61,7 +61,7 @@ def test_rat_pow_encloses_rational_exponent(c, t, bits):
        bits=BITS)
 def test_rat_pow_encloses_root_exponent(c, n, q, bits):
     # the radial_exp use: c ** (n ** (1/q)) with the exponent an enclosure
-    enc = rat_pow(c, nth_root(n, q, bits), bits)
+    enc = rat_pow(c, nth_root(n, q, bits), bits, [])
     prec = 4 * bits
     with mpmath.workprec(prec):
         t = mpmath.root(mpmath.mpf(n), q)
@@ -166,7 +166,7 @@ def test_rat_pow_equals_frozen_enclosure_loop(c, bits):
     ts = [nth_root(n, 2, bits) for n in range(41)]
     ts.append(Enclosure.exact(1 - F(1, 2 ** 200)))
     for t in ts:
-        assert rat_pow(c, t, bits) == _frozen_rat_pow(c, t, bits), (c, t, bits)
+        assert rat_pow(c, t, bits, []) == _frozen_rat_pow(c, t, bits), (c, t, bits)
 
 
 def _chain_exponents(bits):
@@ -183,7 +183,7 @@ def test_rat_pow_through_one_chain_equals_fresh_calls(c, bits):
     # the one a fresh chain gives, and the frozen loop's (on every sixth
     # exponent at 1024 bits, where the loop takes 0.2 s an exponent)
     ts = _chain_exponents(bits)
-    fresh = [rat_pow(c, t, bits) for t in ts]
+    fresh = [rat_pow(c, t, bits, []) for t in ts]
     step = 6 if bits > 128 else 1
     assert fresh[::step] == [_frozen_rat_pow(c, as_enclosure(t), bits) for t in ts[::step]]
     for order in (range(len(ts)), random.Random(bits).sample(range(len(ts)), len(ts))):

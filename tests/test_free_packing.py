@@ -62,7 +62,7 @@ def test_word_operations_commute_with_packing(case):
     pu, pv, px = pack(u), pack(v), pack(x)
     assert s.multiply(pu, pv) == pack(o.multiply(u, v))
     assert s.multiply(pu, px) == pack(o.multiply(u, x))
-    assert (set(s.right_divide_point(pu, px))
+    assert (set(s.right_quotients([pu], px))
             == set(map(pack, o.right_divide_point(u, x))))
     if o.inverses:
         assert s.invert(pu) == pack(o.invert(u))

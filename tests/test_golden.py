@@ -49,6 +49,16 @@ CASES = [
      ["structure", "ball", "--spec", "inputs/theta_b.json", "--depth", "3"]),
     ("ball_klein_a_d4.json", 0,
      ["structure", "ball", "--spec", "inputs/klein_a.json", "--depth", "4"]),
+    # the semilattice e < a, b with ab = ba = a over {a}: b enters B_2 only
+    # as a quotient (b a = a), so its ancestry takes a div step
+    ("ball_semilattice_d3.json", 0,
+     ["structure", "ball", "--spec", "inputs/semilattice.json", "--depth", "3"]),
+    ("ancestry_semilattice.json", 0,
+     ["structure", "ancestry", "--spec", "inputs/semilattice.json",
+      "--target", "2", "--depth", "3"]),
+    ("pseudofinite_semilattice.json", 0,
+     ["structure", "pseudofinite", "--spec", "inputs/semilattice.json",
+      "--depth", "3"]),
     ("ancestry_f2.json", 0,
      ["structure", "ancestry", "--spec", "inputs/f2.json",
       "--target", "[1, -2, 1]", "--depth", "4"]),
@@ -106,6 +116,9 @@ CASES = [
     ("weight_verify_c5_explicit.json", 0,
      ["weight", "verify", "--spec", "inputs/c5.json",
       "--weight", "inputs/w_explicit_c5.json", "--radius", "3"]),
+    ("weight_verify_z_trivial.json", 0,
+     ["weight", "verify", "--spec", "inputs/z.json",
+      "--weight", "inputs/w_trivial.json", "--radius", "3"]),
     # explicit weights that fail an axiom: omega(m2) > omega(m1)^2, and
     # values below 1 (which then fail submultiplicativity too)
     ("weight_verify_c5_not_submult.json", 1,
@@ -276,6 +289,10 @@ CASES = [
     ("divide_shift_z.json", 0,
      ["ideal", "divide-shift", "--spec", "inputs/z.json",
       "--element", "inputs/z_zero_elem.json"]),
+    # the zero element: g = 0 on the non-negative side
+    ("divide_shift_z_empty.json", 0,
+     ["ideal", "divide-shift", "--spec", "inputs/z.json",
+      "--element", "inputs/z_empty_elem.json"]),
     ("rewrite_pf_theta.json", 0,
      ["ideal", "rewrite-pf", "--spec", "inputs/theta.json",
       "--element", "inputs/theta_elem.json"]),

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from waug.algebra import QC, Element, convolve, sigma_sequence
+from waug.algebra import QC, Element, convolve, convolve_sum, sigma_sequence
 from waug.certify import Enclosure, basel_partial, harmonic_number
 from waug.idealkit import (CertificateError, decompose_full, decompose_point,
                            divide_shift, pseudo_generation_necessity,
@@ -31,12 +31,10 @@ def word(s, *letters):
 
 
 def random_zero_aug(rng, s, pool, size, denom=8):
-    f = Element.zero(s)
-    for _ in range(size):
-        u = rng.choice(pool)
-        f = f + Element.delta(s, u, F(rng.randrange(-5, 6), rng.randrange(1, denom)))
-    e = s.identity()
-    return f - Element.delta(s, e, f.augmentation())
+    coeffs = [(rng.choice(pool), F(rng.randrange(-5, 6), rng.randrange(1, denom)))
+              for _ in range(size)]
+    coeffs.append((s.identity(), -Element(s, coeffs).augmentation()))
+    return Element(s, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -47,8 +45,7 @@ def test_telescope_two_generator_example():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
     e = s.identity()
-    f = (Element.delta(s, word(s, 1)) + Element.delta(s, word(s, 2))
-         - Element.delta(s, e, F(2)))
+    f = Element(s, {word(s, 1): 1, word(s, 2): 1, e: F(-2)})
     rep = telescope(f)
     betas = {tuple(b["u"]): b["beta"].re for b in rep["betas"]}
     assert betas == {(1,): F(-1), (2,): F(-1)}
@@ -58,7 +55,7 @@ def test_telescope_two_generator_example():
 def test_telescope_difference_of_deltas():
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    f = Element.delta(s, word(s, 1, 2)) - Element.delta(s, word(s, 2))
+    f = Element(s, {word(s, 1, 2): 1, word(s, 2): -1})
     rep = telescope(f)
     betas = {tuple(b["u"]): b["beta"].re for b in rep["betas"]}
     assert betas == {(1, 2): F(-1), (2,): F(1)}
@@ -209,8 +206,7 @@ def test_decompose_full_unreachable_point_message():
     s, gens = structure_from_spec(F2_AB)
     w = RadialExpWeight(F(2), F(1))
     near, far = word(s, 1), word(s, 2, 2, 1, 1)  # geodesic lengths 1 and 4
-    f = (Element.delta(s, s.identity()) - Element.delta(s, near)
-         + Element.delta(s, far) - Element.delta(s, s.identity()))
+    f = Element(s, [(s.identity(), 1), (near, -1), (far, 1), (s.identity(), -1)])
     with pytest.raises(ResourceLimit) as point_exc:
         decompose_point(s, gens, w, far, F(1, 2), max_depth=3)
     with pytest.raises(ResourceLimit) as full_exc:
@@ -233,9 +229,9 @@ def test_decompose_full_rejects_nonzero_augmentation():
 
 def test_divide_shift_examples():
     s, _ = structure_from_spec({"family": "Z"})
-    g, rep = divide_shift(Element.delta(s, 2) - Element.delta(s, 0))
-    assert g == Element.delta(s, 0) + Element.delta(s, 1)
-    g, rep = divide_shift(Element.delta(s, 1) - Element.delta(s, 0))
+    g, rep = divide_shift(Element(s, {2: 1, 0: -1}))
+    assert g == Element(s, {0: 1, 1: 1})
+    g, rep = divide_shift(Element(s, {1: 1, 0: -1}))
     assert g == Element.delta(s, 0)
     assert rep["side"] == "nonneg"
 
@@ -251,7 +247,7 @@ def test_divide_shift_nonzero_augmentation_refused():
 def test_divide_shift_random_reconvolves():
     rng = random.Random(604)
     s, _ = structure_from_spec({"family": "Z"})
-    divisor = Element.delta(s, 1) - Element.delta(s, 0)
+    divisor = Element(s, {1: 1, 0: -1})
     for _ in range(60):
         f = random_zero_aug(rng, s, range(0, 41), 6)
         g, rep = divide_shift(f)
@@ -264,7 +260,7 @@ def test_divide_shift_random_reconvolves():
 def test_divide_shift_mirror_side():
     rng = random.Random(605)
     s, _ = structure_from_spec({"family": "Z"})
-    divisor = Element.delta(s, -1) - Element.delta(s, 0)
+    divisor = Element(s, {-1: 1, 0: -1})
     for _ in range(60):
         f = random_zero_aug(rng, s, range(-40, 1), 6)
         g, rep = divide_shift(f)
@@ -274,7 +270,7 @@ def test_divide_shift_mirror_side():
 
 def test_divide_shift_mixed_support_rejected():
     s, _ = structure_from_spec({"family": "Z"})
-    f = Element.delta(s, 2) - Element.delta(s, -2)
+    f = Element(s, {2: 1, -2: -1})
     with pytest.raises(InvalidInput):
         divide_shift(f)
 
@@ -292,23 +288,23 @@ def test_divide_shift_wrong_structure():
 def test_rewrite_zero_adjoined_one_step():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
     e, th = s.identity(), "theta"
-    f = Element.delta(s, th) - Element.delta(s, e)
+    f = Element(s, {th: 1, e: -1})
     rep = rewrite_pseudofinite(s, [th], f)
     assert rep["ok"] and rep["pseudo_finite_level"] == 2
     assert len(rep["decomposition"].pairs) == 1
     coeff, gen = rep["decomposition"].pairs[0]
-    assert gen == Element.delta(s, e) - Element.delta(s, th)
-    assert coeff == Element.zero(s) - Element.delta(s, e)
+    assert gen == Element(s, {e: 1, th: -1})
+    assert coeff == Element.delta(s, e, -1)
 
 
 def test_rewrite_zero_adjoined_level_two():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
     e, th = s.identity(), "theta"
-    f = Element.delta(s, word(s, 1, 2)) - Element.delta(s, e)
+    f = Element(s, {word(s, 1, 2): 1, e: -1})
     rep = rewrite_pseudofinite(s, [th], f)
     assert rep["ok"]
     coeff, gen = rep["decomposition"].pairs[0]
-    assert coeff == Element.delta(s, word(s, 1, 2)) - Element.delta(s, e)
+    assert coeff == Element(s, {word(s, 1, 2): 1, e: -1})
     rep["decomposition"].verify()
 
 
@@ -350,7 +346,7 @@ def test_rewrite_cyclic_group_two_generators():
 def test_rewrite_refuses_non_pseudofinite():
     s, gens = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": False}})
-    f = Element.delta(s, word(s, 1)) - Element.delta(s, word(s))
+    f = Element(s, {word(s, 1): 1, word(s): -1})
     with pytest.raises(InvalidInput):
         rewrite_pseudofinite(s, gens, f, depth=10)
 
@@ -359,7 +355,7 @@ def test_rewrite_generator_family_forms():
     # the emitted family is delta_e - delta_x over the generators
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 1}})
     th = "theta"
-    f = Element.delta(s, word(s, 1, 1)) - Element.delta(s, th)
+    f = Element(s, {word(s, 1, 1): 1, th: -1})
     rep = rewrite_pseudofinite(s, [th], f)
     rep["decomposition"].verify()
     assert [t["label"] for t in rep["family"]] == ["delta_e - delta_theta"]
@@ -379,15 +375,15 @@ def test_rewrite_over_theta_is_the_closed_form():
         pool = [e, th] + [word(s, *(rng.randrange(1, rank + 1)
                                     for _ in range(rng.randrange(1, 4))))
                           for _ in range(5)]
-        f = Element(s, [(rng.choice(pool),
-                         QC(F(rng.randrange(-5, 6), rng.randrange(1, 8)),
-                            F(rng.randrange(-5, 6), rng.randrange(1, 8))
-                            if trial % 2 else 0))
-                        for _ in range(rng.randrange(1, 6))])
-        f = f - Element.delta(s, e, f.augmentation())
+        terms = [(rng.choice(pool),
+                  QC(F(rng.randrange(-5, 6), rng.randrange(1, 8)),
+                     F(rng.randrange(-5, 6), rng.randrange(1, 8))
+                     if trial % 2 else 0))
+                 for _ in range(rng.randrange(1, 6))]
+        f = Element(s, terms + [(e, -Element(s, terms).augmentation())])
         rep = rewrite_pseudofinite(s, [th], f)
-        closed = f - Element.delta(s, th, f[th])
-        gen = Element.delta(s, e) - Element.delta(s, th)
+        closed = Element(s, {u: f[u] for u in f.support() if u != th})
+        gen = Element(s, {e: 1, th: -1})
         assert rep["decomposition"].pairs == ([(closed, gen)] if f else [])
         assert [t["label"] for t in rep["family"]] == (
             ["delta_e - delta_theta"] if f else [])
@@ -406,13 +402,12 @@ def _rewrite_emits_identity_differences(s, gens, f):
     labels = [t["label"] for t in rep["family"]]
     assert len(labels) == len(set(labels)) <= len(X)
     allowed = {f"delta_e - delta_{s.elem_str(x)}": x for x in X}
-    total = Element.zero(s)
-    for coeff, gen, label in rep["decomposition"].terms:
+    terms = rep["decomposition"].terms
+    for coeff, gen, label in terms:
         assert label in allowed
-        assert gen == Element.delta(s, e) - Element.delta(s, allowed[label])
+        assert gen == Element(s, {e: 1, allowed[label]: -1})
         assert coeff
-        total = total + convolve(coeff, gen)
-    assert total == f
+    assert convolve_sum(s, [(coeff, gen) for coeff, gen, _ in terms]) == f
 
 
 @pytest.mark.parametrize("spec", [
@@ -463,7 +458,7 @@ def test_necessity_stall_refutes():
     T = [[0, 1, 2, 3], [1, 0, 3, 2], [2, 3, 0, 1], [3, 2, 1, 0]]
     s, _ = structure_from_spec(
         {"family": "table", "params": {"table": T}, "generators": [1]})
-    h = Element.delta(s, 0) - Element.delta(s, 1)
+    h = Element(s, {0: 1, 1: -1})
     rep = pseudo_generation_necessity(s, [h], 6)
     assert rep["verdict"] == "refuted"
     assert rep["stalled_at"] is not None
@@ -471,7 +466,7 @@ def test_necessity_stall_refutes():
 
 def test_necessity_universal_covers():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
-    h = Element.delta(s, "theta") - Element.delta(s, s.identity())
+    h = Element(s, {"theta": 1, s.identity(): -1})
     rep = pseudo_generation_necessity(s, [h], 6)
     assert rep["verdict"] == "covers"
     assert rep["universal_at"] == 2
@@ -479,7 +474,7 @@ def test_necessity_universal_covers():
 
 def test_necessity_inconclusive_on_growing_balls():
     s, _ = structure_from_spec({"family": "Z"})
-    h = Element.delta(s, 1) - Element.delta(s, 0)
+    h = Element(s, {1: 1, 0: -1})
     rep = pseudo_generation_necessity(s, [h], 5)
     assert rep["verdict"] == "inconclusive"
 
@@ -534,12 +529,10 @@ def test_generator_multiple_ball_sums_bounded():
     bt = division_balls(s, gens, 6)
     pool = sorted(bt.ball(4), key=s.elem_key)
     for _ in range(50):
-        g = Element.zero(s)
-        for _ in range(4):
-            g = g + Element.delta(s, rng.choice(pool),
-                                  F(rng.randrange(-4, 5), rng.randrange(1, 6)))
+        g = Element(s, [(rng.choice(pool), F(rng.randrange(-4, 5), rng.randrange(1, 6)))
+                        for _ in range(4)])
         for x in gens:
-            f = convolve(g, Element.delta(s, s.identity()) - Element.delta(s, x))
+            f = convolve(g, Element(s, [(s.identity(), 1), (x, -1)]))
             vals, stable = sigma_sequence(f, bt)
             assert vals[stable].re == 0 and vals[stable].im == 0
             total = sum((abs(v.re) + abs(v.im) for v in vals[:stable]), F(0))

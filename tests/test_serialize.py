@@ -136,8 +136,8 @@ def test_element_round_trips_through_canonical_json(tmp_path):
     from waug.structures import structure_from_spec
     s, _ = structure_from_spec(
         {"family": "free", "params": {"rank": 2, "inverses": True}})
-    f = (Element.delta(s, s.elem_from_json([1, -2]), F(2, 3))
-         + Element.delta(s, s.elem_from_json([]), QC(F(0), F(1, 5))))
+    f = Element(s, {s.elem_from_json([1, -2]): F(2, 3),
+                    s.elem_from_json([]): QC(F(0), F(1, 5))})
     text = canonical_json(f.to_json())
     back = Element.from_json(s, json.loads(text))
     assert back == f

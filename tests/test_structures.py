@@ -12,8 +12,7 @@ from test_acceptance import brute_transformation_monoid
 from waug.structures import (InvalidInput, ResourceLimit, UNIVERSE,
                              FreeStructure, IntegerGroup, IntegerLattice,
                              TableMonoid, ZeroAdjoinedMonoid, bfs_words,
-                             division_balls,
-                             find_ancestry, geodesic_words,
+                             division_balls, geodesic_words, is_graded,
                              pseudo_finite_within, structure_from_spec)
 
 
@@ -354,7 +353,7 @@ def test_ancestry_chains_replay(family, params):
     rng = random.Random(901)
     pool = [u for n in range(5) for u in bt.sphere(n)]
     for u in rng.sample(pool, min(20, len(pool))):
-        chain, _ = find_ancestry(s, gens, u, 4)
+        chain = bt.ancestry(u, gens)
         assert chain is not None
         assert chain[0].elem == u
         _replay(s, chain)
@@ -362,13 +361,13 @@ def test_ancestry_chains_replay(family, params):
 
 def test_ancestry_not_found_outside_ball():
     s, gens = structure_from_spec({"family": "Z"})
-    chain, _ = find_ancestry(s, gens, 10, 3)
+    chain = division_balls(s, gens, 3).ancestry(10, gens)
     assert chain is None
 
 
 def test_ancestry_through_universal_ball():
     s, _ = structure_from_spec({"family": "zero_adjoined", "params": {"rank": 2}})
-    chain, _ = find_ancestry(s, ["theta"], s.elem_from_json([1, 2, 1]), 3)
+    chain = division_balls(s, ["theta"], 3).ancestry(s.elem_from_json([1, 2, 1]), ["theta"])
     assert chain is not None
     _replay(s, chain)
 
@@ -424,7 +423,7 @@ def test_geodesic_words_equal_per_point_words(spec):
         got = geodesic_words(s, gens, points, 6)
         assert list(got) == points
         for u in points:
-            if s.is_standard_generators(gens):
+            if is_graded(s, gens):
                 assert got[u] == geodesic_words(s, gens, [u], 6)[u]
             else:
                 assert got[u] == bfs_words(s, gens, 6, targets=[u])[u]
@@ -445,7 +444,7 @@ def test_closed_form_words_are_least_on_reordered_standard_lists(spec):
     for _ in range(20):
         gens = std + [rng.choice(std) for _ in range(rng.randint(0, 2))]
         rng.shuffle(gens)
-        assert s.is_standard_generators(gens)
+        assert is_graded(s, gens)
         words = bfs_words(s, gens, 3)
         assert geodesic_words(s, gens, list(words), 3) == words
 

@@ -121,7 +121,7 @@ def test_radial_exp_pairs_decided_up_to_the_precision_ceiling(bits):
     # every precision --precision accepts gets at least one probe
     w = RadialExpWeight(F(2), F(1, 2))
     for m, n in ((1, 1), (1, 3), (2, 2)):
-        assert weights_mod._radial_submult_pair(w, m, n, bits)
+        assert weights_mod._radial_submult_pair(w, m, n, bits, {})
 
 
 def test_radial_exp_pairs_share_roots_per_precision():
